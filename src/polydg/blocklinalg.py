@@ -11,44 +11,72 @@ class LinalgError(Exception):
     pass
 
 
+def _frozen(a):
+    """Read-only view of a."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
+def _csr_order(n, rows, cols):
+    """Block-CSR order of block coordinates: (indptr, sorting permutation)."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return indptr, np.lexsort((cols, rows))
+
+
 class BlockSparseMatrix:
-    """Square block-CSR matrix with uniform dense b x b blocks."""
+    """Square block-CSR matrix with uniform dense b x b blocks. The arrays
+    are read-only: factorizations of the matrix are cached on it."""
 
     def __init__(self, n_block_rows, b, indptr, indices, blocks):
         self.n = int(n_block_rows)
         self.b = int(b)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.blocks = np.asarray(blocks)
+        self.indptr = _frozen(np.asarray(indptr, dtype=np.int64))
+        self.indices = _frozen(np.asarray(indices, dtype=np.int64))
+        self.blocks = _frozen(np.asarray(blocks))
         self._check()
         self._bsr = None
+        self._jacobi = None
+        self._ilu0 = {}
 
     def _check(self):
-        if self.blocks.shape != (len(self.indices), self.b, self.b):
+        """Validate the structure; record each block's row and the
+        positions of the diagonal blocks."""
+        n, nnz = self.n, len(self.indices)
+        counts = np.diff(self.indptr)
+        if (len(self.indptr) != n + 1 or self.indptr[0] != 0
+                or self.indptr[-1] != nnz or np.any(counts < 0)):
+            raise LinalgError(f"indptr must be {n + 1} offsets from 0 to {nnz}")
+        if self.blocks.shape != (nnz, self.b, self.b):
             raise LinalgError("block array shape mismatch")
-        for i in range(self.n):
-            cols = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            if np.any(np.diff(cols) <= 0):
-                raise LinalgError(f"unsorted or duplicate columns in block row {i}")
-            if i not in cols:
-                raise LinalgError(f"missing diagonal block in row {i}")
+        if nnz and (self.indices.min() < 0 or self.indices.max() >= n):
+            raise LinalgError(f"block column index outside [0, {n})")
+        self._rows = np.repeat(np.arange(n), counts)
+        bad = (self._rows[1:] == self._rows[:-1]) & (np.diff(self.indices) <= 0)
+        if bad.any():
+            raise LinalgError(f"unsorted or duplicate columns in block row "
+                              f"{self._rows[1:][bad][0]}")
+        self._diag = np.flatnonzero(self.indices == self._rows)
+        if len(self._diag) != n:
+            row = np.setdiff1d(np.arange(n), self._rows[self._diag])[0]
+            raise LinalgError(f"missing diagonal block in row {row}")
 
     @classmethod
     def from_block_dict(cls, n, b, blocks):
         """Build from a {(row, col): b x b array} mapping; missing diagonal
-        blocks are inserted as zeros."""
-        entries = dict(blocks)
-        for i in range(n):
-            entries.setdefault((i, i), np.zeros((b, b)))
-        indptr = [0]
-        indices = []
-        data = []
-        for i in range(n):
-            cols = sorted(j for (r, j) in entries if r == i)
-            indices.extend(cols)
-            data.extend(entries[(i, j)] for j in cols)
-            indptr.append(len(indices))
-        return cls(n, b, indptr, indices, np.array(data))
+        blocks are inserted as zeros. A key outside [0, n)^2 is an error."""
+        keys = np.array(list(blocks), dtype=np.int64).reshape(-1, 2)
+        outside = np.any((keys < 0) | (keys >= n), axis=1)
+        if outside.any():
+            raise LinalgError(f"block key {tuple(keys[outside][0].tolist())} "
+                              f"outside [0, {n})^2")
+        missing = np.setdiff1d(np.arange(n), keys[keys[:, 0] == keys[:, 1], 0])
+        vals = list(blocks.values()) + [np.zeros((b, b))] * len(missing)
+        rows = np.concatenate((keys[:, 0], missing))
+        cols = np.concatenate((keys[:, 1], missing))
+        indptr, order = _csr_order(n, rows, cols)
+        return cls(n, b, indptr, cols[order],
+                   np.array([vals[k] for k in order]))
 
     @property
     def dim(self):
@@ -73,47 +101,35 @@ class BlockSparseMatrix:
         return None
 
     def diagonal_blocks(self):
-        out = np.empty((self.n, self.b, self.b), dtype=self.blocks.dtype)
-        for i in range(self.n):
-            out[i] = self.block(i, i)
-        return out
+        return self.blocks[self._diag]
 
     def to_dense(self):
-        A = np.zeros((self.dim, self.dim), dtype=self.blocks.dtype)
-        b = self.b
-        for i in range(self.n):
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                j = self.indices[k]
-                A[i * b:(i + 1) * b, j * b:(j + 1) * b] = self.blocks[k]
-        return A
+        A = np.zeros((self.n, self.b, self.n, self.b), dtype=self.blocks.dtype)
+        A[self._rows, :, self.indices, :] = self.blocks
+        return A.reshape(self.dim, self.dim)
 
     def scaled_add_diag(self, scale, diag_blocks):
         """Return scale * self with diag_blocks added on the block diagonal."""
-        blocks = scale * self.blocks.copy()
-        out = BlockSparseMatrix(self.n, self.b, self.indptr.copy(),
-                                self.indices.copy(), blocks)
-        for i in range(self.n):
-            out.block(i, i)[...] += diag_blocks[i]
-        return out
+        blocks = scale * self.blocks
+        blocks[self._diag] += diag_blocks
+        return BlockSparseMatrix(self.n, self.b, self.indptr, self.indices,
+                                 blocks)
 
     def permuted(self, perm):
         """Symmetric permutation: row/col i of the result is perm[i] of self."""
-        perm = np.asarray(perm)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.n)
-        entries = {}
-        for i in range(self.n):
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                entries[(inv[i], inv[self.indices[k]])] = self.blocks[k]
-        return BlockSparseMatrix.from_block_dict(self.n, self.b, entries)
+        return BlockSparseMatrix(self.n, self.b, *self._permuted_arrays(perm))
 
-    def dump(self, path):
-        """Block-coordinate text dump: `row col b values...` per block."""
-        with open(path, "w") as f:
-            for i in range(self.n):
-                for k in range(self.indptr[i], self.indptr[i + 1]):
-                    vals = " ".join(repr(v) for v in self.blocks[k].ravel())
-                    f.write(f"{i} {self.indices[k]} {self.b} {vals}\n")
+    def _permuted_arrays(self, perm):
+        """(indptr, indices, blocks) of `permuted(perm)`; blocks is a new
+        writable array."""
+        perm = np.asarray(perm)
+        if not np.array_equal(np.sort(perm), np.arange(self.n)):
+            raise LinalgError(f"not a permutation of range({self.n})")
+        inv = np.empty(self.n, dtype=np.int64)
+        inv[perm] = np.arange(self.n)
+        rows, cols = inv[self._rows], inv[self.indices]
+        indptr, order = _csr_order(self.n, rows, cols)
+        return indptr, cols[order], self.blocks[order]
 
 
 def _factor_diag(diag_blocks):
@@ -147,30 +163,30 @@ class BlockILU0Factorization:
 
     Block IKJ elimination visiting only existing blocks; storage equals the
     input block count. Sensitive to the element ordering, which is stored.
+    The triangular solves in `apply` sweep level sets (Saad, Iterative
+    Methods for Sparse Linear Systems, ch. 11): the rows of a level read
+    only rows of earlier levels, so each level is one batched block product.
     """
 
     def __init__(self, A, ordering=None):
         self.n = A.n
         self.b = A.b
-        if ordering is None:
-            ordering = np.arange(A.n)
-        self.ordering = np.asarray(ordering)
-        P = A.permuted(self.ordering)
-        self.indptr = P.indptr
-        self.indices = P.indices
-        self.blocks = P.blocks.copy()
-        self._pos = {}
-        for i in range(self.n):
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                self._pos[(i, self.indices[k])] = k
-        self._factorize()
+        self.ordering = np.asarray(range(A.n) if ordering is None else ordering)
+        self._unorder = np.argsort(self.ordering)
+        self.indptr, self.indices, self.blocks = A._permuted_arrays(
+            self.ordering)
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        self._factorize(rows)
+        self._forward = self._level_sets(rows, lower=True)
+        self._backward = self._level_sets(rows, lower=False)
 
-    def _factorize(self):
+    def _factorize(self, rows):
+        pos = {ij: k for k, ij in enumerate(zip(rows.tolist(),
+                                                 self.indices.tolist()))}
         eye = np.eye(self.b)
         self.uinv = np.empty((self.n, self.b, self.b))
         for i in range(self.n):
             lo, hi = self.indptr[i], self.indptr[i + 1]
-            row_cols = self.indices[lo:hi]
             for kk in range(lo, hi):
                 kcol = self.indices[kk]
                 if kcol >= i:
@@ -183,63 +199,81 @@ class BlockILU0Factorization:
                     j = self.indices[kj]
                     if j <= kcol:
                         continue
-                    pos = self._pos.get((i, j))
-                    if pos is not None:
-                        self.blocks[pos] = self.blocks[pos] - Lik @ self.blocks[kj]
-            dpos = self._pos[(i, i)]
-            lu, piv = scipy.linalg.lu_factor(self.blocks[dpos], check_finite=False)
+                    p = pos.get((i, j))
+                    if p is not None:
+                        self.blocks[p] = self.blocks[p] - Lik @ self.blocks[kj]
+            lu, piv = scipy.linalg.lu_factor(self.blocks[pos[(i, i)]],
+                                             check_finite=False)
             if np.min(np.abs(np.diag(lu))) < 1e-300:
                 raise LinalgError(f"singular pivot block at elimination step {i}")
             self.uinv[i] = scipy.linalg.lu_solve((lu, piv), eye, check_finite=False)
 
+    def _level_sets(self, rows, lower):
+        """Level sets of the strictly lower (or upper) block sweep: a row's
+        level is one more than the highest level of the rows it reads. Per
+        level: (rows, their off-diagonal block positions, the columns those
+        read, the start of each row's run of blocks)."""
+        level = np.zeros(self.n, dtype=np.int64)
+        for i in range(self.n) if lower else range(self.n - 1, -1, -1):
+            dep = self.indices[self.indptr[i]:self.indptr[i + 1]]
+            dep = dep[dep < i] if lower else dep[dep > i]
+            if len(dep):
+                level[i] = level[dep].max() + 1
+        pos = np.flatnonzero(self.indices < rows if lower
+                             else self.indices > rows)
+        pos = pos[np.argsort(level[rows[pos]], kind="stable")]
+        n_levels = level.max() + 1 if self.n else 0
+        cuts = np.searchsorted(level[rows[pos]], np.arange(1, n_levels))
+        out = []
+        for lev, k in enumerate(np.split(pos, cuts)):
+            first = np.flatnonzero(np.diff(rows[k], prepend=-1))
+            out.append((np.flatnonzero(level == lev), k, self.indices[k],
+                        first))
+        return out
+
+    def _row_sums(self, y, pos, cols, first):
+        """Per row of a level: the sum of its off-diagonal blocks times y."""
+        prod = np.einsum("kij,kj->ki", self.blocks[pos], y[cols])
+        return np.add.reduceat(prod, first)
+
     def apply(self, x):
         """Solve L U y = x (in the stored ordering)."""
-        b = self.b
-        xb = x.reshape(self.n, b)[self.ordering].copy()
-        y = np.zeros_like(xb)
-        for i in range(self.n):
-            acc = xb[i]
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                j = self.indices[k]
-                if j >= i:
-                    break
-                acc = acc - self.blocks[k] @ y[j]
-            y[i] = acc
-        z = np.zeros_like(xb)
-        for i in range(self.n - 1, -1, -1):
-            acc = y[i]
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                j = self.indices[k]
-                if j > i:
-                    acc = acc - self.blocks[k] @ z[j]
-            z[i] = self.uinv[i] @ acc
-        out = np.empty_like(z)
-        out[self.ordering] = z
-        return out.reshape(x.shape)
+        y = x.reshape(self.n, self.b)[self.ordering]
+        # level 0 of the unit-lower sweep reads nothing: y = x there
+        for rows, *offdiag in self._forward[1:]:
+            y[rows] -= self._row_sums(y, *offdiag)
+        for rows, *offdiag in self._backward:
+            acc = y[rows]
+            if len(offdiag[0]):
+                acc -= self._row_sums(y, *offdiag)
+            y[rows] = np.einsum("kij,kj->ki", self.uinv[rows], acc)
+        return y[self._unorder].reshape(x.shape)
 
     def lu_product_dense(self):
         """Dense L @ U in the stored ordering (tests only)."""
-        b = self.b
-        dim = self.n * b
-        L = np.eye(dim)
-        U = np.zeros((dim, dim))
-        for i in range(self.n):
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                j = self.indices[k]
-                blk = self.blocks[k]
-                if j < i:
-                    L[i * b:(i + 1) * b, j * b:(j + 1) * b] = blk
-                else:
-                    U[i * b:(i + 1) * b, j * b:(j + 1) * b] = blk
-        return L @ U
+        F = BlockSparseMatrix(self.n, self.b, self.indptr, self.indices,
+                              self.blocks).to_dense()
+        blk = np.arange(len(F)) // self.b
+        lower = blk[:, None] > blk[None, :]
+        return (np.eye(len(F)) + np.where(lower, F, 0.0)) @ np.where(lower, 0.0, F)
 
 
 def factor_block_jacobi(A):
-    return BlockJacobiFactorization(A)
+    """Block-Jacobi factorization of A, computed once and cached on A."""
+    if A._jacobi is None:
+        A._jacobi = BlockJacobiFactorization(A)
+    return A._jacobi
 
 
 def factor_bilu0(A, ordering=None):
-    return BlockILU0Factorization(A, ordering)
+    """Block ILU(0) of A in `ordering`, computed once per ordering and
+    cached on A."""
+    ordering = np.asarray(range(A.n) if ordering is None else ordering,
+                          dtype=np.int64)
+    key = ordering.tobytes()
+    if key not in A._ilu0:
+        A._ilu0[key] = BlockILU0Factorization(A, ordering)
+    return A._ilu0[key]
 
 
 def block_jacobi_solve(A, rhs, x0=None, tol=1e-14, max_iters=100000):
@@ -248,7 +282,7 @@ def block_jacobi_solve(A, rhs, x0=None, tol=1e-14, max_iters=100000):
     Returns (x, iterations, converged); iterations is the first iterate index
     whose relative l2 residual meets tol.
     """
-    fac = BlockJacobiFactorization(A)
+    fac = factor_block_jacobi(A)
     x = np.zeros(A.dim) if x0 is None else np.asarray(x0, float).copy()
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
@@ -336,25 +370,9 @@ def jacobi_iteration_matrix(A, dim_cap=2000):
     if A.dim > dim_cap:
         raise LinalgError(f"dimension {A.dim} exceeds cap {dim_cap}")
     dense = A.to_dense()
-    n, b = A.n, A.b
-    Dinv = np.zeros_like(dense)
-    inv = _factor_diag_any(A.diagonal_blocks())
-    for i in range(n):
-        Dinv[i * b:(i + 1) * b, i * b:(i + 1) * b] = inv[i]
+    Dinv = BlockSparseMatrix(A.n, A.b, np.arange(A.n + 1), np.arange(A.n),
+                             _factor_diag(A.diagonal_blocks())).to_dense()
     return np.eye(A.dim, dtype=dense.dtype) - Dinv @ dense
-
-
-def _factor_diag_any(diag_blocks):
-    # complex-safe variant of _factor_diag
-    n, b, _ = diag_blocks.shape
-    inv = np.empty_like(diag_blocks)
-    eye = np.eye(b, dtype=diag_blocks.dtype)
-    for i in range(n):
-        lu, piv = scipy.linalg.lu_factor(diag_blocks[i], check_finite=False)
-        if np.min(np.abs(np.diag(lu))) < 1e-300:
-            raise LinalgError(f"singular diagonal block in row {i}")
-        inv[i] = scipy.linalg.lu_solve((lu, piv), eye, check_finite=False)
-    return inv
 
 
 def dense_complex_eigenvalues(A, cap=64):

@@ -7,7 +7,6 @@ Exit code is 0 only if every requested solve converged.
 """
 
 import argparse
-import os
 import sys
 
 from . import experiments
@@ -113,16 +112,18 @@ def build_parser():
     return parser
 
 
-def limit_threads(n):
+def limit_threads(parser, n):
+    """Cap the BLAS thread pools at n threads, or exit with status 2 if
+    threadpoolctl is missing (*_NUM_THREADS only act before BLAS loads)."""
     if n is None:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
     try:
         import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
     except ImportError:
-        pass
+        parser.error("--threads needs the threadpoolctl package, which is not "
+                     "installed; set OPENBLAS_NUM_THREADS (and OMP_NUM_THREADS)"
+                     " in the environment before starting polydg instead")
+    threadpoolctl.threadpool_limits(n)
 
 
 def resolve_patterns(names):
@@ -169,9 +170,8 @@ def cmd_random_advect(args):
 
 
 def cmd_euler_vortex(args):
-    name = {("jacobi", "none"): "jacobi", ("gmres", "jacobi"): "gmres+jacobi",
-            ("gmres", "ilu0"): "gmres+ilu0"}.get(
-                (args.solver, args.preconditioner))
+    names = {cfg: name for name, cfg in experiments.SOLVER_CONFIGS.items()}
+    name = names.get((args.solver, args.preconditioner))
     if name is None:
         raise experiments.ExperimentError(
             f"unsupported solver/preconditioner combination "
@@ -204,7 +204,7 @@ def cmd_mesh_gen(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    limit_threads(getattr(args, "threads", None))
+    limit_threads(parser, getattr(args, "threads", None))
     handlers = {"analyze": cmd_analyze, "advect": cmd_advect,
                 "random-advect": cmd_random_advect,
                 "euler-vortex": cmd_euler_vortex}

@@ -153,15 +153,6 @@ class PolyMesh:
     def cell_vertices(self, c):
         return self.vertices[self.cells[c]]
 
-    def cell_edges(self):
-        """Per-cell list of (edge index, +1 if the cell is the left side)."""
-        out = [[] for _ in range(self.n_cells)]
-        for ei, e in enumerate(self.edges):
-            out[e.left].append((ei, +1))
-            if e.right != BOUNDARY:
-                out[e.right].append((ei, -1))
-        return out
-
     @property
     def is_periodic(self):
         return any(e.tag == "periodic" for e in self.edges)

@@ -16,10 +16,6 @@ def backward_euler_system(M, L, k):
     return L.scaled_add_diag(k, M.diagonal_blocks())
 
 
-def backward_euler_rhs(M, k, u):
-    return M.matvec(u)
-
-
 @dataclass
 class NewtonResult:
     u: np.ndarray
@@ -33,10 +29,11 @@ def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=5e-13,
                  max_iters=20):
     """Newton's method with full steps.
 
-    residual_fn(u) -> F(u); jacobian_fn(u) -> (A, aux) where A is the block
-    matrix dF/du and aux is passed-through state (e.g. frozen flux
-    coefficients already used by the residual); linear_solver(A, rhs) ->
-    (x, n_iters). Convergence: ||F|| <= tol * max(1, ||F0||).
+    residual_fn(u) -> F(u); jacobian_fn(u) -> A, the block matrix dF/du;
+    linear_solver(A, rhs) -> (x, n_iters). Convergence:
+    ||F|| <= tol * max(1, ||F0||). Each Jacobian is released before the next
+    is built, so it and the factorizations cached on it never overlap with
+    the next one in memory.
     """
     u = u0.copy()
     F = residual_fn(u)
@@ -49,6 +46,7 @@ def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=5e-13,
             return NewtonResult(u, it, lin_iters, norms, True)
         A = jacobian_fn(u)
         du, n_lin = linear_solver(A, -F)
+        del A
         lin_iters.append(n_lin)
         u = u + du
         F = residual_fn(u)

@@ -213,15 +213,6 @@ class PatternSymbol:
         return float(np.max(rho))
 
 
-def assemble_symbol(kind, p, element_area, velocity, k, nx, ny, check_signs=True):
-    """Convenience wrapper returning (M_j, L_hat, D, R_hat) at one wavenumber."""
-    sym = PatternSymbol(kind, p, element_area, velocity, check_signs=check_signs)
-    L = sym.l_hat(nx, ny)
-    D = sym.mass + k * sym.diag
-    R = sym.jacobi_symbol(k, nx, ny)
-    return sym.mass, L, D, R
-
-
 # -- closed forms --------------------------------------------------------
 
 def paper_wave_coords(kind, element_area, nx, ny):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydg.blocklinalg import (BlockSparseMatrix, LinalgError,
                                 block_jacobi_solve, dense_complex_eigenvalues,
@@ -176,3 +178,149 @@ def test_jacobi_spectrum_convergence_consistency():
     assert ok
     predicted = np.log(1e-12) / np.log(rho)
     assert it <= 4 * predicted + 10
+
+
+def test_from_block_dict_rejects_keys_outside_range():
+    for key in [(0, 5), (2, 0), (-1, 1), (1, 2)]:
+        with pytest.raises(LinalgError, match="outside"):
+            BlockSparseMatrix.from_block_dict(
+                2, 1, {(0, 0): np.eye(1), key: np.eye(1)})
+
+
+def test_constructor_checks_structure():
+    one = np.ones((2, 1, 1))
+    with pytest.raises(LinalgError, match="indptr"):
+        BlockSparseMatrix(2, 1, [0, 2], [0, 1], one)       # too short
+    with pytest.raises(LinalgError, match="indptr"):
+        BlockSparseMatrix(2, 1, [0, 1, 2, 2], [0, 1], one)  # too long
+    with pytest.raises(LinalgError, match="indptr"):
+        BlockSparseMatrix(2, 1, [0, 2, 1], [0, 1], one)     # decreasing
+    with pytest.raises(LinalgError, match="outside"):
+        BlockSparseMatrix(2, 1, [0, 1, 2], [0, 5], one)
+    with pytest.raises(LinalgError, match="outside"):
+        BlockSparseMatrix(2, 1, [0, 1, 2], [0, -1], one)
+    with pytest.raises(LinalgError, match="duplicate"):
+        BlockSparseMatrix(2, 1, [0, 2, 2], [1, 0], one)
+    with pytest.raises(LinalgError, match="missing diagonal block in row 1"):
+        BlockSparseMatrix(2, 1, [0, 1, 2], [0, 0], one)
+    with pytest.raises(LinalgError, match="shape"):
+        BlockSparseMatrix(2, 2, [0, 1, 2], [0, 1], one)
+
+
+# -- property tests over random patterns, sizes and orderings ----------------
+
+@st.composite
+def block_systems(draw, full_diagonal=False):
+    """(n, b, {(row, col): block}, ordering): a random block pattern whose
+    rows may have no off-diagonal blocks and, unless full_diagonal, may miss
+    their diagonal block. With full_diagonal the diagonal blocks dominate, so
+    every ILU(0) pivot is nonsingular."""
+    n = draw(st.integers(1, 9))
+    b = draw(st.integers(1, 3))
+    keys = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                  st.integers(0, n - 1)), max_size=n * n))
+    if full_diagonal:
+        keys |= {(i, i) for i in range(n)}
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = {key: rng.standard_normal((b, b)) for key in sorted(keys)}
+    if full_diagonal:
+        for i in range(n):
+            blocks[(i, i)] += 2.0 * b * n * np.eye(b)
+    ordering = np.array(draw(st.permutations(range(n))))
+    return n, b, blocks, ordering
+
+
+def dense_reference(n, b, blocks):
+    dense = np.zeros((n * b, n * b))
+    for (i, j), blk in blocks.items():
+        dense[i * b:(i + 1) * b, j * b:(j + 1) * b] = blk
+    return dense
+
+
+def ilu0_apply_reference(fac, x):
+    """Block-by-block forward and backward sweeps, one row at a time."""
+    xb = x.reshape(fac.n, fac.b)[fac.ordering]
+    y = np.zeros_like(xb)
+    for i in range(fac.n):
+        acc = xb[i]
+        for k in range(fac.indptr[i], fac.indptr[i + 1]):
+            j = fac.indices[k]
+            if j >= i:
+                break
+            acc = acc - fac.blocks[k] @ y[j]
+        y[i] = acc
+    z = np.zeros_like(xb)
+    for i in range(fac.n - 1, -1, -1):
+        acc = y[i]
+        for k in range(fac.indptr[i], fac.indptr[i + 1]):
+            j = fac.indices[k]
+            if j > i:
+                acc = acc - fac.blocks[k] @ z[j]
+        z[i] = fac.uinv[i] @ acc
+    out = np.empty_like(z)
+    out[fac.ordering] = z
+    return out.reshape(x.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_systems())
+def test_from_block_dict_and_permuted_match_dense(system):
+    n, b, blocks, ordering = system
+    A = BlockSparseMatrix.from_block_dict(n, b, blocks)
+    expected_keys = sorted(set(blocks) | {(i, i) for i in range(n)})
+    assert A.indices.tolist() == [j for _, j in expected_keys]
+    assert np.array_equal(np.diff(A.indptr),
+                          np.bincount([i for i, _ in expected_keys],
+                                      minlength=n))
+    dense = dense_reference(n, b, blocks)
+    assert np.array_equal(A.to_dense(), dense)
+    idx = (b * ordering[:, None] + np.arange(b)).ravel()
+    assert np.array_equal(A.permuted(ordering).to_dense(),
+                          dense[np.ix_(idx, idx)])
+    x = np.arange(n * b, dtype=float)
+    assert np.allclose(A.matvec(x), dense @ x, rtol=1e-14, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_systems(full_diagonal=True))
+def test_bilu0_apply_matches_dense_solve_and_row_sweep(system):
+    n, b, blocks, ordering = system
+    A = BlockSparseMatrix.from_block_dict(n, b, blocks)
+    fac = factor_bilu0(A, ordering)
+    x = np.random.default_rng(n * b).standard_normal(A.dim)
+    got = fac.apply(x)
+    idx = (b * ordering[:, None] + np.arange(b)).ravel()
+    expected = np.empty_like(x)
+    expected[idx] = np.linalg.solve(fac.lu_product_dense(), x[idx])
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    ref = ilu0_apply_reference(fac, x)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_systems(full_diagonal=True))
+def test_factorizations_are_cached_per_matrix_and_ordering(system):
+    n, b, blocks, ordering = system
+    A = BlockSparseMatrix.from_block_dict(n, b, blocks)
+    fac = factor_bilu0(A, ordering)
+    assert factor_bilu0(A, list(ordering)) is fac
+    if n > 1:
+        other = np.roll(ordering, 1)
+        assert factor_bilu0(A, other) is not fac
+        assert np.array_equal(factor_bilu0(A, other).ordering, other)
+    assert factor_block_jacobi(A) is factor_block_jacobi(A)
+    # a new matrix with the same values gets its own factorization
+    assert factor_bilu0(A.scaled_add_diag(1.0, np.zeros((n, b, b))),
+                        ordering) is not fac
+
+
+def test_matrix_arrays_are_read_only():
+    A = random_block_matrix(4, 2, seed=20)
+    with pytest.raises(ValueError):
+        A.blocks[0] = 0.0
+    with pytest.raises(ValueError):
+        A.blocks[0, 0, 0] += 1.0
+    with pytest.raises(ValueError):
+        A.indices[0] = 1
+    with pytest.raises(ValueError):
+        A.block(0, 0)[...] = 0.0

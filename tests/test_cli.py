@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, CSV output, and error handling."""
 
 import csv
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -137,3 +139,23 @@ def test_unknown_pattern_name(capsys):
     rc = main(["advect", "--pattern", "heptagon", "--p", "0", "--k", "k1"])
     assert rc == 2
     assert "unknown pattern" in capsys.readouterr().err
+
+
+def test_threads_without_threadpoolctl_fails_loudly(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # not importable
+    with pytest.raises(SystemExit) as e:
+        main(["advect", "--pattern", "square", "--p", "0", "--k", "k1",
+              "--h", "0.25", "--steps", "1", "--threads", "1"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "threadpoolctl" in err and "OPENBLAS_NUM_THREADS" in err
+
+
+def test_threads_with_threadpoolctl(monkeypatch, tmp_path):
+    limits = []
+    monkeypatch.setitem(sys.modules, "threadpoolctl",
+                        types.SimpleNamespace(threadpool_limits=limits.append))
+    rc = main(["advect", "--pattern", "square", "--p", "0", "--k", "k1",
+               "--h", "0.25", "--steps", "1", "--threads", "1",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 0 and limits == [1]
