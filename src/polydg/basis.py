@@ -1,4 +1,11 @@
-"""Quadrature rules and orthonormal modal bases on arbitrary polygonal cells."""
+"""Quadrature rules and orthonormal modal bases on arbitrary polygonal cells.
+
+Bases are built for many cells at once: cells are grouped by vertex count
+and each group's fan quadratures, monomial values and Gram-Schmidt sweeps
+are arrays with the cells along the first axis.
+"""
+
+import functools
 
 import numpy as np
 
@@ -19,16 +26,26 @@ class Quadrature:
         return np.dot(self.weights, vals)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
 def _gauss_legendre(n):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
-def triangle_quadrature(v0, v1, v2, degree):
-    """Quadrature on the triangle (v0, v1, v2), exact for total degree <= degree.
+@functools.cache
+def _reference_triangle_rule(degree):
+    """(x, y, w) on the triangle (0,0), (1,0), (0,1), exact for total
+    degree <= degree.
 
-    Uses a collapsed (Duffy) tensor Gauss rule on the reference triangle; the
-    Jacobian factor raises the polynomial degree by one in the collapsed
-    direction, hence the n = ceil((degree + 2) / 2) point count per direction.
+    A collapsed (Duffy) tensor Gauss rule; the Jacobian factor raises the
+    polynomial degree by one in the collapsed direction, hence the
+    n = ceil((degree + 2) / 2) point count per direction.
     """
     n = max(1, (degree + 3) // 2)
     xg, wg = _gauss_legendre(n)
@@ -36,17 +53,29 @@ def triangle_quadrature(v0, v1, v2, degree):
     wa = 0.5 * wg
     A, B = np.meshgrid(a, a, indexing="ij")
     WA, WB = np.meshgrid(wa, wa, indexing="ij")
-    # reference triangle (0,0), (1,0), (0,1): x = a (1 - b), y = b
-    xr = (A * (1.0 - B)).ravel()
-    yr = B.ravel()
-    w = (WA * WB * (1.0 - B)).ravel()
+    # x = a (1 - b), y = b
+    return _read_only((A * (1.0 - B)).ravel(), B.ravel(),
+                      (WA * WB * (1.0 - B)).ravel())
 
-    v0 = np.asarray(v0, float)
-    e1 = np.asarray(v1, float) - v0
-    e2 = np.asarray(v2, float) - v0
-    jac = e1[0] * e2[1] - e1[1] * e2[0]
-    nodes = v0[None, :] + np.outer(xr, e1) + np.outer(yr, e2)
-    return Quadrature(nodes, w * jac)
+
+def _fan_quadrature(verts, centroids, degree):
+    """Quadrature exact for total degree <= degree on polygons star-shaped
+    from their centroids, split into the triangles (centroid, v_i, v_i+1).
+
+    verts (cells, nv, 2), centroids (cells, 2); returns nodes
+    (cells, nq, 2) and weights (cells, nq), triangle by triangle in vertex
+    order.
+    """
+    xr, yr, w = _reference_triangle_rule(degree)
+    v0 = centroids[:, None, :]
+    e1 = verts - v0
+    e2 = np.roll(verts, -1, axis=1) - v0
+    jac = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    nodes = (v0[:, :, None, :] + xr[:, None] * e1[:, :, None, :]
+             + yr[:, None] * e2[:, :, None, :])
+    weights = w * jac[..., None]
+    return (nodes.reshape(len(verts), -1, 2),
+            weights.reshape(len(verts), -1))
 
 
 def polygon_quadrature(vertices, degree):
@@ -58,42 +87,38 @@ def polygon_quadrature(vertices, degree):
     area, centroid = polygon_area_centroid(verts)
     if area < 1e-14:
         raise BasisError(f"degenerate polygon (area {area:g})")
-    nodes = []
-    weights = []
-    nv = len(verts)
-    for i in range(nv):
-        q = triangle_quadrature(centroid, verts[i], verts[(i + 1) % nv], degree)
-        nodes.append(q.nodes)
-        weights.append(q.weights)
-    return Quadrature(np.vstack(nodes), np.concatenate(weights))
+    nodes, weights = _fan_quadrature(verts[None], centroid[None], degree)
+    return Quadrature(nodes[0], weights[0])
 
 
 def edge_quadrature(p0, p1, degree):
     """Gauss-Legendre rule on the segment [p0, p1], exact for degree-q
-    polynomials along the edge; weights sum to the edge length."""
+    polynomials along the edge; weights sum to the edge length. Endpoints
+    (..., 2) give a batch of rules: nodes (..., n, 2), weights (..., n)."""
     p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    length = np.linalg.norm(p1 - p0)
-    if length == 0.0:
+    d = np.asarray(p1, float) - p0
+    # the dot product np.linalg.norm takes for a single vector
+    length = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+    if np.any(length == 0.0):
         raise BasisError("zero-length edge")
-    n = max(1, (degree + 2) // 2)
-    xg, wg = _gauss_legendre(n)
+    xg, wg = _gauss_legendre(max(1, (degree + 2) // 2))
     t = 0.5 * (xg + 1.0)
-    nodes = p0[None, :] + np.outer(t, p1 - p0)
-    return Quadrature(nodes, 0.5 * length * wg)
+    nodes = p0[..., None, :] + t[:, None] * d[..., None, :]
+    return Quadrature(nodes, (0.5 * length)[..., None] * wg)
 
 
 def polygon_area_centroid(verts):
+    """Signed area and centroid of polygons verts (..., nv, 2)."""
     verts = np.asarray(verts, float)
-    x = verts[:, 0]
-    y = verts[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
+    x = verts[..., 0]
+    y = verts[..., 1]
+    xn = np.roll(x, -1, axis=-1)
+    yn = np.roll(y, -1, axis=-1)
     cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
-    cx = np.sum((x + xn) * cross) / (6.0 * area)
-    cy = np.sum((y + yn) * cross) / (6.0 * area)
-    return area, np.array([cx, cy])
+    area = 0.5 * np.sum(cross, axis=-1)
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
+    return area, np.stack([cx, cy], axis=-1)
 
 
 def monomial_exponents(p):
@@ -105,118 +130,211 @@ def n_local(p):
     return (p + 1) * (p + 2) // 2
 
 
+# most cells in one batch: bounds the (cells, nodes, n_loc) temporaries of
+# the batched build and assembly (1.5 MB each at p = 3)
+BATCH_CELLS = 128
+
+
+def volume_degree(p):
+    """Total degree the cell quadrature integrates exactly."""
+    return max(2 * p, 2 * p + 2 if p > 0 else 2)
+
+
 def _monomial_values(exps, s):
-    # s: (npts, 2) centered-scaled coordinates
-    out = np.empty((len(s), len(exps)))
+    """Monomials at centered-scaled points s (..., 2): (..., len(exps))."""
+    out = np.empty(s.shape[:-1] + (len(exps),))
     for k, (i, j) in enumerate(exps):
-        out[:, k] = s[:, 0] ** i * s[:, 1] ** j
+        out[..., k] = s[..., 0] ** i * s[..., 1] ** j
     return out
 
 
 def _monomial_grads(exps, s, scale):
-    out = np.zeros((len(s), len(exps), 2))
+    """x- and y-derivatives of the monomials in physical coordinates, for
+    s = (point - centroid) / scale: two (..., len(exps)) arrays."""
+    gx = np.zeros(s.shape[:-1] + (len(exps),))
+    gy = np.zeros_like(gx)
     for k, (i, j) in enumerate(exps):
         if i > 0:
-            out[:, k, 0] = i * s[:, 0] ** (i - 1) * s[:, 1] ** j / scale
+            gx[..., k] = i * s[..., 0] ** (i - 1) * s[..., 1] ** j / scale
         if j > 0:
-            out[:, k, 1] = j * s[:, 0] ** i * s[:, 1] ** (j - 1) / scale
-    return out
+            gy[..., k] = j * s[..., 0] ** i * s[..., 1] ** (j - 1) / scale
+    return gx, gy
 
 
-class ElementBasis:
-    """Orthonormal modal basis on one polygonal cell.
+def _orthonormalize(V, w, cells, centroids):
+    """Modified Gram-Schmidt, twice for stability, of the monomial columns
+    of V (k, nq, n) under the quadrature weights w (k, nq) of k cells.
+    Returns coefficients (k, n, n): row i is basis function i in monomials.
+    """
+    k, _, n = V.shape
+    C = np.broadcast_to(np.eye(n), (k, n, n)).copy()
+    w = w[:, None, :]
 
-    Basis functions are linear combinations of centered-scaled monomials
-    ((x - cx)/d)^i ((y - cy)/d)^j with c the centroid and d the cell diameter.
-    The combination coefficients come from modified Gram-Schmidt under the
-    L2 inner product of the cell quadrature, so the Gram matrix is the
-    identity and the first function is 1/sqrt(area).
+    def inner(a):  # <w, a> per cell, one dot product each
+        return (w @ a[:, :, None])[:, 0]
+
+    for _ in range(2):
+        # basis values at the quad nodes, one contiguous row per function
+        B = V @ C.transpose(0, 2, 1)
+        B = np.ascontiguousarray(B.transpose(0, 2, 1))
+        for i in range(n):
+            for j in range(i):
+                proj = inner(B[:, i] * B[:, j])
+                B[:, i] -= proj * B[:, j]
+                C[:, i] -= proj * C[:, j]
+            nrm2 = inner(B[:, i] ** 2)[:, 0]
+            bad = ~(np.isfinite(nrm2) & (nrm2 > 0.0))
+            if bad.any():
+                raise BasisError(
+                    f"numerically dependent monomials on cell "
+                    f"{cells[bad][0]} at {centroids[bad][0]}")
+            nrm = np.sqrt(nrm2)[:, None]
+            B[:, i] /= nrm
+            C[:, i] /= nrm
+    return C
+
+
+class CellBases:
+    """Orthonormal modal bases and volume quadratures of many polygonal
+    cells, kept as arrays.
+
+    The basis functions of a cell are linear combinations of centered-scaled
+    monomials ((x - cx)/d)^i ((y - cy)/d)^j, with c the centroid and d the
+    cell diameter. The combination coefficients come from modified
+    Gram-Schmidt under the L2 inner product of the cell quadrature, so the
+    Gram matrix is the identity and the first function is 1/sqrt(area).
+
+    `areas`, `centroids`, `diameters` and `coeffs` (cells, n_loc, n_loc) are
+    indexed by cell. A group is up to BATCH_CELLS cells with the same
+    vertex count; `groups` holds (cell indices, quadrature nodes (k, nq, 2),
+    weights (k, nq)) per group. `bases[c]` is a per-cell view.
     """
 
-    def __init__(self, vertices, p, quad_degree=None):
+    def __init__(self, vertices, cells, p, quad_degree=None):
         if not (0 <= p <= 3):
             raise BasisError(f"degree p={p} unsupported (0..3)")
-        self.vertices = np.asarray(vertices, dtype=float)
         self.p = p
         self.exps = monomial_exponents(p)
         self.n_loc = len(self.exps)
-        self.area, self.centroid = polygon_area_centroid(self.vertices)
-        d = self.vertices - self.centroid
-        self.diameter = 2.0 * np.max(np.hypot(d[:, 0], d[:, 1]))
+        self.n_cells = n = len(cells)
+        counts = np.array([len(c) for c in cells])
+        if np.any(counts < 3):
+            raise BasisError("polygon needs at least 3 vertices")
+        vertices = np.asarray(vertices, dtype=float)
+        groups = []
+        for nv in np.unique(counts):
+            idx = np.flatnonzero(counts == nv)
+            groups += np.array_split(idx, -(-len(idx) // BATCH_CELLS))
+        verts = [vertices[np.array([cells[c] for c in idx])] for idx in groups]
+        self.areas, self.centroids = np.empty(n), np.empty((n, 2))
+        self.diameters = np.empty(n)
+        for idx, v in zip(groups, verts):
+            self.areas[idx], self.centroids[idx] = polygon_area_centroid(v)
+            d = v - self.centroids[idx][:, None, :]
+            self.diameters[idx] = 2.0 * np.hypot(d[..., 0], d[..., 1]).max(1)
+        # a non-finite vertex makes the area or the centroid non-finite
+        bad = ~((self.areas >= 1e-14) & np.isfinite(self.centroids).all(1))
+        if bad.any():
+            c = np.flatnonzero(bad)[0]
+            raise BasisError(f"degenerate cell {c} at {self.centroids[c]} "
+                             f"(area {self.areas[c]:g})")
         if quad_degree is None:
-            quad_degree = max(2 * p, 2 * p + 2 if p > 0 else 2)
-        self.quadrature = polygon_quadrature(self.vertices, quad_degree)
-        self.coeffs = self._orthonormalize()
+            quad_degree = volume_degree(p)
+        self.coeffs = np.empty((n, self.n_loc, self.n_loc))
+        self.groups = []
+        self.bases = [None] * n
+        for idx, v in zip(groups, verts):
+            nodes, weights = _fan_quadrature(v, self.centroids[idx],
+                                             quad_degree)
+            V = _monomial_values(self.exps, self._scaled(idx, nodes))
+            self.coeffs[idx] = _orthonormalize(V, weights, idx,
+                                               self.centroids[idx])
+            self.groups.append((idx, nodes, weights))
+            for k, c in enumerate(idx):
+                self.bases[c] = CellBasis(self, c,
+                                          Quadrature(nodes[k], weights[k]))
 
-    def _orthonormalize(self):
-        q = self.quadrature
-        s = (q.nodes - self.centroid) / self.diameter
-        V = _monomial_values(self.exps, s)
-        w = q.weights
-        n = self.n_loc
-        C = np.eye(n)
-        # modified Gram-Schmidt, twice for stability
-        for _ in range(2):
-            B = V @ C.T  # basis values at quad nodes, (nq, n)
-            for i in range(n):
-                for j in range(i):
-                    proj = np.dot(w, B[:, i] * B[:, j])
-                    B[:, i] -= proj * B[:, j]
-                    C[i] -= proj * C[j]
-                nrm2 = np.dot(w, B[:, i] ** 2)
-                if nrm2 <= 0.0 or not np.isfinite(nrm2):
-                    raise BasisError(
-                        f"numerically dependent monomials on cell at {self.centroid}"
-                    )
-                nrm = np.sqrt(nrm2)
-                B[:, i] /= nrm
-                C[i] /= nrm
-        return C
+    def _scaled(self, cells, points):
+        return ((points - self.centroids[cells][:, None, :])
+                / self.diameters[cells][:, None, None])
+
+    def values(self, cells, points):
+        """Basis values of cells (k,) at their points (k, q, 2):
+        (k, q, n_loc)."""
+        V = _monomial_values(self.exps, self._scaled(cells, points))
+        return V @ self.coeffs[cells].transpose(0, 2, 1)
+
+    def gradients(self, cells, points):
+        """x- and y-derivatives of the bases of cells (k,) at their points
+        (k, q, 2): two (k, q, n_loc) arrays."""
+        gx, gy = _monomial_grads(self.exps, self._scaled(cells, points),
+                                 self.diameters[cells][:, None])
+        ct = self.coeffs[cells].transpose(0, 2, 1)
+        return gx @ ct, gy @ ct
+
+
+class CellBasis:
+    """Cell c of a CellBases: its quadrature and basis functions, evaluated
+    through the batch's arrays."""
+
+    def __init__(self, bases, c, quadrature):
+        self._bases = bases
+        self._cell = np.array([c])
+        self.quadrature = quadrature
+        self.coeffs = bases.coeffs[c]
 
     def eval(self, points):
         """Basis values, shape (npts, n_loc)."""
         pts = np.atleast_2d(np.asarray(points, float))
-        s = (pts - self.centroid) / self.diameter
-        return _monomial_values(self.exps, s) @ self.coeffs.T
+        return self._bases.values(self._cell, pts[None])[0]
 
     def eval_grad(self, points):
         """Basis gradients, shape (npts, n_loc, 2)."""
         pts = np.atleast_2d(np.asarray(points, float))
-        s = (pts - self.centroid) / self.diameter
-        G = _monomial_grads(self.exps, s, self.diameter)
-        return np.einsum("qmd,nm->qnd", G, self.coeffs)
+        gx, gy = self._bases.gradients(self._cell, pts[None])
+        return np.stack([gx[0], gy[0]], axis=-1)
 
     def gram(self):
         B = self.eval(self.quadrature.nodes)
         return np.einsum("q,qi,qj->ij", self.quadrature.weights, B, B)
 
 
-class DgSpace:
-    """Per-element orthonormal bases and quadratures for a PolyMesh."""
+class ElementBasis(CellBasis):
+    """Orthonormal modal basis on one polygonal cell: a CellBases of one
+    cell (see there for the construction)."""
+
+    def __init__(self, vertices, p, quad_degree=None):
+        verts = np.asarray(vertices, dtype=float)
+        one = CellBases(verts, [np.arange(len(verts))], p, quad_degree)
+        super().__init__(one, 0, one.bases[0].quadrature)
+
+
+class DgSpace(CellBases):
+    """The cell bases and quadratures of a PolyMesh, plus the edge rules:
+    `edge_nodes` (edges, ne, 2) and `edge_weights` (edges, ne), with
+    per-edge views in `edge_quads`."""
 
     def __init__(self, mesh, p):
+        super().__init__(mesh.vertices, mesh.cells, p)
         self.mesh = mesh
-        self.p = p
-        self.n_loc = n_local(p)
-        vol_degree = max(2 * p, 2 * p + 2 if p > 0 else 2)
-        self.bases = [
-            ElementBasis(mesh.cell_vertices(c), p, quad_degree=vol_degree)
-            for c in range(mesh.n_cells)
-        ]
-        edge_degree = 2 * p + 1
-        self.edge_quads = [
-            edge_quadrature(mesh.vertices[e.v0], mesh.vertices[e.v1], edge_degree)
-            for e in mesh.edges
-        ]
+        ends = np.array([(e.v0, e.v1) for e in mesh.edges]).reshape(-1, 2)
+        q = edge_quadrature(mesh.vertices[ends[:, 0]],
+                            mesh.vertices[ends[:, 1]], 2 * p + 1)
+        self.edge_nodes, self.edge_weights = q.nodes, q.weights
+        self.edge_quads = [Quadrature(x, w) for x, w in
+                           zip(self.edge_nodes, self.edge_weights)]
 
     def project(self, fn):
-        """Per-cell L2 projection of fn(x, y); returns (n_cells, n_loc)."""
-        out = np.empty((self.mesh.n_cells, self.n_loc))
-        for c, basis in enumerate(self.bases):
-            q = basis.quadrature
-            vals = fn(q.nodes[:, 0], q.nodes[:, 1])
-            B = basis.eval(q.nodes)
-            out[c] = np.einsum("q,q,qi->i", q.weights, vals, B)
+        """Per-cell L2 projection of fn(x, y), whose values may carry
+        trailing component axes; returns (n_cells, *components, n_loc)."""
+        out = None
+        for cells, nodes, weights in self.groups:
+            vals = fn(nodes[..., 0], nodes[..., 1])
+            proj = np.einsum("cq,cq...,cqi->c...i", weights, vals,
+                             self.values(cells, nodes))
+            if out is None:
+                out = np.empty((self.n_cells,) + proj.shape[1:])
+            out[cells] = proj
         return out
 
     def evaluate(self, coeffs, cell, points):

@@ -62,21 +62,46 @@ class BlockSparseMatrix:
             raise LinalgError(f"missing diagonal block in row {row}")
 
     @classmethod
-    def from_block_dict(cls, n, b, blocks):
-        """Build from a {(row, col): b x b array} mapping; missing diagonal
-        blocks are inserted as zeros. A key outside [0, n)^2 is an error."""
-        keys = np.array(list(blocks), dtype=np.int64).reshape(-1, 2)
-        outside = np.any((keys < 0) | (keys >= n), axis=1)
+    def from_coo(cls, n, b, rows, cols, blocks):
+        """Build from block coordinates rows, cols (k,) and blocks (k, b, b).
+        Blocks with equal coordinates are summed in the order given; missing
+        diagonal blocks are inserted as zeros. A coordinate outside [0, n)
+        is an error."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        blocks = np.asarray(blocks).reshape(-1, b, b)
+        outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
         if outside.any():
-            raise LinalgError(f"block key {tuple(keys[outside][0].tolist())} "
+            k = np.flatnonzero(outside)[0]
+            raise LinalgError(f"block key ({rows[k]}, {cols[k]}) "
                               f"outside [0, {n})^2")
-        missing = np.setdiff1d(np.arange(n), keys[keys[:, 0] == keys[:, 1], 0])
-        vals = list(blocks.values()) + [np.zeros((b, b))] * len(missing)
-        rows = np.concatenate((keys[:, 0], missing))
-        cols = np.concatenate((keys[:, 1], missing))
-        indptr, order = _csr_order(n, rows, cols)
-        return cls(n, b, indptr, cols[order],
-                   np.array([vals[k] for k in order]))
+        missing = np.setdiff1d(np.arange(n), rows[rows == cols])
+        if len(missing):
+            rows = np.concatenate((rows, missing))
+            cols = np.concatenate((cols, missing))
+            blocks = np.concatenate(
+                (blocks, np.zeros((len(missing), b, b), dtype=blocks.dtype)))
+        order = np.lexsort((cols, rows))  # stable: keeps the given order
+        rows, cols = rows[order], cols[order]
+        new_key = (np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1)) != 0
+        slot = np.cumsum(new_key) - 1
+        first = np.flatnonzero(new_key)
+        rank = np.arange(len(order)) - first[slot]  # place among equal keys
+        # add each key's blocks one at a time, in the order given
+        summed = blocks[order[first]]
+        for r in range(1, rank.max(initial=0) + 1):
+            k = rank == r
+            summed[slot[k]] += blocks[order[k]]
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(rows[first], minlength=n))))
+        return cls(n, b, indptr, cols[first], summed)
+
+    @classmethod
+    def from_block_dict(cls, n, b, blocks):
+        """Build from a {(row, col): b x b array} mapping (see from_coo)."""
+        keys = np.array(list(blocks), dtype=np.int64).reshape(-1, 2)
+        return cls.from_coo(n, b, keys[:, 0], keys[:, 1],
+                            np.array(list(blocks.values())))
 
     @property
     def dim(self):

@@ -1,9 +1,13 @@
 """DG operator assembly for linear advection: mass matrix M, spatial operator
-L (volume + upwind face terms), and initial-condition projection."""
+L (volume + upwind face terms), and initial-condition projection.
+
+Assembly is batched: each term is computed for a group of cells (see
+`basis.CellBases`) or for all edges at once and emitted as (row, col, block)
+arrays, which `BlockSparseMatrix.from_coo` sums into block-CSR.
+"""
 
 import numpy as np
 
-from .basis import DgSpace
 from .blocklinalg import BlockSparseMatrix
 from .mesh import BOUNDARY
 
@@ -19,14 +23,21 @@ def _velocity_fn(velocity):
     return lambda x, y: (np.full_like(x, a), np.full_like(x, b))
 
 
+def _weighted_products(w, a, b):
+    """sum_q w[k, q] a[k, q, i] b[k, q, l] for each k: (k, i, l)."""
+    return (a * w[..., None]).transpose(0, 2, 1) @ b
+
+
 def assemble_mass(mesh, space):
     """Block-diagonal mass matrix (identity blocks under the orthonormal basis,
     assembled by quadrature for consistency)."""
-    blocks = {}
-    for c, basis in enumerate(space.bases):
-        B = basis.eval(basis.quadrature.nodes)
-        blocks[(c, c)] = np.einsum("q,qi,qj->ij", basis.quadrature.weights, B, B)
-    return BlockSparseMatrix.from_block_dict(mesh.n_cells, space.n_loc, blocks)
+    blocks = np.empty((mesh.n_cells, space.n_loc, space.n_loc))
+    for cells, nodes, weights in space.groups:
+        B = space.values(cells, nodes)
+        blocks[cells] = _weighted_products(weights, B, B)
+    diag = np.arange(mesh.n_cells)
+    return BlockSparseMatrix.from_coo(mesh.n_cells, space.n_loc, diag, diag,
+                                      blocks)
 
 
 def assemble_advection(mesh, space, velocity):
@@ -37,51 +48,51 @@ def assemble_advection(mesh, space, velocity):
     inflow part; periodic edges couple to the shifted neighbor.
     """
     beta = _velocity_fn(velocity)
-    n_loc = space.n_loc
-    blocks = {}
-
-    def add(i, j, blk):
-        key = (i, j)
-        if key in blocks:
-            blocks[key] += blk
-        else:
-            blocks[key] = blk.copy()
+    rows, cols, blocks = [], [], []
 
     # volume terms: - int (beta . grad v_i) u_l
-    for c, basis in enumerate(space.bases):
-        q = basis.quadrature
-        bx, by = beta(q.nodes[:, 0], q.nodes[:, 1])
-        if np.any(~np.isfinite(bx)) or np.any(~np.isfinite(by)):
-            raise AssemblyError(f"velocity not finite on cell {c}")
-        B = basis.eval(q.nodes)
-        G = basis.eval_grad(q.nodes)
-        bdotg = bx[:, None] * G[:, :, 0] + by[:, None] * G[:, :, 1]
-        add(c, c, -np.einsum("q,qi,ql->il", q.weights, bdotg, B))
+    for cells, nodes, weights in space.groups:
+        bx, by = beta(nodes[..., 0], nodes[..., 1])
+        bad = ~np.all(np.isfinite(bx) & np.isfinite(by), axis=1)
+        if bad.any():
+            raise AssemblyError(f"velocity not finite on cell {cells[bad][0]}")
+        gx, gy = space.gradients(cells, nodes)
+        bdotg = bx[..., None] * gx + by[..., None] * gy
+        rows.append(cells)
+        cols.append(cells)
+        blocks.append(-_weighted_products(weights, bdotg,
+                                          space.values(cells, nodes)))
 
     # face terms, both sides per edge
-    for ei, e in enumerate(mesh.edges):
-        q = space.edge_quads[ei]
-        x, y = q.nodes[:, 0], q.nodes[:, 1]
-        bx, by = beta(x, y)
-        s = bx * e.normal[0] + by * e.normal[1]
-        wl = space.bases[e.left].eval(q.nodes)
-        out_mask = s >= 0.0
-        w_out = q.weights * np.where(out_mask, s, 0.0)
-        w_in = q.weights * np.where(out_mask, 0.0, s)
-        if e.right == BOUNDARY:
-            # outflow: interior trace leaves; inflow: exterior state 0
-            add(e.left, e.left, np.einsum("q,qi,ql->il", w_out, wl, wl))
-            continue
-        wr = space.bases[e.right].eval(q.nodes - e.shift)
-        # seen from the left cell (normal n)
-        add(e.left, e.left, np.einsum("q,qi,ql->il", w_out, wl, wl))
-        add(e.left, e.right, np.einsum("q,qi,ql->il", w_in, wl, wr))
-        # seen from the right cell (normal -n): flux contributes with -s
-        add(e.right, e.left, -np.einsum("q,qi,ql->il", w_out, wr, wl))
-        add(e.right, e.right, -np.einsum("q,qi,ql->il", w_in, wr, wr))
+    left, right, normals, shifts = mesh.edge_arrays()
+    nodes, weights = space.edge_nodes, space.edge_weights
+    bx, by = beta(nodes[..., 0], nodes[..., 1])
+    s = bx * normals[:, :1] + by * normals[:, 1:]
+    out_mask = s >= 0.0
+    w_out = weights * np.where(out_mask, s, 0.0)
+    w_in = weights * np.where(out_mask, 0.0, s)
+    wl = space.values(left, nodes)
+    # every edge: the interior trace leaves through the outflow part; on
+    # boundary edges the inflow part sees the exterior state 0
+    rows.append(left)
+    cols.append(left)
+    blocks.append(_weighted_products(w_out, wl, wl))
+    inner = np.flatnonzero(right != BOUNDARY)
+    li, ri = left[inner], right[inner]
+    wl, w_out, w_in = wl[inner], w_out[inner], w_in[inner]
+    wr = space.values(ri, nodes[inner] - shifts[inner][:, None, :])
+    # inflow seen from the left cell (normal n), then both parts seen from
+    # the right cell (normal -n), where the flux contributes with -s
+    rows += [li, ri, ri]
+    cols += [ri, li, ri]
+    blocks += [_weighted_products(w_in, wl, wr),
+               -_weighted_products(w_out, wr, wl),
+               -_weighted_products(w_in, wr, wr)]
 
     M = assemble_mass(mesh, space)
-    L = BlockSparseMatrix.from_block_dict(mesh.n_cells, n_loc, blocks)
+    L = BlockSparseMatrix.from_coo(mesh.n_cells, space.n_loc,
+                                   np.concatenate(rows), np.concatenate(cols),
+                                   np.concatenate(blocks))
     return M, L
 
 

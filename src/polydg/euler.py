@@ -138,22 +138,22 @@ class EulerDiscretization:
         self.b = N_COMP * space.n_loc
         self.n_cells = mesh.n_cells
         self.dim = self.n_cells * self.b
-        # cached per-cell quadrature data
-        self._cell = []
-        for basis in space.bases:
-            q = basis.quadrature
-            B = basis.eval(q.nodes)
-            G = basis.eval_grad(q.nodes)
-            self._cell.append((q.weights, B, G))
-        # cached per-edge data
-        self._edge = []
-        for ei, e in enumerate(mesh.edges):
-            q = space.edge_quads[ei]
-            wl = space.bases[e.left].eval(q.nodes)
-            wr = None
-            if e.right != BOUNDARY:
-                wr = space.bases[e.right].eval(q.nodes - e.shift)
-            self._edge.append((q, wl, wr))
+        # cached per-cell and per-edge quadrature data, sliced from the
+        # batched tables
+        self._cell = [None] * self.n_cells
+        for cells, nodes, weights in space.groups:
+            B = space.values(cells, nodes)
+            G = np.stack(space.gradients(cells, nodes), axis=-1)
+            for c, data in zip(cells, zip(weights, B, G)):
+                self._cell[c] = data
+        left, right, _normals, shifts = mesh.edge_arrays()
+        wl = space.values(left, space.edge_nodes)
+        inner = np.flatnonzero(right != BOUNDARY)
+        shifted = space.edge_nodes[inner] - shifts[inner][:, None, :]
+        wr = [None] * len(left)
+        for ei, w in zip(inner, space.values(right[inner], shifted)):
+            wr[ei] = w
+        self._edge = list(zip(space.edge_quads, wl, wr))
 
     def coeffs(self, U):
         """View the flat state as (n_cells, 4, n_loc)."""
@@ -161,13 +161,8 @@ class EulerDiscretization:
 
     def project_exact(self, t):
         """L2 projection of the vortex solution at time t."""
-        U = np.zeros((self.n_cells, N_COMP, self.n_loc))
-        for c, basis in enumerate(self.space.bases):
-            q = basis.quadrature
-            B = basis.eval(q.nodes)
-            vals = vortex_exact(self.params, q.nodes[:, 0], q.nodes[:, 1], t)
-            U[c] = np.einsum("q,qr,ql->rl", q.weights, vals, B)
-        return U.ravel()
+        return self.space.project(
+            lambda x, y: vortex_exact(self.params, x, y, t)).ravel()
 
     def _states_at(self, coeffs, cell, B):
         """Evaluate the state at quadrature nodes: (npts, 4)."""

@@ -153,6 +153,15 @@ class PolyMesh:
     def cell_vertices(self, c):
         return self.vertices[self.cells[c]]
 
+    def edge_arrays(self):
+        """Per-edge left and right cells (E,), unit normals and shifts
+        (E, 2), as arrays in edge order."""
+        left = np.array([e.left for e in self.edges], dtype=np.int64)
+        right = np.array([e.right for e in self.edges], dtype=np.int64)
+        normals = np.array([e.normal for e in self.edges]).reshape(-1, 2)
+        shifts = np.array([e.shift for e in self.edges]).reshape(-1, 2)
+        return left, right, normals, shifts
+
     @property
     def is_periodic(self):
         return any(e.tag == "periodic" for e in self.edges)

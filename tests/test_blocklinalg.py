@@ -187,6 +187,26 @@ def test_from_block_dict_rejects_keys_outside_range():
                 2, 1, {(0, 0): np.eye(1), key: np.eye(1)})
 
 
+def test_from_coo_sums_duplicates_in_order_and_inserts_diagonals():
+    rng = np.random.default_rng(21)
+    blk = rng.standard_normal((5, 2, 2))
+    A = BlockSparseMatrix.from_coo(3, 2, [0, 2, 0, 2, 0], [1, 0, 1, 0, 1],
+                                   blk)
+    assert A.indptr.tolist() == [0, 2, 3, 5]
+    assert A.indices.tolist() == [0, 1, 1, 0, 2]
+    assert np.array_equal(A.block(0, 1), (blk[0] + blk[2]) + blk[4])
+    assert np.array_equal(A.block(2, 0), blk[1] + blk[3])
+    for i in range(3):
+        assert np.array_equal(A.block(i, i), np.zeros((2, 2)))
+
+
+def test_from_coo_rejects_keys_outside_range():
+    for row, col in [(0, 3), (3, 0), (-1, 1), (1, -2)]:
+        with pytest.raises(LinalgError, match="outside"):
+            BlockSparseMatrix.from_coo(3, 1, [0, row], [0, col],
+                                       np.ones((2, 1, 1)))
+
+
 def test_constructor_checks_structure():
     one = np.ones((2, 1, 1))
     with pytest.raises(LinalgError, match="indptr"):
@@ -279,6 +299,28 @@ def test_from_block_dict_and_permuted_match_dense(system):
                           dense[np.ix_(idx, idx)])
     x = np.arange(n * b, dtype=float)
     assert np.allclose(A.matvec(x), dense @ x, rtol=1e-14, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_systems(), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_from_coo_matches_from_block_dict(system, copies, seed):
+    # each block emitted as `copies` parts in a random order: the sums per
+    # key are the parts added in emission order
+    n, b, blocks, _ordering = system
+    rng = np.random.default_rng(seed)
+    keys = [key for key in blocks for _ in range(copies)]
+    order = rng.permutation(len(keys))
+    keys = [keys[k] for k in order]
+    parts = rng.standard_normal((len(keys), b, b))
+    summed = {}
+    for key, part in zip(keys, parts):
+        summed[key] = summed[key] + part if key in summed else part
+    got = BlockSparseMatrix.from_coo(
+        n, b, [i for i, _ in keys], [j for _, j in keys], parts)
+    ref = BlockSparseMatrix.from_block_dict(n, b, summed)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.blocks, ref.blocks)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polydg.basis import DgSpace
-from polydg.blocklinalg import block_jacobi_solve
+from polydg.blocklinalg import BlockSparseMatrix, block_jacobi_solve
 from polydg.discretization import (advection_initial_condition,
                                    assemble_advection, assemble_mass,
                                    gaussian_pulse, rotating_velocity)
@@ -90,3 +90,74 @@ def test_mass_matrix_is_identity_for_orthonormal_basis():
     mesh, space = setup(p=2, area=0.25)
     M = assemble_mass(mesh, space)
     assert np.max(np.abs(M.to_dense() - np.eye(M.dim))) < 1e-10
+
+
+# -- batched assembly against the per-cell / per-edge loop it replaced ------
+
+def ref_assemble_advection(mesh, space, beta):
+    """The dict-based assembly loop kept as the reference: (M, L)."""
+    mass = {}
+    for c, basis in enumerate(space.bases):
+        B = basis.eval(basis.quadrature.nodes)
+        mass[(c, c)] = np.einsum("q,qi,qj->ij", basis.quadrature.weights, B, B)
+    blocks = {}
+
+    def add(i, j, blk):
+        key = (i, j)
+        if key in blocks:
+            blocks[key] += blk
+        else:
+            blocks[key] = blk.copy()
+
+    for c, basis in enumerate(space.bases):
+        q = basis.quadrature
+        bx, by = beta(q.nodes[:, 0], q.nodes[:, 1])
+        B = basis.eval(q.nodes)
+        G = basis.eval_grad(q.nodes)
+        bdotg = bx[:, None] * G[:, :, 0] + by[:, None] * G[:, :, 1]
+        add(c, c, -np.einsum("q,qi,ql->il", q.weights, bdotg, B))
+    for ei, e in enumerate(mesh.edges):
+        q = space.edge_quads[ei]
+        bx, by = beta(q.nodes[:, 0], q.nodes[:, 1])
+        s = bx * e.normal[0] + by * e.normal[1]
+        wl = space.bases[e.left].eval(q.nodes)
+        out_mask = s >= 0.0
+        w_out = q.weights * np.where(out_mask, s, 0.0)
+        w_in = q.weights * np.where(out_mask, 0.0, s)
+        if e.right == BOUNDARY:
+            add(e.left, e.left, np.einsum("q,qi,ql->il", w_out, wl, wl))
+            continue
+        wr = space.bases[e.right].eval(q.nodes - e.shift)
+        add(e.left, e.left, np.einsum("q,qi,ql->il", w_out, wl, wl))
+        add(e.left, e.right, np.einsum("q,qi,ql->il", w_in, wl, wr))
+        add(e.right, e.left, -np.einsum("q,qi,ql->il", w_out, wr, wl))
+        add(e.right, e.right, -np.einsum("q,qi,ql->il", w_in, wr, wr))
+    n, b = mesh.n_cells, space.n_loc
+    return (BlockSparseMatrix.from_block_dict(n, b, mass),
+            BlockSparseMatrix.from_block_dict(n, b, blocks))
+
+
+# element areas at which each pattern tiles the periodic unit square
+PERIODIC_AREA = {"hexagon": 0.021, "square": 0.02, "rtri": 0.02,
+                 "etri": 0.016}
+
+
+@pytest.mark.parametrize("velocity", ["constant", "rotating"])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("pattern", ["hexagon", "square", "rtri", "etri"])
+def test_batched_assembly_matches_per_edge_loop(pattern, periodic, velocity):
+    mesh = build_regular_mesh(pattern, PERIODIC_AREA[pattern],
+                              (0.0, 0.0, 1.0, 1.0), periodic=periodic)
+    if velocity == "rotating":
+        arg = beta = rotating_velocity
+    else:
+        arg = (0.6, -0.8)
+        beta = lambda x, y: (np.full_like(x, 0.6), np.full_like(x, -0.8))
+    for p in range(4):
+        space = DgSpace(mesh, p)
+        M, L = assemble_advection(mesh, space, arg)
+        for got, ref in zip((M, L), ref_assemble_advection(mesh, space, beta)):
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            err = np.max(np.abs(got.blocks - ref.blocks))
+            assert err <= 1e-13 * np.max(np.abs(ref.blocks))

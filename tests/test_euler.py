@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polydg import experiments
 from polydg.basis import DgSpace
 from polydg.euler import (EulerDiscretization, EulerError, EulerParams, flux,
                           flux_jacobians, lax_friedrichs_flux, max_wave_speed,
@@ -144,3 +145,21 @@ def test_boundary_tag_guard():
     U = disc.project_exact(0.0)
     with pytest.raises(EulerError):
         disc.spatial_residual(U, 0.0)
+
+
+def test_newton_jacobian_reuses_the_residual_alphas(monkeypatch):
+    # newton_solve asks for the Jacobian at the state whose residual it has
+    # just evaluated, so no residual is evaluated twice
+    calls = []
+    residual = EulerDiscretization.spatial_residual
+
+    def counting(self, U, t_bc, frozen_alphas=None):
+        calls.append(U)
+        return residual(self, U, t_bc, frozen_alphas)
+
+    monkeypatch.setattr(EulerDiscretization, "spatial_residual", counting)
+    mesh = experiments.euler_mesh("rtri")
+    _, n_newton, _ = experiments.run_euler_case(
+        mesh, 0, experiments.euler_timestep("k2"), ("gmres+ilu0",))
+    assert n_newton >= 2
+    assert len(calls) == n_newton + 1
