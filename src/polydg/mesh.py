@@ -461,8 +461,16 @@ def build_random_mesh_pair(h, delta, domain=(0.0, 0.0, 1.0, 1.0), seed=0):
     pts = pts[inside]
     tri = Delaunay(pts)
 
-    # Delaunay mesh: the triangles as-is
+    # Delaunay mesh: the triangles as-is. Nearly collinear generating points
+    # (a tiny delta, e.g. three points on one side of the rectangle) leave
+    # sliver triangles; DgSpace finds dependent monomials on some of area up
+    # to ~2e-8 h^2, so any below 1e-7 h^2 is refused here by index and area.
     dmesh = PolyMesh(pts.copy(), [list(s) for s in tri.simplices])
+    slivers = np.flatnonzero(dmesh.cell_areas < 1e-7 * h * h)
+    if len(slivers):
+        t = slivers[0]
+        raise MeshError(f"near-degenerate Delaunay triangle {t} "
+                        f"(area {dmesh.cell_areas[t]:.3g})")
 
     # Voronoi mesh: rectangle clipped by neighbor bisectors
     indptr, nbrs = tri.vertex_neighbor_vertices

@@ -165,6 +165,13 @@ class PatternSymbol:
         for a in range(self.n_elems):
             sl = slice(a * nl, (a + 1) * nl)
             self.diag[sl, sl] = self.blocks[(0, 0)][sl, sl]
+        # Two elements that couple only to each other outside the Jacobi
+        # diagonal make R_hat = [[0, X], [Y, 0]] (two-cyclic), whose
+        # eigenvalues are +-sqrt(eig(X Y)).
+        self.two_cyclic = self.n_elems == 2 and not any(
+            np.any(B[:nl, :nl]) or np.any(B[nl:, nl:])
+            for m, B in self.blocks.items() if m != (0, 0))
+        self._parts_by_k = {}
 
     def l_hat_phases(self, phi1, phi2):
         """Fourier-space operator for lattice phases (phi1, phi2); broadcasts
@@ -197,20 +204,49 @@ class PatternSymbol:
         Dinv = np.linalg.inv(D)
         return np.eye(self.dim) - Dinv @ A
 
-    def spectral_radius_phases(self, k, phi1, phi2):
-        R = self.jacobi_symbol(k, phases=(phi1, phi2))
-        ev = np.linalg.eigvals(R)
-        return np.max(np.abs(ev), axis=-1)
+    def _symbol_parts(self, k):
+        """Offsets (n, 2) and real parts C_m = -k D^{-1} B_m, with the
+        element-diagonal blocks taken out of B_00, so that
+        R_hat(phi) = sum_m exp(i m.phi) C_m. For a two-cyclic pattern the
+        parts are the pair (X_m, Y_m) of off-diagonal element blocks."""
+        parts = self._parts_by_k.get(k)
+        if parts is None:
+            Dinv = np.linalg.inv(self.mass + k * self.diag)
+            C = np.stack([-k * (Dinv @ (B - self.diag if m == (0, 0) else B))
+                          for m, B in self.blocks.items()])
+            if self.two_cyclic:
+                nl = self.n_loc
+                C = (C[:, :nl, nl:], C[:, nl:, :nl])
+            parts = (np.array(list(self.blocks), float), C)
+            self._parts_by_k[k] = parts
+        return parts
 
-    def spectral_radius_grid(self, k, n_wave, return_argmax=False):
-        """Max |eig(R_hat)| over a uniform n_wave x n_wave lattice-phase grid."""
-        phis = 2.0 * np.pi * np.arange(n_wave) / n_wave
-        P1, P2 = np.meshgrid(phis, phis, indexing="ij")
-        rho = self.spectral_radius_phases(k, P1, P2)
-        if return_argmax:
-            i, j = np.unravel_index(np.argmax(rho), rho.shape)
-            return float(rho[i, j]), (phis[i], phis[j])
-        return float(np.max(rho))
+    def spectral_radius_phases(self, k, phi1, phi2, screen=False):
+        """max |eig(R_hat)| at lattice phases (phi1, phi2); broadcasts.
+
+        The reference path builds R_hat with `jacobi_symbol`. `screen=True`
+        sums it from `_symbol_parts` and, on a two-cyclic pattern, takes
+        sqrt(rho(X Y)) of the half-size blocks; the two agree to rounding
+        but not bitwise.
+        """
+        if not screen:
+            R = self.jacobi_symbol(k, phases=(phi1, phi2))
+            return np.max(np.abs(np.linalg.eigvals(R)), axis=-1)
+        phi1, phi2 = np.broadcast_arrays(np.asarray(phi1, float),
+                                         np.asarray(phi2, float))
+        offsets, parts = self._symbol_parts(k)
+        phase = np.exp(1j * (np.multiply.outer(phi1, offsets[:, 0])
+                             + np.multiply.outer(phi2, offsets[:, 1])))
+
+        def symbol(C):
+            return (phase @ C.reshape(len(C), -1)).reshape(
+                phi1.shape + C.shape[1:])
+
+        if self.two_cyclic:
+            X, Y = parts
+            ev = np.linalg.eigvals(symbol(X) @ symbol(Y))
+            return np.sqrt(np.max(np.abs(ev), axis=-1))
+        return np.max(np.abs(np.linalg.eigvals(symbol(parts))), axis=-1)
 
 
 # -- closed forms --------------------------------------------------------
@@ -255,6 +291,11 @@ def closed_form_p0_eigs(kind, h, alpha, beta, k, nx, ny):
 
 # -- sweeps and the comparison table -------------------------------------
 
+# Screened values within this of the screened peak are recomputed exactly;
+# the screen differs from the reference path by ~1e-14.
+SCREEN_TOL = 1e-9
+
+
 @dataclass
 class SweepConfig:
     theta_samples: int = 32
@@ -290,14 +331,33 @@ def max_spectral_radius(kind, p, k, element_area=None, config=None):
     else:
         t0, t1 = THETA_RANGES[kind]
     thetas = np.linspace(t0, t1, config.theta_samples)
-    best = 0.0
-    best_point = None
-    for th in thetas:
-        sym = PatternSymbol(kind, p, element_area, (np.cos(th), np.sin(th)))
-        rho, (p1, p2) = sym.spectral_radius_grid(
-            k, config.wave_samples, return_argmax=True)
-        if rho > best:
-            best, best_point = rho, (th, p1, p2)
+    n = config.wave_samples
+    phis = 2.0 * np.pi * np.arange(n) / n
+    # rho(-phi) = rho(phi): screen the half of the grid that is at or
+    # before its mirror point in C order and copy each value to the mirror
+    flat = np.arange(n * n)
+    mirror = (-(flat // n) % n) * n + (-flat % n)
+    half = flat <= mirror
+    keep, copy = flat[half], mirror[half]
+    syms = [PatternSymbol(kind, p, element_area, (np.cos(th), np.sin(th)))
+            for th in thetas]
+    screened = np.empty((len(thetas), n * n))
+    for sym, row in zip(syms, screened):
+        row[keep] = row[copy] = sym.spectral_radius_phases(
+            k, phis[keep // n], phis[keep % n], screen=True)
+    # Verify every point the screen puts near the peak on the reference
+    # path, so the peak and its location are those of a full reference grid
+    # (first in C order over theta, then phase); the refine below starts
+    # from a symmetric critical point and amplifies a 1-ulp change.
+    exact = np.full_like(screened, -np.inf)
+    near = screened >= screened.max() - SCREEN_TOL
+    for t in np.flatnonzero(near.any(axis=1)):
+        g = np.flatnonzero(near[t])
+        exact[t, g] = syms[t].spectral_radius_phases(k, phis[g // n],
+                                                     phis[g % n])
+    t, g = np.unravel_index(np.argmax(exact), exact.shape)
+    best = max(float(exact[t, g]), 0.0)
+    best_point = (thetas[t], phis[g // n], phis[g % n]) if best > 0.0 else None
     if not config.refine or best_point is None:
         return best
 

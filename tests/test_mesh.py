@@ -175,3 +175,12 @@ def test_read_mesh_errors(tmp_path):
     bad.write_text("polymesh 1\nvertices 0\ncells 0\n")
     with pytest.raises(MeshError):
         read_mesh(bad)
+
+
+def test_random_pair_names_delaunay_sliver():
+    # a perturbation of 1e-9 h leaves three boundary points on x = 1 nearly
+    # collinear; their triangle is refused at build time instead of failing
+    # later in DgSpace
+    with pytest.raises(MeshError,
+                       match=r"Delaunay triangle 5 \(area 4\.26e-12\)"):
+        build_random_mesh_pair(0.2, 2e-10, (0, 0, 1, 1), seed=239)

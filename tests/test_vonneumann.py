@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
-from polydg.vonneumann import (PatternSymbol, SweepConfig, SymbolError,
-                               check_admissible, closed_form_p0_eigs,
-                               max_spectral_radius, paper_wave_coords,
-                               ratio_table, timestep_family)
+from polydg.vonneumann import (THETA_RANGES, PatternSymbol, SweepConfig,
+                               SymbolError, check_admissible,
+                               closed_form_p0_eigs, max_spectral_radius,
+                               paper_wave_coords, ratio_table,
+                               timestep_family)
 
 AREA = np.sqrt(3.0) / 4.0  # element area for h_E = 1
 
@@ -96,3 +99,74 @@ def test_quarter_pi_range_square_matches_per_pattern():
     ra = max_spectral_radius("square", 0, 3.0, AREA, cfg_a)
     rb = max_spectral_radius("square", 0, 3.0, AREA, cfg_b)
     assert rb <= ra + 1e-12
+
+
+def full_grid_peak(kind, p, k, config):
+    """The coarse sweep before screening: the reference path on every
+    (theta, phase) grid point, the first peak in C order."""
+    thetas = np.linspace(*THETA_RANGES[kind], config.theta_samples)
+    n = config.wave_samples
+    phis = 2.0 * np.pi * np.arange(n) / n
+    P1, P2 = np.meshgrid(phis, phis, indexing="ij")
+    best, best_point = 0.0, None
+    for th in thetas:
+        sym = PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
+        rho = sym.spectral_radius_phases(k, P1, P2)
+        i, j = np.unravel_index(np.argmax(rho), rho.shape)
+        if rho[i, j] > best:
+            best, best_point = float(rho[i, j]), (th, phis[i], phis[j])
+    return best, best_point
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["square", "hexagon", "rtri", "etri"]),
+       p=st.integers(0, 2), label=st.sampled_from(["k1", "k2", "k3"]),
+       theta_samples=st.integers(1, 6), wave_samples=st.integers(1, 12))
+def test_screened_sweep_matches_full_grid(kind, p, label, theta_samples,
+                                          wave_samples):
+    k = timestep_family(AREA, label)
+    cfg = SweepConfig(theta_samples=theta_samples, wave_samples=wave_samples,
+                      refine=False)
+    best, best_point = full_grid_peak(kind, p, k, cfg)
+    assert max_spectral_radius(kind, p, k, AREA, cfg) == best
+    # the refine starts from the coarse peak: record where
+    starts = []
+
+    def record_start(fun, x0, **kwargs):
+        starts.append(tuple(x0))
+        return scipy.optimize.OptimizeResult(fun=0.0)
+
+    cfg.refine = True
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "minimize", record_start)
+        assert max_spectral_radius(kind, p, k, AREA, cfg) == best
+    assert starts == [best_point]
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagon", "rtri", "etri"])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_screen_matches_reference_path(kind, p):
+    rng = np.random.default_rng(p)
+    t0, t1 = THETA_RANGES[kind]
+    for th in rng.uniform(t0, t1, 3):
+        sym = PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
+        for label in ("k1", "k3"):
+            k = timestep_family(AREA, label)
+            phi1, phi2 = rng.uniform(-np.pi, np.pi, (2, 40))
+            ref = sym.spectral_radius_phases(k, phi1, phi2)
+            screened = sym.spectral_radius_phases(k, phi1, phi2, screen=True)
+            assert screened.shape == ref.shape
+            assert np.max(np.abs(screened - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,two_cyclic", [
+    ("square", False), ("hexagon", False), ("rtri", True), ("etri", True)])
+def test_two_cyclic_detected_from_blocks(kind, two_cyclic):
+    sym = PatternSymbol(kind, 1, AREA, (1.0, 0.3))
+    assert sym.two_cyclic is two_cyclic
+    if two_cyclic:
+        # R_hat = [[0, X], [Y, 0]]: its spectrum is symmetric about 0
+        nl = sym.n_loc
+        R = sym.jacobi_symbol(3.0, phases=(0.4, -1.1))
+        assert np.max(np.abs(R[:nl, :nl])) < 1e-14
+        assert np.max(np.abs(R[nl:, nl:])) < 1e-14
