@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import BATCH_CELLS
 from .blocklinalg import BlockSparseMatrix
 from .mesh import BOUNDARY
 
@@ -123,11 +124,104 @@ def vortex_exact(params, x, y, t):
     return np.stack([rho, rho * vx, rho * vy, rho * E], axis=-1)
 
 
+def _states(B, W):
+    """States at the nodes of k cells: B (k, q, n_loc), W (k, 4, n_loc) ->
+    (k, q, 4)."""
+    return np.einsum("kql,krl->kqr", B, W)
+
+
+def _weak_sums(w, f, a):
+    """sum_q (w[k, q] f[k, q, r]) a[k, q, i]: (k, 4, n_loc), summed in
+    quadrature-point order."""
+    wf = w[..., None] * f
+    out = np.zeros(f.shape[:1] + f.shape[2:] + a.shape[2:])
+    for q in range(w.shape[1]):
+        out += wf[:, q, :, None] * a[:, q, None, :]
+    return out
+
+
+def _block_sums(w, a, D, c):
+    """sum_q ((w[k, q] a[k, q, i]) D[k, q, r, s]) c[k, q, l] as blocks
+    (k, 4 n_a, 4 n_c), rows (r, i) and columns (s, l), summed in
+    quadrature-point order."""
+    k, nq, na = a.shape
+    nc = c.shape[2]
+    # nodes first and cells last: each node's products are contiguous and
+    # run over a long inner axis
+    wa = np.ascontiguousarray((w[..., None] * a).transpose(1, 2, 0))
+    D = np.ascontiguousarray(D.transpose(1, 2, 3, 0))
+    c = np.ascontiguousarray(c.transpose(1, 2, 0))
+    out = np.zeros((N_COMP, na, N_COMP, nc, k))
+    t = np.empty((N_COMP, na, N_COMP, 1, k))
+    term = np.empty_like(out)
+    for q in range(nq):
+        np.multiply(wa[q, None, :, None], D[q, :, None], out=t[:, :, :, 0])
+        np.multiply(t, c[q, None, None, None], out=term)
+        out += term
+    return out.transpose(4, 0, 1, 2, 3).reshape(k, N_COMP * na, N_COMP * nc)
+
+
+def _add_in_edge_order(out, cells, present, parts):
+    """out[cells[j, t]] += parts[t][row] for each present term t of edge j,
+    one term at a time, edge by edge and in t order within an edge.
+
+    cells, present: (edges, terms); parts[t] holds the present terms of
+    type t, in edge order.
+    """
+    rows = np.cumsum(present, axis=0) - 1
+    edge, term = np.nonzero(present)
+    idx = cells[edge, term]
+    # rank of each term among the terms added to the same cell
+    order = np.argsort(idx, kind="stable")
+    new = np.diff(idx[order], prepend=-1) != 0
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(idx)) - np.flatnonzero(new)[np.cumsum(new) - 1]
+    for r in range(rank.max(initial=-1) + 1):
+        for t, part in enumerate(parts):
+            sel = (rank == r) & (term == t)
+            out[idx[sel]] += part[rows[edge[sel], t]]
+
+
+class _EdgeChunk:
+    """Consecutive edges sl and their trace data. `inner` marks the edges
+    with a right cell, whose right traces `wr` holds; `cross` marks the
+    inner edges between two distinct cells, whose off-diagonal Jacobian
+    blocks go to positions `slot` and `slot + 1` of the block buffer."""
+
+    def __init__(self, sl, left, right, normals, nodes, weights, wl, wr,
+                 slot):
+        self.sl = sl
+        self.inner = inner = right != BOUNDARY
+        self.left, self.right = left, right[inner]
+        self.cross = self.right != left[inner]
+        self.slot = slot[inner][self.cross]
+        self.normals = normals[:, None, :]
+        self.bnd_nodes = nodes[~inner]
+        self.weights, self.wl, self.wr = weights, wl, wr
+        self.inner_weights, self.inner_wl = weights[inner], wl[inner]
+        # the terms each edge adds to its cells, in the loop's order: to
+        # the residual, left then right; to the Jacobian's diagonal, LL,
+        # then LR and RL on an edge that joins a cell to itself, then RR
+        every = np.ones_like(inner)
+        on_self = np.zeros_like(inner)
+        on_self[inner] = ~self.cross
+        self.cells = np.stack((left, right), axis=1)
+        self.res_terms = np.stack((every, inner), axis=1)
+        self.diag_cells = self.cells[:, [0, 0, 1, 1]]
+        self.diag_terms = np.stack((every, on_self, on_self, inner), axis=1)
+
+
 class EulerDiscretization:
     """DG discretization of the Euler equations on a mesh with Lax-Friedrichs
     fluxes and exact-state weak boundary conditions.
 
     State layout: per cell, component-major (block size 4 * n_loc).
+
+    The residual and the Jacobian are batched: volume terms per
+    `space.groups` group, face terms per chunk of at most BATCH_CELLS edges.
+    Every quadrature sum runs in quadrature-point order and each cell's
+    terms are added in the order of a loop over cells, then edges, so the
+    results are bitwise those of that loop.
     """
 
     def __init__(self, mesh, space, params):
@@ -138,22 +232,30 @@ class EulerDiscretization:
         self.b = N_COMP * space.n_loc
         self.n_cells = mesh.n_cells
         self.dim = self.n_cells * self.b
-        # cached per-cell and per-edge quadrature data, sliced from the
-        # batched tables
-        self._cell = [None] * self.n_cells
-        for cells, nodes, weights in space.groups:
-            B = space.values(cells, nodes)
-            G = np.stack(space.gradients(cells, nodes), axis=-1)
-            for c, data in zip(cells, zip(weights, B, G)):
-                self._cell[c] = data
-        left, right, _normals, shifts = mesh.edge_arrays()
-        wl = space.values(left, space.edge_nodes)
-        inner = np.flatnonzero(right != BOUNDARY)
-        shifted = space.edge_nodes[inner] - shifts[inner][:, None, :]
-        wr = [None] * len(left)
-        for ei, w in zip(inner, space.values(right[inner], shifted)):
-            wr[ei] = w
-        self._edge = list(zip(space.edge_quads, wl, wr))
+        # per group: cells, weights, basis values and x-, y-gradients
+        self._groups = [(cells, weights, space.values(cells, nodes),
+                         *space.gradients(cells, nodes))
+                        for cells, nodes, weights in space.groups]
+        left, right, normals, shifts = mesh.edge_arrays()
+        nodes, weights = space.edge_nodes, space.edge_weights
+        inner = right != BOUNDARY
+        self._boundary = np.flatnonzero(~inner)
+        wl = space.values(left, nodes)
+        wr = space.values(right[inner], nodes[inner] - shifts[inner][:, None, :])
+        at = np.cumsum(inner) - 1  # row of each inner edge in wr
+        # Jacobian blocks: the diagonal, then for each edge between two
+        # distinct cells the blocks (left, right) and (right, left)
+        cross = inner & (left != right)
+        pairs = np.stack((left[cross], right[cross]), axis=1)
+        diag = np.arange(self.n_cells)
+        self._rows = np.concatenate((diag, pairs.ravel()))
+        self._cols = np.concatenate((diag, pairs[:, ::-1].ravel()))
+        slot = self.n_cells + 2 * (np.cumsum(cross) - 1)
+        self._chunks = [
+            _EdgeChunk(sl, left[sl], right[sl], normals[sl], nodes[sl],
+                       weights[sl], wl[sl], wr[at[sl][inner[sl]]], slot[sl])
+            for sl in (slice(e0, e0 + BATCH_CELLS)
+                       for e0 in range(0, len(left), BATCH_CELLS))]
 
     def coeffs(self, U):
         """View the flat state as (n_cells, 4, n_loc)."""
@@ -164,94 +266,89 @@ class EulerDiscretization:
         return self.space.project(
             lambda x, y: vortex_exact(self.params, x, y, t)).ravel()
 
-    def _states_at(self, coeffs, cell, B):
-        """Evaluate the state at quadrature nodes: (npts, 4)."""
-        return np.einsum("ql,rl->qr", B, coeffs[cell])
-
-    def boundary_state(self, edge, q, t):
-        if edge.tag == "exact_state":
-            return vortex_exact(self.params, q.nodes[:, 0], q.nodes[:, 1], t)
-        raise EulerError(f"unsupported boundary tag {edge.tag!r} for Euler")
+    def _checked_coeffs(self, U):
+        """coeffs(U), after checking that U is finite and that every
+        boundary edge has a supported tag."""
+        W = self.coeffs(U)
+        bad = ~np.isfinite(W).all(axis=(1, 2))
+        if bad.any():
+            raise EulerError(
+                f"non-finite coefficient on cell {np.flatnonzero(bad)[0]}")
+        edges = self.mesh.edges
+        for ei in self._boundary:
+            if edges[ei].tag != "exact_state":
+                raise EulerError(f"unsupported boundary tag {edges[ei].tag!r} "
+                                 f"on boundary edge {ei} for Euler")
+        return W
 
     def spatial_residual(self, U, t_bc, frozen_alphas=None):
-        """Weak-form spatial operator L(U); also returns the per-edge
-        Lax-Friedrichs dissipation coefficients used."""
+        """Weak-form spatial operator L(U); also returns the Lax-Friedrichs
+        dissipation coefficients used, (edges, edge nodes)."""
         gamma = self.params.gamma
-        W = self.coeffs(U)
+        W = self._checked_coeffs(U)
+        if frozen_alphas is not None:
+            frozen_alphas = np.asarray(frozen_alphas)
         R = np.zeros((self.n_cells, N_COMP, self.n_loc))
-        for c, (w, B, G) in enumerate(self._cell):
-            u = self._states_at(W, c, B)
-            f1, f2 = flux(u, gamma)
-            R[c] -= np.einsum("q,qr,qi->ri", w, f1, G[:, :, 0])
-            R[c] -= np.einsum("q,qr,qi->ri", w, f2, G[:, :, 1])
-        alphas = []
-        for ei, e in enumerate(self.mesh.edges):
-            q, wl, wr = self._edge[ei]
-            um = self._states_at(W, e.left, wl)
-            if e.right == BOUNDARY:
-                up = self.boundary_state(e, q, t_bc)
-            else:
-                up = self._states_at(W, e.right, wr)
-            alpha = None if frozen_alphas is None else frozen_alphas[ei]
-            normal = np.broadcast_to(e.normal, (len(q.weights), 2))
-            fn, alpha = lax_friedrichs_flux(um, up, normal, gamma, alpha)
-            alphas.append(alpha)
-            contrib = np.einsum("q,qr,qi->ri", q.weights, fn, wl)
-            R[e.left] += contrib
-            if e.right != BOUNDARY:
-                R[e.right] -= np.einsum("q,qr,qi->ri", q.weights, fn, wr)
+        for cells, w, B, gx, gy in self._groups:
+            f1, f2 = flux(_states(B, W[cells]), gamma)
+            R[cells] -= _weak_sums(w, f1, gx)
+            R[cells] -= _weak_sums(w, f2, gy)
+        alphas = np.empty(self.space.edge_weights.shape)
+        for ch in self._chunks:
+            um = _states(ch.wl, W[ch.left])
+            up = np.empty_like(um)
+            up[ch.inner] = _states(ch.wr, W[ch.right])
+            x = ch.bnd_nodes
+            up[~ch.inner] = vortex_exact(self.params, x[..., 0], x[..., 1],
+                                         t_bc)
+            alpha = None if frozen_alphas is None else frozen_alphas[ch.sl]
+            fn, alphas[ch.sl] = lax_friedrichs_flux(um, up, ch.normals, gamma,
+                                                    alpha)
+            _add_in_edge_order(R, ch.cells, ch.res_terms, [
+                _weak_sums(ch.weights, fn, ch.wl),
+                -_weak_sums(ch.inner_weights, fn[ch.inner], ch.wr)])
         return R.ravel(), alphas
 
     def spatial_jacobian(self, U, t_bc, alphas):
         """Jacobian of the spatial operator with the Lax-Friedrichs
         coefficients frozen at the given per-edge values."""
         gamma = self.params.gamma
-        W = self.coeffs(U)
-        blocks = {}
-
-        def add(i, j, blk):
-            key = (i, j)
-            if key in blocks:
-                blocks[key] += blk
-            else:
-                blocks[key] = blk.copy()
-
-        for c, (w, B, G) in enumerate(self._cell):
-            u = self._states_at(W, c, B)
-            A1, A2 = flux_jacobians(u, gamma)
-            blk = -(np.einsum("q,qi,qrs,ql->risl", w, G[:, :, 0], A1, B)
-                    + np.einsum("q,qi,qrs,ql->risl", w, G[:, :, 1], A2, B))
-            add(c, c, blk.reshape(self.b, self.b))
-        for ei, e in enumerate(self.mesh.edges):
-            q, wl, wr = self._edge[ei]
-            um = self._states_at(W, e.left, wl)
-            A1m, A2m = flux_jacobians(um, gamma)
-            Bm = A1m * e.normal[0] + A2m * e.normal[1]
-            alpha = alphas[ei]
-            I4 = np.eye(N_COMP)
-            dm = 0.5 * (Bm + alpha[:, None, None] * I4)
-            if e.right == BOUNDARY:
-                blk = np.einsum("q,qi,qrs,ql->risl", q.weights, wl, dm, wl)
-                add(e.left, e.left, blk.reshape(self.b, self.b))
-                continue
-            up = self._states_at(W, e.right, wr)
-            A1p, A2p = flux_jacobians(up, gamma)
-            Bp = A1p * e.normal[0] + A2p * e.normal[1]
-            dp = 0.5 * (Bp - alpha[:, None, None] * I4)
-            add(e.left, e.left,
-                np.einsum("q,qi,qrs,ql->risl", q.weights, wl, dm, wl).reshape(self.b, self.b))
-            add(e.left, e.right,
-                np.einsum("q,qi,qrs,ql->risl", q.weights, wl, dp, wr).reshape(self.b, self.b))
-            add(e.right, e.left,
-                -np.einsum("q,qi,qrs,ql->risl", q.weights, wr, dm, wl).reshape(self.b, self.b))
-            add(e.right, e.right,
-                -np.einsum("q,qi,qrs,ql->risl", q.weights, wr, dp, wr).reshape(self.b, self.b))
-        return BlockSparseMatrix.from_block_dict(self.n_cells, self.b, blocks)
+        W = self._checked_coeffs(U)
+        alphas = np.asarray(alphas)[..., None, None]
+        blocks = np.empty((len(self._rows), self.b, self.b))
+        diag = blocks[:self.n_cells]
+        for cells, w, B, gx, gy in self._groups:
+            A1, A2 = flux_jacobians(_states(B, W[cells]), gamma)
+            diag[cells] = -(_block_sums(w, gx, A1, B)
+                            + _block_sums(w, gy, A2, B))
+        I4 = np.eye(N_COMP)
+        for ch in self._chunks:
+            inner = ch.inner
+            nx = ch.normals[..., 0, None, None]
+            ny = ch.normals[..., 1, None, None]
+            alpha = alphas[ch.sl]
+            A1, A2 = flux_jacobians(_states(ch.wl, W[ch.left]), gamma)
+            dm = 0.5 * (A1 * nx + A2 * ny + alpha * I4)
+            A1, A2 = flux_jacobians(_states(ch.wr, W[ch.right]), gamma)
+            dp = 0.5 * (A1 * nx[inner] + A2 * ny[inner] - alpha[inner] * I4)
+            w, wl, wr = ch.inner_weights, ch.inner_wl, ch.wr
+            LL = _block_sums(ch.weights, ch.wl, dm, ch.wl)
+            LR = _block_sums(w, wl, dp, wr)
+            RL = -_block_sums(w, wr, dm[inner], wl)
+            RR = -_block_sums(w, wr, dp, wr)
+            blocks[ch.slot] = LR[ch.cross]
+            blocks[ch.slot + 1] = RL[ch.cross]
+            _add_in_edge_order(diag, ch.diag_cells, ch.diag_terms,
+                               [LL, LR[~ch.cross], RL[~ch.cross], RR])
+        return BlockSparseMatrix.from_coo(self.n_cells, self.b, self._rows,
+                                          self._cols, blocks)
 
     def mass_blocks(self):
-        """Per-cell mass blocks (kron(I4, scalar mass))."""
-        out = []
-        for w, B, _G in self._cell:
-            m = np.einsum("q,qi,qj->ij", w, B, B)
-            out.append(np.kron(np.eye(N_COMP), m))
-        return out
+        """Per-cell mass blocks kron(I4, m), m the scalar mass matrix:
+        (n_cells, b, b)."""
+        out = np.empty((self.n_cells, N_COMP, self.n_loc, N_COMP, self.n_loc))
+        I4 = np.eye(N_COMP)[:, None, :, None]
+        for cells, w, B, _gx, _gy in self._groups:
+            m = np.einsum("kq,kqi,kqj->kij", w, B, B)
+            out[cells] = I4 * m[:, None, :, None, :]
+        return out.reshape(self.n_cells, self.b, self.b)

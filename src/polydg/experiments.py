@@ -274,8 +274,7 @@ def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13,
         r, last["alphas"] = disc.spatial_residual(u, k)
         last["u"] = u
         W = disc.coeffs(u - Un)
-        mr = np.einsum("cij,cj->ci", np.stack(Mblocks),
-                       W.reshape(mesh.n_cells, -1))
+        mr = np.einsum("cij,cj->ci", Mblocks, W.reshape(mesh.n_cells, -1))
         return mr.ravel() + k * r
 
     def jacobian(u):

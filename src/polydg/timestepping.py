@@ -25,22 +25,30 @@ class NewtonResult:
     converged: bool
 
 
+def _finite_norm(F, step):
+    norm = float(np.linalg.norm(F))
+    if not np.isfinite(norm):
+        raise TimesteppingError(
+            f"Newton residual norm is {norm} at step {step}")
+    return norm
+
+
 def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=5e-13,
                  max_iters=20):
     """Newton's method with full steps.
 
     residual_fn(u) -> F(u); jacobian_fn(u) -> A, the block matrix dF/du;
     linear_solver(A, rhs) -> (x, n_iters). Convergence:
-    ||F|| <= tol * max(1, ||F0||). Each Jacobian is released before the next
+    ||F|| <= tol * max(1, ||F0||); a non-finite ||F|| is a
+    TimesteppingError. Each Jacobian is released before the next
     is built, so it and the factorizations cached on it never overlap with
     the next one in memory.
     """
     u = u0.copy()
     F = residual_fn(u)
-    norm0 = float(np.linalg.norm(F))
-    norms = [norm0]
+    norms = [_finite_norm(F, 0)]
     lin_iters = []
-    ref = max(1.0, norm0)
+    ref = max(1.0, norms[0])
     for it in range(max_iters):
         if norms[-1] <= tol * ref:
             return NewtonResult(u, it, lin_iters, norms, True)
@@ -50,7 +58,7 @@ def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=5e-13,
         lin_iters.append(n_lin)
         u = u + du
         F = residual_fn(u)
-        norms.append(float(np.linalg.norm(F)))
+        norms.append(_finite_norm(F, it + 1))
     converged = norms[-1] <= tol * ref
     return NewtonResult(u, max_iters, lin_iters, norms, converged)
 

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydg import experiments
 from polydg.basis import DgSpace
-from polydg.euler import (EulerDiscretization, EulerError, EulerParams, flux,
-                          flux_jacobians, lax_friedrichs_flux, max_wave_speed,
-                          primitive, vortex_exact)
-from polydg.mesh import build_regular_mesh
+from polydg.blocklinalg import BlockSparseMatrix
+from polydg.euler import (N_COMP, EulerDiscretization, EulerError,
+                          EulerParams, flux, flux_jacobians,
+                          lax_friedrichs_flux, max_wave_speed, primitive,
+                          vortex_exact)
+from polydg.mesh import BOUNDARY, build_random_mesh_pair, build_regular_mesh
 
 GAMMA = 1.4
 
@@ -137,6 +141,35 @@ def test_spatial_jacobian_matches_finite_differences():
         assert np.max(np.abs(col - A[:, j])) < 1e-6 * scale
 
 
+def test_boundary_tag_error_names_the_edge():
+    mesh = build_regular_mesh("square", 0.25, (0.0, 0.0, 1.0, 1.0),
+                              boundary_tag="exact_state")
+    disc = EulerDiscretization(mesh, DgSpace(mesh, 1),
+                               EulerParams(x0=0.5, y0=0.5))
+    U = disc.project_exact(0.0)
+    _, alphas = disc.spatial_residual(U, 0.0)
+    first = next(i for i, e in enumerate(mesh.edges) if e.right == BOUNDARY)
+    mesh.set_boundary_tag("inflow_outflow")
+    with pytest.raises(EulerError,
+                       match=f"'inflow_outflow' on boundary edge {first} "):
+        disc.spatial_residual(U, 0.0)
+    with pytest.raises(EulerError, match=f"boundary edge {first} "):
+        disc.spatial_jacobian(U, 0.0, alphas)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_names_the_cell(bad):
+    # NaN <= 0 is False, so the density check alone would let NaN through
+    disc = small_disc(p=1)
+    U = disc.project_exact(0.0)
+    _, alphas = disc.spatial_residual(U, 0.0)
+    U[2 * disc.b + 7] = bad
+    with pytest.raises(EulerError, match="non-finite coefficient on cell 2$"):
+        disc.spatial_residual(U, 0.0)
+    with pytest.raises(EulerError, match="on cell 2$"):
+        disc.spatial_jacobian(U, 0.0, alphas)
+
+
 def test_boundary_tag_guard():
     mesh = build_regular_mesh("square", 0.25, (0.0, 0.0, 1.0, 1.0),
                               boundary_tag="inflow_outflow")
@@ -163,3 +196,149 @@ def test_newton_jacobian_reuses_the_residual_alphas(monkeypatch):
         mesh, 0, experiments.euler_timestep("k2"), ("gmres+ilu0",))
     assert n_newton >= 2
     assert len(calls) == n_newton + 1
+
+
+def test_vortex_counts_do_not_drift():
+    # the benchmark's pinned counts; the acceptance tolerance (15 %) would
+    # hide a drift of one iteration
+    report = experiments.run_euler_vortex(
+        ("rtri",), (2,), ("k2",), ("jacobi", "gmres+jacobi", "gmres+ilu0"))
+    assert [r["iterations"] for r in report.rows] == [144, 101, 30]
+    assert [r["newton_iters"] for r in report.rows] == [3, 3, 3]
+    assert report.all_converged
+
+
+# -- the per-cell, per-edge loop the batched assembly replaced -------------
+
+def loop_tables(disc):
+    """Per-cell (weights, values, gradients) and per-edge (quadrature, left
+    values, right values or None)."""
+    space = disc.space
+    cell = [None] * disc.n_cells
+    for cells, nodes, weights in space.groups:
+        B = space.values(cells, nodes)
+        G = np.stack(space.gradients(cells, nodes), axis=-1)
+        for c, data in zip(cells, zip(weights, B, G)):
+            cell[c] = data
+    left, right, _normals, shifts = disc.mesh.edge_arrays()
+    wl = space.values(left, space.edge_nodes)
+    inner = np.flatnonzero(right != BOUNDARY)
+    shifted = space.edge_nodes[inner] - shifts[inner][:, None, :]
+    wr = [None] * len(left)
+    for ei, w in zip(inner, space.values(right[inner], shifted)):
+        wr[ei] = w
+    return cell, list(zip(space.edge_quads, wl, wr))
+
+
+def loop_residual(disc, U, t_bc, frozen_alphas=None):
+    gamma = disc.params.gamma
+    cell, edge = loop_tables(disc)
+    W = disc.coeffs(U)
+    R = np.zeros((disc.n_cells, N_COMP, disc.n_loc))
+    for c, (w, B, G) in enumerate(cell):
+        f1, f2 = flux(np.einsum("ql,rl->qr", B, W[c]), gamma)
+        R[c] -= np.einsum("q,qr,qi->ri", w, f1, G[:, :, 0])
+        R[c] -= np.einsum("q,qr,qi->ri", w, f2, G[:, :, 1])
+    alphas = []
+    for ei, e in enumerate(disc.mesh.edges):
+        q, wl, wr = edge[ei]
+        um = np.einsum("ql,rl->qr", wl, W[e.left])
+        if e.right == BOUNDARY:
+            up = vortex_exact(disc.params, q.nodes[:, 0], q.nodes[:, 1], t_bc)
+        else:
+            up = np.einsum("ql,rl->qr", wr, W[e.right])
+        alpha = None if frozen_alphas is None else frozen_alphas[ei]
+        normal = np.broadcast_to(e.normal, (len(q.weights), 2))
+        fn, alpha = lax_friedrichs_flux(um, up, normal, gamma, alpha)
+        alphas.append(alpha)
+        R[e.left] += np.einsum("q,qr,qi->ri", q.weights, fn, wl)
+        if e.right != BOUNDARY:
+            R[e.right] -= np.einsum("q,qr,qi->ri", q.weights, fn, wr)
+    return R.ravel(), alphas
+
+
+def loop_jacobian(disc, U, alphas):
+    gamma, b = disc.params.gamma, disc.b
+    cell, edge = loop_tables(disc)
+    W = disc.coeffs(U)
+    blocks = {}
+
+    def add(i, j, blk):
+        if (i, j) in blocks:
+            blocks[i, j] += blk
+        else:
+            blocks[i, j] = blk.copy()
+
+    def block(w, a, D, c):
+        return np.einsum("q,qi,qrs,ql->risl", w, a, D, c).reshape(b, b)
+
+    for c, (w, B, G) in enumerate(cell):
+        A1, A2 = flux_jacobians(np.einsum("ql,rl->qr", B, W[c]), gamma)
+        add(c, c, -(block(w, G[:, :, 0], A1, B) + block(w, G[:, :, 1], A2, B)))
+    I4 = np.eye(N_COMP)
+    for ei, e in enumerate(disc.mesh.edges):
+        q, wl, wr = edge[ei]
+        A1, A2 = flux_jacobians(np.einsum("ql,rl->qr", wl, W[e.left]), gamma)
+        alpha = alphas[ei][:, None, None]
+        dm = 0.5 * (A1 * e.normal[0] + A2 * e.normal[1] + alpha * I4)
+        add(e.left, e.left, block(q.weights, wl, dm, wl))
+        if e.right == BOUNDARY:
+            continue
+        A1, A2 = flux_jacobians(np.einsum("ql,rl->qr", wr, W[e.right]), gamma)
+        dp = 0.5 * (A1 * e.normal[0] + A2 * e.normal[1] - alpha * I4)
+        add(e.left, e.right, block(q.weights, wl, dp, wr))
+        add(e.right, e.left, -block(q.weights, wr, dm, wl))
+        add(e.right, e.right, -block(q.weights, wr, dp, wr))
+    return BlockSparseMatrix.from_block_dict(disc.n_cells, b, blocks)
+
+
+def assert_batched_equals_loop(mesh, p, seed=0):
+    disc = EulerDiscretization(mesh, DgSpace(mesh, p),
+                               EulerParams(x0=0.5, y0=0.5))
+    rng = np.random.default_rng(seed)
+    U = disc.project_exact(0.0) * (1.0 + 1e-3 * rng.standard_normal(disc.dim))
+    R, alphas = disc.spatial_residual(U, 0.1)
+    R_loop, alphas_loop = loop_residual(disc, U, 0.1)
+    assert np.array_equal(R, R_loop)
+    assert np.array_equal(alphas, alphas_loop)
+    # frozen coefficients, perturbed so that they differ from the computed
+    frozen = alphas * (1.0 + 0.1 * rng.random(alphas.shape))
+    assert np.array_equal(disc.spatial_residual(U, 0.1, frozen)[0],
+                          loop_residual(disc, U, 0.1, list(frozen))[0])
+    J, J_loop = disc.spatial_jacobian(U, 0.1, frozen), \
+        loop_jacobian(disc, U, list(frozen))
+    assert np.array_equal(J.indptr, J_loop.indptr)
+    assert np.array_equal(J.indices, J_loop.indices)
+    assert np.array_equal(J.blocks, J_loop.blocks)
+    cell, _ = loop_tables(disc)
+    assert np.array_equal(disc.mass_blocks(), [
+        np.kron(np.eye(N_COMP), np.einsum("q,qi,qj->ij", w, B, B))
+        for w, B, _G in cell])
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["hexagon", "square", "rtri", "etri"])
+def test_batched_assembly_equals_loop(kind, p):
+    mesh = build_regular_mesh(kind, 0.05, (0.0, 0.0, 1.0, 1.0),
+                              boundary_tag="exact_state")
+    assert_batched_equals_loop(mesh, p, seed=p)
+
+
+@pytest.mark.parametrize("domain", [(0.0, 0.0, 1.0, 1.0),
+                                    (0.0, 0.0, 1.0, 0.5)])
+def test_batched_assembly_equals_loop_periodic(domain):
+    # 2 x 2 cells: each pair of neighbours shares two edges (duplicate
+    # block keys); 2 x 1 cells: edges joining a cell to itself
+    mesh = build_regular_mesh("square", 0.25, domain, periodic=True)
+    assert any(e.tag == "periodic" for e in mesh.edges)
+    for p in range(4):
+        assert_batched_equals_loop(mesh, p, seed=p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), p=st.integers(0, 3),
+       jitter=st.floats(0.1, 0.45))
+def test_batched_assembly_equals_loop_on_random_meshes(seed, p, jitter):
+    for mesh in build_random_mesh_pair(0.2, jitter * 0.2, seed=seed):
+        mesh.set_boundary_tag("exact_state")
+        assert_batched_equals_loop(mesh, p, seed=seed)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from polydg.blocklinalg import BlockSparseMatrix, block_jacobi_solve
-from polydg.timestepping import (backward_euler_system, dirk3_step,
-                                 dirk3_tableau, newton_solve)
+from polydg.timestepping import (TimesteppingError, backward_euler_system,
+                                 dirk3_step, dirk3_tableau, newton_solve)
 
 
 def scalar_system(lam):
@@ -112,3 +112,24 @@ def test_newton_reports_failure():
     res = newton_solve(residual, jacobian, np.array([0.3]), solver,
                        max_iters=5)
     assert not res.converged
+
+
+@pytest.mark.parametrize("bad_at", [0, 2])
+def test_newton_stops_on_non_finite_residual(bad_at):
+    # a NaN residual fails every convergence test, so without the check
+    # Newton would run max_iters steps on NaN
+    calls = []
+
+    def residual(u):
+        calls.append(u)
+        return np.array([np.nan if len(calls) > bad_at else u[0] ** 3 - 2.0])
+
+    def jacobian(u):
+        return np.array([[3.0 * u[0] ** 2]])
+
+    def solver(A, rhs):
+        return np.linalg.solve(A, rhs), 1
+
+    with pytest.raises(TimesteppingError, match=f"nan at step {bad_at}$"):
+        newton_solve(residual, jacobian, np.array([2.0]), solver)
+    assert len(calls) == bad_at + 1
