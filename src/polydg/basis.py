@@ -317,7 +317,7 @@ class DgSpace(CellBases):
     def __init__(self, mesh, p):
         super().__init__(mesh.vertices, mesh.cells, p)
         self.mesh = mesh
-        ends = np.array([(e.v0, e.v1) for e in mesh.edges]).reshape(-1, 2)
+        ends = mesh.edge_vertices
         q = edge_quadrature(mesh.vertices[ends[:, 0]],
                             mesh.vertices[ends[:, 1]], 2 * p + 1)
         self.edge_nodes, self.edge_weights = q.nodes, q.weights

@@ -44,8 +44,8 @@ def assemble_advection(mesh, space, velocity):
     """Assemble (M, L) for u_t + div(beta u) = 0 with pointwise upwind flux.
 
     velocity: constant (a, b) pair or a callable (x, y) -> (bx, by).
-    Boundary edges tagged inflow_outflow get a zero exterior state on the
-    inflow part; periodic edges couple to the shifted neighbor.
+    Boundary edges get a zero exterior state on the inflow part; periodic
+    edges couple to the shifted neighbor.
     """
     beta = _velocity_fn(velocity)
     rows, cols, blocks = [], [], []
@@ -64,7 +64,8 @@ def assemble_advection(mesh, space, velocity):
                                           space.values(cells, nodes)))
 
     # face terms, both sides per edge
-    left, right, normals, shifts = mesh.edge_arrays()
+    left, right = mesh.edge_left, mesh.edge_right
+    normals, shifts = mesh.edge_normals, mesh.edge_shifts
     nodes, weights = space.edge_nodes, space.edge_weights
     bx, by = beta(nodes[..., 0], nodes[..., 1])
     s = bx * normals[:, :1] + by * normals[:, 1:]

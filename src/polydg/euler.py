@@ -29,6 +29,18 @@ class EulerParams:
     x0: float = 5.0
     y0: float = 5.0
 
+    def __post_init__(self):
+        # the vortex's density and pressure are powers of the core factor
+        # 1 - eps^2 (gamma - 1) M^2 / (8 pi^2) exp(f), and f = (1 - r^2) / r_c^2
+        # is largest at the centre
+        peak = (self.epsilon ** 2 * (self.gamma - 1.0) * self.mach ** 2
+                / (8.0 * np.pi ** 2) * np.exp(1.0 / self.r_c ** 2))
+        if not peak < 1.0:
+            raise EulerError(
+                f"vortex core factor 1 - {peak:.3g} at the centre is not "
+                f"positive for epsilon={self.epsilon}, mach={self.mach}, "
+                f"gamma={self.gamma}, r_c={self.r_c}")
+
     @property
     def p_inf(self):
         # from M = u / sqrt(gamma p / rho)
@@ -236,7 +248,8 @@ class EulerDiscretization:
         self._groups = [(cells, weights, space.values(cells, nodes),
                          *space.gradients(cells, nodes))
                         for cells, nodes, weights in space.groups]
-        left, right, normals, shifts = mesh.edge_arrays()
+        left, right = mesh.edge_left, mesh.edge_right
+        normals, shifts = mesh.edge_normals, mesh.edge_shifts
         nodes, weights = space.edge_nodes, space.edge_weights
         inner = right != BOUNDARY
         self._boundary = np.flatnonzero(~inner)
@@ -267,18 +280,17 @@ class EulerDiscretization:
             lambda x, y: vortex_exact(self.params, x, y, t)).ravel()
 
     def _checked_coeffs(self, U):
-        """coeffs(U), after checking that U is finite and that every
-        boundary edge has a supported tag."""
+        """coeffs(U), after checking that U is finite and that the mesh's
+        boundary edges, if any, have the supported tag."""
         W = self.coeffs(U)
         bad = ~np.isfinite(W).all(axis=(1, 2))
         if bad.any():
             raise EulerError(
                 f"non-finite coefficient on cell {np.flatnonzero(bad)[0]}")
-        edges = self.mesh.edges
-        for ei in self._boundary:
-            if edges[ei].tag != "exact_state":
-                raise EulerError(f"unsupported boundary tag {edges[ei].tag!r} "
-                                 f"on boundary edge {ei} for Euler")
+        tag = self.mesh.boundary_tag
+        if len(self._boundary) and tag != "exact_state":
+            raise EulerError(f"unsupported boundary tag {tag!r} on boundary "
+                             f"edge {self._boundary[0]} for Euler")
         return W
 
     def spatial_residual(self, U, t_bc, frozen_alphas=None):

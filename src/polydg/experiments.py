@@ -135,10 +135,8 @@ def advection_timestep(label, h=ADVECTION_H):
 
 
 def advection_mesh(pattern, h=ADVECTION_H, periodic=False):
-    area = h * h
-    tag = "inflow_outflow"
-    return build_regular_mesh(pattern, area, (0.0, 0.0, 1.0, 1.0),
-                              periodic=periodic, boundary_tag=tag)
+    return build_regular_mesh(pattern, h * h, (0.0, 0.0, 1.0, 1.0),
+                              periodic=periodic)
 
 
 def run_advect_case(mesh, p, k, solver, preconditioner, tol=1e-14, n_steps=1,
@@ -187,8 +185,9 @@ def run_advect(patterns=("hexagon", "square", "rtri", "etri"),
             band = pattern_row_height(pattern, h * h)
         else:
             mesh = read_mesh(mesh_file)
-            if not periodic:
-                mesh.set_boundary_tag("inflow_outflow")
+            if periodic and not mesh.is_periodic:
+                raise ExperimentError(f"bc 'periodic' needs a mesh file with "
+                                      f"a periodic section: {mesh_file}")
             mesh_name = mesh_file
             band = None
         for p in p_list:

@@ -1,7 +1,7 @@
 """Polygonal meshes: regular generating-pattern tessellations, randomized
 Delaunay/Voronoi pairs, element ordering, and mesh file I/O."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -17,20 +17,38 @@ class MeshError(Exception):
     pass
 
 
-@dataclass
-class Edge:
-    left: int                 # cell on the side the normal points away from
-    right: int                # neighbor cell, or BOUNDARY
-    v0: int
-    v1: int
-    normal: np.ndarray        # unit outward normal w.r.t. left
-    length: float
-    shift: np.ndarray         # translation: right cell polygon + shift touches edge
-    tag: str = "interior"     # interior | periodic | inflow_outflow | exact_state
+class _PairError(MeshError):
+    """An invalid periodic pair; `pair` is its index in the given list."""
+
+    def __init__(self, pair, msg):
+        super().__init__(msg)
+        self.pair = pair
 
 
 class PolyMesh:
-    """Planar polygonal tessellation with edge-neighbor topology."""
+    """Planar polygonal tessellation with edge-neighbor topology.
+
+    `cells` are vertex-index lists, turned counter-clockwise. A directed
+    side is a pair of consecutive vertices of a cell; sides are numbered in
+    cell order. An edge is a side and its reverse, a boundary side, or two
+    boundary sides glued periodically. The edges are arrays in edge order:
+    interior edges by their first side, then boundary edges, then periodic
+    edges by pair.
+    - `edge_left`, `edge_right` (E,): the cell the normal points away
+      from and its neighbor, or BOUNDARY;
+    - `edge_vertices` (E, 2): the vertex indices v0, v1 of the left side;
+    - `edge_normals` (E, 2): unit normals, outward from the left cell;
+    - `edge_lengths` (E,);
+    - `edge_shifts` (E, 2): the translation that moves the right cell's
+      polygon onto the edge, zero except on periodic edges.
+    `periodic_map` (K, 2) holds the two sides of each periodic edge, and
+    every boundary edge carries the condition `boundary_tag`.
+
+    periodic_pairs is None (every unmatched side is a boundary edge),
+    "auto" (each unmatched side pairs with its translate by a combination
+    of the two periodic_translations) or a list of side-index pairs
+    (a, b), side b being side a translated and reversed.
+    """
 
     def __init__(self, vertices, cells, periodic_pairs=None, boundary_tag="inflow_outflow",
                  periodic_translations=None):
@@ -38,138 +56,126 @@ class PolyMesh:
         self.cells = [list(map(int, c)) for c in cells]
         if not self.cells:
             raise MeshError("empty cell list")
-        self._orient_ccw()
         self.n_cells = len(self.cells)
-        areas = []
-        centroids = []
-        for c in self.cells:
-            a, ctr = polygon_area_centroid(self.vertices[c])
-            areas.append(a)
-            centroids.append(ctr)
-        self.cell_areas = np.array(areas)
-        self.cell_centroids = np.array(centroids)
-        if np.any(self.cell_areas <= 0.0):
-            raise MeshError("cell with non-positive area")
-        self.edges: list[Edge] = []
-        self.periodic_map: list[tuple[int, int]] = []
-        self._build_edges(periodic_pairs, periodic_translations, boundary_tag)
+        self.boundary_tag = boundary_tag
+        counts = np.array([len(c) for c in self.cells])
+        self._orient_ccw(counts)
+        self._build_edges(counts, periodic_pairs, periodic_translations)
 
     # -- construction ----------------------------------------------------
 
-    def _orient_ccw(self):
-        for c in self.cells:
-            if len(c) < 3:
-                raise MeshError(f"cell {c} has fewer than 3 vertices")
-            if max(c) >= len(self.vertices) or min(c) < 0:
-                raise MeshError(f"cell references missing vertex: {c}")
-            area, _ = polygon_area_centroid(self.vertices[c])
-            if area < 0:
-                c.reverse()
+    def _orient_ccw(self, counts):
+        """Reverse the clockwise cells; set areas and centroids, computed
+        for each group of cells with the same vertex count at once."""
+        short = np.flatnonzero(counts < 3)
+        if len(short):
+            raise MeshError(
+                f"cell {self.cells[short[0]]} has fewer than 3 vertices")
+        flat = np.concatenate(self.cells)
+        missing = (flat < 0) | (flat >= len(self.vertices))
+        if missing.any():
+            c = np.repeat(np.arange(self.n_cells), counts)[missing][0]
+            raise MeshError(f"cell references missing vertex: {self.cells[c]}")
+        self.cell_areas = np.empty(self.n_cells)
+        self.cell_centroids = np.empty((self.n_cells, 2))
+        for nv in np.unique(counts):
+            idx = np.flatnonzero(counts == nv)
+            cells = np.array([self.cells[c] for c in idx])
+            area, centroid = polygon_area_centroid(self.vertices[cells])
+            flip = area < 0
+            if flip.any():
+                cells[flip] = cells[flip, ::-1]
+                area[flip], centroid[flip] = polygon_area_centroid(
+                    self.vertices[cells[flip]])
+                for c in idx[flip]:
+                    self.cells[c].reverse()
+            self.cell_areas[idx], self.cell_centroids[idx] = area, centroid
+        if np.any(self.cell_areas <= 0.0):
+            raise MeshError("cell with non-positive area")
 
-    def _sides(self):
-        """All (cell, v_a, v_b) directed sides in cell order."""
-        out = []
-        for ci, c in enumerate(self.cells):
-            for k in range(len(c)):
-                out.append((ci, c[k], c[(k + 1) % len(c)]))
-        return out
+    def _build_edges(self, counts, periodic_pairs, translations):
+        # directed sides (a, b) in cell order; the partner of a side is the
+        # side (b, a), or -1
+        ends = np.stack((np.concatenate(self.cells),
+                         np.concatenate([c[1:] + c[:1] for c in self.cells])),
+                        axis=1)
+        side_cell = np.repeat(np.arange(self.n_cells), counts)
+        nv = len(self.vertices)
+        key = ends[:, 0] * nv + ends[:, 1]
+        order = np.argsort(key, kind="stable")
+        key_sorted = key[order]
+        repeat = np.flatnonzero(key_sorted[1:] == key_sorted[:-1])
+        if len(repeat):
+            s = order[repeat + 1].min()
+            raise MeshError(
+                f"duplicate directed side ({ends[s, 0]}, {ends[s, 1]})")
+        reverse = ends[:, 1] * nv + ends[:, 0]
+        pos = np.minimum(np.searchsorted(key_sorted, reverse), len(key) - 1)
+        partner = np.where(key_sorted[pos] == reverse, order[pos], -1)
 
-    def _build_edges(self, periodic_pairs, periodic_translations, boundary_tag):
-        sides = self._sides()
-        directed = {}
-        for si, (ci, a, b) in enumerate(sides):
-            if (a, b) in directed:
-                raise MeshError(f"duplicate directed side ({a}, {b})")
-            directed[(a, b)] = si
-        matched = [False] * len(sides)
-        boundary_sides = []
-        for si, (ci, a, b) in enumerate(sides):
-            if matched[si]:
-                continue
-            sj = directed.get((b, a))
-            if sj is not None and sj != si:
-                cj = sides[sj][0]
-                self._add_edge(ci, cj, a, b, np.zeros(2), "interior")
-                matched[si] = matched[sj] = True
-            else:
-                boundary_sides.append(si)
-        if periodic_pairs == "auto":
-            self._match_periodic(sides, boundary_sides, periodic_translations)
-        else:
-            for si in boundary_sides:
-                ci, a, b = sides[si]
-                self._add_edge(ci, BOUNDARY, a, b, np.zeros(2), boundary_tag)
-
-    def _match_periodic(self, sides, boundary_sides, translations):
-        if not translations:
-            raise MeshError("periodic matching requires translation vectors")
-        t1, t2 = (np.asarray(t, float) for t in translations)
-        cand = [t1, -t1, t2, -t2, t1 + t2, -(t1 + t2), t1 - t2, t2 - t1]
-        mids = {}
-        scale = max(np.linalg.norm(t1), np.linalg.norm(t2))
-        for si in boundary_sides:
-            ci, a, b = sides[si]
-            mid = 0.5 * (self.vertices[a] + self.vertices[b])
-            mids[si] = mid
-        tree_pts = np.array([mids[si] for si in boundary_sides])
-        tree = cKDTree(tree_pts)
-        used = set()
-        for idx, si in enumerate(boundary_sides):
-            if si in used:
-                continue
-            found = None
-            for t in cand:
-                target = mids[si] + t
-                dist, j = tree.query(target)
-                if dist < 1e-8 * scale:
-                    sj = boundary_sides[j]
-                    if sj != si and sj not in used:
-                        found = (sj, t)
-                        break
-            if found is None:
-                raise MeshError(f"unpaired periodic boundary side {si}")
-            sj, t = found
-            ci, a, b = sides[si]
-            cj, a2, b2 = sides[sj]
-            # one edge record per geometric interface; right cell lives at -t
-            self._add_edge(ci, cj, a, b, -t, "periodic")
-            self.periodic_map.append((si, sj))
-            used.add(si)
-            used.add(sj)
-
-    def _add_edge(self, left, right, v0, v1, shift, tag):
-        p0 = self.vertices[v0]
-        p1 = self.vertices[v1]
+        p0, p1 = self.vertices[ends[:, 0]], self.vertices[ends[:, 1]]
         d = p1 - p0
-        length = float(np.hypot(d[0], d[1]))
-        if length <= 0:
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        if np.any(lengths <= 0):
             raise MeshError("zero-length edge")
-        normal = np.array([d[1], -d[0]]) / length
-        self.edges.append(Edge(left, right, v0, v1, normal, length,
-                               np.asarray(shift, float), tag))
+        normals = np.stack((d[:, 1], -d[:, 0]), axis=1) / lengths[:, None]
+        mids = 0.5 * (p0 + p1)
+
+        interior = np.flatnonzero(partner > np.arange(len(key)))
+        unmatched = np.flatnonzero(partner < 0)
+        if periodic_pairs is None:
+            pairs, shifts = np.empty((0, 2), dtype=np.int64), np.empty((0, 2))
+        elif periodic_pairs == "auto":
+            pairs, shifts = _match_periodic(unmatched, mids[unmatched],
+                                            translations)
+        else:
+            pairs = self._checked_pairs(periodic_pairs, partner, p0, p1)
+            shifts = mids[pairs[:, 0]] - mids[pairs[:, 1]]
+        boundary = unmatched[~np.isin(unmatched, pairs)]
+
+        first = np.concatenate((interior, boundary, pairs[:, 0]))
+        self.edge_left = side_cell[first]
+        self.edge_right = np.concatenate((side_cell[partner[interior]],
+                                          np.full(len(boundary), BOUNDARY),
+                                          side_cell[pairs[:, 1]]))
+        self.edge_vertices = ends[first]
+        self.edge_normals = normals[first]
+        self.edge_lengths = lengths[first]
+        self.edge_shifts = np.concatenate(
+            (np.zeros((len(interior) + len(boundary), 2)), shifts))
+        self.periodic_map = pairs
+
+    def _checked_pairs(self, pairs, partner, p0, p1):
+        """pairs as a (K, 2) array, after checking that each names two
+        boundary sides, not named before, the second the first translated
+        and reversed."""
+        seen = set()
+        for k, (a, b) in enumerate(pairs):
+            for s in (a, b):
+                if not 0 <= s < len(partner):
+                    msg = f"side {s} out of range 0..{len(partner) - 1}"
+                elif partner[s] >= 0:
+                    msg = f"side {s} is not a boundary side"
+                elif s in seen:
+                    msg = f"side {s} is paired twice"
+                else:
+                    seen.add(s)
+                    continue
+                raise _PairError(k, f"periodic pair {a} {b}: {msg}")
+            gap = (p0[b] - p1[a]) - (p1[b] - p0[a])
+            if np.hypot(*gap) > 1e-9 * np.hypot(*(p1[a] - p0[a])):
+                raise _PairError(k, f"periodic pair {a} {b}: side {b} is not "
+                                    f"side {a} translated and reversed")
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
     # -- queries ---------------------------------------------------------
 
     def cell_vertices(self, c):
         return self.vertices[self.cells[c]]
 
-    def edge_arrays(self):
-        """Per-edge left and right cells (E,), unit normals and shifts
-        (E, 2), as arrays in edge order."""
-        left = np.array([e.left for e in self.edges], dtype=np.int64)
-        right = np.array([e.right for e in self.edges], dtype=np.int64)
-        normals = np.array([e.normal for e in self.edges]).reshape(-1, 2)
-        shifts = np.array([e.shift for e in self.edges]).reshape(-1, 2)
-        return left, right, normals, shifts
-
     @property
     def is_periodic(self):
-        return any(e.tag == "periodic" for e in self.edges)
-
-    def set_boundary_tag(self, tag):
-        for e in self.edges:
-            if e.right == BOUNDARY:
-                e.tag = tag
+        return len(self.periodic_map) > 0
 
     # -- validation ------------------------------------------------------
 
@@ -178,15 +184,44 @@ class PolyMesh:
             total = self.cell_areas.sum()
             if abs(total - domain_area) > 1e-12 * domain_area:
                 raise MeshError(f"area sum {total} != domain area {domain_area}")
+        # sum of length * outward normal per cell, edge by edge
+        ln = self.edge_lengths[:, None] * self.edge_normals
+        cells = np.stack((self.edge_left, self.edge_right), axis=1).ravel()
+        terms = np.stack((ln, -ln), axis=1).reshape(-1, 2)
+        on = cells != BOUNDARY
         acc = np.zeros((self.n_cells, 2))
-        for e in self.edges:
-            acc[e.left] += e.length * e.normal
-            if e.right != BOUNDARY:
-                acc[e.right] -= e.length * e.normal
+        np.add.at(acc, cells[on], terms[on])
         scale = np.sqrt(self.cell_areas.mean())
         if np.max(np.abs(acc)) > 1e-12 * max(scale, 1.0) * 100:
             raise MeshError("cell edge closure violated")
         return True
+
+
+def _match_periodic(sides, mids, translations):
+    """Pair the sides (B,) whose midpoints mids (B, 2) differ by one of the
+    lattice translations, each side with the first free match in the order
+    +-t1, +-t2, +-(t1 + t2), +-(t1 - t2). Returns the side pairs (K, 2) and
+    the shifts (K, 2): the right cell of an edge lives at -t."""
+    if not translations:
+        raise MeshError("periodic matching requires translation vectors")
+    t1, t2 = (np.asarray(t, float) for t in translations)
+    cand = np.array([t1, -t1, t2, -t2, t1 + t2, -(t1 + t2), t1 - t2, t2 - t1])
+    scale = max(np.linalg.norm(t1), np.linalg.norm(t2))
+    dist, near = cKDTree(mids).query(mids[:, None, :] + cand)
+    hit = (dist < 1e-8 * scale) & (near != np.arange(len(sides))[:, None])
+    used = np.zeros(len(sides), dtype=bool)
+    pairs, shifts = [], []
+    for i in range(len(sides)):
+        if used[i]:
+            continue
+        free = np.flatnonzero(hit[i] & ~used[near[i]])
+        if not len(free):
+            raise MeshError(f"unpaired periodic boundary side {sides[i]}")
+        j = near[i, free[0]]
+        pairs.append((sides[i], sides[j]))
+        shifts.append(-cand[free[0]])
+        used[i] = used[j] = True
+    return np.array(pairs).reshape(-1, 2), np.array(shifts).reshape(-1, 2)
 
 
 # -- generating patterns -------------------------------------------------
@@ -355,6 +390,12 @@ def _dedupe_loop(poly, snap):
     return np.array(out)
 
 
+def _row_major_key(poly):
+    """Sort key of a polygon: its centroid's y, then x, rounded to 1e-9."""
+    c = polygon_area_centroid(poly)[1]
+    return round(c[1], 9), round(c[0], 9)
+
+
 def build_regular_mesh(kind, element_area, domain, periodic=False,
                        boundary_tag="inflow_outflow", orientation="pointy"):
     """Tile an axis-aligned rectangle with one of the four generating patterns.
@@ -393,12 +434,8 @@ def build_regular_mesh(kind, element_area, domain, periodic=False,
                     for el in pat.elements:
                         poly = base + el * scale
                         instances.append(poly)
-        # sort instances row-major by centroid
-        keyed = sorted(range(len(instances)),
-                       key=lambda ix: (round(polygon_area_centroid(instances[ix])[1][1], 9),
-                                       round(polygon_area_centroid(instances[ix])[1][0], 9)))
-        for ix in keyed:
-            cells.append([get(p, snap) for p in instances[ix]])
+        for poly in sorted(instances, key=_row_major_key):
+            cells.append([get(p, snap) for p in poly])
         mesh = PolyMesh(verts, cells, periodic_pairs="auto",
                         periodic_translations=((W, 0.0), (0.0, H)))
         mesh.validate(domain_area=W * H)
@@ -425,10 +462,9 @@ def build_regular_mesh(kind, element_area, domain, periodic=False,
                         area, _ = polygon_area_centroid(clipped)
                         if area > 1e-10 * element_area:
                             polys.append(clipped)
-    polys.sort(key=lambda p: (round(polygon_area_centroid(p)[1][1], 9),
-                              round(polygon_area_centroid(p)[1][0], 9)))
     verts, get = _vertex_pool()
-    cells = [[get(p, snap) for p in poly] for poly in polys]
+    cells = [[get(p, snap) for p in poly]
+             for poly in sorted(polys, key=_row_major_key)]
     mesh = PolyMesh(verts, cells, boundary_tag=boundary_tag)
     mesh.validate(domain_area=W * H)
     return mesh
@@ -556,7 +592,7 @@ def write_mesh(mesh, path):
     lines.append(f"cells {mesh.n_cells}")
     for c in mesh.cells:
         lines.append(" ".join(str(i) for i in c))
-    if mesh.periodic_map:
+    if mesh.is_periodic:
         lines.append(f"periodic {len(mesh.periodic_map)}")
         for a, b in mesh.periodic_map:
             lines.append(f"{a} {b}")
@@ -565,96 +601,42 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
+    """Read the format of write_mesh. The optional periodic section lists
+    pairs of directed side indices (in cell order) glued by translation."""
     with open(path) as f:
         raw = f.read().splitlines()
 
     def fail(lineno, msg):
         raise MeshError(f"{path}:{lineno + 1}: {msg}")
 
+    def count(i, name):
+        tok = raw[i].split() if i < len(raw) else []
+        if len(tok) != 2 or tok[0] != name or not tok[1].isdecimal():
+            fail(i, f"expected '{name} N'")
+        return int(tok[1])
+
+    def values(i, kind, what, n=None):
+        try:
+            vals = [kind(t) for t in raw[i].split()]
+        except (IndexError, ValueError):
+            vals = None
+        if vals is None or n not in (None, len(vals)):
+            fail(i, f"expected {what}")
+        return vals
+
     if not raw or raw[0].strip() != "polymesh 1":
         fail(0, "expected header 'polymesh 1'")
-    i = 1
-    try:
-        tok = raw[i].split()
-        assert tok[0] == "vertices"
-        nv = int(tok[1])
-    except Exception:
-        fail(i, "expected 'vertices N'")
-    verts = []
-    for k in range(nv):
-        i += 1
-        try:
-            x, y = map(float, raw[i].split())
-        except Exception:
-            fail(i, "expected 'x y'")
-        verts.append((x, y))
-    i += 1
-    try:
-        tok = raw[i].split()
-        assert tok[0] == "cells"
-        nc = int(tok[1])
-    except Exception:
-        fail(i, "expected 'cells M'")
-    cells = []
-    for k in range(nc):
-        i += 1
-        try:
-            cells.append([int(t) for t in raw[i].split()])
-        except Exception:
-            fail(i, "expected vertex indices")
+    nv = count(1, "vertices")
+    verts = [values(2 + k, float, "'x y'", 2) for k in range(nv)]
+    i = 2 + nv
+    nc = count(i, "cells")
+    cells = [values(i + 1 + k, int, "vertex indices") for k in range(nc)]
+    i += 1 + nc
     pairs = []
-    if i + 1 < len(raw) and raw[i + 1].strip():
-        i += 1
-        tok = raw[i].split()
-        if tok[0] != "periodic":
-            fail(i, "expected 'periodic K'")
-        np_pairs = int(tok[1])
-        for k in range(np_pairs):
-            i += 1
-            a, b = map(int, raw[i].split())
-            pairs.append((a, b))
-    mesh = PolyMesh(verts, cells)
-    if pairs:
-        mesh = _mesh_with_periodic_sides(verts, cells, pairs)
-    return mesh
-
-
-def _mesh_with_periodic_sides(verts, cells, pairs):
-    """Rebuild a mesh pairing the given directed side indices periodically."""
-    mesh = PolyMesh(verts, cells)
-    sides = mesh._sides()
-    # remove the boundary edges corresponding to paired sides, then add
-    # a periodic edge per pair (shift from midpoint difference)
-    new = PolyMesh.__new__(PolyMesh)
-    new.vertices = mesh.vertices
-    new.cells = mesh.cells
-    new.n_cells = mesh.n_cells
-    new.cell_areas = mesh.cell_areas
-    new.cell_centroids = mesh.cell_centroids
-    new.edges = []
-    new.periodic_map = list(pairs)
-    paired = {a for a, b in pairs} | {b for a, b in pairs}
-    directed = {}
-    for si, (ci, a, b) in enumerate(sides):
-        directed[(a, b)] = si
-    done = set()
-    for si, (ci, a, b) in enumerate(sides):
-        if si in done:
-            continue
-        sj = directed.get((b, a))
-        if sj is not None and sj != si:
-            new._add_edge(ci, sides[sj][0], a, b, np.zeros(2), "interior")
-            done.add(si)
-            done.add(sj)
-        elif si not in paired:
-            new._add_edge(ci, BOUNDARY, a, b, np.zeros(2), "inflow_outflow")
-            done.add(si)
-    for a, b in pairs:
-        ci, va, vb = sides[a]
-        cj, va2, vb2 = sides[b]
-        mid_a = 0.5 * (new.vertices[va] + new.vertices[vb])
-        mid_b = 0.5 * (new.vertices[va2] + new.vertices[vb2])
-        new._add_edge(ci, cj, va, vb, mid_b - mid_a, "periodic")
-        done.add(a)
-        done.add(b)
-    return new
+    if i < len(raw) and raw[i].strip():
+        pairs = [values(i + 1 + k, int, "two side indices", 2)
+                 for k in range(count(i, "periodic"))]
+    try:
+        return PolyMesh(verts, cells, periodic_pairs=pairs or None)
+    except _PairError as exc:
+        fail(i + 1 + exc.pair, str(exc))

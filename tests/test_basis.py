@@ -205,9 +205,9 @@ def test_batched_space_matches_per_cell_build(seed, p, jitter):
             C = ref_coeffs(verts, p, nodes, w)
             err = np.max(np.abs(space.bases[c].coeffs - C))
             assert err <= 1e-13 * np.max(np.abs(C))
-        for e, q in zip(mesh.edges, space.edge_quads):
-            nodes, w = ref_edge_quadrature(mesh.vertices[e.v0],
-                                           mesh.vertices[e.v1], 2 * p + 1)
+        for (v0, v1), q in zip(mesh.edge_vertices, space.edge_quads):
+            nodes, w = ref_edge_quadrature(mesh.vertices[v0],
+                                           mesh.vertices[v1], 2 * p + 1)
             assert np.array_equal(q.nodes, nodes)
             assert np.array_equal(q.weights, w)
 

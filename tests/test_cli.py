@@ -103,6 +103,16 @@ def test_mesh_gen_roundtrip(tmp_path):
     assert rc == 0
 
 
+def test_periodic_advect_needs_a_periodic_mesh_file(tmp_path, capsys):
+    out = tmp_path / "m.mesh"
+    assert main(["mesh", "gen", "--pattern", "square", "--area", "0.0625",
+                 "--domain", "0", "0", "1", "1", "--out", str(out)]) == 0
+    rc = main(["advect", "--mesh-file", str(out), "--bc", "periodic",
+               "--p", "0", "--k", "k1", "--steps", "1"])
+    assert rc == 2
+    assert "periodic section" in capsys.readouterr().err
+
+
 def test_mesh_gen_voronoi(tmp_path):
     out = tmp_path / "v.mesh"
     rc = main(["mesh", "gen", "--pattern", "voronoi", "--h", "0.25",

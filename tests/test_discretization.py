@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydg.basis import DgSpace
-from polydg.blocklinalg import BlockSparseMatrix, block_jacobi_solve
+from polydg.blocklinalg import (BlockSparseMatrix, block_jacobi_solve,
+                                factor_block_jacobi, gmres)
 from polydg.discretization import (advection_initial_condition,
                                    assemble_advection, assemble_mass,
                                    gaussian_pulse, rotating_velocity)
-from polydg.mesh import BOUNDARY, build_regular_mesh
+from polydg.experiments import advection_timestep
+from polydg.mesh import BOUNDARY, build_random_mesh_pair, build_regular_mesh
 from polydg.timestepping import backward_euler_system
 
 
@@ -45,9 +49,7 @@ def test_divergence_free_velocity_annihilates_constants(pattern):
     c = space.project(lambda x, y: np.ones_like(x)).ravel()
     r = L.matvec(c).reshape(mesh.n_cells, space.n_loc)
     touches_boundary = np.zeros(mesh.n_cells, bool)
-    for e in mesh.edges:
-        if e.right == BOUNDARY:
-            touches_boundary[e.left] = True
+    touches_boundary[mesh.edge_left[mesh.edge_right == BOUNDARY]] = True
     interior = ~touches_boundary
     assert interior.sum() > 0
     assert np.max(np.abs(r[interior])) < 1e-12
@@ -92,6 +94,28 @@ def test_mass_matrix_is_identity_for_orthonormal_basis():
     assert np.max(np.abs(M.to_dense() - np.eye(M.dim))) < 1e-10
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), p=st.integers(0, 2),
+       jitter=st.floats(0.1, 0.45), k_label=st.sampled_from(["k1", "k2", "k3"]))
+def test_gmres_jacobi_never_needs_more_steps_than_block_jacobi(seed, p, jitter,
+                                                              k_label):
+    # right-preconditioned GMRES from x0 = 0 minimizes the true residual over
+    # a Krylov space that holds every block-Jacobi iterate, so while its
+    # count is at most the restart length it cannot exceed block Jacobi's
+    h = 0.2
+    for mesh in build_random_mesh_pair(h, jitter * h, seed=seed):
+        space = DgSpace(mesh, p)
+        M, L = assemble_advection(mesh, space, rotating_velocity)
+        A = backward_euler_system(M, L, advection_timestep(k_label, h))
+        b = M.matvec(advection_initial_condition(mesh, space, gaussian_pulse()))
+        _, n_jacobi, ok = block_jacobi_solve(A, b, tol=1e-10)
+        assert ok
+        _, n_gmres, ok = gmres(A, b, preconditioner=factor_block_jacobi(A),
+                               restart=n_jacobi, tol=1e-10)
+        assert ok
+        assert n_gmres <= n_jacobi
+
+
 # -- batched assembly against the per-cell / per-edge loop it replaced ------
 
 def ref_assemble_advection(mesh, space, beta):
@@ -116,22 +140,24 @@ def ref_assemble_advection(mesh, space, beta):
         G = basis.eval_grad(q.nodes)
         bdotg = bx[:, None] * G[:, :, 0] + by[:, None] * G[:, :, 1]
         add(c, c, -np.einsum("q,qi,ql->il", q.weights, bdotg, B))
-    for ei, e in enumerate(mesh.edges):
+    for ei, (left, right, normal, shift) in enumerate(zip(
+            mesh.edge_left, mesh.edge_right, mesh.edge_normals,
+            mesh.edge_shifts)):
         q = space.edge_quads[ei]
         bx, by = beta(q.nodes[:, 0], q.nodes[:, 1])
-        s = bx * e.normal[0] + by * e.normal[1]
-        wl = space.bases[e.left].eval(q.nodes)
+        s = bx * normal[0] + by * normal[1]
+        wl = space.bases[left].eval(q.nodes)
         out_mask = s >= 0.0
         w_out = q.weights * np.where(out_mask, s, 0.0)
         w_in = q.weights * np.where(out_mask, 0.0, s)
-        if e.right == BOUNDARY:
-            add(e.left, e.left, np.einsum("q,qi,ql->il", w_out, wl, wl))
+        if right == BOUNDARY:
+            add(left, left, np.einsum("q,qi,ql->il", w_out, wl, wl))
             continue
-        wr = space.bases[e.right].eval(q.nodes - e.shift)
-        add(e.left, e.left, np.einsum("q,qi,ql->il", w_out, wl, wl))
-        add(e.left, e.right, np.einsum("q,qi,ql->il", w_in, wl, wr))
-        add(e.right, e.left, -np.einsum("q,qi,ql->il", w_out, wr, wl))
-        add(e.right, e.right, -np.einsum("q,qi,ql->il", w_in, wr, wr))
+        wr = space.bases[right].eval(q.nodes - shift)
+        add(left, left, np.einsum("q,qi,ql->il", w_out, wl, wl))
+        add(left, right, np.einsum("q,qi,ql->il", w_in, wl, wr))
+        add(right, left, -np.einsum("q,qi,ql->il", w_out, wr, wl))
+        add(right, right, -np.einsum("q,qi,ql->il", w_in, wr, wr))
     n, b = mesh.n_cells, space.n_loc
     return (BlockSparseMatrix.from_block_dict(n, b, mass),
             BlockSparseMatrix.from_block_dict(n, b, blocks))

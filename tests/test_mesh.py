@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from polydg import experiments
+from polydg import mesh as mesh_module
+from polydg.basis import polygon_area_centroid
 from polydg.mesh import (BOUNDARY, GeneratingPattern, MeshError, PolyMesh,
                          build_pattern_tiling, build_random_mesh_pair,
                          build_regular_mesh, h_E_from_area, natural_ordering,
@@ -46,10 +50,12 @@ def test_edge_reciprocity_and_closure(kind):
     mesh = build_regular_mesh(kind, 0.01, (0.0, 0.0, 1.0, 1.0))
     # closed polygons: sum of length * outward normal vanishes per cell
     acc = np.zeros((mesh.n_cells, 2))
-    for e in mesh.edges:
-        acc[e.left] += e.length * e.normal
-        if e.right != BOUNDARY:
-            acc[e.right] -= e.length * e.normal
+    for left, right, length, normal in zip(mesh.edge_left, mesh.edge_right,
+                                           mesh.edge_lengths,
+                                           mesh.edge_normals):
+        acc[left] += length * normal
+        if right != BOUNDARY:
+            acc[right] -= length * normal
     # boundary edges of each cell included via the BOUNDARY branch
     for c in range(mesh.n_cells):
         assert np.linalg.norm(acc[c]) < 1e-12
@@ -70,7 +76,7 @@ def test_periodic_square_count():
     assert mesh.is_periodic
     # 10x10 grid: 40 boundary sides glued into 20 pairs, no unpaired sides
     assert len(mesh.periodic_map) == 20
-    assert all(e.right != BOUNDARY for e in mesh.edges)
+    assert np.all(mesh.edge_right != BOUNDARY)
 
 
 def test_periodic_rtri_count_is_twice_squares():
@@ -161,7 +167,23 @@ def test_mesh_roundtrip_periodic(tmp_path):
     write_mesh(mesh, path)
     back = read_mesh(path)
     assert back.is_periodic
-    assert len(back.periodic_map) == len(mesh.periodic_map)
+    assert np.array_equal(back.periodic_map, mesh.periodic_map)
+    # the right cell of a periodic edge is moved onto the edge by the shift
+    assert np.array_equal(back.edge_shifts, mesh.edge_shifts)
+
+
+UNIT_SQUARE = ("polymesh 1\nvertices 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
+               "cells 1\n0 1 2 3\n")
+
+
+def test_read_mesh_periodic_section(tmp_path):
+    # side 2 (top) is side 0 (bottom) translated by (0, 1) and reversed
+    path = tmp_path / "m.mesh"
+    path.write_text(UNIT_SQUARE + "periodic 1\n0 2\n")
+    mesh = read_mesh(path)
+    assert np.array_equal(mesh.periodic_map, [[0, 2]])
+    assert np.array_equal(mesh.edge_right, [BOUNDARY, BOUNDARY, 0])
+    assert np.array_equal(mesh.edge_shifts[-1], [0.0, -1.0])
 
 
 def test_read_mesh_errors(tmp_path):
@@ -175,6 +197,27 @@ def test_read_mesh_errors(tmp_path):
     bad.write_text("polymesh 1\nvertices 0\ncells 0\n")
     with pytest.raises(MeshError):
         read_mesh(bad)
+    for section, error in [
+            ("0 999", ":10: periodic pair 0 999: side 999 out of range 0..3$"),
+            ("0 x", ":10: expected two side indices$"),
+            ("0 0", ":10: periodic pair 0 0: side 0 is paired twice$"),
+            ("0 1", ":10: periodic pair 0 1: side 1 is not side 0 "
+                    "translated and reversed$")]:
+        bad.write_text(UNIT_SQUARE + "periodic 1\n" + section + "\n")
+        with pytest.raises(MeshError, match=error):
+            read_mesh(bad)
+    bad.write_text(UNIT_SQUARE + "periodic 2\n0 2\n")
+    with pytest.raises(MeshError, match=":11: expected two side indices$"):
+        read_mesh(bad)
+    bad.write_text(UNIT_SQUARE + "periodic 2\n0 2\n1 2\n")
+    with pytest.raises(MeshError, match=":11: .*side 2 is paired twice$"):
+        read_mesh(bad)
+    # two unit squares side by side: side 1 of cell 0 is shared with cell 1
+    bad.write_text("polymesh 1\nvertices 6\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n"
+                   "cells 2\n0 1 4 3\n1 2 5 4\nperiodic 1\n1 7\n")
+    with pytest.raises(MeshError, match=":13: periodic pair 1 7: side 1 is "
+                                        "not a boundary side$"):
+        read_mesh(bad)
 
 
 def test_random_pair_names_delaunay_sliver():
@@ -184,3 +227,133 @@ def test_random_pair_names_delaunay_sliver():
     with pytest.raises(MeshError,
                        match=r"Delaunay triangle 5 \(area 4\.26e-12\)"):
         build_random_mesh_pair(0.2, 2e-10, (0, 0, 1, 1), seed=239)
+
+
+# -- the dict-based side matcher the array build replaced --------------------
+
+def ref_mesh(vertices, cells, periodic_pairs=None,
+             boundary_tag="inflow_outflow", periodic_translations=None):
+    """The per-cell, per-side construction kept as the reference: vertices,
+    cells, areas, centroids, periodic map and the edges as (left, right, v0,
+    v1, normal, length, shift) tuples."""
+    vertices = np.asarray(vertices, dtype=float)
+    cells = [list(map(int, c)) for c in cells]
+    for c in cells:
+        if polygon_area_centroid(vertices[c])[0] < 0:
+            c.reverse()
+    measured = [polygon_area_centroid(vertices[c]) for c in cells]
+    sides = [(ci, c[k], c[(k + 1) % len(c)])
+             for ci, c in enumerate(cells) for k in range(len(c))]
+    directed = {(a, b): si for si, (_, a, b) in enumerate(sides)}
+    edges = []
+
+    def add(left, right, v0, v1, shift):
+        d = vertices[v1] - vertices[v0]
+        length = float(np.hypot(d[0], d[1]))
+        edges.append((left, right, v0, v1, np.array([d[1], -d[0]]) / length,
+                      length, np.asarray(shift, float)))
+
+    matched = [False] * len(sides)
+    boundary = []
+    for si, (ci, a, b) in enumerate(sides):
+        if matched[si]:
+            continue
+        sj = directed.get((b, a))
+        if sj is not None and sj != si:
+            add(ci, sides[sj][0], a, b, np.zeros(2))
+            matched[si] = matched[sj] = True
+        else:
+            boundary.append(si)
+    periodic_map = []
+    if periodic_pairs == "auto":
+        t1, t2 = (np.asarray(t, float) for t in periodic_translations)
+        cand = [t1, -t1, t2, -t2, t1 + t2, -(t1 + t2), t1 - t2, t2 - t1]
+        scale = max(np.linalg.norm(t1), np.linalg.norm(t2))
+        mids = {si: 0.5 * (vertices[sides[si][1]] + vertices[sides[si][2]])
+                for si in boundary}
+        tree = cKDTree(np.array([mids[si] for si in boundary]))
+        used = set()
+        for si in boundary:
+            if si in used:
+                continue
+            for t in cand:
+                dist, j = tree.query(mids[si] + t)
+                sj = boundary[j]
+                if dist < 1e-8 * scale and sj != si and sj not in used:
+                    break
+            else:
+                raise AssertionError(f"unpaired side {si}")
+            add(sides[si][0], sides[sj][0], *sides[si][1:], -t)
+            periodic_map.append((si, sj))
+            used |= {si, sj}
+    else:
+        for si in boundary:
+            add(sides[si][0], BOUNDARY, *sides[si][1:], np.zeros(2))
+    return (vertices, cells, np.array([a for a, _ in measured]),
+            np.array([c for _, c in measured]), periodic_map, edges)
+
+
+def assert_mesh_equals(mesh, ref):
+    vertices, cells, areas, centroids, periodic_map, edges = ref
+    assert np.array_equal(mesh.vertices, vertices)
+    assert mesh.cells == cells
+    assert np.array_equal(mesh.cell_areas, areas)
+    assert np.array_equal(mesh.cell_centroids, centroids)
+    assert np.array_equal(mesh.periodic_map,
+                          np.reshape(periodic_map, (-1, 2)))
+    left, right, v0, v1, normal, length, shift = map(np.array, zip(*edges))
+    assert np.array_equal(mesh.edge_left, left)
+    assert np.array_equal(mesh.edge_right, right)
+    assert np.array_equal(mesh.edge_vertices, np.stack((v0, v1), axis=1))
+    assert np.array_equal(mesh.edge_normals, normal)
+    assert np.array_equal(mesh.edge_lengths, length)
+    assert np.array_equal(mesh.edge_shifts, shift)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every PolyMesh the builders construct, with its arguments."""
+    calls = []
+
+    class Recording(PolyMesh):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            calls.append((self, args, kwargs))
+
+    monkeypatch.setattr(mesh_module, "PolyMesh", Recording)
+    return calls
+
+
+def half_clockwise_voronoi():
+    """A Voronoi mesh given with every other cell clockwise."""
+    _, voronoi = build_random_mesh_pair(0.2, 0.05, seed=7)
+    cells = [c[::-1] if i % 2 else c for i, c in enumerate(voronoi.cells)]
+    return mesh_module.PolyMesh(voronoi.vertices, cells)
+
+
+MESH_BUILDS = {
+    **{f"advect-{kind}-{bc}": (lambda k=kind, per=bc == "periodic":
+                               experiments.advection_mesh(k, periodic=per))
+       for kind in PATTERNS for bc in ("zero-inflow", "periodic")},
+    **{f"euler-{kind}": (lambda k=kind: experiments.euler_mesh(k))
+       for kind in PATTERNS},
+    **{f"tiling-{kind}": (lambda k=kind: build_pattern_tiling(k, 1.0, 4, 4))
+       for kind in PATTERNS},
+    "random-pair": lambda: build_random_mesh_pair(0.2, 0.05, seed=7),
+    "half-clockwise": half_clockwise_voronoi,
+}
+
+
+@pytest.mark.parametrize("name", MESH_BUILDS)
+def test_mesh_equals_side_matcher_reference(built, name):
+    MESH_BUILDS[name]()
+    assert built
+    for mesh, args, kwargs in built:
+        assert_mesh_equals(mesh, ref_mesh(*args, **kwargs))
+
+
+def test_read_periodic_mesh_equals_side_matcher_reference(built, tmp_path):
+    build_regular_mesh("square", 0.0625, (0, 0, 1, 1), periodic=True)
+    (mesh, args, kwargs), = built
+    write_mesh(mesh, tmp_path / "m.mesh")
+    assert_mesh_equals(read_mesh(tmp_path / "m.mesh"), ref_mesh(*args, **kwargs))
