@@ -18,10 +18,28 @@ def _frozen(a):
     return a
 
 
-def _csr_order(n, rows, cols):
-    """Block-CSR order of block coordinates: (indptr, sorting permutation)."""
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    return indptr, np.lexsort((cols, rows))
+def sum_in_order(keys, values):
+    """Sorted distinct keys and, for each, the sum of its values added one
+    at a time in the order given."""
+    keys = np.asarray(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new_key = np.ones(len(keys), dtype=bool)
+    new_key[1:] = keys[1:] != keys[:-1]
+    slot = np.cumsum(new_key) - 1
+    first = np.flatnonzero(new_key)
+    rank = np.arange(len(keys)) - first[slot]  # place among equal keys
+    summed = values[order[first]]
+    for r in range(1, rank.max(initial=0) + 1):
+        k = rank == r
+        summed[slot[k]] += values[order[k]]
+    return keys[first], summed
+
+
+def _csr(n, keys):
+    """(indptr, column indices) of sorted distinct block keys row * n + col."""
+    rows, cols = np.divmod(keys, n)
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), cols
 
 
 class BlockSparseMatrix:
@@ -81,20 +99,8 @@ class BlockSparseMatrix:
             cols = np.concatenate((cols, missing))
             blocks = np.concatenate(
                 (blocks, np.zeros((len(missing), b, b), dtype=blocks.dtype)))
-        order = np.lexsort((cols, rows))  # stable: keeps the given order
-        rows, cols = rows[order], cols[order]
-        new_key = (np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1)) != 0
-        slot = np.cumsum(new_key) - 1
-        first = np.flatnonzero(new_key)
-        rank = np.arange(len(order)) - first[slot]  # place among equal keys
-        # add each key's blocks one at a time, in the order given
-        summed = blocks[order[first]]
-        for r in range(1, rank.max(initial=0) + 1):
-            k = rank == r
-            summed[slot[k]] += blocks[order[k]]
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(rows[first], minlength=n))))
-        return cls(n, b, indptr, cols[first], summed)
+        keys, summed = sum_in_order(rows * n + cols, blocks)
+        return cls(n, b, *_csr(n, keys), summed)
 
     @classmethod
     def from_block_dict(cls, n, b, blocks):
@@ -152,21 +158,26 @@ class BlockSparseMatrix:
             raise LinalgError(f"not a permutation of range({self.n})")
         inv = np.empty(self.n, dtype=np.int64)
         inv[perm] = np.arange(self.n)
-        rows, cols = inv[self._rows], inv[self.indices]
-        indptr, order = _csr_order(self.n, rows, cols)
-        return indptr, cols[order], self.blocks[order]
+        keys, blocks = sum_in_order(inv[self._rows] * self.n
+                                    + inv[self.indices], self.blocks)
+        return (*_csr(self.n, keys), blocks)
+
+
+def _block_inverse(block, what, i):
+    """Explicit inverse of one block by LU with pivoting; a (numerically)
+    zero pivot is a LinalgError naming `what` and i."""
+    lu, piv = scipy.linalg.lu_factor(block, check_finite=False)
+    if np.min(np.abs(np.diag(lu))) < 1e-300:
+        raise LinalgError(f"singular {what} {i}")
+    return scipy.linalg.lu_solve((lu, piv), np.eye(len(block), dtype=block.dtype),
+                                 check_finite=False)
 
 
 def _factor_diag(diag_blocks):
-    """LU-with-pivoting factorization of each block; returns explicit inverses."""
-    n, b, _ = diag_blocks.shape
+    """Explicit inverses of the diagonal blocks."""
     inv = np.empty_like(diag_blocks)
-    eye = np.eye(b, dtype=diag_blocks.dtype)
-    for i in range(n):
-        lu, piv = scipy.linalg.lu_factor(diag_blocks[i], check_finite=False)
-        if np.min(np.abs(np.diag(lu))) < 1e-300:
-            raise LinalgError(f"singular diagonal block in row {i}")
-        inv[i] = scipy.linalg.lu_solve((lu, piv), eye, check_finite=False)
+    for i, block in enumerate(diag_blocks):
+        inv[i] = _block_inverse(block, "diagonal block in row", i)
     return inv
 
 
@@ -208,7 +219,6 @@ class BlockILU0Factorization:
     def _factorize(self, rows):
         pos = {ij: k for k, ij in enumerate(zip(rows.tolist(),
                                                  self.indices.tolist()))}
-        eye = np.eye(self.b)
         self.uinv = np.empty((self.n, self.b, self.b))
         for i in range(self.n):
             lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -227,11 +237,8 @@ class BlockILU0Factorization:
                     p = pos.get((i, j))
                     if p is not None:
                         self.blocks[p] = self.blocks[p] - Lik @ self.blocks[kj]
-            lu, piv = scipy.linalg.lu_factor(self.blocks[pos[(i, i)]],
-                                             check_finite=False)
-            if np.min(np.abs(np.diag(lu))) < 1e-300:
-                raise LinalgError(f"singular pivot block at elimination step {i}")
-            self.uinv[i] = scipy.linalg.lu_solve((lu, piv), eye, check_finite=False)
+            self.uinv[i] = _block_inverse(self.blocks[pos[(i, i)]],
+                                          "pivot block at elimination step", i)
 
     def _level_sets(self, rows, lower):
         """Level sets of the strictly lower (or upper) block sweep: a row's
@@ -398,16 +405,6 @@ def jacobi_iteration_matrix(A, dim_cap=2000):
     Dinv = BlockSparseMatrix(A.n, A.b, np.arange(A.n + 1), np.arange(A.n),
                              _factor_diag(A.diagonal_blocks())).to_dense()
     return np.eye(A.dim, dtype=dense.dtype) - Dinv @ dense
-
-
-def dense_complex_eigenvalues(A, cap=64):
-    """Eigenvalues of a small dense (complex) matrix."""
-    A = np.asarray(A)
-    if A.shape[-1] != A.shape[-2] or A.shape[-1] > cap:
-        raise LinalgError(f"matrix must be square with n <= {cap}")
-    if not np.all(np.isfinite(A)):
-        raise LinalgError("non-finite entries")
-    return np.linalg.eigvals(A)
 
 
 def spectral_radius(A):

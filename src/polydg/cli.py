@@ -11,7 +11,8 @@ import sys
 
 from . import experiments
 from .experiments import (ADVECTION_H, ANALYZE_EXTRA_COLUMNS, run_advect,
-                          run_analyze, run_euler_vortex, run_random_advect)
+                          run_analyze, run_euler_vortex, run_random_advect,
+                          solver_config_name)
 from .mesh import MeshError, build_random_mesh_pair, build_regular_mesh, write_mesh
 from .vonneumann import SweepConfig
 
@@ -27,17 +28,16 @@ def _csv_list(kind):
 
 def add_common_flags(sub):
     sub.add_argument("--out", default=None, help="output CSV path")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
     sub.add_argument("--threads", type=int, default=None,
                      help="cap the numeric library thread count")
-    sub.add_argument("--tol", type=float, default=1e-14,
-                     help="linear solver convergence tolerance")
 
 
 def add_solver_flags(sub):
     sub.add_argument("--solver", choices=("jacobi", "gmres"), default="jacobi")
     sub.add_argument("--preconditioner", choices=("none", "jacobi", "ilu0"),
                      default="none")
+    sub.add_argument("--tol", type=float, default=1e-14,
+                     help="linear solver convergence tolerance")
     sub.add_argument("--p", type=_csv_list(int), default=[0, 1, 2, 3],
                      help="comma-separated polynomial degrees")
     sub.add_argument("--k", type=_csv_list(str), default=["k1", "k2", "k3"],
@@ -80,6 +80,8 @@ def build_parser():
                          help="advection on a perturbed Delaunay/Voronoi pair")
     add_common_flags(ra)
     add_solver_flags(ra)
+    ra.add_argument("--seed", type=int, default=0,
+                    help="seed of the lattice perturbation")
     ra.add_argument("--h", type=float, default=ADVECTION_H)
     ra.add_argument("--delta", type=float, default=None,
                     help="perturbation bound (default 0.25 h)")
@@ -170,12 +172,7 @@ def cmd_random_advect(args):
 
 
 def cmd_euler_vortex(args):
-    names = {cfg: name for name, cfg in experiments.SOLVER_CONFIGS.items()}
-    name = names.get((args.solver, args.preconditioner))
-    if name is None:
-        raise experiments.ExperimentError(
-            f"unsupported solver/preconditioner combination "
-            f"{args.solver}+{args.preconditioner}")
+    name = solver_config_name(args.solver, args.preconditioner)
     report = run_euler_vortex(patterns=resolve_patterns(args.pattern),
                               p_list=args.p, k_labels=args.k,
                               solver_names=(name,), tol=args.tol,

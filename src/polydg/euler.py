@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BATCH_CELLS
-from .blocklinalg import BlockSparseMatrix
+from .blocklinalg import BlockSparseMatrix, sum_in_order
 from .mesh import BOUNDARY
 
 N_COMP = 4
@@ -173,54 +173,22 @@ def _block_sums(w, a, D, c):
     return out.transpose(4, 0, 1, 2, 3).reshape(k, N_COMP * na, N_COMP * nc)
 
 
-def _add_in_edge_order(out, cells, present, parts):
-    """out[cells[j, t]] += parts[t][row] for each present term t of edge j,
-    one term at a time, edge by edge and in t order within an edge.
-
-    cells, present: (edges, terms); parts[t] holds the present terms of
-    type t, in edge order.
-    """
-    rows = np.cumsum(present, axis=0) - 1
-    edge, term = np.nonzero(present)
-    idx = cells[edge, term]
-    # rank of each term among the terms added to the same cell
-    order = np.argsort(idx, kind="stable")
-    new = np.diff(idx[order], prepend=-1) != 0
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(idx)) - np.flatnonzero(new)[np.cumsum(new) - 1]
-    for r in range(rank.max(initial=-1) + 1):
-        for t, part in enumerate(parts):
-            sel = (rank == r) & (term == t)
-            out[idx[sel]] += part[rows[edge[sel], t]]
-
-
 class _EdgeChunk:
     """Consecutive edges sl and their trace data. `inner` marks the edges
-    with a right cell, whose right traces `wr` holds; `cross` marks the
-    inner edges between two distinct cells, whose off-diagonal Jacobian
-    blocks go to positions `slot` and `slot + 1` of the block buffer."""
+    with a right cell, whose right traces `wr` holds; the terms of each
+    edge start at its slot `res_slot` of the residual buffer and `jac_slot`
+    of the Jacobian buffer."""
 
     def __init__(self, sl, left, right, normals, nodes, weights, wl, wr,
-                 slot):
+                 res_slot, jac_slot):
         self.sl = sl
         self.inner = inner = right != BOUNDARY
         self.left, self.right = left, right[inner]
-        self.cross = self.right != left[inner]
-        self.slot = slot[inner][self.cross]
         self.normals = normals[:, None, :]
         self.bnd_nodes = nodes[~inner]
         self.weights, self.wl, self.wr = weights, wl, wr
         self.inner_weights, self.inner_wl = weights[inner], wl[inner]
-        # the terms each edge adds to its cells, in the loop's order: to
-        # the residual, left then right; to the Jacobian's diagonal, LL,
-        # then LR and RL on an edge that joins a cell to itself, then RR
-        every = np.ones_like(inner)
-        on_self = np.zeros_like(inner)
-        on_self[inner] = ~self.cross
-        self.cells = np.stack((left, right), axis=1)
-        self.res_terms = np.stack((every, inner), axis=1)
-        self.diag_cells = self.cells[:, [0, 0, 1, 1]]
-        self.diag_terms = np.stack((every, on_self, on_self, inner), axis=1)
+        self.res_slot, self.jac_slot = res_slot, jac_slot
 
 
 class EulerDiscretization:
@@ -256,17 +224,29 @@ class EulerDiscretization:
         wl = space.values(left, nodes)
         wr = space.values(right[inner], nodes[inner] - shifts[inner][:, None, :])
         at = np.cumsum(inner) - 1  # row of each inner edge in wr
-        # Jacobian blocks: the diagonal, then for each edge between two
-        # distinct cells the blocks (left, right) and (right, left)
-        cross = inner & (left != right)
-        pairs = np.stack((left[cross], right[cross]), axis=1)
-        diag = np.arange(self.n_cells)
-        self._rows = np.concatenate((diag, pairs.ravel()))
-        self._cols = np.concatenate((diag, pairs[:, ::-1].ravel()))
-        slot = self.n_cells + 2 * (np.cumsum(cross) - 1)
+        # the terms in the order of a loop over cells, then edges: in the
+        # residual the x- and y-volume terms of each cell, then per edge
+        # left and right; in the Jacobian the volume block of each cell,
+        # then per edge LL, LR, RL and RR. An edge's terms start at its
+        # slot, after the volume terms and the terms of the earlier edges
+        n, l, r = self.n_cells, left[inner], right[inner]
+        e, before = np.arange(len(left)), np.cumsum(inner) - inner
+        res_slot, jac_slot = 2 * n + e + before, n + e + 3 * before
+        self._res_cells = cells = np.empty(2 * n + len(left) + len(l),
+                                           dtype=np.int64)
+        cells[:2 * n] = np.tile(np.arange(n), 2)
+        cells[res_slot], cells[res_slot[inner] + 1] = left, r
+        self._jac_rows = rows = np.empty(n + len(left) + 3 * len(l),
+                                         dtype=np.int64)
+        self._jac_cols = cols = np.empty_like(rows)
+        rows[:n] = cols[:n] = np.arange(n)
+        rows[jac_slot] = cols[jac_slot] = left
+        for t, (i, j) in enumerate(((l, r), (r, l), (r, r)), start=1):
+            rows[jac_slot[inner] + t], cols[jac_slot[inner] + t] = i, j
         self._chunks = [
             _EdgeChunk(sl, left[sl], right[sl], normals[sl], nodes[sl],
-                       weights[sl], wl[sl], wr[at[sl][inner[sl]]], slot[sl])
+                       weights[sl], wl[sl], wr[at[sl][inner[sl]]],
+                       res_slot[sl], jac_slot[sl])
             for sl in (slice(e0, e0 + BATCH_CELLS)
                        for e0 in range(0, len(left), BATCH_CELLS))]
 
@@ -300,11 +280,11 @@ class EulerDiscretization:
         W = self._checked_coeffs(U)
         if frozen_alphas is not None:
             frozen_alphas = np.asarray(frozen_alphas)
-        R = np.zeros((self.n_cells, N_COMP, self.n_loc))
+        terms = np.empty((len(self._res_cells), N_COMP, self.n_loc))
         for cells, w, B, gx, gy in self._groups:
             f1, f2 = flux(_states(B, W[cells]), gamma)
-            R[cells] -= _weak_sums(w, f1, gx)
-            R[cells] -= _weak_sums(w, f2, gy)
+            terms[cells] = -_weak_sums(w, f1, gx)
+            terms[self.n_cells + cells] = -_weak_sums(w, f2, gy)
         alphas = np.empty(self.space.edge_weights.shape)
         for ch in self._chunks:
             um = _states(ch.wl, W[ch.left])
@@ -316,10 +296,10 @@ class EulerDiscretization:
             alpha = None if frozen_alphas is None else frozen_alphas[ch.sl]
             fn, alphas[ch.sl] = lax_friedrichs_flux(um, up, ch.normals, gamma,
                                                     alpha)
-            _add_in_edge_order(R, ch.cells, ch.res_terms, [
-                _weak_sums(ch.weights, fn, ch.wl),
-                -_weak_sums(ch.inner_weights, fn[ch.inner], ch.wr)])
-        return R.ravel(), alphas
+            terms[ch.res_slot] = _weak_sums(ch.weights, fn, ch.wl)
+            terms[ch.res_slot[ch.inner] + 1] = -_weak_sums(
+                ch.inner_weights, fn[ch.inner], ch.wr)
+        return sum_in_order(self._res_cells, terms)[1].ravel(), alphas
 
     def spatial_jacobian(self, U, t_bc, alphas):
         """Jacobian of the spatial operator with the Lax-Friedrichs
@@ -327,12 +307,11 @@ class EulerDiscretization:
         gamma = self.params.gamma
         W = self._checked_coeffs(U)
         alphas = np.asarray(alphas)[..., None, None]
-        blocks = np.empty((len(self._rows), self.b, self.b))
-        diag = blocks[:self.n_cells]
+        blocks = np.empty((len(self._jac_rows), self.b, self.b))
         for cells, w, B, gx, gy in self._groups:
             A1, A2 = flux_jacobians(_states(B, W[cells]), gamma)
-            diag[cells] = -(_block_sums(w, gx, A1, B)
-                            + _block_sums(w, gy, A2, B))
+            blocks[cells] = -(_block_sums(w, gx, A1, B)
+                              + _block_sums(w, gy, A2, B))
         I4 = np.eye(N_COMP)
         for ch in self._chunks:
             inner = ch.inner
@@ -344,16 +323,13 @@ class EulerDiscretization:
             A1, A2 = flux_jacobians(_states(ch.wr, W[ch.right]), gamma)
             dp = 0.5 * (A1 * nx[inner] + A2 * ny[inner] - alpha[inner] * I4)
             w, wl, wr = ch.inner_weights, ch.inner_wl, ch.wr
-            LL = _block_sums(ch.weights, ch.wl, dm, ch.wl)
-            LR = _block_sums(w, wl, dp, wr)
-            RL = -_block_sums(w, wr, dm[inner], wl)
-            RR = -_block_sums(w, wr, dp, wr)
-            blocks[ch.slot] = LR[ch.cross]
-            blocks[ch.slot + 1] = RL[ch.cross]
-            _add_in_edge_order(diag, ch.diag_cells, ch.diag_terms,
-                               [LL, LR[~ch.cross], RL[~ch.cross], RR])
-        return BlockSparseMatrix.from_coo(self.n_cells, self.b, self._rows,
-                                          self._cols, blocks)
+            s = ch.jac_slot[inner]
+            blocks[ch.jac_slot] = _block_sums(ch.weights, ch.wl, dm, ch.wl)
+            blocks[s + 1] = _block_sums(w, wl, dp, wr)
+            blocks[s + 2] = -_block_sums(w, wr, dm[inner], wl)
+            blocks[s + 3] = -_block_sums(w, wr, dp, wr)
+        return BlockSparseMatrix.from_coo(self.n_cells, self.b, self._jac_rows,
+                                          self._jac_cols, blocks)
 
     def mass_blocks(self):
         """Per-cell mass blocks kron(I4, m), m the scalar mass matrix:

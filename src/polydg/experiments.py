@@ -23,6 +23,7 @@ CSV_HEADER = ["experiment", "mesh", "pattern", "p", "k_label", "solver",
               "preconditioner", "iterations", "newton_iters",
               "final_residual", "wall_ms"]
 
+# the only supported (solver, preconditioner) pairs, by name
 SOLVER_CONFIGS = {
     "jacobi": ("jacobi", "none"),
     "gmres+jacobi": ("gmres", "jacobi"),
@@ -32,6 +33,18 @@ SOLVER_CONFIGS = {
 
 class ExperimentError(Exception):
     pass
+
+
+def solver_config_name(solver, preconditioner):
+    """The SOLVER_CONFIGS name of a (solver, preconditioner) pair; any other
+    pair is an ExperimentError."""
+    for name, config in SOLVER_CONFIGS.items():
+        if config == (solver, preconditioner):
+            return name
+    raise ExperimentError(
+        f"unsupported solver/preconditioner combination "
+        f"{solver}+{preconditioner} (choose from "
+        f"{', '.join('+'.join(pair) for pair in SOLVER_CONFIGS.values())})")
 
 
 @dataclass
@@ -76,22 +89,16 @@ class ExperimentReport:
 
 def solve_linear(A, rhs, solver, preconditioner, tol, ordering=None,
                  max_iters=200000):
-    """Dispatch one linear solve; returns (x, iterations, residual, ok)."""
-    if solver == "jacobi":
+    """Dispatch one linear solve of a SOLVER_CONFIGS pair; returns
+    (x, iterations, residual, ok)."""
+    name = solver_config_name(solver, preconditioner)
+    if name == "jacobi":
         x, it, ok = block_jacobi_solve(A, rhs, tol=tol, max_iters=max_iters)
-    elif solver == "gmres":
-        if preconditioner == "jacobi":
-            prec = factor_block_jacobi(A)
-        elif preconditioner == "ilu0":
-            prec = factor_bilu0(A, ordering)
-        elif preconditioner in (None, "none"):
-            prec = None
-        else:
-            raise ExperimentError(f"unknown preconditioner {preconditioner!r}")
+    else:
+        prec = (factor_block_jacobi(A) if name == "gmres+jacobi"
+                else factor_bilu0(A, ordering))
         x, it, ok = gmres(A, rhs, preconditioner=prec, tol=tol,
                           max_iters=max_iters)
-    else:
-        raise ExperimentError(f"unknown solver {solver!r}")
     bnorm = np.linalg.norm(rhs)
     res = float(np.linalg.norm(rhs - A.matvec(x)) / (bnorm if bnorm else 1.0))
     return x, it, res, ok
@@ -171,6 +178,7 @@ def run_advect(patterns=("hexagon", "square", "rtri", "etri"),
                solver="jacobi", preconditioner="none", tol=1e-14,
                mesh_file=None, h=ADVECTION_H, n_steps=12, bc="zero-inflow"):
     from .mesh import read_mesh
+    solver_config_name(solver, preconditioner)
     if bc not in ("zero-inflow", "periodic"):
         raise ExperimentError(f"unknown boundary condition {bc!r}")
     periodic = bc == "periodic"
@@ -207,6 +215,7 @@ def run_random_advect(h=ADVECTION_H, delta=None, seed=0,
                       p_list=(0, 1, 2, 3), k_labels=("k1", "k2", "k3"),
                       solver="jacobi", preconditioner="none", tol=1e-14,
                       n_steps=12):
+    solver_config_name(solver, preconditioner)
     if delta is None:
         delta = 0.25 * h
     delaunay, voronoi = build_random_mesh_pair(h, delta, seed=seed)
@@ -260,7 +269,9 @@ def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13,
     disc = EulerDiscretization(mesh, space, params)
     Un = disc.project_exact(0.0)
     Mblocks = disc.mass_blocks()
-    ordering = natural_ordering(mesh, band_height)
+    ordering = (natural_ordering(mesh, band_height)
+                if any(SOLVER_CONFIGS[name][1] == "ilu0"
+                       for name in solver_names) else None)
     totals = {name: 0 for name in solver_names}
     ok_all = {name: True for name in solver_names}
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydg.blocklinalg import (BlockSparseMatrix, LinalgError,
-                                block_jacobi_solve, dense_complex_eigenvalues,
-                                factor_bilu0, factor_block_jacobi, gmres,
+                                block_jacobi_solve, factor_bilu0,
+                                factor_block_jacobi, gmres,
                                 jacobi_iteration_matrix, spectral_radius)
 
 
@@ -144,6 +144,27 @@ def test_bilu0_ordering_matters():
     assert ok and it >= 2
 
 
+def singular_in_row_one():
+    A = lower_triangular_block_matrix(3, 2, seed=18)
+    blocks = A.blocks.copy()
+    blocks[A._diag[1]] = 0.0
+    return BlockSparseMatrix(A.n, A.b, A.indptr, A.indices, blocks)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_block_jacobi_names_the_singular_row():
+    with pytest.raises(LinalgError, match="singular diagonal block in row 1$"):
+        factor_block_jacobi(singular_in_row_one())
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_bilu0_names_the_singular_elimination_step():
+    # row 1 reads no upper block of row 0, so its pivot block stays zero
+    with pytest.raises(LinalgError,
+                       match="singular pivot block at elimination step 1$"):
+        factor_bilu0(singular_in_row_one())
+
+
 def test_jacobi_iteration_matrix_and_cap():
     A = random_block_matrix(4, 2, seed=17)
     R = jacobi_iteration_matrix(A)
@@ -155,14 +176,6 @@ def test_jacobi_iteration_matrix_and_cap():
 
 
 def test_dense_eigenvalue_guards():
-    with pytest.raises(LinalgError):
-        dense_complex_eigenvalues(np.ones((2, 3)))
-    with pytest.raises(LinalgError):
-        dense_complex_eigenvalues(np.full((2, 2), np.nan))
-    with pytest.raises(LinalgError):
-        dense_complex_eigenvalues(np.eye(100))
-    eigs = dense_complex_eigenvalues(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(np.sort(eigs.real), [1.0, 2.0, 3.0])
     assert spectral_radius(np.diag([1.0, -4.0])) == pytest.approx(4.0)
 
 

@@ -89,6 +89,24 @@ def test_euler_vortex_rejects_bad_combination(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver, preconditioner", [
+    ("jacobi", "ilu0"), ("jacobi", "jacobi"), ("gmres", "none")])
+def test_advect_rejects_unsupported_solver_pairs(solver, preconditioner,
+                                                 capsys):
+    rc = main(["advect", "--solver", solver, "--preconditioner",
+               preconditioner, "--pattern", "square", "--p", "0", "--k", "k1",
+               "--h", "0.25", "--steps", "1"])
+    assert rc == 2
+    assert f"{solver}+{preconditioner}" in capsys.readouterr().err
+
+
+def test_analyze_refuses_the_tol_flag(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["analyze", "--tol", "1e-3"])
+    assert e.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_mesh_gen_roundtrip(tmp_path):
     out = tmp_path / "m.mesh"
     rc = main(["mesh", "gen", "--pattern", "hex", "--area", "0.02",
