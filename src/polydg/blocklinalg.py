@@ -148,36 +148,40 @@ class BlockSparseMatrix:
 
     def permuted(self, perm):
         """Symmetric permutation: row/col i of the result is perm[i] of self."""
-        return BlockSparseMatrix(self.n, self.b, *self._permuted_arrays(perm))
+        indptr, indices, source = self._permuted_pattern(perm)
+        return BlockSparseMatrix(self.n, self.b, indptr, indices,
+                                 self.blocks[source])
 
-    def _permuted_arrays(self, perm):
-        """(indptr, indices, blocks) of `permuted(perm)`; blocks is a new
-        writable array."""
+    def _permuted_pattern(self, perm):
+        """(indptr, indices) of `permuted(perm)` and the position in
+        self.blocks of each of its blocks."""
         perm = np.asarray(perm)
         if not np.array_equal(np.sort(perm), np.arange(self.n)):
             raise LinalgError(f"not a permutation of range({self.n})")
         inv = np.empty(self.n, dtype=np.int64)
         inv[perm] = np.arange(self.n)
-        keys, blocks = sum_in_order(inv[self._rows] * self.n
-                                    + inv[self.indices], self.blocks)
-        return (*_csr(self.n, keys), blocks)
+        keys = inv[self._rows] * self.n + inv[self.indices]
+        source = np.argsort(keys)
+        return (*_csr(self.n, keys[source]), source)
 
 
-def _block_inverse(block, what, i):
-    """Explicit inverse of one block by LU with pivoting; a (numerically)
-    zero pivot is a LinalgError naming `what` and i."""
-    lu, piv = scipy.linalg.lu_factor(block, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < 1e-300:
-        raise LinalgError(f"singular {what} {i}")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(len(block), dtype=block.dtype),
-                                 check_finite=False)
-
-
-def _factor_diag(diag_blocks):
-    """Explicit inverses of the diagonal blocks."""
-    inv = np.empty_like(diag_blocks)
-    for i, block in enumerate(diag_blocks):
-        inv[i] = _block_inverse(block, "diagonal block in row", i)
+def _block_inverse(blocks, what, labels=None):
+    """Explicit inverses of a stack of blocks by LU with pivoting (LAPACK
+    getrf and getrs, as in scipy.linalg.lu_factor and lu_solve). A
+    (numerically) zero pivot is a LinalgError naming `what` and the label
+    (by default the index) of the first singular block."""
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (blocks,))
+    eye = np.eye(blocks.shape[-1], dtype=blocks.dtype)
+    inv, pivots = np.empty_like(blocks), np.empty(blocks.shape[:2])
+    for m, block in enumerate(blocks):
+        lu, piv, _ = getrf(block)
+        pivots[m] = np.abs(lu.diagonal())
+        inv[m], _ = getrs(lu, piv, eye)
+    singular = np.flatnonzero(pivots.min(axis=1, initial=np.inf) < 1e-300)
+    if len(singular):
+        m = singular[0]
+        raise LinalgError(
+            f"singular {what} {m if labels is None else labels[m]}")
     return inv
 
 
@@ -187,11 +191,23 @@ class BlockJacobiFactorization:
     def __init__(self, A):
         self.n = A.n
         self.b = A.b
-        self.dinv = _factor_diag(A.diagonal_blocks())
+        self.dinv = _block_inverse(A.diagonal_blocks(), "diagonal block in row")
 
     def apply(self, x):
         xb = x.reshape(self.n, self.b)
         return np.einsum("nij,nj->ni", self.dinv, xb).reshape(x.shape)
+
+
+def _levels(starts, stops, cols, lower):
+    """Level of each row i of a strictly lower (or upper) triangular sweep
+    in which row i reads rows cols[starts[i]:stops[i]]: one more than the
+    highest level it reads, 0 if it reads none."""
+    starts, stops, cols = starts.tolist(), stops.tolist(), cols.tolist()
+    level = [0] * len(starts)
+    for i in range(len(starts)) if lower else range(len(starts) - 1, -1, -1):
+        level[i] = max((level[j] + 1 for j in cols[starts[i]:stops[i]]),
+                       default=0)
+    return np.array(level, dtype=np.int64)
 
 
 class BlockILU0Factorization:
@@ -199,92 +215,125 @@ class BlockILU0Factorization:
 
     Block IKJ elimination visiting only existing blocks; storage equals the
     input block count. Sensitive to the element ordering, which is stored.
-    The triangular solves in `apply` sweep level sets (Saad, Iterative
-    Methods for Sparse Linear Systems, ch. 11): the rows of a level read
-    only rows of earlier levels, so each level is one batched block product.
+
+    The elimination and the triangular solves run by level sets (Saad,
+    Iterative Methods for Sparse Linear Systems, 2nd ed., sec. 11.6): a row
+    of a forward (backward) level reads only rows of earlier levels.
+    `blocks` holds L's strictly lower blocks with the rows in forward-level
+    order, U's diagonal blocks in row order, then U's strictly upper blocks
+    with the rows in backward-level order; `uinv` holds the inverses of U's
+    diagonal blocks in backward-level order. `stored()` gives the factor in
+    the stored ordering.
     """
 
     def __init__(self, A, ordering=None):
-        self.n = A.n
-        self.b = A.b
-        self.ordering = np.asarray(range(A.n) if ordering is None else ordering)
-        self._unorder = np.argsort(self.ordering)
-        self.indptr, self.indices, self.blocks = A._permuted_arrays(
+        n, b = self.n, self.b = A.n, A.b
+        self.ordering = np.asarray(range(n) if ordering is None else ordering)
+        self._indptr, self._indices, source = A._permuted_pattern(
             self.ordering)
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        self._factorize(rows)
-        self._forward = self._level_sets(rows, lower=True)
-        self._backward = self._level_sets(rows, lower=False)
+        indptr, cols = self._indptr, self._indices
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        diag = np.flatnonzero(cols == rows)
+        flevel = _levels(indptr[:-1], diag, cols, lower=True)
+        blevel = _levels(diag + 1, indptr[1:], cols, lower=False)
+        forder = np.argsort(flevel, kind="stable")
+        border = np.argsort(blevel, kind="stable")
+        fpos, self._bpos = np.argsort(forder), np.argsort(border)
+        lower = np.flatnonzero(cols < rows)
+        lower = lower[np.argsort(fpos[rows[lower]], kind="stable")]
+        upper = np.flatnonzero(cols > rows)
+        upper = upper[np.argsort(self._bpos[rows[upper]], kind="stable")]
+        self._layout = np.concatenate((lower, diag, upper))
+        self.blocks = A.blocks[source[self._layout]]
+        self.uinv = np.empty((n, b, b), dtype=self.blocks.dtype)
+        self._factorize(rows, diag, lower, np.split(
+            forder, np.cumsum(np.bincount(flevel))[:-1]))
+        self._lower = self._sweep(flevel, forder, diag - indptr[:-1],
+                                  fpos[cols[lower]], 0)
+        self._upper = self._sweep(blevel, border, indptr[1:] - diag - 1,
+                                  self._bpos[cols[upper]], len(lower) + n)
+        self._gather = self.ordering[forder]
+        self._to_backward = fpos[border]
+        self._unorder = self._bpos[np.argsort(self.ordering)]
 
-    def _factorize(self, rows):
-        pos = {ij: k for k, ij in enumerate(zip(rows.tolist(),
-                                                 self.indices.tolist()))}
-        self.uinv = np.empty((self.n, self.b, self.b))
-        for i in range(self.n):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            for kk in range(lo, hi):
-                kcol = self.indices[kk]
-                if kcol >= i:
-                    break
-                # L_ik = A_ik U_kk^{-1}
-                self.blocks[kk] = self.blocks[kk] @ self.uinv[kcol]
-                Lik = self.blocks[kk]
-                klo, khi = self.indptr[kcol], self.indptr[kcol + 1]
-                for kj in range(klo, khi):
-                    j = self.indices[kj]
-                    if j <= kcol:
-                        continue
-                    p = pos.get((i, j))
-                    if p is not None:
-                        self.blocks[p] = self.blocks[p] - Lik @ self.blocks[kj]
-            self.uinv[i] = _block_inverse(self.blocks[pos[(i, i)]],
-                                          "pivot block at elimination step", i)
+    def _factorize(self, rows, diag, lower, levels):
+        """Level by level, step t takes the t-th lower block (i, k) of every
+        row i of the level as one batch: L_ik = A_ik U_kk^{-1}, then
+        A_ij -= L_ik U_kj for each block (k, j) of U with (i, j) in the
+        pattern. The level's pivot blocks are inverted after its last step.
+        Each block sees the operations of the row-by-row elimination in the
+        same order, so the factor is bitwise the same. A singular pivot is
+        named by its row: the first in the earliest level that has one."""
+        n, indptr, cols, blocks = self.n, self._indptr, self._indices, \
+            self.blocks
+        where = np.empty(len(cols), dtype=np.int64)  # position in blocks
+        where[self._layout] = np.arange(len(cols))
+        # lower block (i, k) meets each upper block (k, j) of row k
+        k = cols[lower]
+        counts = (indptr[1:] - diag - 1)[k]
+        meet = np.repeat(np.arange(len(lower)), counts)
+        kj = np.arange(len(meet)) + np.repeat(
+            diag[k] + 1 - np.cumsum(counts) + counts, counts)
+        keys = rows * n + cols
+        target = rows[lower[meet]] * n + cols[kj]
+        ij = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+        hit = keys[ij] == target
+        meet, kj, ij = meet[hit], where[kj[hit]], where[ij[hit]]
+        rank = lower - indptr[rows[lower]]  # place of each in its row
+        ukk, n_lower = self._bpos[k], diag - indptr[:-1]
+        lo = 0
+        for level in levels:
+            hi = lo + n_lower[level].sum()
+            mlo, mhi = np.searchsorted(meet, (lo, hi))
+            for t in range(rank[lo:hi].max(initial=-1) + 1):
+                ik = lo + np.flatnonzero(rank[lo:hi] == t)
+                m = mlo + np.flatnonzero(rank[meet[mlo:mhi]] == t)
+                blocks[ik] = blocks[ik] @ self.uinv[ukk[ik]]
+                blocks[ij[m]] = blocks[ij[m]] - blocks[meet[m]] @ blocks[kj[m]]
+            self.uinv[self._bpos[level]] = _block_inverse(
+                blocks[len(lower) + level], "pivot block at elimination step",
+                level)
+            lo = hi
 
-    def _level_sets(self, rows, lower):
-        """Level sets of the strictly lower (or upper) block sweep: a row's
-        level is one more than the highest level of the rows it reads. Per
-        level: (rows, their off-diagonal block positions, the columns those
-        read, the start of each row's run of blocks)."""
-        level = np.zeros(self.n, dtype=np.int64)
-        for i in range(self.n) if lower else range(self.n - 1, -1, -1):
-            dep = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            dep = dep[dep < i] if lower else dep[dep > i]
-            if len(dep):
-                level[i] = level[dep].max() + 1
-        pos = np.flatnonzero(self.indices < rows if lower
-                             else self.indices > rows)
-        pos = pos[np.argsort(level[rows[pos]], kind="stable")]
-        n_levels = level.max() + 1 if self.n else 0
-        cuts = np.searchsorted(level[rows[pos]], np.arange(1, n_levels))
-        out = []
-        for lev, k in enumerate(np.split(pos, cuts)):
-            first = np.flatnonzero(np.diff(rows[k], prepend=-1))
-            out.append((np.flatnonzero(level == lev), k, self.indices[k],
-                        first))
-        return out
-
-    def _row_sums(self, y, pos, cols, first):
-        """Per row of a level: the sum of its off-diagonal blocks times y."""
-        prod = np.einsum("kij,kj->ki", self.blocks[pos], y[cols])
-        return np.add.reduceat(prod, first)
+    def _sweep(self, level, order, counts, cols, offset):
+        """Per level of a sweep: its first and end row in the sweep's order
+        and one BSR matrix over a view of its off-diagonal blocks. `order`
+        lists the rows by level, counts[i] is the number of off-diagonal
+        blocks of row i, `cols` their columns in the sweep's order, and
+        blocks[offset:] the blocks."""
+        # int32 indices, which scipy.sparse would otherwise check and convert
+        ptr = np.concatenate(([0], np.cumsum(counts[order]))).astype(np.int32)
+        cols = cols.astype(np.int32)
+        ends = np.cumsum(np.bincount(level))
+        return [(s, e, scipy.sparse.bsr_matrix(
+            (self.blocks[offset + ptr[s]:offset + ptr[e]], cols[ptr[s]:ptr[e]],
+             ptr[s:e + 1] - ptr[s]), shape=((e - s) * self.b, self.n * self.b)))
+            for s, e in zip(ends - np.bincount(level), ends)]
 
     def apply(self, x):
         """Solve L U y = x (in the stored ordering)."""
-        y = x.reshape(self.n, self.b)[self.ordering]
-        # level 0 of the unit-lower sweep reads nothing: y = x there
-        for rows, *offdiag in self._forward[1:]:
-            y[rows] -= self._row_sums(y, *offdiag)
-        for rows, *offdiag in self._backward:
-            acc = y[rows]
-            if len(offdiag[0]):
-                acc -= self._row_sums(y, *offdiag)
-            y[rows] = np.einsum("kij,kj->ki", self.uinv[rows], acc)
-        return y[self._unorder].reshape(x.shape)
+        z = x.reshape(self.n, self.b)[self._gather]
+        for s, e, L in self._lower:
+            z[s:e] -= (L @ z.reshape(-1)).reshape(e - s, self.b)
+        z = z[self._to_backward]
+        for s, e, U in self._upper:
+            acc = z[s:e] - (U @ z.reshape(-1)).reshape(e - s, self.b)
+            z[s:e] = (self.uinv[s:e] @ acc[:, :, None])[:, :, 0]
+        return z[self._unorder].reshape(x.shape)
+
+    def stored(self):
+        """The factor in the stored ordering, as the row-by-row elimination
+        leaves it: a BlockSparseMatrix of L's strictly lower blocks (L's unit
+        diagonal is implied) and U's blocks, and the inverses of U's diagonal
+        blocks by row."""
+        blocks = np.empty_like(self.blocks)
+        blocks[self._layout] = self.blocks
+        return (BlockSparseMatrix(self.n, self.b, self._indptr, self._indices,
+                                  blocks), self.uinv[self._bpos])
 
     def lu_product_dense(self):
         """Dense L @ U in the stored ordering (tests only)."""
-        F = BlockSparseMatrix(self.n, self.b, self.indptr, self.indices,
-                              self.blocks).to_dense()
+        F = self.stored()[0].to_dense()
         blk = np.arange(len(F)) // self.b
         lower = blk[:, None] > blk[None, :]
         return (np.eye(len(F)) + np.where(lower, F, 0.0)) @ np.where(lower, 0.0, F)
@@ -402,8 +451,9 @@ def jacobi_iteration_matrix(A, dim_cap=2000):
     if A.dim > dim_cap:
         raise LinalgError(f"dimension {A.dim} exceeds cap {dim_cap}")
     dense = A.to_dense()
-    Dinv = BlockSparseMatrix(A.n, A.b, np.arange(A.n + 1), np.arange(A.n),
-                             _factor_diag(A.diagonal_blocks())).to_dense()
+    Dinv = BlockSparseMatrix(
+        A.n, A.b, np.arange(A.n + 1), np.arange(A.n),
+        _block_inverse(A.diagonal_blocks(), "diagonal block in row")).to_dense()
     return np.eye(A.dim, dtype=dense.dtype) - Dinv @ dense
 
 

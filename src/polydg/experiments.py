@@ -47,6 +47,15 @@ def solver_config_name(solver, preconditioner):
         f"{', '.join('+'.join(pair) for pair in SOLVER_CONFIGS.values())})")
 
 
+def _check_solver_names(solver_names):
+    """An ExperimentError if a name is not in SOLVER_CONFIGS."""
+    for name in solver_names:
+        if name not in SOLVER_CONFIGS:
+            raise ExperimentError(
+                f"unknown solver configuration {name!r} (choose from "
+                f"{', '.join(SOLVER_CONFIGS)})")
+
+
 @dataclass
 class ExperimentReport:
     experiment: str
@@ -264,6 +273,7 @@ def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13,
     so their iteration totals are directly comparable. Returns
     {name: (total_iterations, converged)}, newton_iters, final_newton_residual.
     """
+    _check_solver_names(solver_names)
     params = params or EulerParams()
     space = DgSpace(mesh, p)
     disc = EulerDiscretization(mesh, space, params)
@@ -318,6 +328,7 @@ def run_euler_vortex(patterns=("hexagon", "square", "rtri", "etri"),
                      p_list=(0, 1, 2, 3), k_labels=("k1", "k2", "k3"),
                      solver_names=("gmres+ilu0",), tol=1e-14,
                      newton_tol=5e-13):
+    _check_solver_names(solver_names)
     report = ExperimentReport("euler-vortex", {
         "tol": tol, "newton_tol": newton_tol,
         "solvers": "|".join(solver_names)})

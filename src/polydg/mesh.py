@@ -455,7 +455,15 @@ def build_regular_mesh(kind, element_area, domain, periodic=False,
             off = m1 * a1 + m2 * a2
             for el in pat.elements:
                 poly = el + off
-                clipped = clip_polygon_rect(poly, x0, y0, x1, y1)
+                lo, hi = poly.min(axis=0), poly.max(axis=0)
+                # wholly outside, clipping leaves nothing the area test keeps;
+                # wholly inside, it returns the polygon unchanged
+                if lo[0] > x1 or hi[0] < x0 or lo[1] > y1 or hi[1] < y0:
+                    continue
+                if lo[0] >= x0 and hi[0] <= x1 and lo[1] >= y0 and hi[1] <= y1:
+                    clipped = poly
+                else:
+                    clipped = clip_polygon_rect(poly, x0, y0, x1, y1)
                 if len(clipped) >= 3:
                     clipped = _dedupe_loop(clipped, snap)
                     if len(clipped) >= 3:

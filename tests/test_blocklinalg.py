@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,26 +271,59 @@ def dense_reference(n, b, blocks):
     return dense
 
 
+def block_inverse_reference(block):
+    lu, piv = scipy.linalg.lu_factor(block, check_finite=False)
+    return scipy.linalg.lu_solve((lu, piv), np.eye(len(block)),
+                                 check_finite=False)
+
+
+def bilu0_reference(A, ordering):
+    """Row-by-row block IKJ elimination of A.permuted(ordering): (the
+    factor's blocks in stored order, the inverses of U's diagonal blocks)."""
+    P = A.permuted(ordering)
+    indptr, indices, blocks = P.indptr, P.indices, P.blocks.copy()
+    rows = np.repeat(np.arange(P.n), np.diff(indptr))
+    pos = {ij: k for k, ij in enumerate(zip(rows.tolist(), indices.tolist()))}
+    uinv = np.empty((P.n, P.b, P.b))
+    for i in range(P.n):
+        for kk in range(indptr[i], indptr[i + 1]):
+            kcol = indices[kk]
+            if kcol >= i:
+                break
+            blocks[kk] = blocks[kk] @ uinv[kcol]
+            Lik = blocks[kk]
+            for kj in range(indptr[kcol], indptr[kcol + 1]):
+                j = indices[kj]
+                if j <= kcol:
+                    continue
+                p = pos.get((i, j))
+                if p is not None:
+                    blocks[p] = blocks[p] - Lik @ blocks[kj]
+        uinv[i] = block_inverse_reference(blocks[pos[(i, i)]])
+    return blocks, uinv
+
+
 def ilu0_apply_reference(fac, x):
     """Block-by-block forward and backward sweeps, one row at a time."""
+    F, uinv = fac.stored()
     xb = x.reshape(fac.n, fac.b)[fac.ordering]
     y = np.zeros_like(xb)
     for i in range(fac.n):
         acc = xb[i]
-        for k in range(fac.indptr[i], fac.indptr[i + 1]):
-            j = fac.indices[k]
+        for k in range(F.indptr[i], F.indptr[i + 1]):
+            j = F.indices[k]
             if j >= i:
                 break
-            acc = acc - fac.blocks[k] @ y[j]
+            acc = acc - F.blocks[k] @ y[j]
         y[i] = acc
     z = np.zeros_like(xb)
     for i in range(fac.n - 1, -1, -1):
         acc = y[i]
-        for k in range(fac.indptr[i], fac.indptr[i + 1]):
-            j = fac.indices[k]
+        for k in range(F.indptr[i], F.indptr[i + 1]):
+            j = F.indices[k]
             if j > i:
-                acc = acc - fac.blocks[k] @ z[j]
-        z[i] = fac.uinv[i] @ acc
+                acc = acc - F.blocks[k] @ z[j]
+        z[i] = uinv[i] @ acc
     out = np.empty_like(z)
     out[fac.ordering] = z
     return out.reshape(x.shape)
@@ -339,9 +373,18 @@ def test_from_coo_matches_from_block_dict(system, copies, seed):
 @settings(max_examples=60, deadline=None)
 @given(block_systems(full_diagonal=True))
 def test_bilu0_apply_matches_dense_solve_and_row_sweep(system):
+    # the level-batched factor is bitwise the row-by-row elimination's, and
+    # the block-Jacobi inverses are bitwise the per-block LU's
     n, b, blocks, ordering = system
     A = BlockSparseMatrix.from_block_dict(n, b, blocks)
     fac = factor_bilu0(A, ordering)
+    F, uinv = fac.stored()
+    ref_blocks, ref_uinv = bilu0_reference(A, ordering)
+    assert np.array_equal(F.blocks, ref_blocks)
+    assert np.array_equal(uinv, ref_uinv)
+    assert np.array_equal(
+        factor_block_jacobi(A).dinv,
+        [block_inverse_reference(d) for d in A.diagonal_blocks()])
     x = np.random.default_rng(n * b).standard_normal(A.dim)
     got = fac.apply(x)
     idx = (b * ordering[:, None] + np.arange(b)).ravel()

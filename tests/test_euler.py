@@ -206,6 +206,20 @@ def test_newton_jacobian_reuses_the_residual_alphas(monkeypatch):
     assert len(calls) == n_newton + 1
 
 
+def test_unknown_solver_name_fails_before_setup(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("set-up ran")
+
+    for name in ("euler_mesh", "DgSpace", "EulerDiscretization"):
+        monkeypatch.setattr(experiments, name, fail)
+    with pytest.raises(experiments.ExperimentError,
+                       match="unknown solver configuration 'gmres'"):
+        experiments.run_euler_vortex(("square",), (0,), ("k1",), ("gmres",))
+    with pytest.raises(experiments.ExperimentError,
+                       match="unknown solver configuration 'ilu0'"):
+        experiments.run_euler_case(None, 0, 0.03, ("gmres+ilu0", "ilu0"))
+
+
 def test_vortex_counts_do_not_drift():
     # the benchmark's pinned counts; the acceptance tolerance (15 %) would
     # hide a drift of one iteration

@@ -357,3 +357,49 @@ def test_read_periodic_mesh_equals_side_matcher_reference(built, tmp_path):
     (mesh, args, kwargs), = built
     write_mesh(mesh, tmp_path / "m.mesh")
     assert_mesh_equals(read_mesh(tmp_path / "m.mesh"), ref_mesh(*args, **kwargs))
+
+
+# -- the clip-every-instance loop the bounding-box test replaced -------------
+
+def clip_everything_reference(kind, element_area, domain):
+    """(vertices, cells) of build_regular_mesh, non-periodic, built by
+    clipping every padded lattice instance against the rectangle."""
+    x0, y0, x1, y1 = map(float, domain)
+    pat = GeneratingPattern.make(kind, element_area, "pointy")
+    a1, a2 = pat.lattice
+    inv = np.linalg.inv(np.stack([a1, a2], axis=1))
+    corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
+    mm = corners @ inv.T
+    m1_range = range(int(np.floor(mm[:, 0].min())) - 2,
+                     int(np.ceil(mm[:, 0].max())) + 2)
+    m2_range = range(int(np.floor(mm[:, 1].min())) - 2,
+                     int(np.ceil(mm[:, 1].max())) + 2)
+    snap = 1e-9 * np.sqrt(element_area)
+    polys = []
+    for m2 in m2_range:
+        for m1 in m1_range:
+            off = m1 * a1 + m2 * a2
+            for el in pat.elements:
+                clipped = mesh_module.clip_polygon_rect(el + off, x0, y0, x1,
+                                                        y1)
+                if len(clipped) >= 3:
+                    clipped = mesh_module._dedupe_loop(clipped, snap)
+                    if (len(clipped) >= 3 and polygon_area_centroid(clipped)[0]
+                            > 1e-10 * element_area):
+                        polys.append(clipped)
+    verts, get = mesh_module._vertex_pool()
+    cells = [[get(p, snap) for p in poly]
+             for poly in sorted(polys, key=mesh_module._row_major_key)]
+    ref = PolyMesh(verts, cells)
+    return ref.vertices, ref.cells
+
+
+@pytest.mark.parametrize("kind", PATTERNS)
+@pytest.mark.parametrize("h, domain", [(0.2, (0, 0, 1, 1)),
+                                       (0.05, (0, 0, 1, 1)),
+                                       (0.1, (0.3, -0.7, 1.6, 0.2))])
+def test_regular_mesh_equals_clip_everything_reference(kind, h, domain):
+    mesh = build_regular_mesh(kind, h * h, domain)
+    vertices, cells = clip_everything_reference(kind, h * h, domain)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert mesh.cells == cells
