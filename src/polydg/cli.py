@@ -13,8 +13,9 @@ from . import experiments
 from .experiments import (ADVECTION_H, ANALYZE_EXTRA_COLUMNS, run_advect,
                           run_analyze, run_euler_vortex, run_random_advect,
                           solver_config_name)
+from .basis import BasisError
 from .mesh import MeshError, build_random_mesh_pair, build_regular_mesh, write_mesh
-from .vonneumann import SweepConfig
+from .vonneumann import SweepConfig, SymbolError
 
 PATTERN_NAMES = {"hex": "hexagon", "square": "square", "rtri": "rtri",
                  "etri": "etri"}
@@ -209,7 +210,8 @@ def main(argv=None):
         if args.command == "mesh":
             return cmd_mesh_gen(args)
         return handlers[args.command](args)
-    except (MeshError, experiments.ExperimentError) as exc:
+    except (MeshError, BasisError, SymbolError,
+            experiments.ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -305,12 +305,92 @@ class SweepConfig:
     refine: bool = True                # polish the coarse-grid peak locally
 
 
+K_REFERENCES = ("hE", "square")
+
+
 def timestep_family(element_area, label, reference="hE"):
-    """k1 = 3 h / |beta| (|beta| = 1), k2 = 2 k1, k3 = 4 k1."""
+    """k1 = 3 h / |beta| (|beta| = 1), k2 = 2 k1, k3 = 4 k1, where h is h_E
+    (reference "hE") or the side of the square of that area ("square")."""
+    if reference not in K_REFERENCES:
+        raise SymbolError(f"unknown timestep reference {reference!r} "
+                          f"(choose from {K_REFERENCES})")
     h_E = h_E_from_area(element_area)
     href = h_E if reference == "hE" else pattern_side_length("square", h_E)
     k1 = 3.0 * href
-    return {"k1": k1, "k2": 2.0 * k1, "k3": 4.0 * k1}[label]
+    family = {"k1": k1, "k2": 2.0 * k1, "k3": 4.0 * k1}
+    if label not in family:
+        raise SymbolError(f"unknown timestep label {label!r} "
+                          f"(choose from {sorted(family)})")
+    return family[label]
+
+
+def _is_lattice_translate(a, b, lattice, scale):
+    """Whether polygon b has the vertices of polygon a (in any order) moved
+    by an integer combination of the lattice vectors."""
+    if len(a) != len(b):
+        return False
+    shift = b.mean(axis=0) - a.mean(axis=0)
+    m = np.linalg.solve(lattice.T, shift)
+    if np.max(np.abs(m - np.rint(m))) > 1e-9:
+        return False
+    d = np.linalg.norm((a + shift)[:, None, :] - b[None, :, :], axis=-1)
+    return bool(np.all(d.min(axis=1) < 1e-9 * scale))
+
+
+def velocity_mirror(pattern, t0, t1):
+    """Phase map T of the pattern's mirror about the cone bisector, or None.
+
+    S, the reflection about the direction (t0 + t1) / 2, takes velocity
+    angle theta to t0 + t1 - theta and the lattice vectors to
+    S a_i = sum_j T_ij a_j. If T is integral and unimodular and S takes
+    every element onto an element up to a lattice translation, S maps the
+    tiling onto itself, and the Jacobi symbol at (t0 + t1 - theta, T phi)
+    is similar to the one at (theta, phi): the spectral radii agree.
+    """
+    c = t0 + t1
+    S = np.array([[np.cos(c), np.sin(c)], [np.sin(c), -np.cos(c)]])
+    A = pattern.lattice
+    T = A @ S @ np.linalg.inv(A)
+    Ti = np.rint(T).astype(int)
+    det = Ti[0, 0] * Ti[1, 1] - Ti[0, 1] * Ti[1, 0]
+    if np.max(np.abs(T - Ti)) > 1e-9 or abs(det) != 1:
+        return None
+    scale = np.linalg.norm(A[0])
+    for el in pattern.elements:
+        image = el @ S
+        if not any(_is_lattice_translate(image, other, A, scale)
+                   for other in pattern.elements):
+            return None
+    return Ti
+
+
+def screened_grid(syms, k, n, n_theta, mirror=None):
+    """Screened spectral radii on the grid of n_theta velocity angles and
+    the phases 2 pi (j1, j2) / n, shape (n_theta, n * n), phases in C order.
+
+    `syms` holds the symbols of the angles to screen, each on half the
+    phases, since rho(-phi) = rho(phi). Without a mirror they are all
+    n_theta angles; with the phase map `mirror` of `velocity_mirror` they
+    are the first ceil(n_theta / 2), and angle n_theta - 1 - t takes angle
+    t's radii at the phases T phi.
+    """
+    # screen the half of the phases that is at or before its conjugate
+    # point -phi in C order and copy each value to the conjugate
+    flat = np.arange(n * n)
+    conj = (-(flat // n) % n) * n + (-flat % n)
+    half = flat <= conj
+    keep, copy = flat[half], conj[half]
+    phis = 2.0 * np.pi * np.arange(n) / n
+    screened = np.empty((n_theta, n * n))
+    for sym, row in zip(syms, screened):
+        row[keep] = row[copy] = sym.spectral_radius_phases(
+            k, phis[keep // n], phis[keep % n], screen=True)
+    if mirror is not None:
+        # rho(t0 + t1 - theta, T phi) = rho(theta, phi)
+        i1, i2 = (mirror @ np.stack(np.divmod(flat, n))) % n
+        m = n_theta // 2
+        screened[::-1][:m, i1 * n + i2] = screened[:m]
+    return screened
 
 
 def max_spectral_radius(kind, p, k, element_area=None, config=None):
@@ -318,6 +398,18 @@ def max_spectral_radius(kind, p, k, element_area=None, config=None):
 
     A coarse (theta x phase-grid) sweep locates the peak; a derivative-free
     local search then refines it, since the maximizer can be sharp.
+
+    The coarse grid is screened with the cheap `screen=True` path on half
+    of it: rho(-phi) = rho(phi) halves each phase grid, and when the
+    pattern is mirror-symmetric about its cone's bisector
+    (`velocity_mirror`: square and etri with T = [[0, 1], [1, 0]], hexagon
+    with T = [[1, 0], [1, -1]]; not rtri, and no pattern on the quarter-pi
+    range) only the first ceil(N/2) angles are screened and angle N-1-t
+    takes angle t's values at the phases T phi. Every point the screen puts
+    within SCREEN_TOL of its peak, mirrored rows included, is then
+    recomputed on the reference path, so the peak, its first location in C
+    order and thus the refine's start are bit for bit those of a full
+    reference grid.
     """
     from scipy.optimize import minimize
 
@@ -326,25 +418,30 @@ def max_spectral_radius(kind, p, k, element_area=None, config=None):
         element_area = np.sqrt(3.0) / 4.0
     if config.theta_samples < 1 or config.wave_samples < 1:
         raise SymbolError("sample counts must be >= 1")
+    if kind not in THETA_RANGES:
+        raise SymbolError(f"unknown pattern kind {kind!r}")
     if config.theta_range == "quarter-pi":
         t0, t1 = 0.0, np.pi / 4.0
-    else:
+    elif config.theta_range == "per-pattern":
         t0, t1 = THETA_RANGES[kind]
+    else:
+        raise SymbolError(f"unknown theta range {config.theta_range!r} "
+                          "(choose from 'per-pattern', 'quarter-pi')")
     thetas = np.linspace(t0, t1, config.theta_samples)
     n = config.wave_samples
     phis = 2.0 * np.pi * np.arange(n) / n
-    # rho(-phi) = rho(phi): screen the half of the grid that is at or
-    # before its mirror point in C order and copy each value to the mirror
-    flat = np.arange(n * n)
-    mirror = (-(flat // n) % n) * n + (-flat % n)
-    half = flat <= mirror
-    keep, copy = flat[half], mirror[half]
-    syms = [PatternSymbol(kind, p, element_area, (np.cos(th), np.sin(th)))
-            for th in thetas]
-    screened = np.empty((len(thetas), n * n))
-    for sym, row in zip(syms, screened):
-        row[keep] = row[copy] = sym.spectral_radius_phases(
-            k, phis[keep // n], phis[keep % n], screen=True)
+    mirror = velocity_mirror(pattern_operators(kind, p, element_area).pattern,
+                             t0, t1)
+
+    def symbol(th):
+        return PatternSymbol(kind, p, element_area, (np.cos(th), np.sin(th)))
+
+    # build the screened angles' symbols before any eigen-solve: built
+    # between solves, each costs several times more
+    n_theta = len(thetas)
+    syms = [symbol(th) for th in
+            thetas[:n_theta if mirror is None else (n_theta + 1) // 2]]
+    screened = screened_grid(syms, k, n, n_theta, mirror)
     # Verify every point the screen puts near the peak on the reference
     # path, so the peak and its location are those of a full reference grid
     # (first in C order over theta, then phase); the refine below starts
@@ -353,8 +450,8 @@ def max_spectral_radius(kind, p, k, element_area=None, config=None):
     near = screened >= screened.max() - SCREEN_TOL
     for t in np.flatnonzero(near.any(axis=1)):
         g = np.flatnonzero(near[t])
-        exact[t, g] = syms[t].spectral_radius_phases(k, phis[g // n],
-                                                     phis[g % n])
+        sym = syms[t] if t < len(syms) else symbol(thetas[t])
+        exact[t, g] = sym.spectral_radius_phases(k, phis[g // n], phis[g % n])
     t, g = np.unravel_index(np.argmax(exact), exact.shape)
     best = max(float(exact[t, g]), 0.0)
     best_point = (thetas[t], phis[g // n], phis[g % n]) if best > 0.0 else None
@@ -362,8 +459,7 @@ def max_spectral_radius(kind, p, k, element_area=None, config=None):
         return best
 
     def neg_rho(x):
-        th = min(max(x[0], t0), t1)
-        sym = PatternSymbol(kind, p, element_area, (np.cos(th), np.sin(th)))
+        sym = symbol(min(max(x[0], t0), t1))
         return -float(sym.spectral_radius_phases(k, x[1], x[2]))
 
     res = minimize(neg_rho, np.array(best_point), method="Nelder-Mead",
@@ -381,10 +477,11 @@ def ratio_table(p_list, k_labels, config=None, kinds=PATTERN_KINDS):
     if not p_list or not k_labels:
         raise SymbolError("empty p or k list")
     area = np.sqrt(3.0) / 4.0   # h_E = 1
+    steps = {lab: timestep_family(area, lab, config.k_reference)
+             for lab in k_labels}   # a bad label fails before any sweep
     out = {}
     for p in p_list:
-        for lab in k_labels:
-            k = timestep_family(area, lab, config.k_reference)
+        for lab, k in steps.items():
             lams = {kind: max_spectral_radius(kind, p, k, area, config)
                     for kind in kinds}
             best = min(lams.values())

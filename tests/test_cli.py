@@ -107,6 +107,17 @@ def test_analyze_refuses_the_tol_flag(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "k9"], "unknown timestep label 'k9'"),
+    (["--theta-samples", "0"], "sample counts must be >= 1"),
+    (["--p", "7"], "degree p=7 unsupported")])
+def test_analyze_bad_input_exits_2(flags, message, capsys):
+    rc = main(["analyze", "--theta-samples", "2", "--wave-samples", "4"]
+              + flags)
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_mesh_gen_roundtrip(tmp_path):
     out = tmp_path / "m.mesh"
     rc = main(["mesh", "gen", "--pattern", "hex", "--area", "0.02",

@@ -5,11 +5,13 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from polydg.mesh import GeneratingPattern
 from polydg.vonneumann import (THETA_RANGES, PatternSymbol, SweepConfig,
                                SymbolError, check_admissible,
                                closed_form_p0_eigs, max_spectral_radius,
                                paper_wave_coords, ratio_table,
-                               timestep_family)
+                               screened_grid, timestep_family,
+                               velocity_mirror)
 
 AREA = np.sqrt(3.0) / 4.0  # element area for h_E = 1
 
@@ -30,6 +32,20 @@ def test_timestep_family():
     assert timestep_family(AREA, "k1") == pytest.approx(3.0)
     assert timestep_family(AREA, "k2") == pytest.approx(6.0)
     assert timestep_family(AREA, "k3") == pytest.approx(12.0)
+    assert timestep_family(AREA, "k1", "square") == pytest.approx(
+        3.0 * 3.0 ** 0.25 / 2.0)
+
+
+def test_bad_labels_raise_symbol_error():
+    with pytest.raises(SymbolError, match="k9"):
+        timestep_family(AREA, "k9")
+    with pytest.raises(SymbolError, match="hx"):
+        timestep_family(AREA, "k1", reference="hx")
+    with pytest.raises(SymbolError, match="half-pi"):
+        max_spectral_radius("square", 0, 3.0, AREA,
+                            SweepConfig(theta_range="half-pi"))
+    with pytest.raises(SymbolError, match="heptagon"):
+        max_spectral_radius("heptagon", 0, 3.0, AREA)
 
 
 @pytest.mark.parametrize("kind,vel", [
@@ -141,6 +157,81 @@ def test_screened_sweep_matches_full_grid(kind, p, label, theta_samples,
         mp.setattr(scipy.optimize, "minimize", record_start)
         assert max_spectral_radius(kind, p, k, AREA, cfg) == best
     assert starts == [best_point]
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagon", "rtri", "etri"])
+@pytest.mark.parametrize("theta_samples", [8, 9])
+def test_mirrored_sweep_matches_full_grid(kind, theta_samples):
+    # an even and an odd angle count: the mirror leaves the middle angle
+    # to itself only when the count is odd
+    k = timestep_family(AREA, "k2")
+    cfg = SweepConfig(theta_samples=theta_samples, wave_samples=12)
+    best, best_point = full_grid_peak(kind, 2, k, cfg)
+    starts = []
+
+    def record_start(fun, x0, **kwargs):
+        starts.append(tuple(x0))
+        return scipy.optimize.OptimizeResult(fun=0.0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "minimize", record_start)
+        assert max_spectral_radius(kind, 2, k, AREA, cfg) == best
+    assert starts == [best_point]
+
+
+@pytest.mark.parametrize("kind,T", [
+    ("square", [[0, 1], [1, 0]]), ("hexagon", [[1, 0], [1, -1]]),
+    ("rtri", None), ("etri", [[0, 1], [1, 0]])])
+def test_velocity_mirror_per_pattern(kind, T):
+    pattern = GeneratingPattern.make(kind, AREA)
+    mirror = velocity_mirror(pattern, *THETA_RANGES[kind])
+    assert (mirror is None if T is None else mirror.tolist() == T)
+    # no pattern is symmetric about pi/8, the quarter-pi range's bisector
+    assert velocity_mirror(pattern, 0.0, np.pi / 4.0) is None
+
+
+def test_velocity_mirror_rejects_an_asymmetric_motif():
+    # the unit square cut into two upright halves: the lattice is the
+    # square's, but the reflection in y = x lays the halves flat
+    left = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [0.0, 1.0]])
+    halves = GeneratingPattern("square", [left, left + [0.5, 0.0]], np.eye(2))
+    assert velocity_mirror(halves, 0.0, np.pi / 2.0) is None
+    whole = GeneratingPattern("square", [left * [2.0, 1.0]], np.eye(2))
+    assert velocity_mirror(whole, 0.0, np.pi / 2.0).tolist() == [[0, 1],
+                                                                [1, 0]]
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagon", "etri"])
+@pytest.mark.parametrize("theta_samples", [8, 9])
+def test_mirrored_screen_matches_full_screen(kind, theta_samples):
+    t0, t1 = THETA_RANGES[kind]
+    syms = [PatternSymbol(kind, 2, AREA, (np.cos(th), np.sin(th)))
+            for th in np.linspace(t0, t1, theta_samples)]
+    T = velocity_mirror(GeneratingPattern.make(kind, AREA), t0, t1)
+    k = timestep_family(AREA, "k2")
+    full = screened_grid(syms, k, 12, theta_samples)
+    half = screened_grid(syms[:(theta_samples + 1) // 2], k, 12,
+                         theta_samples, T)
+    assert np.max(np.abs(half - full)) <= 1e-13
+
+
+@settings(max_examples=24, deadline=None)
+@given(kind=st.sampled_from(["square", "hexagon", "etri"]),
+       p=st.integers(0, 3), frac=st.floats(0.0, 1.0))
+def test_mirror_maps_symbol_radii(kind, p, frac):
+    t0, t1 = THETA_RANGES[kind]
+    T = velocity_mirror(GeneratingPattern.make(kind, AREA), t0, t1)
+    th = t0 + frac * (t1 - t0)
+    k = timestep_family(AREA, "k2")
+    phis = 2.0 * np.pi * np.arange(8) / 8
+    P = np.stack(np.meshgrid(phis, phis, indexing="ij"))
+    TP = np.einsum("ij,j...->i...", T, P)
+    sym = PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
+    image = PatternSymbol(kind, p, AREA, (np.cos(t0 + t1 - th),
+                                          np.sin(t0 + t1 - th)))
+    rho = sym.spectral_radius_phases(k, *P, screen=True)
+    rho_image = image.spectral_radius_phases(k, *TP, screen=True)
+    assert np.max(np.abs(rho - rho_image)) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", ["square", "hexagon", "rtri", "etri"])
