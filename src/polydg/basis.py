@@ -121,6 +121,11 @@ def polygon_area_centroid(verts):
     return area, np.stack([cx, cy], axis=-1)
 
 
+def check_degree(p):
+    if not (0 <= p <= 3):
+        raise BasisError(f"degree p={p} unsupported (0..3)")
+
+
 def monomial_exponents(p):
     """Graded lexicographic exponent pairs: 1, x, y, x^2, xy, y^2, ..."""
     return [(d - j, j) for d in range(p + 1) for j in range(d + 1)]
@@ -211,8 +216,7 @@ class CellBases:
     """
 
     def __init__(self, vertices, cells, p, quad_degree=None):
-        if not (0 <= p <= 3):
-            raise BasisError(f"degree p={p} unsupported (0..3)")
+        check_degree(p)
         self.p = p
         self.exps = monomial_exponents(p)
         self.n_loc = len(self.exps)

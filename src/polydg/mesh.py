@@ -65,8 +65,7 @@ class PolyMesh:
     # -- construction ----------------------------------------------------
 
     def _orient_ccw(self, counts):
-        """Reverse the clockwise cells; set areas and centroids, computed
-        for each group of cells with the same vertex count at once."""
+        """Reverse the clockwise cells; set areas and centroids."""
         short = np.flatnonzero(counts < 3)
         if len(short):
             raise MeshError(
@@ -76,20 +75,14 @@ class PolyMesh:
         if missing.any():
             c = np.repeat(np.arange(self.n_cells), counts)[missing][0]
             raise MeshError(f"cell references missing vertex: {self.cells[c]}")
-        self.cell_areas = np.empty(self.n_cells)
-        self.cell_centroids = np.empty((self.n_cells, 2))
-        for nv in np.unique(counts):
-            idx = np.flatnonzero(counts == nv)
-            cells = np.array([self.cells[c] for c in idx])
-            area, centroid = polygon_area_centroid(self.vertices[cells])
-            flip = area < 0
-            if flip.any():
-                cells[flip] = cells[flip, ::-1]
-                area[flip], centroid[flip] = polygon_area_centroid(
-                    self.vertices[cells[flip]])
-                for c in idx[flip]:
-                    self.cells[c].reverse()
-            self.cell_areas[idx], self.cell_centroids[idx] = area, centroid
+        area, centroid = _ragged_area_centroid(self.vertices[flat], counts)
+        flip = np.flatnonzero(area < 0)
+        for c in flip:
+            self.cells[c].reverse()
+        if len(flip):
+            area, centroid = _ragged_area_centroid(
+                self.vertices[np.concatenate(self.cells)], counts)
+        self.cell_areas, self.cell_centroids = area, centroid
         if np.any(self.cell_areas <= 0.0):
             raise MeshError("cell with non-positive area")
 
@@ -244,6 +237,8 @@ def pattern_side_length(kind, h_E):
 
 def h_E_from_area(area):
     """Equilateral-triangle side length with the given element area."""
+    if not np.isfinite(area):
+        raise MeshError(f"element_area = {area} is not finite")
     if area <= 0:
         raise MeshError("element area must be positive")
     return np.sqrt(4.0 * area / SQRT3)
@@ -314,20 +309,55 @@ class GeneratingPattern:
         raise MeshError(self.kind)
 
 
-def _vertex_pool():
-    pool = {}
-    verts = []
+def _lattice_instances(shapes, a1, a2, m1_range, m2_range):
+    """Every shape of shapes (s, nv, 2) moved by m1*a1 + m2*a2, for each
+    (m2, m1) in row-major order: (n * s, nv, 2)."""
+    m2, m1 = np.meshgrid(m2_range, m1_range, indexing="ij")
+    offsets = m1.reshape(-1, 1) * a1 + m2.reshape(-1, 1) * a2
+    shapes = np.asarray(shapes, float)
+    return (offsets[:, None, None] + shapes).reshape(-1, *shapes.shape[1:])
 
-    def get(pt, snap):
-        key = (round(pt[0] / snap), round(pt[1] / snap))
-        idx = pool.get(key)
-        if idx is None:
-            idx = len(verts)
-            pool[key] = idx
-            verts.append(np.asarray(pt, float))
-        return idx
 
-    return verts, get
+def _vertex_pool(points, counts, snap):
+    """Vertices and cells (vertex index lists) of the polygons stored back
+    to back in points (P, 2), counts (n,) vertices each. Points that round
+    to one multiple of snap share a vertex, numbered by and placed at their
+    first occurrence."""
+    keys = np.rint(points / snap).astype(np.int64)   # -0.0 becomes 0
+    order = np.lexsort(keys.T)   # stable: a group's first point leads it
+    lead = np.r_[True, np.any(np.diff(keys[order], axis=0) != 0, axis=1)]
+    first = order[lead]
+    index = np.empty_like(order)
+    index[order] = np.argsort(np.argsort(first))[np.cumsum(lead) - 1]
+    index, starts = index.tolist(), (np.cumsum(counts) - counts).tolist()
+    cells = [index[s:s + c] for s, c in zip(starts, counts.tolist())]
+    return points[np.sort(first)], cells
+
+
+def _ragged_area_centroid(points, counts):
+    """Areas (n,) and centroids (n, 2) of the polygons stored back to back
+    in points, one batch per vertex count."""
+    starts = np.cumsum(counts) - counts
+    area, centroid = np.empty(len(counts)), np.empty((len(counts), 2))
+    for nv in np.unique(counts):
+        sel = np.flatnonzero(counts == nv)
+        area[sel], centroid[sel] = polygon_area_centroid(
+            points[starts[sel, None] + np.arange(nv)])
+    return area, centroid
+
+
+def _row_major_cells(points, counts, instance, min_area, snap):
+    """Vertices and cells of the polygons stored back to back in points,
+    counts (n,) vertices each, that have area above min_area, sorted by
+    centroid y, then x, both rounded to 1e-9, ties by instance (n,)."""
+    area, centroid = _ragged_area_centroid(points, counts)
+    # numpy's rounding, which round() of a numpy float uses too
+    order = np.lexsort((instance, *np.round(centroid, 9).T))
+    order = order[area[order] > min_area]
+    size = counts[order]
+    gather = (np.repeat(np.cumsum(counts)[order] - np.cumsum(size), size)
+              + np.arange(size.sum()))
+    return _vertex_pool(points[gather], size, snap)
 
 
 def build_pattern_tiling(kind, element_area, n1, n2, periodic=True):
@@ -338,26 +368,19 @@ def build_pattern_tiling(kind, element_area, n1, n2, periodic=True):
     """
     pat = GeneratingPattern.make(kind, element_area)
     a1, a2 = pat.lattice
-    snap = 1e-9 * np.sqrt(element_area)
-    verts, get = _vertex_pool()
-    cells = []
-    for m2 in range(n2):
-        for m1 in range(n1):
-            off = m1 * a1 + m2 * a2
-            for el in pat.elements:
-                cells.append([get(p + off, snap) for p in el])
-    mesh = PolyMesh(verts, cells,
+    polys = _lattice_instances(pat.elements, a1, a2, range(n1), range(n2))
+    verts, cells = _vertex_pool(polys.reshape(-1, 2),
+                                 np.full(len(polys), polys.shape[1]),
+                                 1e-9 * np.sqrt(element_area))
+    return PolyMesh(verts, cells,
                     periodic_pairs="auto" if periodic else None,
                     periodic_translations=(n1 * a1, n2 * a2))
-    return mesh
 
 
 def _clip_polygon_halfplane(poly, point, normal):
     """Sutherland-Hodgman clip of polygon to {x : (x - point) . normal <= 0}."""
     out = []
     n = len(poly)
-    if n == 0:
-        return poly
     d = [np.dot(p - point, normal) for p in poly]
     for i in range(n):
         j = (i + 1) % n
@@ -390,12 +413,6 @@ def _dedupe_loop(poly, snap):
     return np.array(out)
 
 
-def _row_major_key(poly):
-    """Sort key of a polygon: its centroid's y, then x, rounded to 1e-9."""
-    c = polygon_area_centroid(poly)[1]
-    return round(c[1], 9), round(c[0], 9)
-
-
 def build_regular_mesh(kind, element_area, domain, periodic=False,
                        boundary_tag="inflow_outflow", orientation="pointy"):
     """Tile an axis-aligned rectangle with one of the four generating patterns.
@@ -404,11 +421,16 @@ def build_regular_mesh(kind, element_area, domain, periodic=False,
     pattern is scaled anisotropically (within 5% area change) so an integer
     number of lattice periods fits the rectangle exactly. Hexagons default to
     the pointy-top orientation so cells line up in rows.
+
+    Every lattice instance is placed at once as an array; cells are sorted
+    row-major by centroid and share the points that round to one multiple
+    of 1e-9 sqrt(element_area).
     """
-    x0, y0, x1, y1 = map(float, domain)
+    x0, y0, x1, y1 = bounds = tuple(map(float, domain))
+    for name, value in zip(("x0", "y0", "x1", "y1"), bounds):
+        if not np.isfinite(value):
+            raise MeshError(f"{name} = {value} is not finite")
     W, H = x1 - x0, y1 - y0
-    if element_area <= 0:
-        raise MeshError("element area must be positive")
     if W <= 0 or H <= 0:
         raise MeshError("degenerate domain")
     pat = GeneratingPattern.make(kind, element_area, orientation)
@@ -423,57 +445,39 @@ def build_regular_mesh(kind, element_area, domain, periodic=False,
                 f"no commensurable periodic lattice within 5% area adjustment "
                 f"(scale {sx:.4f} x {sy:.4f})")
         scale = np.array([sx, sy])
-        snap = 1e-9 * np.sqrt(element_area)
-        verts, get = _vertex_pool()
-        cells = []
-        instances = []
-        for j in range(nj):
-            for i in range(ni):
-                for off in offsets:
-                    base = np.array([x0, y0]) + scale * (np.array([i * pw, j * ph]) + off)
-                    for el in pat.elements:
-                        poly = base + el * scale
-                        instances.append(poly)
-        for poly in sorted(instances, key=_row_major_key):
-            cells.append([get(p, snap) for p in poly])
-        mesh = PolyMesh(verts, cells, periodic_pairs="auto",
-                        periodic_translations=((W, 0.0), (0.0, H)))
-        mesh.validate(domain_area=W * H)
-        return mesh
-    # non-periodic: cover and clip
-    a1, a2 = pat.lattice
-    inv = np.linalg.inv(np.stack([a1, a2], axis=1))
-    corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
-    mm = corners @ inv.T
-    pad = 2
-    m1_range = range(int(np.floor(mm[:, 0].min())) - pad, int(np.ceil(mm[:, 0].max())) + pad)
-    m2_range = range(int(np.floor(mm[:, 1].min())) - pad, int(np.ceil(mm[:, 1].max())) + pad)
+        base = np.array([x0, y0]) + scale * _lattice_instances(
+            np.reshape(offsets, (-1, 1, 2)), (pw, 0.0), (0.0, ph), range(ni),
+            range(nj)).reshape(-1, 2)
+        shapes = np.multiply(pat.elements, scale)
+        polys = (base[:, None, None] + shapes).reshape(-1, *shapes.shape[1:])
+        meets = inside = np.ones(len(polys), dtype=bool)
+        options = {"periodic_pairs": "auto",
+                   "periodic_translations": ((W, 0.0), (0.0, H))}
+    else:
+        # cover the rectangle with padded lattice instances
+        a1, a2 = pat.lattice
+        inv = np.linalg.inv(np.stack([a1, a2], axis=1))
+        mm = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]]) @ inv.T
+        lo_m = np.floor(mm.min(axis=0)).astype(int) - 2   # pad 2 each way
+        hi_m = np.ceil(mm.max(axis=0)).astype(int) + 2
+        polys = _lattice_instances(pat.elements, a1, a2, range(lo_m[0], hi_m[0]),
+                                   range(lo_m[1], hi_m[1]))
+        lo, hi = polys.min(axis=1), polys.max(axis=1)
+        meets = np.all((lo <= (x1, y1)) & (hi >= (x0, y0)), axis=1)
+        inside = np.all((lo >= (x0, y0)) & (hi <= (x1, y1)), axis=1)
+        options = {"boundary_tag": boundary_tag}
+    # clipping returns the instances inside unchanged and those outside empty
     snap = 1e-9 * np.sqrt(element_area)
-    polys = []
-    for m2 in m2_range:
-        for m1 in m1_range:
-            off = m1 * a1 + m2 * a2
-            for el in pat.elements:
-                poly = el + off
-                lo, hi = poly.min(axis=0), poly.max(axis=0)
-                # wholly outside, clipping leaves nothing the area test keeps;
-                # wholly inside, it returns the polygon unchanged
-                if lo[0] > x1 or hi[0] < x0 or lo[1] > y1 or hi[1] < y0:
-                    continue
-                if lo[0] >= x0 and hi[0] <= x1 and lo[1] >= y0 and hi[1] <= y1:
-                    clipped = poly
-                else:
-                    clipped = clip_polygon_rect(poly, x0, y0, x1, y1)
-                if len(clipped) >= 3:
-                    clipped = _dedupe_loop(clipped, snap)
-                    if len(clipped) >= 3:
-                        area, _ = polygon_area_centroid(clipped)
-                        if area > 1e-10 * element_area:
-                            polys.append(clipped)
-    verts, get = _vertex_pool()
-    cells = [[get(p, snap) for p in poly]
-             for poly in sorted(polys, key=_row_major_key)]
-    mesh = PolyMesh(verts, cells, boundary_tag=boundary_tag)
+    whole = np.flatnonzero(inside)
+    clipped = {i: c for i in np.flatnonzero(meets & ~inside)
+               if len(c := _dedupe_loop(
+                   clip_polygon_rect(polys[i], x0, y0, x1, y1), snap)) >= 3}
+    verts, cells = _row_major_cells(
+        np.concatenate([polys[whole].reshape(-1, 2), *clipped.values()]),
+        np.array([polys.shape[1]] * len(whole)
+                 + [len(c) for c in clipped.values()]),
+        np.array([*whole, *clipped]), 1e-10 * element_area, snap)
+    mesh = PolyMesh(verts, cells, **options)
     mesh.validate(domain_area=W * H)
     return mesh
 
@@ -520,9 +524,7 @@ def build_random_mesh_pair(h, delta, domain=(0.0, 0.0, 1.0, 1.0), seed=0):
     indptr, nbrs = tri.vertex_neighbor_vertices
     rect = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
     snap = 1e-7 * h
-    verts, get = _vertex_pool()
     cells = []
-    centers = []
     for i in range(len(pts)):
         poly = rect
         for j in nbrs[indptr[i]:indptr[i + 1]]:
@@ -535,10 +537,9 @@ def build_random_mesh_pair(h, delta, domain=(0.0, 0.0, 1.0, 1.0), seed=0):
         if len(poly) < 3 or polygon_area_centroid(poly)[0] < 1e-10 * h * h:
             raise MeshError(f"near-degenerate Voronoi cell for point {i}")
         cells.append(poly)
-        centers.append(pts[i])
-    order = sorted(range(len(cells)),
-                   key=lambda ix: (centers[ix][1], centers[ix][0]))
-    vcells = [[get(p, snap) for p in cells[ix]] for ix in order]
+    order = np.lexsort(pts.T)   # by y, then x
+    verts, vcells = _vertex_pool(np.concatenate([cells[ix] for ix in order]),
+                                 np.array([len(cells[ix]) for ix in order]), snap)
     vmesh = PolyMesh(verts, vcells)
     vmesh.validate(domain_area=(x1 - x0) * (y1 - y0))
     return dmesh, vmesh
@@ -572,21 +573,14 @@ def natural_ordering(mesh, band_height=None):
     clipped boundary cells blur the gap structure. Without it, the threshold
     falls back to 60% of the largest gap.
     """
-    cy = mesh.cell_centroids[:, 1]
-    cx = mesh.cell_centroids[:, 0]
+    cx, cy = mesh.cell_centroids.T
     order = np.argsort(cy, kind="stable")
     gaps = np.diff(cy[order])
     band = np.zeros(mesh.n_cells, dtype=int)
     if len(gaps) and gaps.max() > 0:
         thr = 0.5 * band_height if band_height is not None else 0.6 * gaps.max()
-        b = 0
-        band[order[0]] = 0
-        for i, g in enumerate(gaps):
-            if g > thr:
-                b += 1
-            band[order[i + 1]] = b
-    perm = sorted(range(mesh.n_cells), key=lambda c: (band[c], cx[c], c))
-    return np.array(perm, dtype=int)
+        band[order[1:]] = np.cumsum(gaps > thr)
+    return np.lexsort((cx, band))   # stable: ties keep cell order
 
 
 # -- mesh file I/O -------------------------------------------------------

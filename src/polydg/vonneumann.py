@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ElementBasis, edge_quadrature, n_local
+from .basis import ElementBasis, check_degree, edge_quadrature, n_local
 from .mesh import GeneratingPattern, MeshError, PATTERN_KINDS, h_E_from_area, pattern_side_length
 
 
@@ -477,6 +477,8 @@ def ratio_table(p_list, k_labels, config=None, kinds=PATTERN_KINDS):
     if not p_list or not k_labels:
         raise SymbolError("empty p or k list")
     area = np.sqrt(3.0) / 4.0   # h_E = 1
+    for p in p_list:
+        check_degree(p)   # a bad degree fails before any sweep
     steps = {lab: timestep_family(area, lab, config.k_reference)
              for lab in k_labels}   # a bad label fails before any sweep
     out = {}

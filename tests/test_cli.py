@@ -7,6 +7,7 @@ import types
 import numpy as np
 import pytest
 
+from polydg import vonneumann
 from polydg.cli import main
 from polydg.experiments import CSV_HEADER
 from polydg.mesh import read_mesh
@@ -116,6 +117,28 @@ def test_analyze_bad_input_exits_2(flags, message, capsys):
               + flags)
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_analyze_bad_degree_exits_2_before_any_sweep(monkeypatch, capsys):
+    sweeps = []
+    monkeypatch.setattr(vonneumann, "max_spectral_radius",
+                        lambda *args: sweeps.append(args))
+    assert main(["analyze", "--p", "0,1,7"]) == 2
+    assert "error: degree p=7 unsupported" in capsys.readouterr().err
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--area", "nan"], "element_area = nan is not finite"),
+    (["--area", "inf"], "element_area = inf is not finite"),
+    (["--area", "0.02", "--domain", "0", "0", "inf", "1"],
+     "x1 = inf is not finite")])
+def test_mesh_gen_non_finite_input_exits_2(flags, message, tmp_path, capsys):
+    out = tmp_path / "m.mesh"
+    rc = main(["mesh", "gen", "--pattern", "hex", "--out", str(out)] + flags)
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mesh_gen_roundtrip(tmp_path):

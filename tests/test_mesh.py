@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from polydg import experiments
@@ -359,7 +361,177 @@ def test_read_periodic_mesh_equals_side_matcher_reference(built, tmp_path):
     assert_mesh_equals(read_mesh(tmp_path / "m.mesh"), ref_mesh(*args, **kwargs))
 
 
-# -- the clip-every-instance loop the bounding-box test replaced -------------
+# -- the per-instance loop the array build replaced ---------------------------
+
+def _vertex_pool():
+    pool = {}
+    verts = []
+
+    def get(pt, snap):
+        key = (round(pt[0] / snap), round(pt[1] / snap))
+        idx = pool.get(key)
+        if idx is None:
+            idx = len(verts)
+            pool[key] = idx
+            verts.append(np.asarray(pt, float))
+        return idx
+
+    return verts, get
+
+
+def _row_major_key(poly):
+    """Sort key of a polygon: its centroid's y, then x, rounded to 1e-9."""
+    c = polygon_area_centroid(poly)[1]
+    return round(c[1], 9), round(c[0], 9)
+
+
+def instance_loop_reference(kind, element_area, domain=None, periodic=False,
+                            boundary_tag="inflow_outflow", tiling=None):
+    """The mesh of build_regular_mesh(kind, element_area, domain, periodic,
+    boundary_tag), or of build_pattern_tiling(kind, element_area, *tiling,
+    periodic) when tiling is given, built one lattice instance and one
+    vertex at a time through a dict vertex pool."""
+    snap = 1e-9 * np.sqrt(element_area)
+    verts, get = _vertex_pool()
+    if tiling is not None:
+        n1, n2 = tiling
+        pat = GeneratingPattern.make(kind, element_area)
+        a1, a2 = pat.lattice
+        cells = []
+        for m2 in range(n2):
+            for m1 in range(n1):
+                off = m1 * a1 + m2 * a2
+                for el in pat.elements:
+                    cells.append([get(p + off, snap) for p in el])
+        return PolyMesh(verts, cells,
+                        periodic_pairs="auto" if periodic else None,
+                        periodic_translations=(n1 * a1, n2 * a2))
+    x0, y0, x1, y1 = map(float, domain)
+    W, H = x1 - x0, y1 - y0
+    pat = GeneratingPattern.make(kind, element_area, "pointy")
+    if periodic:
+        pw, ph, offsets = pat.rect_period()
+        ni = max(1, round(W / pw))
+        nj = max(1, round(H / ph))
+        scale = np.array([W / (ni * pw), H / (nj * ph)])
+        instances = []
+        for j in range(nj):
+            for i in range(ni):
+                for off in offsets:
+                    base = (np.array([x0, y0])
+                            + scale * (np.array([i * pw, j * ph]) + off))
+                    for el in pat.elements:
+                        instances.append(base + el * scale)
+        cells = [[get(p, snap) for p in poly]
+                 for poly in sorted(instances, key=_row_major_key)]
+        return PolyMesh(verts, cells, periodic_pairs="auto",
+                        periodic_translations=((W, 0.0), (0.0, H)))
+    a1, a2 = pat.lattice
+    inv = np.linalg.inv(np.stack([a1, a2], axis=1))
+    corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
+    mm = corners @ inv.T
+    m1_range = range(int(np.floor(mm[:, 0].min())) - 2,
+                     int(np.ceil(mm[:, 0].max())) + 2)
+    m2_range = range(int(np.floor(mm[:, 1].min())) - 2,
+                     int(np.ceil(mm[:, 1].max())) + 2)
+    polys = []
+    for m2 in m2_range:
+        for m1 in m1_range:
+            off = m1 * a1 + m2 * a2
+            for el in pat.elements:
+                poly = el + off
+                lo, hi = poly.min(axis=0), poly.max(axis=0)
+                if lo[0] > x1 or hi[0] < x0 or lo[1] > y1 or hi[1] < y0:
+                    continue
+                if (lo[0] >= x0 and hi[0] <= x1 and lo[1] >= y0
+                        and hi[1] <= y1):
+                    clipped = poly
+                else:
+                    clipped = mesh_module.clip_polygon_rect(poly, x0, y0, x1,
+                                                            y1)
+                if len(clipped) >= 3:
+                    clipped = mesh_module._dedupe_loop(clipped, snap)
+                    if (len(clipped) >= 3 and polygon_area_centroid(clipped)[0]
+                            > 1e-10 * element_area):
+                        polys.append(clipped)
+    cells = [[get(p, snap) for p in poly]
+             for poly in sorted(polys, key=_row_major_key)]
+    return PolyMesh(verts, cells, boundary_tag=boundary_tag)
+
+
+MESH_ARRAYS = ("vertices", "cell_areas", "cell_centroids", "edge_left",
+               "edge_right", "edge_vertices", "edge_normals", "edge_lengths",
+               "edge_shifts", "periodic_map")
+
+
+def assert_same_mesh(mesh, ref):
+    assert mesh.cells == ref.cells
+    assert mesh.boundary_tag == ref.boundary_tag
+    for name in MESH_ARRAYS:
+        a, b = getattr(mesh, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+UNIT = (0.0, 0.0, 1.0, 1.0)
+OFFSET = (0.3, -0.7, 1.6, 0.2)
+SLIVERS = (-1e-7, -1e-7, 1.0 + 1e-7, 1.0 + 1e-7)
+INSTANCE_LOOP_CASES = {
+    "h0.2": (lambda k: build_regular_mesh(k, 0.04, UNIT),
+             lambda k: instance_loop_reference(k, 0.04, UNIT)),
+    "h0.05": (lambda k: build_regular_mesh(k, 0.0025, UNIT),
+              lambda k: instance_loop_reference(k, 0.0025, UNIT)),
+    "h0.1-offset": (lambda k: build_regular_mesh(k, 0.01, OFFSET),
+                    lambda k: instance_loop_reference(k, 0.01, OFFSET)),
+    # edges 1e-7 outside lattice lines leave slivers, some below the area
+    # floor, which the builder drops
+    "h0.1-slivers": (lambda k: build_regular_mesh(k, 0.01, SLIVERS),
+                     lambda k: instance_loop_reference(k, 0.01, SLIVERS)),
+    "euler": (experiments.euler_mesh,
+              lambda k: instance_loop_reference(
+                  k, experiments.EULER_H ** 2, experiments.EULER_DOMAIN,
+                  boundary_tag="exact_state")),
+    "advect-periodic": (
+        lambda k: experiments.advection_mesh(k, periodic=True),
+        lambda k: instance_loop_reference(k, experiments.ADVECTION_H ** 2,
+                                          UNIT, periodic=True)),
+    "tiling-4x4": (lambda k: build_pattern_tiling(k, 1.0, 4, 4),
+                   lambda k: instance_loop_reference(k, 1.0, tiling=(4, 4),
+                                                     periodic=True)),
+}
+
+
+@pytest.mark.parametrize("kind", PATTERNS)
+@pytest.mark.parametrize("case", INSTANCE_LOOP_CASES)
+def test_regular_mesh_equals_instance_loop_reference(kind, case):
+    build, reference = INSTANCE_LOOP_CASES[case]
+    assert_same_mesh(build(kind), reference(kind))
+
+
+def test_fine_regular_mesh_equals_instance_loop_reference():
+    area = 0.0125 ** 2
+    mesh = build_regular_mesh("hexagon", area, UNIT)
+    assert mesh.n_cells > 6000
+    assert_same_mesh(mesh, instance_loop_reference("hexagon", area, UNIT))
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(PATTERNS), h=st.floats(0.04, 0.3),
+       x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
+       width=st.floats(0.2, 1.2), height=st.floats(0.2, 1.2),
+       periodic=st.booleans(), stretch=st.floats(0.99, 1.01))
+def test_random_regular_mesh_equals_instance_loop_reference(
+        kind, h, x0, y0, width, height, periodic, stretch):
+    if periodic:
+        # whole rectangular periods, stretched by at most 1 % each way
+        pw, ph, _ = GeneratingPattern.make(kind, h * h, "pointy").rect_period()
+        width = max(1, round(width / pw)) * pw * stretch
+        height = max(1, round(height / ph)) * ph / stretch
+    domain = (x0, y0, x0 + width, y0 + height)
+    assert_same_mesh(build_regular_mesh(kind, h * h, domain, periodic=periodic),
+                     instance_loop_reference(kind, h * h, domain,
+                                             periodic=periodic))
+
 
 def clip_everything_reference(kind, element_area, domain):
     """(vertices, cells) of build_regular_mesh, non-periodic, built by
@@ -387,9 +559,9 @@ def clip_everything_reference(kind, element_area, domain):
                     if (len(clipped) >= 3 and polygon_area_centroid(clipped)[0]
                             > 1e-10 * element_area):
                         polys.append(clipped)
-    verts, get = mesh_module._vertex_pool()
+    verts, get = _vertex_pool()
     cells = [[get(p, snap) for p in poly]
-             for poly in sorted(polys, key=mesh_module._row_major_key)]
+             for poly in sorted(polys, key=_row_major_key)]
     ref = PolyMesh(verts, cells)
     return ref.vertices, ref.cells
 
@@ -403,3 +575,24 @@ def test_regular_mesh_equals_clip_everything_reference(kind, h, domain):
     vertices, cells = clip_everything_reference(kind, h * h, domain)
     assert np.array_equal(mesh.vertices, vertices)
     assert mesh.cells == cells
+
+
+# -- non-finite input ---------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("area, domain, name", [
+    (NAN, UNIT, "element_area"), (INF, UNIT, "element_area"),
+    (0.01, (NAN, 0.0, 1.0, 1.0), "x0"), (0.01, (0.0, 0.0, 1.0, INF), "y1"),
+    (0.01, (0.0, -INF, 1.0, 1.0), "y0")])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_regular_mesh_refuses_non_finite_input(area, domain, name, periodic):
+    with pytest.raises(MeshError, match=f"^{name} = -?(nan|inf) is not finite"):
+        build_regular_mesh("square", area, domain, periodic=periodic)
+
+
+@pytest.mark.parametrize("area", [NAN, INF])
+def test_pattern_tiling_refuses_non_finite_area(area):
+    with pytest.raises(MeshError, match="^element_area = (nan|inf) is not"):
+        build_pattern_tiling("hexagon", area, 2, 2)

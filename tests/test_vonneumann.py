@@ -5,6 +5,8 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from polydg import vonneumann
+from polydg.basis import BasisError
 from polydg.mesh import GeneratingPattern
 from polydg.vonneumann import (THETA_RANGES, PatternSymbol, SweepConfig,
                                SymbolError, check_admissible,
@@ -96,6 +98,15 @@ def test_single_pattern_ratio_is_one():
     (lam, ratio), = tab.values()
     assert ratio == pytest.approx(1.0)
     assert 0.0 < lam < 1.0
+
+
+def test_ratio_table_checks_every_degree_before_any_sweep(monkeypatch):
+    sweeps = []
+    monkeypatch.setattr(vonneumann, "max_spectral_radius",
+                        lambda *args: sweeps.append(args))
+    with pytest.raises(BasisError, match="degree p=7 unsupported"):
+        ratio_table([0, 1, 7], ["k1"])
+    assert sweeps == []
 
 
 def test_sweep_config_guards():
