@@ -121,8 +121,12 @@ def polygon_area_centroid(verts):
     return area, np.stack([cx, cy], axis=-1)
 
 
+DEGREES = (0, 1, 2, 3)
+
+
 def check_degree(p):
-    if not (0 <= p <= 3):
+    """A BasisError unless p is an integer in DEGREES."""
+    if not isinstance(p, (int, np.integer)) or p not in DEGREES:
         raise BasisError(f"degree p={p} unsupported (0..3)")
 
 
@@ -215,9 +219,8 @@ class CellBases:
     weights (k, nq)) per group. `bases[c]` is a per-cell view.
     """
 
-    def __init__(self, vertices, cells, p, quad_degree=None):
+    def __init__(self, vertices, cells, p):
         check_degree(p)
-        self.p = p
         self.exps = monomial_exponents(p)
         self.n_loc = len(self.exps)
         self.n_cells = n = len(cells)
@@ -242,14 +245,12 @@ class CellBases:
             c = np.flatnonzero(bad)[0]
             raise BasisError(f"degenerate cell {c} at {self.centroids[c]} "
                              f"(area {self.areas[c]:g})")
-        if quad_degree is None:
-            quad_degree = volume_degree(p)
         self.coeffs = np.empty((n, self.n_loc, self.n_loc))
         self.groups = []
         self.bases = [None] * n
         for idx, v in zip(groups, verts):
             nodes, weights = _fan_quadrature(v, self.centroids[idx],
-                                             quad_degree)
+                                             volume_degree(p))
             V = _monomial_values(self.exps, self._scaled(idx, nodes))
             self.coeffs[idx] = _orthonormalize(V, weights, idx,
                                                self.centroids[idx])
@@ -307,9 +308,9 @@ class ElementBasis(CellBasis):
     """Orthonormal modal basis on one polygonal cell: a CellBases of one
     cell (see there for the construction)."""
 
-    def __init__(self, vertices, p, quad_degree=None):
+    def __init__(self, vertices, p):
         verts = np.asarray(vertices, dtype=float)
-        one = CellBases(verts, [np.arange(len(verts))], p, quad_degree)
+        one = CellBases(verts, [np.arange(len(verts))], p)
         super().__init__(one, 0, one.bases[0].quadrature)
 
 

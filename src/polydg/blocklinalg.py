@@ -357,14 +357,14 @@ def factor_bilu0(A, ordering=None):
     return A._ilu0[key]
 
 
-def block_jacobi_solve(A, rhs, x0=None, tol=1e-14, max_iters=100000):
-    """Fixed-point iteration x <- D^{-1} rhs + (I - D^{-1} A) x.
+def block_jacobi_solve(A, rhs, tol=1e-14, max_iters=100000):
+    """Fixed-point iteration x <- D^{-1} rhs + (I - D^{-1} A) x from x = 0.
 
     Returns (x, iterations, converged); iterations is the first iterate index
     whose relative l2 residual meets tol.
     """
     fac = factor_block_jacobi(A)
-    x = np.zeros(A.dim) if x0 is None else np.asarray(x0, float).copy()
+    x = np.zeros(A.dim)
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         bnorm = 1.0
@@ -376,9 +376,9 @@ def block_jacobi_solve(A, rhs, x0=None, tol=1e-14, max_iters=100000):
     return x, max_iters, False
 
 
-def gmres(A, rhs, preconditioner=None, restart=20, tol=1e-14, max_iters=100000,
-          x0=None):
-    """Right-preconditioned restarted GMRES with Givens rotations.
+def gmres(A, rhs, preconditioner=None, restart=20, tol=1e-14, max_iters=100000):
+    """Right-preconditioned restarted GMRES with Givens rotations, from
+    x = 0.
 
     Convergence is declared on the true relative residual; the returned count
     is the total number of Arnoldi steps across restarts.
@@ -388,7 +388,7 @@ def gmres(A, rhs, preconditioner=None, restart=20, tol=1e-14, max_iters=100000,
     else:
         prec = preconditioner.apply
     n = A.dim
-    x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
+    x = np.zeros(n)
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return x, 0, True

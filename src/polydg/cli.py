@@ -13,9 +13,9 @@ from . import experiments
 from .experiments import (ADVECTION_H, ANALYZE_EXTRA_COLUMNS, run_advect,
                           run_analyze, run_euler_vortex, run_random_advect,
                           solver_config_name)
-from .basis import BasisError
+from .basis import DEGREES, BasisError
 from .mesh import MeshError, build_random_mesh_pair, build_regular_mesh, write_mesh
-from .vonneumann import SweepConfig, SymbolError
+from .vonneumann import TIMESTEP_FACTORS, SweepConfig, SymbolError
 
 PATTERN_NAMES = {"hex": "hexagon", "square": "square", "rtri": "rtri",
                  "etri": "etri"}
@@ -39,9 +39,9 @@ def add_solver_flags(sub):
                      default="none")
     sub.add_argument("--tol", type=float, default=1e-14,
                      help="linear solver convergence tolerance")
-    sub.add_argument("--p", type=_csv_list(int), default=[0, 1, 2, 3],
+    sub.add_argument("--p", type=_csv_list(int), default=list(DEGREES),
                      help="comma-separated polynomial degrees")
-    sub.add_argument("--k", type=_csv_list(str), default=["k1", "k2", "k3"],
+    sub.add_argument("--k", type=_csv_list(str), default=list(TIMESTEP_FACTORS),
                      help="comma-separated timestep labels")
 
 
@@ -54,8 +54,8 @@ def build_parser():
 
     an = subs.add_parser("analyze", help="symbol-analysis log-ratio table")
     add_common_flags(an)
-    an.add_argument("--p", type=_csv_list(int), default=[0, 1, 2, 3])
-    an.add_argument("--k", type=_csv_list(str), default=["k1", "k2", "k3"])
+    an.add_argument("--p", type=_csv_list(int), default=list(DEGREES))
+    an.add_argument("--k", type=_csv_list(str), default=list(TIMESTEP_FACTORS))
     an.add_argument("--theta-samples", type=int, default=32)
     an.add_argument("--wave-samples", type=int, default=48)
     an.add_argument("--theta-range", choices=("per-pattern", "quarter-pi"),

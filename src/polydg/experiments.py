@@ -8,16 +8,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import DgSpace
+from .basis import DEGREES, DgSpace, check_degree
 from .blocklinalg import (block_jacobi_solve, factor_bilu0,
                           factor_block_jacobi, gmres)
 from .discretization import (advection_initial_condition, assemble_advection,
                              gaussian_pulse, rotating_velocity)
 from .euler import EulerDiscretization, EulerParams
-from .mesh import (build_random_mesh_pair, build_regular_mesh,
+from .mesh import (PATTERN_KINDS, build_random_mesh_pair, build_regular_mesh,
                    natural_ordering, pattern_row_height)
 from .timestepping import newton_solve
-from .vonneumann import SweepConfig, ratio_table
+from .vonneumann import TIMESTEP_FACTORS, SweepConfig, ratio_table
 
 CSV_HEADER = ["experiment", "mesh", "pattern", "p", "k_label", "solver",
               "preconditioner", "iterations", "newton_iters",
@@ -45,6 +45,26 @@ def solver_config_name(solver, preconditioner):
         f"unsupported solver/preconditioner combination "
         f"{solver}+{preconditioner} (choose from "
         f"{', '.join('+'.join(pair) for pair in SOLVER_CONFIGS.values())})")
+
+
+def _scaled_timestep(label, k1):
+    """TIMESTEP_FACTORS[label] * k1; an unknown label is an ExperimentError."""
+    if label not in TIMESTEP_FACTORS:
+        raise ExperimentError(f"unknown timestep label {label!r}")
+    return TIMESTEP_FACTORS[label] * k1
+
+
+def _checked_steps(p_list, k_labels, timestep, h, patterns=()):
+    """(label, timestep(label, h)) for each of k_labels, after checking
+    every degree, label and pattern kind, so that a bad entry fails before
+    any mesh is built."""
+    for p in p_list:
+        check_degree(p)
+    for kind in patterns:
+        if kind not in PATTERN_KINDS:
+            raise ExperimentError(f"unknown pattern kind {kind!r} "
+                                  f"(choose from {', '.join(PATTERN_KINDS)})")
+    return [(lab, timestep(lab, h)) for lab in k_labels]
 
 
 def _check_solver_names(solver_names):
@@ -115,7 +135,7 @@ def solve_linear(A, rhs, solver, preconditioner, tol, ordering=None,
 
 # -- symbol analysis ------------------------------------------------------
 
-def run_analyze(p_list=(0, 1, 2, 3), k_labels=("k1", "k2", "k3"),
+def run_analyze(p_list=DEGREES, k_labels=tuple(TIMESTEP_FACTORS),
                 config=None):
     config = config or SweepConfig()
     report = ExperimentReport("analyze", {
@@ -143,11 +163,7 @@ ADVECTION_H = 0.05
 
 def advection_timestep(label, h=ADVECTION_H):
     """k1 = h / max|beta| = h / sqrt(2); k2 = 2 k1; k3 = 4 k1."""
-    k1 = h / np.sqrt(2.0)
-    try:
-        return {"k1": k1, "k2": 2.0 * k1, "k3": 4.0 * k1}[label]
-    except KeyError:
-        raise ExperimentError(f"unknown timestep label {label!r}")
+    return _scaled_timestep(label, h / np.sqrt(2.0))
 
 
 def advection_mesh(pattern, h=ADVECTION_H, periodic=False):
@@ -182,14 +198,15 @@ def run_advect_case(mesh, p, k, solver, preconditioner, tol=1e-14, n_steps=1,
     return it, res, ok, wall
 
 
-def run_advect(patterns=("hexagon", "square", "rtri", "etri"),
-               p_list=(0, 1, 2, 3), k_labels=("k1", "k2", "k3"),
-               solver="jacobi", preconditioner="none", tol=1e-14,
-               mesh_file=None, h=ADVECTION_H, n_steps=12, bc="zero-inflow"):
+def run_advect(patterns=PATTERN_KINDS, p_list=DEGREES,
+               k_labels=tuple(TIMESTEP_FACTORS), solver="jacobi",
+               preconditioner="none", tol=1e-14, mesh_file=None,
+               h=ADVECTION_H, n_steps=12, bc="zero-inflow"):
     from .mesh import read_mesh
     solver_config_name(solver, preconditioner)
     if bc not in ("zero-inflow", "periodic"):
         raise ExperimentError(f"unknown boundary condition {bc!r}")
+    steps = _checked_steps(p_list, k_labels, advection_timestep, h, patterns)
     periodic = bc == "periodic"
     report = ExperimentReport("advect", {
         "h": h, "solver": solver, "preconditioner": preconditioner,
@@ -208,8 +225,7 @@ def run_advect(patterns=("hexagon", "square", "rtri", "etri"),
             mesh_name = mesh_file
             band = None
         for p in p_list:
-            for lab in k_labels:
-                k = advection_timestep(lab, h)
+            for lab, k in steps:
                 it, res, ok, wall = run_advect_case(
                     mesh, p, k, solver, preconditioner, tol,
                     n_steps=n_steps, band_height=band)
@@ -220,11 +236,11 @@ def run_advect(patterns=("hexagon", "square", "rtri", "etri"),
     return report
 
 
-def run_random_advect(h=ADVECTION_H, delta=None, seed=0,
-                      p_list=(0, 1, 2, 3), k_labels=("k1", "k2", "k3"),
-                      solver="jacobi", preconditioner="none", tol=1e-14,
-                      n_steps=12):
+def run_random_advect(h=ADVECTION_H, delta=None, seed=0, p_list=DEGREES,
+                      k_labels=tuple(TIMESTEP_FACTORS), solver="jacobi",
+                      preconditioner="none", tol=1e-14, n_steps=12):
     solver_config_name(solver, preconditioner)
+    steps = _checked_steps(p_list, k_labels, advection_timestep, h)
     if delta is None:
         delta = 0.25 * h
     delaunay, voronoi = build_random_mesh_pair(h, delta, seed=seed)
@@ -233,8 +249,7 @@ def run_random_advect(h=ADVECTION_H, delta=None, seed=0,
         "preconditioner": preconditioner, "tol": tol})
     for name, mesh in (("voronoi", voronoi), ("delaunay", delaunay)):
         for p in p_list:
-            for lab in k_labels:
-                k = advection_timestep(lab, h)
+            for lab, k in steps:
                 it, res, ok, wall = run_advect_case(
                     mesh, p, k, solver, preconditioner, tol, n_steps=n_steps)
                 report.add(mesh=f"{name}({mesh.n_cells} cells)", pattern=name,
@@ -252,11 +267,8 @@ EULER_H = 1.0
 
 
 def euler_timestep(label, h=EULER_H):
-    k1 = 0.03 * h
-    try:
-        return {"k1": k1, "k2": 2.0 * k1, "k3": 4.0 * k1}[label]
-    except KeyError:
-        raise ExperimentError(f"unknown timestep label {label!r}")
+    """k1 = 0.03 h; k2 = 2 k1; k3 = 4 k1."""
+    return _scaled_timestep(label, 0.03 * h)
 
 
 def euler_mesh(pattern, h=EULER_H):
@@ -265,7 +277,7 @@ def euler_mesh(pattern, h=EULER_H):
 
 
 def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13,
-                   params=None, band_height=None):
+                   band_height=None):
     """One backward Euler step of the vortex via Newton.
 
     All requested solver configurations are run on the same sequence of
@@ -274,9 +286,8 @@ def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13,
     {name: (total_iterations, converged)}, newton_iters, final_newton_residual.
     """
     _check_solver_names(solver_names)
-    params = params or EulerParams()
     space = DgSpace(mesh, p)
-    disc = EulerDiscretization(mesh, space, params)
+    disc = EulerDiscretization(mesh, space, EulerParams())
     Un = disc.project_exact(0.0)
     Mblocks = disc.mass_blocks()
     ordering = (natural_ordering(mesh, band_height)
@@ -324,11 +335,13 @@ def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13,
     return out, res.n_iters, res.residual_norms[-1]
 
 
-def run_euler_vortex(patterns=("hexagon", "square", "rtri", "etri"),
-                     p_list=(0, 1, 2, 3), k_labels=("k1", "k2", "k3"),
+def run_euler_vortex(patterns=PATTERN_KINDS, p_list=DEGREES,
+                     k_labels=tuple(TIMESTEP_FACTORS),
                      solver_names=("gmres+ilu0",), tol=1e-14,
                      newton_tol=5e-13):
     _check_solver_names(solver_names)
+    steps = _checked_steps(p_list, k_labels, euler_timestep, EULER_H,
+                           patterns)
     report = ExperimentReport("euler-vortex", {
         "tol": tol, "newton_tol": newton_tol,
         "solvers": "|".join(solver_names)})
@@ -336,8 +349,7 @@ def run_euler_vortex(patterns=("hexagon", "square", "rtri", "etri"),
         mesh = euler_mesh(pattern)
         band = pattern_row_height(pattern, EULER_H * EULER_H)
         for p in p_list:
-            for lab in k_labels:
-                k = euler_timestep(lab)
+            for lab, k in steps:
                 t0 = time.perf_counter()
                 counts, n_newton, final = run_euler_case(
                     mesh, p, k, solver_names, tol, newton_tol,

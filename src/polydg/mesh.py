@@ -250,7 +250,6 @@ class GeneratingPattern:
     kind: str
     elements: list          # list of (n, 2) vertex arrays
     lattice: np.ndarray     # (2, 2), rows a1, a2
-    orientation: str = "flat"
 
     @classmethod
     def make(cls, kind, element_area, orientation="flat"):
@@ -264,7 +263,7 @@ class GeneratingPattern:
                 return pat
             rot = np.array([[0.0, -1.0], [1.0, 0.0]])
             els = [el @ rot.T for el in pat.elements]
-            return cls(kind, els, pat.lattice @ rot.T, "pointy")
+            return cls(kind, els, pat.lattice @ rot.T)
         h = pattern_side_length(kind, h_E_from_area(element_area))
         if kind == "square":
             el = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
@@ -287,22 +286,15 @@ class GeneratingPattern:
             return cls(kind, [up, down], lat)
         raise MeshError(f"unknown pattern kind {kind!r}")
 
-    @property
-    def element_area(self):
-        return polygon_area_centroid(self.elements[0])[0]
-
     def rect_period(self):
         """Smallest (width, height, translate offsets) of a rectangle-periodic
-        unit for this pattern's lattice."""
+        unit for this pattern's lattice; hexagons must be pointy."""
         a1, a2 = self.lattice
         if self.kind in ("square", "rtri"):
             return (a1[0], a2[1], [np.zeros(2)])
         if self.kind == "hexagon":
-            if self.orientation == "pointy":
-                # two hexagons per rectangular period (offset rows)
-                return (a2[0] - a1[0], a1[1] + a2[1], [np.zeros(2), a1])
-            # two hexagons per rectangular period (offset columns)
-            return (a1[0] + a2[0], a1[1] - a2[1], [np.zeros(2), a1])
+            # two hexagons per rectangular period (offset rows)
+            return (a2[0] - a1[0], a1[1] + a2[1], [np.zeros(2), a1])
         if self.kind == "etri":
             # two patterns per rectangular period (offset rows)
             return (a1[0], 2.0 * a2[1], [np.zeros(2), a2])
@@ -414,13 +406,13 @@ def _dedupe_loop(poly, snap):
 
 
 def build_regular_mesh(kind, element_area, domain, periodic=False,
-                       boundary_tag="inflow_outflow", orientation="pointy"):
+                       boundary_tag="inflow_outflow"):
     """Tile an axis-aligned rectangle with one of the four generating patterns.
 
     Non-periodic: boundary cells are clipped to the rectangle. Periodic: the
     pattern is scaled anisotropically (within 5% area change) so an integer
-    number of lattice periods fits the rectangle exactly. Hexagons default to
-    the pointy-top orientation so cells line up in rows.
+    number of lattice periods fits the rectangle exactly. Hexagons are
+    pointy-top so cells line up in rows.
 
     Every lattice instance is placed at once as an array; cells are sorted
     row-major by centroid and share the points that round to one multiple
@@ -433,7 +425,7 @@ def build_regular_mesh(kind, element_area, domain, periodic=False,
     W, H = x1 - x0, y1 - y0
     if W <= 0 or H <= 0:
         raise MeshError("degenerate domain")
-    pat = GeneratingPattern.make(kind, element_area, orientation)
+    pat = GeneratingPattern.make(kind, element_area, "pointy")
     if periodic:
         pw, ph, offsets = pat.rect_period()
         ni = max(1, round(W / pw))
@@ -547,20 +539,15 @@ def build_random_mesh_pair(h, delta, domain=(0.0, 0.0, 1.0, 1.0), seed=0):
 
 # -- natural ordering ----------------------------------------------------
 
-def pattern_row_height(kind, element_area, orientation="pointy"):
-    """Vertical spacing between cell rows of a regular tiling.
+def pattern_row_height(kind, element_area):
+    """Vertical spacing between cell rows of a regular tiling: the height
+    of the pointy pattern's second lattice vector.
 
     For the two-triangle patterns one "row" holds both triangles of each
     split square/rhombus, so their centroids interleave along x.
     """
-    h = pattern_side_length(kind, h_E_from_area(element_area))
-    if kind in ("square", "rtri"):
-        return h
-    if kind == "etri":
-        return SQRT3 / 2.0 * h
-    if kind == "hexagon":
-        return 1.5 * h if orientation == "pointy" else SQRT3 / 2.0 * h
-    raise MeshError(f"unknown pattern kind {kind!r}")
+    pattern = GeneratingPattern.make(kind, element_area, "pointy")
+    return abs(pattern.lattice[1, 1])
 
 
 def natural_ordering(mesh, band_height=None):

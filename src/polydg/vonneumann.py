@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ElementBasis, check_degree, edge_quadrature, n_local
-from .mesh import GeneratingPattern, MeshError, PATTERN_KINDS, h_E_from_area, pattern_side_length
+from .mesh import GeneratingPattern, PATTERN_KINDS, h_E_from_area, pattern_side_length
 
 
 class SymbolError(Exception):
@@ -55,7 +55,6 @@ class PatternOperators:
             raise SymbolError(f"unknown pattern kind {kind!r}")
         self.kind = kind
         self.p = p
-        self.element_area = float(element_area)
         self.pattern = GeneratingPattern.make(kind, element_area)
         self.n_elems = len(self.pattern.elements)
         self.n_loc = n_local(p)
@@ -143,20 +142,14 @@ def pattern_operators(kind, p, element_area):
 class PatternSymbol:
     """Generating-pattern symbol blocks for one (pattern, p, velocity)."""
 
-    def __init__(self, kind, p, element_area, velocity, check_signs=True):
+    def __init__(self, kind, p, element_area, velocity):
         alpha, beta = float(velocity[0]), float(velocity[1])
-        if check_signs:
-            check_admissible(kind, alpha, beta)
+        check_admissible(kind, alpha, beta)
         ops = pattern_operators(kind, p, element_area)
-        self.kind = kind
-        self.p = p
-        self.alpha = alpha
-        self.beta = beta
         self.pattern = ops.pattern
         self.n_elems = ops.n_elems
         self.n_loc = ops.n_loc
         self.dim = ops.dim
-        self.bases = ops.bases
         self.mass = ops.mass
         self.blocks = ops.blocks_for(alpha, beta)
         # per-element diagonal blocks only (intra-pattern couplings excluded)
@@ -307,6 +300,10 @@ class SweepConfig:
 
 K_REFERENCES = ("hE", "square")
 
+# each timestep label's multiple of the family's k1; powers of two, so each
+# k is its k1 scaled exactly
+TIMESTEP_FACTORS = {"k1": 1.0, "k2": 2.0, "k3": 4.0}
+
 
 def timestep_family(element_area, label, reference="hE"):
     """k1 = 3 h / |beta| (|beta| = 1), k2 = 2 k1, k3 = 4 k1, where h is h_E
@@ -316,12 +313,10 @@ def timestep_family(element_area, label, reference="hE"):
                           f"(choose from {K_REFERENCES})")
     h_E = h_E_from_area(element_area)
     href = h_E if reference == "hE" else pattern_side_length("square", h_E)
-    k1 = 3.0 * href
-    family = {"k1": k1, "k2": 2.0 * k1, "k3": 4.0 * k1}
-    if label not in family:
+    if label not in TIMESTEP_FACTORS:
         raise SymbolError(f"unknown timestep label {label!r} "
-                          f"(choose from {sorted(family)})")
-    return family[label]
+                          f"(choose from {sorted(TIMESTEP_FACTORS)})")
+    return TIMESTEP_FACTORS[label] * (3.0 * href)
 
 
 def _is_lattice_translate(a, b, lattice, scale):
@@ -393,7 +388,7 @@ def screened_grid(syms, k, n, n_theta, mirror=None):
     return screened
 
 
-def max_spectral_radius(kind, p, k, element_area=None, config=None):
+def max_spectral_radius(kind, p, k, element_area, config=None):
     """Max Jacobi symbol spectral radius over velocity angle and wavenumber.
 
     A coarse (theta x phase-grid) sweep locates the peak; a derivative-free
@@ -414,8 +409,6 @@ def max_spectral_radius(kind, p, k, element_area=None, config=None):
     from scipy.optimize import minimize
 
     config = config or SweepConfig()
-    if element_area is None:
-        element_area = np.sqrt(3.0) / 4.0
     if config.theta_samples < 1 or config.wave_samples < 1:
         raise SymbolError("sample counts must be >= 1")
     if kind not in THETA_RANGES:

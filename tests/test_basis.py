@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydg import basis as basis_module
-from polydg.basis import (BasisError, DgSpace, ElementBasis, edge_quadrature,
-                          n_local, monomial_exponents, polygon_quadrature)
+from polydg.basis import (DEGREES, BasisError, DgSpace, ElementBasis,
+                          check_degree, edge_quadrature, n_local,
+                          monomial_exponents, polygon_quadrature)
 from polydg.experiments import advection_mesh
 from polydg.mesh import PolyMesh, build_random_mesh_pair, build_regular_mesh
 
@@ -52,6 +53,26 @@ def test_edge_quadrature():
     assert len(q.weights) == 4
     assert q.integrate(lambda x, y: x ** 7) == pytest.approx(1.0 / 8.0,
                                                              rel=1e-13)
+
+
+@pytest.mark.parametrize("rule, message", [
+    (lambda: edge_quadrature([1.0, 2.0], [1.0, 2.0], 3), "zero-length edge"),
+    (lambda: polygon_quadrature([[0.0, 0.0], [1.0, 0.0]], 2),
+     "at least 3 vertices"),
+    (lambda: polygon_quadrature([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], 2),
+     r"degenerate polygon \(area 0\)")])
+def test_degenerate_quadrature_domains_raise(rule, message):
+    with np.errstate(invalid="ignore"), pytest.raises(BasisError,
+                                                      match=message):
+        rule()
+
+
+def test_check_degree_accepts_integer_degrees_only():
+    for p in DEGREES:
+        check_degree(p)
+    for p in (1.5, 1.0, -1, 4):
+        with pytest.raises(BasisError, match=f"degree p={p} unsupported"):
+            check_degree(p)
 
 
 def test_n_local_and_exponent_order():

@@ -166,6 +166,13 @@ def test_bilu0_names_the_singular_elimination_step():
         factor_bilu0(singular_in_row_one())
 
 
+@pytest.mark.parametrize("solve", [block_jacobi_solve, gmres])
+def test_solvers_stop_unconverged_at_max_iters(solve):
+    A = random_block_matrix(6, 2, seed=3)
+    _, it, ok = solve(A, np.ones(A.dim), tol=1e-14, max_iters=2)
+    assert (it, ok) == (2, False)
+
+
 def test_jacobi_iteration_matrix_and_cap():
     A = random_block_matrix(4, 2, seed=17)
     R = jacobi_iteration_matrix(A)

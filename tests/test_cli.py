@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from polydg import vonneumann
-from polydg.cli import main
-from polydg.experiments import CSV_HEADER
+from polydg.cli import emit, main
+from polydg.experiments import CSV_HEADER, ExperimentReport
 from polydg.mesh import read_mesh
 
 
@@ -195,6 +195,23 @@ def test_bad_flags_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code != 0
+
+
+def test_advect_bad_degree_exits_2_without_a_table(capsys):
+    rc = main(["advect", "--pattern", "square", "--p", "0,7", "--k", "k1",
+               "--h", "0.25", "--steps", "1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: degree p=7 unsupported" in err
+
+
+def test_emit_exits_1_when_a_solve_did_not_converge(capsys):
+    report = ExperimentReport("advect", {})
+    report.add(iterations=3)
+    assert emit(report, None) == 0
+    report.add(iterations=200000, converged=False)
+    assert emit(report, None) == 1
 
 
 def test_unknown_pattern_name(capsys):

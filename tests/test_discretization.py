@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from polydg.basis import DgSpace
 from polydg.blocklinalg import (BlockSparseMatrix, block_jacobi_solve,
                                 factor_block_jacobi, gmres)
-from polydg.discretization import (advection_initial_condition,
+from polydg.discretization import (AssemblyError, advection_initial_condition,
                                    assemble_advection, assemble_mass,
                                    gaussian_pulse, rotating_velocity)
 from polydg.experiments import advection_timestep
@@ -187,3 +187,12 @@ def test_batched_assembly_matches_per_edge_loop(pattern, periodic, velocity):
             assert np.array_equal(got.indices, ref.indices)
             err = np.max(np.abs(got.blocks - ref.blocks))
             assert err <= 1e-13 * np.max(np.abs(ref.blocks))
+
+
+def test_non_finite_velocity_names_the_cell():
+    # 2 x 2 squares; the velocity is infinite right of x = 0.5, first on
+    # cell 1
+    mesh, space = setup(area=0.25, periodic=False)
+    with pytest.raises(AssemblyError, match="velocity not finite on cell 1$"):
+        assemble_advection(mesh, space, lambda x, y: (
+            np.where(x > 0.5, np.inf, 1.0), np.zeros_like(y)))

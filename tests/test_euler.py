@@ -42,6 +42,13 @@ def test_primitive_rejects_nonphysical():
         primitive(u, GAMMA)
 
 
+def test_wave_speed_rejects_non_positive_pressure():
+    u = random_states(3)
+    u[2, 3] = 0.0   # no internal energy: negative pressure
+    with pytest.raises(EulerError, match="non-positive pressure"):
+        max_wave_speed(u, np.array([1.0, 0.0]), GAMMA)
+
+
 def test_numerical_flux_consistency():
     # F_hat(u, u, n) = F(u) . n to machine precision
     u = random_states(20, seed=1)

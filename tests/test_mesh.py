@@ -143,6 +143,23 @@ def test_natural_ordering_is_bijection():
         assert sorted(perm) == list(range(mesh.n_cells))
 
 
+def row_height_reference(kind, element_area):
+    """The per-kind row heights pattern_row_height replaced."""
+    h = pattern_side_length(kind, h_E_from_area(element_area))
+    if kind in ("square", "rtri"):
+        return h
+    if kind == "etri":
+        return np.sqrt(3.0) / 2.0 * h
+    return 1.5 * h
+
+
+@pytest.mark.parametrize("kind", PATTERNS)
+def test_row_height_is_the_per_kind_table(kind):
+    for area in np.geomspace(1e-6, 1e3, 2005):
+        assert (pattern_row_height(kind, area).hex()
+                == row_height_reference(kind, area).hex())
+
+
 def test_natural_ordering_interleaves_split_squares():
     # the two triangles of each split square share a band, alternating in x
     mesh = build_regular_mesh("rtri", 0.125, (0, 0, 1, 1), periodic=True)
@@ -199,6 +216,9 @@ def test_read_mesh_errors(tmp_path):
     bad.write_text("polymesh 1\nvertices 0\ncells 0\n")
     with pytest.raises(MeshError):
         read_mesh(bad)
+    bad.write_text("polymesh 1\nvertices two\n0.0 0.0\n")
+    with pytest.raises(MeshError, match=":2: expected 'vertices N'$"):
+        read_mesh(bad)
     for section, error in [
             ("0 999", ":10: periodic pair 0 999: side 999 out of range 0..3$"),
             ("0 x", ":10: expected two side indices$"),
@@ -220,6 +240,28 @@ def test_read_mesh_errors(tmp_path):
     with pytest.raises(MeshError, match=":13: periodic pair 1 7: side 1 is "
                                         "not a boundary side$"):
         read_mesh(bad)
+
+
+SQUARE_VERTICES = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("vertices, cells, options, message", [
+    (SQUARE_VERTICES, [[0, 1, 2], [0, 1, 2]], {},
+     r"^duplicate directed side \(0, 1\)$"),
+    ([(0, 0), (1, 0), (1, 0), (0, 1)], [[0, 1, 2, 3]], {},
+     "^zero-length edge$"),
+    ([(0, 0), (1, 0), (2, 0)], [[0, 1, 2]], {},
+     "^cell with non-positive area$"),
+    (SQUARE_VERTICES, [[0, 1, 2, 3]], {"periodic_pairs": "auto"},
+     "^periodic matching requires translation vectors$"),
+    # the top side is the bottom one moved by (0, 1), not by (0, 2)
+    (SQUARE_VERTICES, [[0, 1, 2, 3]],
+     {"periodic_pairs": "auto", "periodic_translations": ((1, 0), (0, 2))},
+     "^unpaired periodic boundary side 0$")])
+def test_polymesh_refuses_bad_topology(vertices, cells, options, message):
+    with np.errstate(invalid="ignore"), pytest.raises(MeshError,
+                                                      match=message):
+        PolyMesh(vertices, cells, **options)
 
 
 def test_random_pair_names_delaunay_sliver():

@@ -106,6 +106,8 @@ def test_ratio_table_checks_every_degree_before_any_sweep(monkeypatch):
                         lambda *args: sweeps.append(args))
     with pytest.raises(BasisError, match="degree p=7 unsupported"):
         ratio_table([0, 1, 7], ["k1"])
+    with pytest.raises(BasisError, match="degree p=1.5 unsupported"):
+        ratio_table([1.5], ["k1"])
     assert sweeps == []
 
 
