@@ -33,9 +33,11 @@ def _finite_norm(F, step):
     return norm
 
 
-def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=5e-13,
-                 max_iters=20):
-    """Newton's method with full steps.
+MAX_NEWTON_STEPS = 20
+
+
+def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=5e-13):
+    """Newton's method with full steps, at most MAX_NEWTON_STEPS of them.
 
     residual_fn(u) -> F(u); jacobian_fn(u) -> A, the block matrix dF/du;
     linear_solver(A, rhs) -> (x, n_iters). Convergence:
@@ -49,7 +51,7 @@ def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=5e-13,
     norms = [_finite_norm(F, 0)]
     lin_iters = []
     ref = max(1.0, norms[0])
-    for it in range(max_iters):
+    for it in range(MAX_NEWTON_STEPS):
         if norms[-1] <= tol * ref:
             return NewtonResult(u, it, lin_iters, norms, True)
         A = jacobian_fn(u)
@@ -60,7 +62,7 @@ def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=5e-13,
         F = residual_fn(u)
         norms.append(_finite_norm(F, it + 1))
     converged = norms[-1] <= tol * ref
-    return NewtonResult(u, max_iters, lin_iters, norms, converged)
+    return NewtonResult(u, MAX_NEWTON_STEPS, lin_iters, norms, converged)
 
 
 def dirk3_tableau():

@@ -22,12 +22,12 @@ THETA_RANGES = {
 }
 
 
-def check_admissible(kind, alpha, beta, tol=1e-12):
-    ok = alpha >= -tol and beta >= -tol
+def check_admissible(kind, alpha, beta):
+    ok = alpha >= -1e-12 and beta >= -1e-12
     if kind in ("hexagon", "etri"):
-        ok = ok and (np.sqrt(3.0) * alpha - beta >= -tol)
+        ok = ok and (np.sqrt(3.0) * alpha - beta >= -1e-12)
     elif kind == "rtri":
-        ok = ok and (alpha - beta >= -tol)
+        ok = ok and (alpha - beta >= -1e-12)
     if not ok:
         raise SymbolError(
             f"velocity ({alpha}, {beta}) violates the sign conditions for {kind}")
@@ -214,13 +214,22 @@ class PatternSymbol:
             self._parts_by_k[k] = parts
         return parts
 
-    def spectral_radius_phases(self, k, phi1, phi2, screen=False):
+    def spectral_radius_phases(self, k, phi1, phi2, screen=False, floor=None):
         """max |eig(R_hat)| at lattice phases (phi1, phi2); broadcasts.
 
         The reference path builds R_hat with `jacobi_symbol`. `screen=True`
-        sums it from `_symbol_parts` and, on a two-cyclic pattern, takes
-        sqrt(rho(X Y)) of the half-size blocks; the two agree to rounding
-        but not bitwise.
+        sums it from `_symbol_parts` and returns rho(M)^(1/root): M = R_hat,
+        root = 1, or on a two-cyclic pattern the half-size M = X Y, root = 2.
+        The two paths agree to rounding but not bitwise.
+
+        With a `floor`, points are proven low instead of solved. By
+        Gelfand's formula (Horn and Johnson, Matrix Analysis, 2nd ed.,
+        5.6), b_s = ||M^(2^s)||_F^(1/(2^s root)) >= rho(R_hat) for every s,
+        up to rounding. M is squared up to BOUND_SQUARINGS times, rescaled
+        to unit norm before each squaring, and the log-norms are summed
+        with doubling weights. A point whose b_s is below the floor gets
+        b_s; every other point gets its eigenvalue radius, bitwise the
+        value without a floor.
         """
         if not screen:
             R = self.jacobi_symbol(k, phases=(phi1, phi2))
@@ -235,16 +244,40 @@ class PatternSymbol:
             return (phase @ C.reshape(len(C), -1)).reshape(
                 phi1.shape + C.shape[1:])
 
-        if self.two_cyclic:
-            X, Y = parts
-            ev = np.linalg.eigvals(symbol(X) @ symbol(Y))
-            return np.sqrt(np.max(np.abs(ev), axis=-1))
-        return np.max(np.abs(np.linalg.eigvals(symbol(parts))), axis=-1)
+        M = (symbol(parts[0]) @ symbol(parts[1]) if self.two_cyclic
+             else symbol(parts))
+
+        def radius(M):
+            r = np.max(np.abs(np.linalg.eigvals(M)), axis=-1)
+            return np.sqrt(r) if self.two_cyclic else r
+
+        if floor is None:
+            return radius(M)
+        M = M.reshape((-1,) + M.shape[-2:])
+        rho = np.empty(len(M))
+        todo = np.arange(len(M))
+        A, log_norm = M, np.zeros(len(M))
+        for s in range(BOUND_SQUARINGS + 1):
+            F = A.reshape(len(A), -1).view(float)
+            norm = np.sqrt(np.einsum("ij,ij->i", F, F))
+            with np.errstate(divide="ignore"):
+                log_norm = 2.0 * log_norm + np.log(norm)
+            bound = np.exp(log_norm / (2 ** s * (2 if self.two_cyclic else 1)))
+            low = bound < floor
+            rho[todo[low]] = bound[low]
+            todo, log_norm = todo[~low], log_norm[~low]
+            if s == BOUND_SQUARINGS or not len(todo):
+                break
+            A, norm = A[~low], norm[~low]
+            A *= 1.0 / np.where(norm > 0.0, norm, 1.0)[:, None, None]
+            A = A @ A
+        rho[todo] = radius(M[todo])
+        return rho.reshape(phi1.shape)
 
 
 # -- closed forms --------------------------------------------------------
 
-def paper_wave_coords(kind, element_area, nx, ny):
+def paper_wave_coords(kind, nx, ny):
     """Map a geometric wavenumber to the coordinates the displayed p=0
     formulas are written in (they differ only for equilateral triangles,
     whose second phase is taken along the oblique lattice vector)."""
@@ -287,6 +320,11 @@ def closed_form_p0_eigs(kind, h, alpha, beta, k, nx, ny):
 # Screened values within this of the screened peak are recomputed exactly;
 # the screen differs from the reference path by ~1e-14.
 SCREEN_TOL = 1e-9
+# Extra room below the pruning floor for rounding (`screened_grid`).
+ROUNDING_MARGIN = 1e-9
+# Squarings before a point is eigen-solved: on the default grid 12 or 20
+# cost within 4 % of 16 in squarings plus eigen-solves, and 8 cost 50 % more.
+BOUND_SQUARINGS = 16
 
 
 @dataclass
@@ -359,7 +397,7 @@ def velocity_mirror(pattern, t0, t1):
     return Ti
 
 
-def screened_grid(syms, k, n, n_theta, mirror=None):
+def screened_grid(syms, k, n, n_theta, mirror=None, prune=False):
     """Screened spectral radii on the grid of n_theta velocity angles and
     the phases 2 pi (j1, j2) / n, shape (n_theta, n * n), phases in C order.
 
@@ -368,6 +406,14 @@ def screened_grid(syms, k, n, n_theta, mirror=None):
     n_theta angles; with the phase map `mirror` of `velocity_mirror` they
     are the first ceil(n_theta / 2), and angle n_theta - 1 - t takes angle
     t's radii at the phases T phi.
+
+    With `prune`, each angle is screened with the floor
+    best - SCREEN_TOL - ROUNDING_MARGIN, best being the largest radius
+    found so far: at phase zero of every angle, then on each angle
+    screened. A pruned point's bound b, and so its radius r <= b, lies
+    below the grid's peak minus SCREEN_TOL; the margin covers rounding
+    (~1e-15) in b and in the phase-zero radii. So the points within
+    SCREEN_TOL of the peak, and their values, are the unpruned grid's.
     """
     # screen the half of the phases that is at or before its conjugate
     # point -phi in C order and copy each value to the conjugate
@@ -377,9 +423,15 @@ def screened_grid(syms, k, n, n_theta, mirror=None):
     keep, copy = flat[half], conj[half]
     phis = 2.0 * np.pi * np.arange(n) / n
     screened = np.empty((n_theta, n * n))
+    best = -np.inf
+    if prune:
+        best = max(sym.spectral_radius_phases(k, 0.0, 0.0, screen=True)
+                   for sym in syms)
     for sym, row in zip(syms, screened):
+        floor = best - SCREEN_TOL - ROUNDING_MARGIN if prune else None
         row[keep] = row[copy] = sym.spectral_radius_phases(
-            k, phis[keep // n], phis[keep % n], screen=True)
+            k, phis[keep // n], phis[keep % n], screen=True, floor=floor)
+        best = max(best, row.max())
     if mirror is not None:
         # rho(t0 + t1 - theta, T phi) = rho(theta, phi)
         i1, i2 = (mirror @ np.stack(np.divmod(flat, n))) % n
@@ -392,7 +444,8 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     """Max Jacobi symbol spectral radius over velocity angle and wavenumber.
 
     A coarse (theta x phase-grid) sweep locates the peak; a derivative-free
-    local search then refines it, since the maximizer can be sharp.
+    local search then refines it, since the maximizer can be sharp. The
+    timestep k must be finite and positive.
 
     The coarse grid is screened with the cheap `screen=True` path on half
     of it: rho(-phi) = rho(phi) halves each phase grid, and when the
@@ -400,8 +453,11 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     (`velocity_mirror`: square and etri with T = [[0, 1], [1, 0]], hexagon
     with T = [[1, 0], [1, -1]]; not rtri, and no pattern on the quarter-pi
     range) only the first ceil(N/2) angles are screened and angle N-1-t
-    takes angle t's values at the phases T phi. Every point the screen puts
-    within SCREEN_TOL of its peak, mirrored rows included, is then
+    takes angle t's values at the phases T phi. A point whose norm-power
+    bound proves it more than SCREEN_TOL below a radius already found keeps
+    the bound instead of an eigen-solve (`screened_grid`), which leaves the
+    values within SCREEN_TOL of the peak as they are. Every such point,
+    mirrored rows included, is then
     recomputed on the reference path, so the peak, its first location in C
     order and thus the refine's start are bit for bit those of a full
     reference grid.
@@ -411,6 +467,8 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     config = config or SweepConfig()
     if config.theta_samples < 1 or config.wave_samples < 1:
         raise SymbolError("sample counts must be >= 1")
+    if not (np.isfinite(k) and k > 0.0):
+        raise SymbolError(f"timestep k must be finite and positive, got {k}")
     if kind not in THETA_RANGES:
         raise SymbolError(f"unknown pattern kind {kind!r}")
     if config.theta_range == "quarter-pi":
@@ -434,7 +492,7 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     n_theta = len(thetas)
     syms = [symbol(th) for th in
             thetas[:n_theta if mirror is None else (n_theta + 1) // 2]]
-    screened = screened_grid(syms, k, n, n_theta, mirror)
+    screened = screened_grid(syms, k, n, n_theta, mirror, prune=True)
     # Verify every point the screen puts near the peak on the reference
     # path, so the peak and its location are those of a full reference grid
     # (first in C order over theta, then phase); the refine below starts

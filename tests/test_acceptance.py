@@ -150,7 +150,7 @@ def test_p0_closed_forms_random_draws(kind):
         nx, ny = rng.uniform(-4.0, 4.0, 2)
         sym = PatternSymbol(kind, 0, AREA, (a, b))
         eigs = np.linalg.eigvals(sym.jacobi_symbol(k, nx, ny))
-        wx, wy = paper_wave_coords(kind, AREA, nx, ny)
+        wx, wy = paper_wave_coords(kind, nx, ny)
         closed = closed_form_p0_eigs(kind, h, a, b, k, wx, wy)
         for lam in closed:
             assert np.min(np.abs(eigs - lam)) < 1e-12

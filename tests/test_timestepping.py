@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from polydg.blocklinalg import BlockSparseMatrix, block_jacobi_solve
-from polydg.timestepping import (TimesteppingError, backward_euler_system,
-                                 dirk3_step, dirk3_tableau, newton_solve)
+from polydg.timestepping import (MAX_NEWTON_STEPS, TimesteppingError,
+                                 backward_euler_system, dirk3_step,
+                                 dirk3_tableau, newton_solve)
 
 
 def scalar_system(lam):
@@ -109,15 +110,15 @@ def test_newton_reports_failure():
     def solver(A, rhs):
         return np.linalg.solve(A, rhs), 1
 
-    res = newton_solve(residual, jacobian, np.array([0.3]), solver,
-                       max_iters=5)
+    res = newton_solve(residual, jacobian, np.array([0.3]), solver)
     assert not res.converged
+    assert res.n_iters == len(res.linear_iters) == MAX_NEWTON_STEPS
 
 
 @pytest.mark.parametrize("bad_at", [0, 2])
 def test_newton_stops_on_non_finite_residual(bad_at):
     # a NaN residual fails every convergence test, so without the check
-    # Newton would run max_iters steps on NaN
+    # Newton would run MAX_NEWTON_STEPS steps on NaN
     calls = []
 
     def residual(u):

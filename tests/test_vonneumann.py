@@ -86,7 +86,7 @@ def test_p0_closed_form_matches_symbol(kind):
         sym = PatternSymbol(kind, 0, AREA, (a, b))
         R = sym.jacobi_symbol(k, nx, ny)
         eigs = np.linalg.eigvals(R)
-        wx, wy = paper_wave_coords(kind, AREA, nx, ny)
+        wx, wy = paper_wave_coords(kind, nx, ny)
         closed = closed_form_p0_eigs(kind, h, a, b, k, wx, wy)
         for lam in closed:
             assert np.min(np.abs(eigs - lam)) < 1e-10
@@ -117,6 +117,18 @@ def test_sweep_config_guards():
                             SweepConfig(theta_samples=0))
     with pytest.raises(SymbolError):
         ratio_table([], ["k1"])
+
+
+@pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_bad_timestep_fails_before_any_sweep(monkeypatch, k):
+    # before, nan and inf failed inside numpy with LinAlgError, k = -1
+    # returned 2.92 and k = 0 about 1e-33
+    def no_symbol(*args):
+        raise AssertionError("a symbol was built")
+
+    monkeypatch.setattr(vonneumann, "PatternSymbol", no_symbol)
+    with pytest.raises(SymbolError, match="finite and positive"):
+        max_spectral_radius("square", 1, k, AREA)
 
 
 def test_quarter_pi_range_square_matches_per_pattern():
@@ -274,3 +286,110 @@ def test_two_cyclic_detected_from_blocks(kind, two_cyclic):
         R = sym.jacobi_symbol(3.0, phases=(0.4, -1.1))
         assert np.max(np.abs(R[:nl, :nl])) < 1e-14
         assert np.max(np.abs(R[nl:, nl:])) < 1e-14
+
+
+def bound_sequence(sym, k, phi1, phi2):
+    """The norm-power bounds the floored screen gives the point
+    (phi1, phi2), largest first, and the point's screened radius.
+
+    An infinite floor prunes every point at s = 0 and returns b_0. A floor
+    just at the last bound returned makes the screen return the next
+    smaller b_s, or, when no b_s up to the cap is smaller, the radius,
+    bitwise the unfloored value. The bounds are non-increasing in s, so
+    each b_s skipped is at least the bound returned before it.
+    """
+    def screen(floor):
+        return float(sym.spectral_radius_phases(k, phi1, phi2, screen=True,
+                                                floor=floor))
+
+    rho = screen(None)
+    bounds = [screen(np.inf)]
+    for _ in range(vonneumann.BOUND_SQUARINGS):
+        value = screen(bounds[-1])
+        if value == rho:
+            break
+        assert value < bounds[-1]
+        bounds.append(value)
+    return bounds, rho
+
+
+# numpy warns on these by default (not on underflow); the bound must not
+RAISE = {"divide": "raise", "over": "raise", "invalid": "raise"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["square", "hexagon", "rtri", "etri"]),
+       p=st.integers(0, 3), label=st.sampled_from(["k1", "k2", "k3"]),
+       frac=st.floats(0.0, 1.0),
+       phases=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)))
+def test_norm_power_bound_holds_at_every_squaring(kind, p, label, frac,
+                                                  phases):
+    t0, t1 = THETA_RANGES[kind]
+    th = t0 + frac * (t1 - t0)
+    sym = PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
+    with np.errstate(**RAISE):
+        bounds, rho = bound_sequence(sym, timestep_family(AREA, label),
+                                     *phases)
+    assert np.all(np.isfinite(bounds))
+    assert min(bounds) >= rho * (1.0 - 1e-12)
+
+
+def test_norm_power_bound_of_tiny_and_zero_symbols():
+    # square p=0 at theta = pi/4, phases (pi, 0): |R_hat| is about 8e-17
+    sym = PatternSymbol("square", 0, AREA, (np.cos(np.pi / 4),
+                                            np.sin(np.pi / 4)))
+    k = timestep_family(AREA, "k1")
+    with np.errstate(**RAISE):
+        bounds, rho = bound_sequence(sym, k, np.pi, 0.0)
+    assert 0.0 < rho < 1e-15
+    assert min(bounds) >= rho * (1.0 - 1e-12)
+    # symbols with an all-zero part: every bound and radius reads 0
+    hexagon = PatternSymbol("hexagon", 2, AREA, (1.0, 0.5))
+    offsets, C = hexagon._symbol_parts(k)
+    hexagon._parts_by_k[k] = (offsets, np.zeros_like(C))
+    rtri = PatternSymbol("rtri", 1, AREA, (1.0, 0.5))
+    offsets, (X, Y) = rtri._symbol_parts(k)
+    rtri._parts_by_k[k] = (offsets, (np.zeros_like(X), Y))
+    for sym in (hexagon, rtri):
+        for floor in (None, np.inf, 1.0, 0.0, -np.inf):
+            with np.errstate(**RAISE):
+                zero = sym.spectral_radius_phases(k, [0.3, -1.0], [2.0, 0.0],
+                                                  screen=True, floor=floor)
+            assert zero.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagon", "rtri", "etri"])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_pruned_screen_keeps_the_near_peak_values(monkeypatch, kind, p):
+    t0, t1 = THETA_RANGES[kind]
+    T = velocity_mirror(GeneratingPattern.make(kind, AREA), t0, t1)
+    floors = []
+    unrecorded = PatternSymbol.spectral_radius_phases
+
+    def recorded(self, k, phi1, phi2, screen=False, floor=None):
+        floors.append(-np.inf if floor is None else floor)
+        return unrecorded(self, k, phi1, phi2, screen, floor)
+
+    monkeypatch.setattr(PatternSymbol, "spectral_radius_phases", recorded)
+    pruned_points = 0
+    for label in ("k1", "k2", "k3"):
+        k = timestep_family(AREA, label)
+        # an even and an odd angle count with the mirror, as above
+        for n_theta, mirror in [(5, None)] + [(6, T), (5, T)] * (T is not None):
+            syms = [PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
+                    for th in np.linspace(t0, t1, n_theta)]
+            syms = syms[:n_theta if mirror is None else (n_theta + 1) // 2]
+            full = screened_grid(syms, k, 10, n_theta, mirror)
+            floors.clear()
+            pruned = screened_grid(syms, k, 10, n_theta, mirror, prune=True)
+            # every floor keeps the rounding margin below the peak's band
+            assert max(floors) <= full.max() - vonneumann.SCREEN_TOL \
+                - 0.5 * vonneumann.ROUNDING_MARGIN
+            near = full >= full.max() - vonneumann.SCREEN_TOL
+            assert np.array_equal(pruned[near], full[near])
+            # a bound is at least its radius up to rounding: on a 1x1
+            # symbol, b_0 = sqrt(re^2 + im^2) can be 1 ulp below abs()
+            assert np.all(pruned[~near] >= full[~near] * (1.0 - 1e-12))
+            assert np.all(pruned[~near] < full.max() - vonneumann.SCREEN_TOL)
+            pruned_points += np.count_nonzero(pruned != full)
+    assert pruned_points > 0
