@@ -124,13 +124,6 @@ class BlockSparseMatrix:
                 shape=(self.dim, self.dim))
         return self._bsr @ x
 
-    def block(self, i, j):
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        k = np.searchsorted(self.indices[lo:hi], j)
-        if k < hi - lo and self.indices[lo + k] == j:
-            return self.blocks[lo + k]
-        return None
-
     def diagonal_blocks(self):
         return self.blocks[self._diag]
 

@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from . import experiments
-from .experiments import (ADVECTION_H, ANALYZE_EXTRA_COLUMNS, run_advect,
-                          run_analyze, run_euler_vortex, run_random_advect,
+from .experiments import (ADVECTION_H, run_advect, run_analyze,
+                          run_euler_vortex, run_random_advect,
                           solver_config_name)
 from .basis import DEGREES, BasisError
 from .mesh import MeshError, build_random_mesh_pair, build_regular_mesh, write_mesh
@@ -139,10 +139,10 @@ def resolve_patterns(names):
     return out
 
 
-def emit(report, out_path, extra_columns=()):
+def emit(report, out_path):
     if out_path:
-        report.write_csv(out_path, extra_columns)
-    print(report.format_table(extra_columns))
+        report.write_csv(out_path)
+    print(report.format_table())
     return 0 if report.all_converged else 1
 
 
@@ -151,7 +151,7 @@ def cmd_analyze(args):
                          wave_samples=args.wave_samples,
                          theta_range=args.theta_range)
     report = run_analyze(p_list=args.p, k_labels=args.k, config=config)
-    return emit(report, args.out, ANALYZE_EXTRA_COLUMNS)
+    return emit(report, args.out)
 
 
 def cmd_advect(args):

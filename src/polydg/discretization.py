@@ -1,5 +1,5 @@
-"""DG operator assembly for linear advection: mass matrix M, spatial operator
-L (volume + upwind face terms), and initial-condition projection.
+"""DG operator assembly for linear advection: mass matrix M and spatial
+operator L (volume + upwind face terms) on the mesh of a `basis.DgSpace`.
 
 Assembly is batched: each term is computed for a group of cells (see
 `basis.CellBases`) or for all edges at once and emitted as (row, col, block)
@@ -28,25 +28,26 @@ def _weighted_products(w, a, b):
     return (a * w[..., None]).transpose(0, 2, 1) @ b
 
 
-def assemble_mass(mesh, space):
+def assemble_mass(space):
     """Block-diagonal mass matrix (identity blocks under the orthonormal basis,
     assembled by quadrature for consistency)."""
-    blocks = np.empty((mesh.n_cells, space.n_loc, space.n_loc))
+    blocks = np.empty((space.n_cells, space.n_loc, space.n_loc))
     for cells, nodes, weights in space.groups:
         B = space.values(cells, nodes)
         blocks[cells] = _weighted_products(weights, B, B)
-    diag = np.arange(mesh.n_cells)
-    return BlockSparseMatrix.from_coo(mesh.n_cells, space.n_loc, diag, diag,
+    diag = np.arange(space.n_cells)
+    return BlockSparseMatrix.from_coo(space.n_cells, space.n_loc, diag, diag,
                                       blocks)
 
 
-def assemble_advection(mesh, space, velocity):
+def assemble_advection(space, velocity):
     """Assemble (M, L) for u_t + div(beta u) = 0 with pointwise upwind flux.
 
     velocity: constant (a, b) pair or a callable (x, y) -> (bx, by).
     Boundary edges get a zero exterior state on the inflow part; periodic
     edges couple to the shifted neighbor.
     """
+    mesh = space.mesh
     beta = _velocity_fn(velocity)
     rows, cols, blocks = [], [], []
 
@@ -90,16 +91,11 @@ def assemble_advection(mesh, space, velocity):
                -_weighted_products(w_out, wr, wl),
                -_weighted_products(w_in, wr, wr)]
 
-    M = assemble_mass(mesh, space)
+    M = assemble_mass(space)
     L = BlockSparseMatrix.from_coo(mesh.n_cells, space.n_loc,
                                    np.concatenate(rows), np.concatenate(cols),
                                    np.concatenate(blocks))
     return M, L
-
-
-def advection_initial_condition(mesh, space, u0):
-    """L2 projection of u0(x, y); returns a flat state vector."""
-    return space.project(u0).ravel()
 
 
 def gaussian_pulse(x0=0.35, y0=0.5, width=150.0):

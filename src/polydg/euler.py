@@ -192,8 +192,8 @@ class _EdgeChunk:
 
 
 class EulerDiscretization:
-    """DG discretization of the Euler equations on a mesh with Lax-Friedrichs
-    fluxes and exact-state weak boundary conditions.
+    """DG discretization of the Euler equations on the mesh of a `DgSpace`,
+    with Lax-Friedrichs fluxes and exact-state weak boundary conditions.
 
     State layout: per cell, component-major (block size 4 * n_loc).
 
@@ -204,8 +204,8 @@ class EulerDiscretization:
     results are bitwise those of that loop.
     """
 
-    def __init__(self, mesh, space, params):
-        self.mesh = mesh
+    def __init__(self, space, params):
+        self.mesh = mesh = space.mesh
         self.space = space
         self.params = params
         self.n_loc = space.n_loc

@@ -11,11 +11,11 @@ import numpy as np
 from .basis import DEGREES, DgSpace, check_degree
 from .blocklinalg import (block_jacobi_solve, factor_bilu0,
                           factor_block_jacobi, gmres)
-from .discretization import (advection_initial_condition, assemble_advection,
-                             gaussian_pulse, rotating_velocity)
+from .discretization import (assemble_advection, gaussian_pulse,
+                             rotating_velocity)
 from .euler import EulerDiscretization, EulerParams
 from .mesh import (PATTERN_KINDS, build_random_mesh_pair, build_regular_mesh,
-                   natural_ordering, pattern_row_height)
+                   natural_ordering)
 from .timestepping import newton_solve
 from .vonneumann import TIMESTEP_FACTORS, SweepConfig, ratio_table
 
@@ -96,8 +96,14 @@ class ExperimentReport:
             self.all_converged = False
         self.rows.append(row)
 
-    def write_csv(self, path, extra_columns=()):
-        header = CSV_HEADER + list(extra_columns)
+    @property
+    def columns(self):
+        """CSV_HEADER, then the extra keys of the first row in their order."""
+        first = self.rows[0] if self.rows else {}
+        return CSV_HEADER + [key for key in first if key not in CSV_HEADER]
+
+    def write_csv(self, path):
+        header = self.columns
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["# " + " ".join(
@@ -106,8 +112,8 @@ class ExperimentReport:
             for row in self.rows:
                 w.writerow([row.get(col, "") for col in header])
 
-    def format_table(self, extra_columns=()):
-        header = CSV_HEADER + list(extra_columns)
+    def format_table(self):
+        header = self.columns
         cols = [header] + [[str(row.get(c, "")) for c in header]
                            for row in self.rows]
         widths = [max(len(r[i]) for r in cols) for i in range(len(header))]
@@ -152,9 +158,6 @@ def run_analyze(p_list=DEGREES, k_labels=tuple(TIMESTEP_FACTORS),
     return report
 
 
-ANALYZE_EXTRA_COLUMNS = ("lambda_max", "log_ratio")
-
-
 # -- variable-velocity advection ------------------------------------------
 
 ADVECTION_H = 0.05
@@ -170,8 +173,7 @@ def advection_mesh(pattern, h=ADVECTION_H, periodic=False):
                               periodic=periodic)
 
 
-def run_advect_case(mesh, p, k, solver, preconditioner, tol=1e-14, n_steps=1,
-                    band_height=None):
+def run_advect_case(mesh, p, k, solver, preconditioner, tol=1e-14, n_steps=1):
     """Project the Gaussian and advance n_steps backward Euler solves.
 
     Returns the iteration count of the last solve: the first few counts creep
@@ -179,11 +181,10 @@ def run_advect_case(mesh, p, k, solver, preconditioner, tol=1e-14, n_steps=1,
     count characterizes the time-stepping regime better than the very first.
     """
     space = DgSpace(mesh, p)
-    M, L = assemble_advection(mesh, space, rotating_velocity)
+    M, L = assemble_advection(space, rotating_velocity)
     A = L.scaled_add_diag(k, M.diagonal_blocks())
-    u = advection_initial_condition(mesh, space, gaussian_pulse())
-    ordering = (natural_ordering(mesh, band_height)
-                if preconditioner == "ilu0" else None)
+    u = space.project(gaussian_pulse()).ravel()
+    ordering = natural_ordering(mesh) if preconditioner == "ilu0" else None
     t0 = time.perf_counter()
     it = 0
     res = 0.0
@@ -215,19 +216,16 @@ def run_advect(patterns=PATTERN_KINDS, p_list=DEGREES,
         if mesh_file is None:
             mesh = advection_mesh(pattern, h, periodic=periodic)
             mesh_name = f"regular-{pattern}"
-            band = pattern_row_height(pattern, h * h)
         else:
             mesh = read_mesh(mesh_file)
             if periodic and not mesh.is_periodic:
                 raise ExperimentError(f"bc 'periodic' needs a mesh file with "
                                       f"a periodic section: {mesh_file}")
             mesh_name = mesh_file
-            band = None
         for p in p_list:
             for lab, k in steps:
                 it, res, ok, wall = run_advect_case(
-                    mesh, p, k, solver, preconditioner, tol,
-                    n_steps=n_steps, band_height=band)
+                    mesh, p, k, solver, preconditioner, tol, n_steps=n_steps)
                 report.add(mesh=mesh_name, pattern=pattern, p=p, k_label=lab,
                            solver=solver, preconditioner=preconditioner,
                            iterations=it, final_residual=f"{res:.3e}",
@@ -275,8 +273,7 @@ def euler_mesh(pattern, h=EULER_H):
                               boundary_tag="exact_state")
 
 
-def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13,
-                   band_height=None):
+def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13):
     """One backward Euler step of the vortex via Newton.
 
     All requested solver configurations are run on the same sequence of
@@ -286,10 +283,10 @@ def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13,
     """
     _check_solver_names(solver_names)
     space = DgSpace(mesh, p)
-    disc = EulerDiscretization(mesh, space, EulerParams())
+    disc = EulerDiscretization(space, EulerParams())
     Un = disc.project_exact(0.0)
     Mblocks = disc.mass_blocks()
-    ordering = (natural_ordering(mesh, band_height)
+    ordering = (natural_ordering(mesh)
                 if any(SOLVER_CONFIGS[name][1] == "ilu0"
                        for name in solver_names) else None)
     totals = {name: 0 for name in solver_names}
@@ -346,13 +343,11 @@ def run_euler_vortex(patterns=PATTERN_KINDS, p_list=DEGREES,
         "solvers": "|".join(solver_names)})
     for pattern in patterns:
         mesh = euler_mesh(pattern)
-        band = pattern_row_height(pattern, EULER_H * EULER_H)
         for p in p_list:
             for lab, k in steps:
                 t0 = time.perf_counter()
                 counts, n_newton, final = run_euler_case(
-                    mesh, p, k, solver_names, tol, newton_tol,
-                    band_height=band)
+                    mesh, p, k, solver_names, tol, newton_tol)
                 wall = 1000.0 * (time.perf_counter() - t0)
                 for name, (total, ok) in counts.items():
                     s, pc = SOLVER_CONFIGS[name]

@@ -48,7 +48,12 @@ class PolyMesh:
     "auto" (each unmatched side pairs with its translate by a combination
     of the two periodic_translations) or a list of side-index pairs
     (a, b), side b being side a translated and reversed.
+
+    `row_height` is the spacing of the cell rows of a regular tiling,
+    which `build_regular_mesh` sets; it is None on every other mesh.
     """
+
+    row_height = None
 
     def __init__(self, vertices, cells, periodic_pairs=None, boundary_tag="inflow_outflow",
                  periodic_translations=None):
@@ -341,7 +346,8 @@ def _ragged_area_centroid(points, counts):
 def _row_major_cells(points, counts, instance, min_area, snap):
     """Vertices and cells of the polygons stored back to back in points,
     counts (n,) vertices each, that have area above min_area, sorted by
-    centroid y, then x, both rounded to 1e-9, ties by instance (n,)."""
+    centroid y, then x, both rounded to 1e-9, ties by instance (n,); then
+    the areas and centroids of the polygons dropped."""
     area, centroid = _ragged_area_centroid(points, counts)
     # numpy's rounding, which round() of a numpy float uses too
     order = np.lexsort((instance, *np.round(centroid, 9).T))
@@ -349,10 +355,12 @@ def _row_major_cells(points, counts, instance, min_area, snap):
     size = counts[order]
     gather = (np.repeat(np.cumsum(counts)[order] - np.cumsum(size), size)
               + np.arange(size.sum()))
-    return _vertex_pool(points[gather], size, snap)
+    small = area <= min_area
+    return (*_vertex_pool(points[gather], size, snap), area[small],
+            centroid[small])
 
 
-def build_pattern_tiling(kind, element_area, n1, n2, periodic=True):
+def build_pattern_tiling(kind, element_area, n1, n2):
     """Torus mesh of n1 x n2 lattice translates of the generating pattern.
 
     Works for oblique lattices (hexagons, equilateral triangles); periodicity
@@ -364,8 +372,7 @@ def build_pattern_tiling(kind, element_area, n1, n2, periodic=True):
     verts, cells = _vertex_pool(polys.reshape(-1, 2),
                                  np.full(len(polys), polys.shape[1]),
                                  1e-9 * np.sqrt(element_area))
-    return PolyMesh(verts, cells,
-                    periodic_pairs="auto" if periodic else None,
+    return PolyMesh(verts, cells, periodic_pairs="auto",
                     periodic_translations=(n1 * a1, n2 * a2))
 
 
@@ -464,13 +471,29 @@ def build_regular_mesh(kind, element_area, domain, periodic=False,
     clipped = {i: c for i in np.flatnonzero(meets & ~inside)
                if len(c := _dedupe_loop(
                    clip_polygon_rect(polys[i], x0, y0, x1, y1), snap)) >= 3}
-    verts, cells = _row_major_cells(
+    verts, cells, lost_area, lost_centroid = _row_major_cells(
         np.concatenate([polys[whole].reshape(-1, 2), *clipped.values()]),
         np.array([polys.shape[1]] * len(whole)
                  + [len(c) for c in clipped.values()]),
         np.array([*whole, *clipped]), 1e-10 * element_area, snap)
     mesh = PolyMesh(verts, cells, **options)
-    mesh.validate(domain_area=W * H)
+    mesh.row_height = abs(pat.lattice[1, 1])
+    try:
+        mesh.validate(domain_area=W * H)
+    except MeshError as exc:
+        if not len(lost_area):
+            raise
+        # a domain side just off a lattice line clips slivers below the
+        # area floor, whose gaps fail the area sum
+        gap = np.abs(lost_centroid[:, [0, 0, 1, 1]] - (x0, x1, y0, y1))
+        near = np.unique(gap.argmin(axis=1))
+        sides = " and ".join(f"{('x0', 'x1', 'y0', 'y1')[i]} = "
+                             f"{(x0, x1, y0, y1)[i]!r}" for i in near)
+        raise MeshError(
+            f"{exc}: {len(lost_area)} clipped pieces of total area "
+            f"{lost_area.sum():.3g} along {sides} fell below the area floor "
+            f"of 1e-10 element areas (a domain side just off a lattice "
+            f"line)") from exc
     return mesh
 
 
@@ -539,33 +562,24 @@ def build_random_mesh_pair(h, delta, domain=(0.0, 0.0, 1.0, 1.0), seed=0):
 
 # -- natural ordering ----------------------------------------------------
 
-def pattern_row_height(kind, element_area):
-    """Vertical spacing between cell rows of a regular tiling: the height
-    of the pointy pattern's second lattice vector.
-
-    For the two-triangle patterns one "row" holds both triangles of each
-    split square/rhombus, so their centroids interleave along x.
-    """
-    pattern = GeneratingPattern.make(kind, element_area, "pointy")
-    return abs(pattern.lattice[1, 1])
-
-
-def natural_ordering(mesh, band_height=None):
+def natural_ordering(mesh):
     """Row-major (y band, then x) permutation of cell indices.
 
-    Bands are found by clustering centroid y values. With band_height given
-    (the known row spacing of a regular tiling), a new band starts at any gap
-    above half of it; this groups the two triangles of a split square into one
-    band, interleaved along x, while keeping distinct rows apart even when
-    clipped boundary cells blur the gap structure. Without it, the threshold
-    falls back to 60% of the largest gap.
+    Bands are found by clustering centroid y values. On a regular tiling a
+    new band starts at any gap above half its `row_height`, the height of
+    the pointy pattern's second lattice vector: this groups the two
+    triangles of a split square/rhombus into one band, interleaved along x,
+    while keeping distinct rows apart even when clipped boundary cells blur
+    the gap structure. On any other mesh the threshold is 60% of the
+    largest gap.
     """
     cx, cy = mesh.cell_centroids.T
     order = np.argsort(cy, kind="stable")
     gaps = np.diff(cy[order])
     band = np.zeros(mesh.n_cells, dtype=int)
     if len(gaps) and gaps.max() > 0:
-        thr = 0.5 * band_height if band_height is not None else 0.6 * gaps.max()
+        thr = (0.6 * gaps.max() if mesh.row_height is None
+               else 0.5 * mesh.row_height)
         band[order[1:]] = np.cumsum(gaps > thr)
     return np.lexsort((cx, band))   # stable: ties keep cell order
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ElementBasis, check_degree, edge_quadrature, n_local
-from .mesh import GeneratingPattern, PATTERN_KINDS, h_E_from_area, pattern_side_length
+from .mesh import GeneratingPattern, PATTERN_KINDS, h_E_from_area
 
 
 class SymbolError(Exception):
@@ -325,6 +325,11 @@ ROUNDING_MARGIN = 1e-9
 # Squarings before a point is eigen-solved: on the default grid 12 or 20
 # cost within 4 % of 16 in squarings plus eigen-solves, and 8 cost 50 % more.
 BOUND_SQUARINGS = 16
+# Points recomputed on the reference path per call: a whole near-peak row
+# (rtri p=2 k2 puts all 2304 phases of theta = 0 there) in one call holds
+# ~28 MB of complex symbols; eigenvalues are solved per matrix, so slices
+# give the same values bitwise.
+RECOMPUTE_SLICE = 256
 
 
 @dataclass
@@ -332,29 +337,21 @@ class SweepConfig:
     theta_samples: int = 32
     wave_samples: int = 48
     theta_range: str = "per-pattern"   # per-pattern | quarter-pi
-    k_reference: str = "hE"            # which length the CFL-type step scales
     refine: bool = True                # polish the coarse-grid peak locally
 
-
-K_REFERENCES = ("hE", "square")
 
 # each timestep label's multiple of the family's k1; powers of two, so each
 # k is its k1 scaled exactly
 TIMESTEP_FACTORS = {"k1": 1.0, "k2": 2.0, "k3": 4.0}
 
 
-def timestep_family(element_area, label, reference="hE"):
-    """k1 = 3 h / |beta| (|beta| = 1), k2 = 2 k1, k3 = 4 k1, where h is h_E
-    (reference "hE") or the side of the square of that area ("square")."""
-    if reference not in K_REFERENCES:
-        raise SymbolError(f"unknown timestep reference {reference!r} "
-                          f"(choose from {K_REFERENCES})")
+def timestep_family(element_area, label):
+    """k1 = 3 h_E / |beta| (|beta| = 1), k2 = 2 k1, k3 = 4 k1."""
     h_E = h_E_from_area(element_area)
-    href = h_E if reference == "hE" else pattern_side_length("square", h_E)
     if label not in TIMESTEP_FACTORS:
         raise SymbolError(f"unknown timestep label {label!r} "
                           f"(choose from {sorted(TIMESTEP_FACTORS)})")
-    return TIMESTEP_FACTORS[label] * (3.0 * href)
+    return TIMESTEP_FACTORS[label] * (3.0 * h_E)
 
 
 def _is_lattice_translate(a, b, lattice, scale):
@@ -500,9 +497,12 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     exact = np.full_like(screened, -np.inf)
     near = screened >= screened.max() - SCREEN_TOL
     for t in np.flatnonzero(near.any(axis=1)):
-        g = np.flatnonzero(near[t])
         sym = syms[t] if t < len(syms) else symbol(thetas[t])
-        exact[t, g] = sym.spectral_radius_phases(k, phis[g // n], phis[g % n])
+        points = np.flatnonzero(near[t])
+        for start in range(0, len(points), RECOMPUTE_SLICE):
+            g = points[start:start + RECOMPUTE_SLICE]
+            exact[t, g] = sym.spectral_radius_phases(k, phis[g // n],
+                                                     phis[g % n])
     t, g = np.unravel_index(np.argmax(exact), exact.shape)
     best = max(float(exact[t, g]), 0.0)
     best_point = (thetas[t], phis[g // n], phis[g % n]) if best > 0.0 else None
@@ -530,8 +530,8 @@ def ratio_table(p_list, k_labels, config=None, kinds=PATTERN_KINDS):
     area = np.sqrt(3.0) / 4.0   # h_E = 1
     for p in p_list:
         check_degree(p)   # a bad degree fails before any sweep
-    steps = {lab: timestep_family(area, lab, config.k_reference)
-             for lab in k_labels}   # a bad label fails before any sweep
+    # a bad label fails before any sweep
+    steps = {lab: timestep_family(area, lab) for lab in k_labels}
     out = {}
     for p in p_list:
         for lab, k in steps.items():

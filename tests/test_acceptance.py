@@ -12,8 +12,7 @@ from polydg.basis import DgSpace
 from polydg.blocklinalg import (BlockSparseMatrix, block_jacobi_solve,
                                 factor_bilu0, gmres, jacobi_iteration_matrix,
                                 spectral_radius)
-from polydg.discretization import (advection_initial_condition,
-                                   assemble_advection, gaussian_pulse,
+from polydg.discretization import (assemble_advection, gaussian_pulse,
                                    rotating_velocity)
 from polydg.mesh import (build_pattern_tiling, build_regular_mesh,
                          h_E_from_area, pattern_side_length)
@@ -168,9 +167,9 @@ def test_symbol_matches_assembled_tiling(kind, p):
     theta = {"square": 0.6, "hexagon": 0.4, "rtri": 0.5, "etri": 0.4}[kind]
     vel = (np.cos(theta), np.sin(theta))
     k = 2.0
-    mesh = build_pattern_tiling(kind, AREA, n1, n2, periodic=True)
+    mesh = build_pattern_tiling(kind, AREA, n1, n2)
     space = DgSpace(mesh, p)
-    M, L = assemble_advection(mesh, space, vel)
+    M, L = assemble_advection(space, vel)
     A = backward_euler_system(M, L, k)
     eigs = np.linalg.eigvals(jacobi_iteration_matrix(A, dim_cap=4000))
     sym = PatternSymbol(kind, p, AREA, vel)
@@ -369,8 +368,8 @@ def test_property_conservation():
     mesh = build_regular_mesh("square", side * side, (0.0, 0.0, 1.0, 1.0),
                               periodic=True)
     space = DgSpace(mesh, 1)
-    M, L = assemble_advection(mesh, space, rotating_velocity)
-    u = advection_initial_condition(mesh, space, gaussian_pulse())
+    M, L = assemble_advection(space, rotating_velocity)
+    u = space.project(gaussian_pulse()).ravel()
     ones = space.project(lambda x, y: np.ones_like(x)).ravel()
     A = backward_euler_system(M, L, 0.1)
     unew, _, ok = block_jacobi_solve(A, M.matvec(u), tol=1e-14)
@@ -398,8 +397,7 @@ def test_property_jacobian_finite_difference():
     from polydg.euler import EulerDiscretization, EulerParams
     mesh = build_regular_mesh("square", 0.25, (0.0, 0.0, 1.0, 1.0),
                               boundary_tag="exact_state")
-    disc = EulerDiscretization(mesh, DgSpace(mesh, 1),
-                               EulerParams(x0=0.5, y0=0.5))
+    disc = EulerDiscretization(DgSpace(mesh, 1), EulerParams(x0=0.5, y0=0.5))
     U = disc.project_exact(0.0)
     _, alphas = disc.spatial_residual(U, 0.0)
     A = disc.spatial_jacobian(U, 0.0, alphas).to_dense()

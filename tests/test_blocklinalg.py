@@ -215,10 +215,10 @@ def test_from_coo_sums_duplicates_in_order_and_inserts_diagonals():
                                    blk)
     assert A.indptr.tolist() == [0, 2, 3, 5]
     assert A.indices.tolist() == [0, 1, 1, 0, 2]
-    assert np.array_equal(A.block(0, 1), (blk[0] + blk[2]) + blk[4])
-    assert np.array_equal(A.block(2, 0), blk[1] + blk[3])
-    for i in range(3):
-        assert np.array_equal(A.block(i, i), np.zeros((2, 2)))
+    assert np.array_equal(A.blocks[1], (blk[0] + blk[2]) + blk[4])
+    assert np.array_equal(A.blocks[3], blk[1] + blk[3])
+    for i in (0, 2, 4):
+        assert np.array_equal(A.blocks[i], np.zeros((2, 2)))
 
 
 def test_from_coo_rejects_keys_outside_range():
@@ -428,4 +428,4 @@ def test_matrix_arrays_are_read_only():
     with pytest.raises(ValueError):
         A.indices[0] = 1
     with pytest.raises(ValueError):
-        A.block(0, 0)[...] = 0.0
+        A.blocks[0][...] = 0.0

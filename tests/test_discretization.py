@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from polydg.basis import DgSpace
 from polydg.blocklinalg import (BlockSparseMatrix, block_jacobi_solve,
                                 factor_block_jacobi, gmres)
-from polydg.discretization import (AssemblyError, advection_initial_condition,
-                                   assemble_advection, assemble_mass,
-                                   gaussian_pulse, rotating_velocity)
+from polydg.discretization import (AssemblyError, assemble_advection,
+                                   assemble_mass, gaussian_pulse,
+                                   rotating_velocity)
 from polydg.experiments import advection_timestep
 from polydg.mesh import BOUNDARY, build_random_mesh_pair, build_regular_mesh
 from polydg.timestepping import backward_euler_system
@@ -27,7 +27,7 @@ def test_p0_constant_velocity_is_upwind_fv():
     # p = 0 with velocity (1, 0) on a periodic square grid reduces to the
     # classic first-order upwind scheme: h u_i - h u_{i-1} row structure
     mesh, space = setup(p=0)
-    _, L = assemble_advection(mesh, space, (1.0, 0.0))
+    _, L = assemble_advection(space, (1.0, 0.0))
     # under the orthonormal (1/sqrt(area)) basis the row scale is
     # edge_length / area; the stencil is +s diag, -s left neighbor
     s = 0.25 / 0.0625
@@ -45,7 +45,7 @@ def test_divergence_free_velocity_annihilates_constants(pattern):
     # constant reduces to the integral of v div(beta) = 0
     mesh = build_regular_mesh(pattern, 0.01, (0.0, 0.0, 1.0, 1.0))
     space = DgSpace(mesh, 2)
-    _, L = assemble_advection(mesh, space, rotating_velocity)
+    _, L = assemble_advection(space, rotating_velocity)
     c = space.project(lambda x, y: np.ones_like(x)).ravel()
     r = L.matvec(c).reshape(mesh.n_cells, space.n_loc)
     touches_boundary = np.zeros(mesh.n_cells, bool)
@@ -57,8 +57,8 @@ def test_divergence_free_velocity_annihilates_constants(pattern):
 
 def test_periodic_step_conserves_mass():
     mesh, space = setup(p=1)
-    M, L = assemble_advection(mesh, space, rotating_velocity)
-    u = advection_initial_condition(mesh, space, gaussian_pulse())
+    M, L = assemble_advection(space, rotating_velocity)
+    u = space.project(gaussian_pulse()).ravel()
     k = 0.05
     A = backward_euler_system(M, L, k)
     ones = space.project(lambda x, y: np.ones_like(x)).ravel()
@@ -73,7 +73,7 @@ def test_upwind_operator_is_dissipative():
     # eigenvalues of the generator -M^{-1} L lie in the closed left half
     # plane: the semi-discrete scheme cannot grow
     mesh, space = setup(p=1, area=0.25)
-    M, L = assemble_advection(mesh, space, rotating_velocity)
+    M, L = assemble_advection(space, rotating_velocity)
     G = -np.linalg.solve(M.to_dense(), L.to_dense())
     eigs = np.linalg.eigvals(G)
     assert np.max(eigs.real) < 1e-10
@@ -81,7 +81,7 @@ def test_upwind_operator_is_dissipative():
 
 def test_gaussian_projection_peak():
     mesh, space = setup(p=3, area=0.0025, periodic=False)
-    u = advection_initial_condition(mesh, space, gaussian_pulse())
+    u = space.project(gaussian_pulse()).ravel()
     c = np.argmin(np.linalg.norm(mesh.cell_centroids - [0.35, 0.5], axis=1))
     val = space.evaluate(u.reshape(mesh.n_cells, space.n_loc), c,
                          np.array([[0.35, 0.5]]))[0]
@@ -90,7 +90,7 @@ def test_gaussian_projection_peak():
 
 def test_mass_matrix_is_identity_for_orthonormal_basis():
     mesh, space = setup(p=2, area=0.25)
-    M = assemble_mass(mesh, space)
+    M = assemble_mass(space)
     assert np.max(np.abs(M.to_dense() - np.eye(M.dim))) < 1e-10
 
 
@@ -105,9 +105,9 @@ def test_gmres_jacobi_never_needs_more_steps_than_block_jacobi(seed, p, jitter,
     h = 0.2
     for mesh in build_random_mesh_pair(h, jitter * h, seed=seed):
         space = DgSpace(mesh, p)
-        M, L = assemble_advection(mesh, space, rotating_velocity)
+        M, L = assemble_advection(space, rotating_velocity)
         A = backward_euler_system(M, L, advection_timestep(k_label, h))
-        b = M.matvec(advection_initial_condition(mesh, space, gaussian_pulse()))
+        b = M.matvec(space.project(gaussian_pulse()).ravel())
         _, n_jacobi, ok = block_jacobi_solve(A, b, tol=1e-10)
         assert ok
         _, n_gmres, ok = gmres(A, b, preconditioner=factor_block_jacobi(A),
@@ -181,7 +181,7 @@ def test_batched_assembly_matches_per_edge_loop(pattern, periodic, velocity):
         beta = lambda x, y: (np.full_like(x, 0.6), np.full_like(x, -0.8))
     for p in range(4):
         space = DgSpace(mesh, p)
-        M, L = assemble_advection(mesh, space, arg)
+        M, L = assemble_advection(space, arg)
         for got, ref in zip((M, L), ref_assemble_advection(mesh, space, beta)):
             assert np.array_equal(got.indptr, ref.indptr)
             assert np.array_equal(got.indices, ref.indices)
@@ -194,5 +194,5 @@ def test_non_finite_velocity_names_the_cell():
     # cell 1
     mesh, space = setup(area=0.25, periodic=False)
     with pytest.raises(AssemblyError, match="velocity not finite on cell 1$"):
-        assemble_advection(mesh, space, lambda x, y: (
+        assemble_advection(space, lambda x, y: (
             np.where(x > 0.5, np.inf, 1.0), np.zeros_like(y)))

@@ -129,7 +129,7 @@ def small_disc(p=1, eps=0.3):
                               boundary_tag="exact_state")
     params = EulerParams(x0=0.5, y0=0.5, epsilon=eps)
     space = DgSpace(mesh, p)
-    return EulerDiscretization(mesh, space, params)
+    return EulerDiscretization(space, params)
 
 
 def test_freestream_preservation():
@@ -159,8 +159,7 @@ def test_spatial_jacobian_matches_finite_differences():
 def test_boundary_tag_error_names_the_edge():
     mesh = build_regular_mesh("square", 0.25, (0.0, 0.0, 1.0, 1.0),
                               boundary_tag="exact_state")
-    disc = EulerDiscretization(mesh, DgSpace(mesh, 1),
-                               EulerParams(x0=0.5, y0=0.5))
+    disc = EulerDiscretization(DgSpace(mesh, 1), EulerParams(x0=0.5, y0=0.5))
     U = disc.project_exact(0.0)
     _, alphas = disc.spatial_residual(U, 0.0)
     first = np.flatnonzero(mesh.edge_right == BOUNDARY)[0]
@@ -188,8 +187,7 @@ def test_non_finite_state_names_the_cell(bad):
 def test_boundary_tag_guard():
     mesh = build_regular_mesh("square", 0.25, (0.0, 0.0, 1.0, 1.0),
                               boundary_tag="inflow_outflow")
-    disc = EulerDiscretization(mesh, DgSpace(mesh, 0),
-                               EulerParams(x0=0.5, y0=0.5))
+    disc = EulerDiscretization(DgSpace(mesh, 0), EulerParams(x0=0.5, y0=0.5))
     U = disc.project_exact(0.0)
     with pytest.raises(EulerError):
         disc.spatial_residual(U, 0.0)
@@ -327,8 +325,7 @@ def loop_jacobian(disc, U, alphas):
 
 
 def assert_batched_equals_loop(mesh, p, seed=0):
-    disc = EulerDiscretization(mesh, DgSpace(mesh, p),
-                               EulerParams(x0=0.5, y0=0.5))
+    disc = EulerDiscretization(DgSpace(mesh, p), EulerParams(x0=0.5, y0=0.5))
     rng = np.random.default_rng(seed)
     U = disc.project_exact(0.0) * (1.0 + 1e-3 * rng.standard_normal(disc.dim))
     R, alphas = disc.spatial_residual(U, 0.1)

@@ -1,6 +1,8 @@
 """Experiment drivers: the timestep families, and input checks made
 before any work."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from polydg.basis import BasisError
 from polydg.experiments import (ExperimentError, advection_timestep,
                                 euler_timestep, run_advect, run_euler_vortex,
                                 run_random_advect)
-from polydg.mesh import h_E_from_area, pattern_side_length
-from polydg.vonneumann import TIMESTEP_FACTORS, timestep_family
+from polydg.mesh import h_E_from_area
+from polydg.vonneumann import TIMESTEP_FACTORS, SweepConfig, timestep_family
 
 
 def family_reference(k1):
@@ -21,11 +23,8 @@ def family_reference(k1):
 @pytest.mark.parametrize("label", TIMESTEP_FACTORS)
 def test_timesteps_equal_the_per_function_tables(label):
     for x in np.geomspace(1e-4, 1e3, 401):
-        h_E = h_E_from_area(x)
-        for ref, href in (("hE", h_E),
-                          ("square", pattern_side_length("square", h_E))):
-            assert (timestep_family(x, label, ref).hex()
-                    == family_reference(3.0 * href)[label].hex())
+        assert (timestep_family(x, label).hex()
+                == family_reference(3.0 * h_E_from_area(x))[label].hex())
         assert (advection_timestep(label, x).hex()
                 == family_reference(x / np.sqrt(2.0))[label].hex())
         assert (euler_timestep(label, x).hex()
@@ -72,3 +71,61 @@ def test_drivers_check_inputs_before_any_work(work, driver, small, bad, error,
     with pytest.raises(error, match=message):
         driver(**dict(small, **bad))
     assert work == []
+
+
+# -- report columns -------------------------------------------------------
+
+ANALYZE_CSV = (
+    "# k=k1 p=0 theta_range=per-pattern theta_samples=3 wave_samples=6\r\n"
+    "experiment,mesh,pattern,p,k_label,solver,preconditioner,iterations,"
+    "newton_iters,final_residual,wall_ms,lambda_max,log_ratio\r\n"
+    "analyze,,etri,0,k1,symbol,,,,,0.0,0.873868,1.207328\r\n"
+    "analyze,,hexagon,0,k1,symbol,,,,,0.0,0.849779,1.000000\r\n"
+    "analyze,,rtri,0,k1,symbol,,,,,0.0,0.865725,1.128939\r\n"
+    "analyze,,square,0,k1,symbol,,,,,0.0,0.865725,1.128939\r\n")
+ANALYZE_TABLE = (
+    "experiment  mesh  pattern  p  k_label  solver  preconditioner  "
+    "iterations  newton_iters  final_residual  wall_ms  lambda_max  "
+    "log_ratio\n"
+    "analyze           etri     0  k1       "
+    "symbol                                                          "
+    "  0.0      0.873868    1.207328 \n"
+    "analyze           hexagon  0  k1       "
+    "symbol                                                          "
+    "  0.0      0.849779    1.000000 \n"
+    "analyze           rtri     0  k1       "
+    "symbol                                                          "
+    "  0.0      0.865725    1.128939 \n"
+    "analyze           square   0  k1       "
+    "symbol                                                          "
+    "  0.0      0.865725    1.128939 ")
+ADVECT_CSV = (
+    "# bc=zero-inflow h=0.2 k=k2 mesh_file= p=1 preconditioner=ilu0 "
+    "solver=gmres tol=1e-14\r\n"
+    "experiment,mesh,pattern,p,k_label,solver,preconditioner,iterations,"
+    "newton_iters,final_residual,wall_ms\r\n"
+    "advect,regular-hexagon,hexagon,1,k2,gmres,ilu0,7,,4.414e-16,0.0\r\n")
+ADVECT_TABLE = (
+    "experiment  mesh             pattern  p  k_label  solver  "
+    "preconditioner  iterations  newton_iters  final_residual  wall_ms\n"
+    "advect      regular-hexagon  hexagon  1  k2       gmres   ilu0"
+    "            7                         4.414e-16       0.0    ")
+
+
+@pytest.mark.parametrize("driver, kwargs, csv_text, table", [
+    (experiments.run_analyze,
+     dict(SMALL, config=SweepConfig(theta_samples=3, wave_samples=6)),
+     ANALYZE_CSV, ANALYZE_TABLE),
+    (run_advect, dict(patterns=("hexagon",), p_list=(1,), k_labels=("k2",),
+                      solver="gmres", preconditioner="ilu0", h=0.2,
+                      n_steps=2),
+     ADVECT_CSV, ADVECT_TABLE)], ids=["analyze", "advect"])
+def test_report_columns_come_from_the_rows(monkeypatch, tmp_path, driver,
+                                           kwargs, csv_text, table):
+    # a stopped clock makes wall_ms 0.0
+    monkeypatch.setattr(experiments, "time",
+                        SimpleNamespace(perf_counter=lambda: 0.0))
+    report = driver(**kwargs)
+    report.write_csv(tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == csv_text.encode()
+    assert report.format_table() == table

@@ -12,8 +12,7 @@ from polydg.basis import polygon_area_centroid
 from polydg.mesh import (BOUNDARY, GeneratingPattern, MeshError, PolyMesh,
                          build_pattern_tiling, build_random_mesh_pair,
                          build_regular_mesh, h_E_from_area, natural_ordering,
-                         pattern_row_height, pattern_side_length, read_mesh,
-                         write_mesh)
+                         pattern_side_length, read_mesh, write_mesh)
 
 PATTERNS = ("hexagon", "square", "rtri", "etri")
 
@@ -41,7 +40,7 @@ def test_side_length_relations():
 def test_pattern_tiles_plane_by_area():
     # 3x3 patch of lattice translates covers 9 * pattern area with no overlap
     for kind in PATTERNS:
-        mesh = build_pattern_tiling(kind, 1.0, 3, 3, periodic=True)
+        mesh = build_pattern_tiling(kind, 1.0, 3, 3)
         pat = GeneratingPattern.make(kind, 1.0)
         expected = 9 * len(pat.elements) * 1.0
         assert mesh.cell_areas.sum() == pytest.approx(expected, rel=1e-12)
@@ -139,8 +138,15 @@ def test_natural_ordering_single_cell():
 def test_natural_ordering_is_bijection():
     for kind in PATTERNS:
         mesh = build_regular_mesh(kind, 0.01, (0, 0, 1, 1))
-        perm = natural_ordering(mesh, pattern_row_height(kind, 0.01))
+        perm = natural_ordering(mesh)
         assert sorted(perm) == list(range(mesh.n_cells))
+
+
+def pattern_row_height(kind, element_area):
+    """The row height natural_ordering was once given by its callers: the
+    height of the pointy pattern's second lattice vector."""
+    pattern = GeneratingPattern.make(kind, element_area, "pointy")
+    return abs(pattern.lattice[1, 1])
 
 
 def row_height_reference(kind, element_area):
@@ -156,14 +162,62 @@ def row_height_reference(kind, element_area):
 @pytest.mark.parametrize("kind", PATTERNS)
 def test_row_height_is_the_per_kind_table(kind):
     for area in np.geomspace(1e-6, 1e3, 2005):
-        assert (pattern_row_height(kind, area).hex()
-                == row_height_reference(kind, area).hex())
+        side = np.sqrt(area)
+        mesh = build_regular_mesh(kind, area, (0.0, 0.0, side, side))
+        assert mesh.row_height.hex() == row_height_reference(kind, area).hex()
+
+
+def banded_ordering_reference(mesh, row_height):
+    """Cells by centroid y, a new row at each gap above half of row_height,
+    each row by centroid x; ties keep cell order."""
+    cx, cy = mesh.cell_centroids.T
+    rows, last = [], None
+    for c in sorted(range(mesh.n_cells), key=lambda c: cy[c]):
+        if last is None or cy[c] - last > 0.5 * row_height:
+            rows.append([])
+        rows[-1].append(c)
+        last = cy[c]
+    return [c for row in rows for c in sorted(row, key=lambda c: (cx[c], c))]
+
+
+DRIVER_MESHES = {
+    "advect": (experiments.advection_mesh, experiments.ADVECTION_H ** 2),
+    "advect-periodic": (
+        lambda k: experiments.advection_mesh(k, periodic=True),
+        experiments.ADVECTION_H ** 2),
+    "euler": (experiments.euler_mesh, experiments.EULER_H ** 2),
+}
+
+
+@pytest.mark.parametrize("kind", PATTERNS)
+@pytest.mark.parametrize("case", DRIVER_MESHES)
+def test_natural_ordering_uses_the_pattern_row_height(kind, case):
+    build, area = DRIVER_MESHES[case]
+    mesh = build(kind)
+    band = pattern_row_height(kind, area)
+    assert mesh.row_height.hex() == band.hex()
+    assert np.array_equal(natural_ordering(mesh),
+                          banded_ordering_reference(mesh, band))
+
+
+def test_only_regular_meshes_carry_a_row_height(tmp_path):
+    mesh = build_regular_mesh("rtri", 0.01, (0, 0, 1, 1))
+    write_mesh(mesh, tmp_path / "rtri.mesh")
+    others = (read_mesh(tmp_path / "rtri.mesh"),
+              build_pattern_tiling("rtri", 1.0, 2, 2),
+              *build_random_mesh_pair(0.2, 0.05))
+    assert [m.row_height for m in others] == [None] * 4
+    # without it the band threshold is 60 % of the largest centroid-y gap
+    gaps = np.diff(np.sort(mesh.cell_centroids[:, 1]))
+    assert np.array_equal(natural_ordering(others[0]),
+                          banded_ordering_reference(mesh,
+                                                    1.2 * gaps.max()))
 
 
 def test_natural_ordering_interleaves_split_squares():
     # the two triangles of each split square share a band, alternating in x
     mesh = build_regular_mesh("rtri", 0.125, (0, 0, 1, 1), periodic=True)
-    perm = natural_ordering(mesh, pattern_row_height("rtri", 0.125))
+    perm = natural_ordering(mesh)
     cy = mesh.cell_centroids[perm, 1]
     # first band holds 2 * 2 = 4 triangles of the bottom row of squares
     assert np.all(cy[:4] < 0.5)
@@ -430,9 +484,9 @@ def _row_major_key(poly):
 def instance_loop_reference(kind, element_area, domain=None, periodic=False,
                             boundary_tag="inflow_outflow", tiling=None):
     """The mesh of build_regular_mesh(kind, element_area, domain, periodic,
-    boundary_tag), or of build_pattern_tiling(kind, element_area, *tiling,
-    periodic) when tiling is given, built one lattice instance and one
-    vertex at a time through a dict vertex pool."""
+    boundary_tag), or of build_pattern_tiling(kind, element_area, *tiling)
+    when tiling is given and periodic is True, built one lattice instance
+    and one vertex at a time through a dict vertex pool."""
     snap = 1e-9 * np.sqrt(element_area)
     verts, get = _vertex_pool()
     if tiling is not None:
@@ -638,3 +692,12 @@ def test_regular_mesh_refuses_non_finite_input(area, domain, name, periodic):
 def test_pattern_tiling_refuses_non_finite_area(area):
     with pytest.raises(MeshError, match="^element_area = (nan|inf) is not"):
         build_pattern_tiling("hexagon", area, 2, 2)
+
+
+@pytest.mark.parametrize("kind", ["etri", "rtri"])
+def test_domain_side_just_off_a_lattice_line_is_named(kind):
+    # the clipped slivers along x0 fall below the area floor and are dropped
+    with pytest.raises(MeshError, match=(
+            r"^area sum \S+ != domain area 1\.000001: 7 clipped pieces of "
+            r"total area \S+ along x0 = -1e-06 fell below the area floor")):
+        build_regular_mesh(kind, 0.01, (-1e-6, 0.0, 1.0, 1.0))

@@ -34,15 +34,11 @@ def test_timestep_family():
     assert timestep_family(AREA, "k1") == pytest.approx(3.0)
     assert timestep_family(AREA, "k2") == pytest.approx(6.0)
     assert timestep_family(AREA, "k3") == pytest.approx(12.0)
-    assert timestep_family(AREA, "k1", "square") == pytest.approx(
-        3.0 * 3.0 ** 0.25 / 2.0)
 
 
 def test_bad_labels_raise_symbol_error():
     with pytest.raises(SymbolError, match="k9"):
         timestep_family(AREA, "k9")
-    with pytest.raises(SymbolError, match="hx"):
-        timestep_family(AREA, "k1", reference="hx")
     with pytest.raises(SymbolError, match="half-pi"):
         max_spectral_radius("square", 0, 3.0, AREA,
                             SweepConfig(theta_range="half-pi"))
@@ -393,3 +389,37 @@ def test_pruned_screen_keeps_the_near_peak_values(monkeypatch, kind, p):
             assert np.all(pruned[~near] < full.max() - vonneumann.SCREEN_TOL)
             pruned_points += np.count_nonzero(pruned != full)
     assert pruned_points > 0
+
+
+def test_sliced_recompute_equals_one_call_on_the_rtri_row():
+    # rtri p=2 k2 puts its whole theta = 0 row within SCREEN_TOL of the peak
+    sym = PatternSymbol("rtri", 2, AREA, (1.0, 0.0))
+    k = timestep_family(AREA, "k2")
+    n = SweepConfig().wave_samples
+    phis = 2.0 * np.pi * np.arange(n) / n
+    g = np.arange(n * n)
+    whole = sym.spectral_radius_phases(k, phis[g // n], phis[g % n])
+    size = vonneumann.RECOMPUTE_SLICE
+    sliced = [sym.spectral_radius_phases(k, phis[s // n], phis[s % n])
+              for s in np.split(g, range(size, n * n, size))]
+    assert np.array_equal(np.concatenate(sliced), whole)
+
+
+def test_max_spectral_radius_recomputes_in_slices(monkeypatch):
+    k = timestep_family(AREA, "k2")
+    sizes = []
+    unrecorded = PatternSymbol.spectral_radius_phases
+
+    def recorded(self, k, phi1, phi2, screen=False, floor=None):
+        if not screen:
+            sizes.append(np.size(phi1))
+        return unrecorded(self, k, phi1, phi2, screen, floor)
+
+    monkeypatch.setattr(PatternSymbol, "spectral_radius_phases", recorded)
+    sliced = max_spectral_radius("rtri", 2, k, AREA)
+    assert max(sizes) == vonneumann.RECOMPUTE_SLICE
+    n = SweepConfig().wave_samples
+    monkeypatch.setattr(vonneumann, "RECOMPUTE_SLICE", n * n)
+    sizes.clear()
+    assert max_spectral_radius("rtri", 2, k, AREA).hex() == sliced.hex()
+    assert max(sizes) == n * n
