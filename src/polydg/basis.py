@@ -304,16 +304,6 @@ class CellBasis:
         return np.einsum("q,qi,qj->ij", self.quadrature.weights, B, B)
 
 
-class ElementBasis(CellBasis):
-    """Orthonormal modal basis on one polygonal cell: a CellBases of one
-    cell (see there for the construction)."""
-
-    def __init__(self, vertices, p):
-        verts = np.asarray(vertices, dtype=float)
-        one = CellBases(verts, [np.arange(len(verts))], p)
-        super().__init__(one, 0, one.bases[0].quadrature)
-
-
 class DgSpace(CellBases):
     """The cell bases and quadratures of a PolyMesh, plus the edge rules:
     `edge_nodes` (edges, ne, 2) and `edge_weights` (edges, ne), with

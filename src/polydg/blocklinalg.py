@@ -350,7 +350,10 @@ def factor_bilu0(A, ordering=None):
     return A._ilu0[key]
 
 
-def block_jacobi_solve(A, rhs, tol=1e-14, max_iters=100000):
+MAX_ITERS = 200000
+
+
+def block_jacobi_solve(A, rhs, tol=1e-14, max_iters=MAX_ITERS):
     """Fixed-point iteration x <- D^{-1} rhs + (I - D^{-1} A) x from x = 0.
 
     Returns (x, iterations, converged); iterations is the first iterate index
@@ -369,7 +372,8 @@ def block_jacobi_solve(A, rhs, tol=1e-14, max_iters=100000):
     return x, max_iters, False
 
 
-def gmres(A, rhs, preconditioner=None, restart=20, tol=1e-14, max_iters=100000):
+def gmres(A, rhs, preconditioner=None, restart=20, tol=1e-14,
+          max_iters=MAX_ITERS):
     """Right-preconditioned restarted GMRES with Givens rotations, from
     x = 0.
 

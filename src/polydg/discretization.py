@@ -98,8 +98,8 @@ def assemble_advection(space, velocity):
     return M, L
 
 
-def gaussian_pulse(x0=0.35, y0=0.5, width=150.0):
-    return lambda x, y: np.exp(-width * ((x - x0) ** 2 + (y - y0) ** 2))
+def gaussian_pulse():
+    return lambda x, y: np.exp(-150.0 * ((x - 0.35) ** 2 + (y - 0.5) ** 2))
 
 
 def rotating_velocity(x, y):

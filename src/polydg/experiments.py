@@ -15,7 +15,7 @@ from .discretization import (assemble_advection, gaussian_pulse,
                              rotating_velocity)
 from .euler import EulerDiscretization, EulerParams
 from .mesh import (PATTERN_KINDS, build_random_mesh_pair, build_regular_mesh,
-                   natural_ordering)
+                   natural_ordering, read_mesh)
 from .timestepping import newton_solve
 from .vonneumann import TIMESTEP_FACTORS, SweepConfig, ratio_table
 
@@ -54,10 +54,14 @@ def _scaled_timestep(label, k1):
     return TIMESTEP_FACTORS[label] * k1
 
 
-def _checked_steps(p_list, k_labels, timestep, h, patterns=()):
-    """(label, timestep(label, h)) for each of k_labels, after checking
-    every degree, label and pattern kind, so that a bad entry fails before
-    any mesh is built."""
+def _checked_steps(p_list, k_labels, timestep, h, patterns=(), **positive):
+    """(label, timestep(label, h)) for each of k_labels, after checking the
+    degrees, labels and pattern kinds, and that h and the `positive` values
+    are finite and positive: bad input fails before any mesh is built."""
+    for name, value in dict(h=h, **positive).items():
+        if not (np.isfinite(value) and value > 0):
+            raise ExperimentError(
+                f"{name} must be finite and positive, got {value}")
     for p in p_list:
         check_degree(p)
     for kind in patterns:
@@ -122,17 +126,23 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+def _timed(fn, *args):
+    """fn(*args) and the milliseconds the call took."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, 1000.0 * (time.perf_counter() - t0)
+
+
 def solve_linear(A, rhs, solver, preconditioner, tol, ordering=None):
     """Dispatch one linear solve of a SOLVER_CONFIGS pair; returns
     (x, iterations, residual, ok)."""
     name = solver_config_name(solver, preconditioner)
     if name == "jacobi":
-        x, it, ok = block_jacobi_solve(A, rhs, tol=tol, max_iters=200000)
+        x, it, ok = block_jacobi_solve(A, rhs, tol=tol)
     else:
         prec = (factor_block_jacobi(A) if name == "gmres+jacobi"
                 else factor_bilu0(A, ordering))
-        x, it, ok = gmres(A, rhs, preconditioner=prec, tol=tol,
-                          max_iters=200000)
+        x, it, ok = gmres(A, rhs, preconditioner=prec, tol=tol)
     bnorm = np.linalg.norm(rhs)
     res = float(np.linalg.norm(rhs - A.matvec(x)) / (bnorm if bnorm else 1.0))
     return x, it, res, ok
@@ -148,12 +158,10 @@ def run_analyze(p_list=DEGREES, k_labels=tuple(TIMESTEP_FACTORS),
         "theta_samples": config.theta_samples,
         "wave_samples": config.wave_samples,
         "theta_range": config.theta_range})
-    t0 = time.perf_counter()
-    tab = ratio_table(list(p_list), list(k_labels), config)
-    wall = 1000.0 * (time.perf_counter() - t0)
+    tab, wall = _timed(ratio_table, list(p_list), list(k_labels), config)
     for (kind, p, lab), (lam, ratio) in sorted(tab.items()):
         report.add(pattern=kind, p=p, k_label=lab, solver="symbol",
-                   wall_ms=f"{wall / len(tab):.1f}",
+                   wall_ms=f"{wall:.1f}",
                    lambda_max=f"{lam:.6f}", log_ratio=f"{ratio:.6f}")
     return report
 
@@ -176,37 +184,34 @@ def advection_mesh(pattern, h=ADVECTION_H, periodic=False):
 def run_advect_case(mesh, p, k, solver, preconditioner, tol=1e-14, n_steps=1):
     """Project the Gaussian and advance n_steps backward Euler solves.
 
-    Returns the iteration count of the last solve: the first few counts creep
-    up as the state picks up the slowly converging solver modes, so a settled
-    count characterizes the time-stepping regime better than the very first.
+    Returns the last solve's count and residual, and whether every solve
+    converged. The first few counts creep up as the state picks up the
+    slowly converging solver modes; a settled count characterizes the
+    time-stepping regime better than the very first.
     """
     space = DgSpace(mesh, p)
     M, L = assemble_advection(space, rotating_velocity)
     A = L.scaled_add_diag(k, M.diagonal_blocks())
     u = space.project(gaussian_pulse()).ravel()
     ordering = natural_ordering(mesh) if preconditioner == "ilu0" else None
-    t0 = time.perf_counter()
-    it = 0
-    res = 0.0
-    ok = True
+    it, res, ok = 0, 0.0, True
     for _step in range(n_steps):
         rhs = M.matvec(u)
         u, it, res, step_ok = solve_linear(A, rhs, solver, preconditioner,
                                            tol, ordering)
         ok = ok and step_ok
-    wall = 1000.0 * (time.perf_counter() - t0) / max(1, n_steps)
-    return it, res, ok, wall
+    return it, res, ok
 
 
 def run_advect(patterns=PATTERN_KINDS, p_list=DEGREES,
                k_labels=tuple(TIMESTEP_FACTORS), solver="jacobi",
                preconditioner="none", tol=1e-14, mesh_file=None,
                h=ADVECTION_H, n_steps=12, bc="zero-inflow"):
-    from .mesh import read_mesh
     solver_config_name(solver, preconditioner)
     if bc not in ("zero-inflow", "periodic"):
         raise ExperimentError(f"unknown boundary condition {bc!r}")
-    steps = _checked_steps(p_list, k_labels, advection_timestep, h, patterns)
+    steps = _checked_steps(p_list, k_labels, advection_timestep, h, patterns,
+                           tol=tol, n_steps=n_steps)
     periodic = bc == "periodic"
     report = ExperimentReport("advect", {
         "h": h, "solver": solver, "preconditioner": preconditioner,
@@ -224,8 +229,9 @@ def run_advect(patterns=PATTERN_KINDS, p_list=DEGREES,
             mesh_name = mesh_file
         for p in p_list:
             for lab, k in steps:
-                it, res, ok, wall = run_advect_case(
-                    mesh, p, k, solver, preconditioner, tol, n_steps=n_steps)
+                (it, res, ok), wall = _timed(run_advect_case, mesh, p, k,
+                                             solver, preconditioner, tol,
+                                             n_steps)
                 report.add(mesh=mesh_name, pattern=pattern, p=p, k_label=lab,
                            solver=solver, preconditioner=preconditioner,
                            iterations=it, final_residual=f"{res:.3e}",
@@ -237,7 +243,8 @@ def run_random_advect(h=ADVECTION_H, delta=None, seed=0, p_list=DEGREES,
                       k_labels=tuple(TIMESTEP_FACTORS), solver="jacobi",
                       preconditioner="none", tol=1e-14, n_steps=12):
     solver_config_name(solver, preconditioner)
-    steps = _checked_steps(p_list, k_labels, advection_timestep, h)
+    steps = _checked_steps(p_list, k_labels, advection_timestep, h,
+                           tol=tol, n_steps=n_steps)
     if delta is None:
         delta = 0.25 * h
     delaunay, voronoi = build_random_mesh_pair(h, delta, seed=seed)
@@ -247,8 +254,9 @@ def run_random_advect(h=ADVECTION_H, delta=None, seed=0, p_list=DEGREES,
     for name, mesh in (("voronoi", voronoi), ("delaunay", delaunay)):
         for p in p_list:
             for lab, k in steps:
-                it, res, ok, wall = run_advect_case(
-                    mesh, p, k, solver, preconditioner, tol, n_steps=n_steps)
+                (it, res, ok), wall = _timed(run_advect_case, mesh, p, k,
+                                             solver, preconditioner, tol,
+                                             n_steps)
                 report.add(mesh=f"{name}({mesh.n_cells} cells)", pattern=name,
                            p=p, k_label=lab, solver=solver,
                            preconditioner=preconditioner, iterations=it,
@@ -337,7 +345,7 @@ def run_euler_vortex(patterns=PATTERN_KINDS, p_list=DEGREES,
                      newton_tol=5e-13):
     _check_solver_names(solver_names)
     steps = _checked_steps(p_list, k_labels, euler_timestep, EULER_H,
-                           patterns)
+                           patterns, tol=tol, newton_tol=newton_tol)
     report = ExperimentReport("euler-vortex", {
         "tol": tol, "newton_tol": newton_tol,
         "solvers": "|".join(solver_names)})
@@ -345,10 +353,9 @@ def run_euler_vortex(patterns=PATTERN_KINDS, p_list=DEGREES,
         mesh = euler_mesh(pattern)
         for p in p_list:
             for lab, k in steps:
-                t0 = time.perf_counter()
-                counts, n_newton, final = run_euler_case(
-                    mesh, p, k, solver_names, tol, newton_tol)
-                wall = 1000.0 * (time.perf_counter() - t0)
+                (counts, n_newton, final), wall = _timed(
+                    run_euler_case, mesh, p, k, solver_names, tol,
+                    newton_tol)
                 for name, (total, ok) in counts.items():
                     s, pc = SOLVER_CONFIGS[name]
                     report.add(mesh=f"regular-{pattern}", pattern=pattern,

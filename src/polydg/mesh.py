@@ -587,7 +587,7 @@ def natural_ordering(mesh):
 # -- mesh file I/O -------------------------------------------------------
 
 def write_mesh(mesh, path):
-    """Text format: header, full-precision vertices, cells, periodic pairs."""
+    """Header, full-precision vertices, cells, periodic pairs, row height."""
     lines = ["polymesh 1"]
     lines.append(f"vertices {len(mesh.vertices)}")
     for v in mesh.vertices:
@@ -599,13 +599,16 @@ def write_mesh(mesh, path):
         lines.append(f"periodic {len(mesh.periodic_map)}")
         for a, b in mesh.periodic_map:
             lines.append(f"{a} {b}")
+    if mesh.row_height is not None:
+        lines.append(f"row_height {float(mesh.row_height)!r}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def read_mesh(path):
     """Read the format of write_mesh. The optional periodic section lists
-    pairs of directed side indices (in cell order) glued by translation."""
+    pairs of directed side indices (in cell order) glued by translation;
+    the optional last line sets the mesh's row height."""
     with open(path) as f:
         raw = f.read().splitlines()
 
@@ -618,9 +621,9 @@ def read_mesh(path):
             fail(i, f"expected '{name} N'")
         return int(tok[1])
 
-    def values(i, kind, what, n=None):
+    def values(i, kind, what, n=None, skip=0):
         try:
-            vals = [kind(t) for t in raw[i].split()]
+            vals = [kind(t) for t in raw[i].split()[skip:]]
         except (IndexError, ValueError):
             vals = None
         if vals is None or n not in (None, len(vals)):
@@ -635,11 +638,19 @@ def read_mesh(path):
     nc = count(i, "cells")
     cells = [values(i + 1 + k, int, "vertex indices") for k in range(nc)]
     i += 1 + nc
-    pairs = []
-    if i < len(raw) and raw[i].strip():
+    pairs, row_height = [], None
+    if i < len(raw) and raw[i].split()[:1] == ["periodic"]:
         pairs = [values(i + 1 + k, int, "two side indices", 2)
                  for k in range(count(i, "periodic"))]
+        first_pair, i = i + 1, i + 1 + len(pairs)
+    if i < len(raw) and raw[i].strip():
+        what = "'row_height y' with y finite and positive"
+        row_height, = values(i, float, what, 1, skip=1)
+        if raw[i].split()[0] != "row_height" or not 0.0 < row_height < np.inf:
+            fail(i, f"expected {what}")
     try:
-        return PolyMesh(verts, cells, periodic_pairs=pairs or None)
+        mesh = PolyMesh(verts, cells, periodic_pairs=pairs or None)
     except _PairError as exc:
-        fail(i + 1 + exc.pair, str(exc))
+        fail(first_pair + exc.pair, str(exc))
+    mesh.row_height = row_height
+    return mesh

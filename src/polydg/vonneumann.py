@@ -2,11 +2,12 @@
 generating patterns: symbol matrices, closed-form p=0 eigenvalues, spectral
 radius sweeps, and the log-ratio comparison table."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ElementBasis, check_degree, edge_quadrature, n_local
+from .basis import CellBases, check_degree, edge_quadrature, n_local
 from .mesh import GeneratingPattern, PATTERN_KINDS, h_E_from_area
 
 
@@ -45,9 +46,11 @@ class PatternOperators:
     """Velocity-independent generating-pattern assembly for one (kind, p).
 
     The upwind operator is linear in the velocity (alpha, beta) on the
-    admissible cone, so the per-offset coupling blocks are stored as a pair
-    (alpha part, beta part). Couplings to the pattern at lattice offset
-    m1*a1 + m2*a2 are keyed by (m1, m2).
+    admissible cone, so each coupling block is stored as a pair (alpha
+    part, beta part). `parts[i]` (2, dim, dim) couples the pattern to its
+    copy at lattice offset m1*a1 + m2*a2, (m1, m2) = `offsets[i]`: (0, 0)
+    first, then the inflow offsets in the order the element sides meet
+    them. `mask` (dim, dim) marks the element-diagonal blocks.
     """
 
     def __init__(self, kind, p, element_area):
@@ -59,7 +62,12 @@ class PatternOperators:
         self.n_elems = len(self.pattern.elements)
         self.n_loc = n_local(p)
         self.dim = self.n_elems * self.n_loc
-        self.bases = [ElementBasis(el, p) for el in self.pattern.elements]
+        # the elements of a pattern have equal vertex counts
+        verts = np.concatenate(self.pattern.elements)
+        cells = np.arange(len(verts)).reshape(self.n_elems, -1)
+        self.bases = CellBases(verts, cells, p).bases
+        elem = np.arange(self.dim) // self.n_loc
+        self.mask = elem[:, None] == elem
         self._assemble()
 
     def _find_partner(self, mid, direction, scale):
@@ -85,13 +93,11 @@ class PatternOperators:
         ra, rb = np.cos(th), np.sin(th)
         a1, a2 = self.pattern.lattice
         scale = np.linalg.norm(a1)
-        parts = {}   # offset -> (alpha part, beta part)
+        parts = {}   # offset -> (alpha part, beta part), in first-seen order
 
         def add(m, a, b, blk_a, blk_b):
-            zero = lambda: np.zeros((self.dim, self.dim))
-            Ba, Bb = parts.setdefault(m, (zero(), zero()))
-            Ba[a * nl:(a + 1) * nl, b * nl:(b + 1) * nl] += blk_a
-            Bb[a * nl:(a + 1) * nl, b * nl:(b + 1) * nl] += blk_b
+            P = parts.setdefault(m, np.zeros((2, self.dim, self.dim)))
+            P[:, a * nl:(a + 1) * nl, b * nl:(b + 1) * nl] += (blk_a, blk_b)
 
         self.mass = np.zeros((self.dim, self.dim))
         for a, basis in enumerate(self.bases):
@@ -123,20 +129,14 @@ class PatternOperators:
                     wb = self.bases[b].eval(q.nodes - off)
                     E = np.einsum("q,qi,ql->il", q.weights, wa, wb)
                     add((m1, m2), a, b, normal[0] * E, normal[1] * E)
-        self.parts = parts
-
-    def blocks_for(self, alpha, beta):
-        return {m: alpha * Ba + beta * Bb for m, (Ba, Bb) in self.parts.items()}
+        self.offsets = np.array(list(parts))
+        self.parts = np.stack(list(parts.values()))
 
 
-_OPERATOR_CACHE = {}
-
-
+@functools.cache
 def pattern_operators(kind, p, element_area):
-    key = (kind, p, round(float(element_area), 14))
-    if key not in _OPERATOR_CACHE:
-        _OPERATOR_CACHE[key] = PatternOperators(kind, p, element_area)
-    return _OPERATOR_CACHE[key]
+    """The PatternOperators of (kind, p, element_area), built once."""
+    return PatternOperators(kind, p, element_area)
 
 
 class PatternSymbol:
@@ -147,23 +147,18 @@ class PatternSymbol:
         check_admissible(kind, alpha, beta)
         ops = pattern_operators(kind, p, element_area)
         self.pattern = ops.pattern
-        self.n_elems = ops.n_elems
         self.n_loc = ops.n_loc
         self.dim = ops.dim
         self.mass = ops.mass
-        self.blocks = ops.blocks_for(alpha, beta)
+        self.offsets = ops.offsets
+        self.blocks = alpha * ops.parts[:, 0] + beta * ops.parts[:, 1]
         # per-element diagonal blocks only (intra-pattern couplings excluded)
-        nl = self.n_loc
-        self.diag = np.zeros((self.dim, self.dim))
-        for a in range(self.n_elems):
-            sl = slice(a * nl, (a + 1) * nl)
-            self.diag[sl, sl] = self.blocks[(0, 0)][sl, sl]
+        self.diag = np.where(ops.mask, self.blocks[0], 0.0)
         # Two elements that couple only to each other outside the Jacobi
         # diagonal make R_hat = [[0, X], [Y, 0]] (two-cyclic), whose
         # eigenvalues are +-sqrt(eig(X Y)).
-        self.two_cyclic = self.n_elems == 2 and not any(
-            np.any(B[:nl, :nl]) or np.any(B[nl:, nl:])
-            for m, B in self.blocks.items() if m != (0, 0))
+        self.two_cyclic = (ops.n_elems == 2
+                           and not self.blocks[1:, ops.mask].any())
         self._parts_by_k = {}
 
     def l_hat_phases(self, phi1, phi2):
@@ -173,7 +168,7 @@ class PatternSymbol:
         phi2 = np.asarray(phi2, float)
         shape = np.broadcast(phi1, phi2).shape
         out = np.zeros(shape + (self.dim, self.dim), dtype=complex)
-        for (m1, m2), B in self.blocks.items():
+        for (m1, m2), B in zip(self.offsets, self.blocks):
             phase = np.exp(1j * (m1 * phi1 + m2 * phi2))
             out += phase[..., None, None] * B
         return out
@@ -183,18 +178,10 @@ class PatternSymbol:
         a1, a2 = self.pattern.lattice
         return nx * a1[0] + ny * a1[1], nx * a2[0] + ny * a2[1]
 
-    def l_hat(self, nx, ny):
-        return self.l_hat_phases(*self.wave_phases(nx, ny))
-
-    def jacobi_symbol(self, k, nx=None, ny=None, phases=None):
-        """R_hat = I - D^{-1} (M + k L_hat) at the given wavenumber/phases."""
-        if phases is not None:
-            L = self.l_hat_phases(*phases)
-        else:
-            L = self.l_hat(nx, ny)
-        D = self.mass + k * self.diag
-        A = self.mass + k * L
-        Dinv = np.linalg.inv(D)
+    def jacobi_symbol(self, k, phi1, phi2):
+        """R_hat = I - D^{-1} (M + k L_hat) at lattice phases (phi1, phi2)."""
+        Dinv = np.linalg.inv(self.mass + k * self.diag)
+        A = self.mass + k * self.l_hat_phases(phi1, phi2)
         return np.eye(self.dim) - Dinv @ A
 
     def _symbol_parts(self, k):
@@ -205,12 +192,12 @@ class PatternSymbol:
         parts = self._parts_by_k.get(k)
         if parts is None:
             Dinv = np.linalg.inv(self.mass + k * self.diag)
-            C = np.stack([-k * (Dinv @ (B - self.diag if m == (0, 0) else B))
-                          for m, B in self.blocks.items()])
+            C = -k * (Dinv @ np.concatenate([[self.blocks[0] - self.diag],
+                                             self.blocks[1:]]))
             if self.two_cyclic:
                 nl = self.n_loc
                 C = (C[:, :nl, nl:], C[:, nl:, :nl])
-            parts = (np.array(list(self.blocks), float), C)
+            parts = (self.offsets, C)
             self._parts_by_k[k] = parts
         return parts
 
@@ -232,7 +219,7 @@ class PatternSymbol:
         value without a floor.
         """
         if not screen:
-            R = self.jacobi_symbol(k, phases=(phi1, phi2))
+            R = self.jacobi_symbol(k, phi1, phi2)
             return np.max(np.abs(np.linalg.eigvals(R)), axis=-1)
         phi1, phi2 = np.broadcast_arrays(np.asarray(phi1, float),
                                          np.asarray(phi2, float))

@@ -148,7 +148,8 @@ def test_p0_closed_forms_random_draws(kind):
         k = rng.uniform(0.1, 6.0)
         nx, ny = rng.uniform(-4.0, 4.0, 2)
         sym = PatternSymbol(kind, 0, AREA, (a, b))
-        eigs = np.linalg.eigvals(sym.jacobi_symbol(k, nx, ny))
+        R = sym.jacobi_symbol(k, *sym.wave_phases(nx, ny))
+        eigs = np.linalg.eigvals(R)
         wx, wy = paper_wave_coords(kind, nx, ny)
         closed = closed_form_p0_eigs(kind, h, a, b, k, wx, wy)
         for lam in closed:
@@ -176,7 +177,7 @@ def test_symbol_matches_assembled_tiling(kind, p):
     for m1 in range(n1):
         for m2 in range(n2):
             phases = (2.0 * np.pi * m1 / n1, 2.0 * np.pi * m2 / n2)
-            R = sym.jacobi_symbol(k, phases=phases)
+            R = sym.jacobi_symbol(k, *phases)
             for lam in np.linalg.eigvals(R):
                 assert np.min(np.abs(eigs - lam)) < 1e-8
 

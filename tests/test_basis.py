@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydg import basis as basis_module
-from polydg.basis import (DEGREES, BasisError, DgSpace, ElementBasis,
+from polydg.basis import (DEGREES, BasisError, CellBases, DgSpace,
                           check_degree, edge_quadrature, n_local,
                           monomial_exponents, polygon_quadrature)
 from polydg.experiments import advection_mesh
@@ -84,21 +84,22 @@ def test_n_local_and_exponent_order():
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_orthonormal_basis_gram_identity(p):
-    basis = ElementBasis(regular_polygon(5, 0.8) + 2.0, p)
+    verts = regular_polygon(5, 0.8) + 2.0
+    basis = CellBases(verts, [np.arange(len(verts))], p).bases[0]
     G = basis.gram()
     assert np.max(np.abs(G - np.eye(n_local(p)))) < 1e-10
 
 
 def test_first_basis_function_is_inverse_sqrt_area():
     verts = 2.0 * UNIT_SQUARE  # area 4
-    basis = ElementBasis(verts, 0)
+    basis = CellBases(verts, [np.arange(len(verts))], 0).bases[0]
     vals = basis.eval(np.array([[0.3, 0.7], [1.5, 1.9]]))
     assert np.allclose(vals, 0.5)
 
 
 def test_scaling_robustness():
     tiny = 1e-3 * regular_polygon(6)
-    basis = ElementBasis(tiny, 3)
+    basis = CellBases(tiny, [np.arange(len(tiny))], 3).bases[0]
     G = basis.gram()
     assert np.max(np.abs(G - np.eye(10))) < 1e-10
 

@@ -206,6 +206,19 @@ def test_advect_bad_degree_exits_2_without_a_table(capsys):
     assert "error: degree p=7 unsupported" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "0"], "n_steps must be finite and positive, got 0"),
+    (["--tol", "nan"], "tol must be finite and positive, got nan"),
+    (["--h", "-0.2"], "h must be finite and positive, got -0.2")])
+def test_advect_bad_numbers_exit_2_without_a_table(flags, message, capsys):
+    rc = main(["advect", "--pattern", "square", "--p", "0", "--k", "k1"]
+              + flags)
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {message}" in err
+
+
 def test_emit_exits_1_when_a_solve_did_not_converge(capsys):
     report = ExperimentReport("advect", {})
     report.add(iterations=3)

@@ -50,9 +50,22 @@ BAD_INPUTS = {
     "p7": ({"p_list": (0, 7)}, BasisError, "degree p=7 unsupported"),
     "p1.5": ({"p_list": (0, 1.5)}, BasisError, "degree p=1.5 unsupported"),
     "k9": ({"k_labels": ("k1", "k9")}, ExperimentError,
-           "unknown timestep label 'k9'")}
+           "unknown timestep label 'k9'"),
+    "tol0": ({"tol": 0.0}, ExperimentError,
+             "tol must be finite and positive, got 0.0"),
+    "tol-nan": ({"tol": np.nan}, ExperimentError,
+                "tol must be finite and positive, got nan")}
 BAD_PATTERN = {"foo": ({"patterns": ("hexagon", "foo")}, ExperimentError,
                        "unknown pattern kind 'foo'")}
+BAD_ADVECT = {
+    "steps0": ({"n_steps": 0}, ExperimentError,
+               "n_steps must be finite and positive, got 0"),
+    "h-0.2": ({"h": -0.2}, ExperimentError,
+              "h must be finite and positive, got -0.2"),
+    "h-inf": ({"h": np.inf}, ExperimentError,
+              "h must be finite and positive, got inf")}
+BAD_NEWTON = {"newton_tol-nan": ({"newton_tol": np.nan}, ExperimentError,
+                                 "newton_tol must be finite and positive")}
 
 
 def cases(driver, small, bad_inputs):
@@ -62,10 +75,10 @@ def cases(driver, small, bad_inputs):
 
 @pytest.mark.parametrize("driver, small, bad, error, message", [
     *cases(run_advect, dict(ADVECT, patterns=("hexagon",)),
-           BAD_INPUTS | BAD_PATTERN),
-    *cases(run_random_advect, ADVECT, BAD_INPUTS),
+           BAD_INPUTS | BAD_PATTERN | BAD_ADVECT),
+    *cases(run_random_advect, ADVECT, BAD_INPUTS | BAD_ADVECT),
     *cases(run_euler_vortex, dict(SMALL, patterns=("square",)),
-           BAD_INPUTS | BAD_PATTERN)])
+           BAD_INPUTS | BAD_PATTERN | BAD_NEWTON)])
 def test_drivers_check_inputs_before_any_work(work, driver, small, bad, error,
                                               message):
     with pytest.raises(error, match=message):
@@ -110,6 +123,22 @@ ADVECT_TABLE = (
     "preconditioner  iterations  newton_iters  final_residual  wall_ms\n"
     "advect      regular-hexagon  hexagon  1  k2       gmres   ilu0"
     "            7                         4.414e-16       0.0    ")
+
+
+def test_advect_wall_ms_includes_the_set_up(monkeypatch):
+    # a clock that advances 1 s per DgSpace built, and only then
+    clock = SimpleNamespace(now=0.0)
+    monkeypatch.setattr(experiments, "time",
+                        SimpleNamespace(perf_counter=lambda: clock.now))
+    unclocked = experiments.DgSpace
+
+    def clocked(*args):
+        clock.now += 1.0
+        return unclocked(*args)
+
+    monkeypatch.setattr(experiments, "DgSpace", clocked)
+    report = run_advect(**dict(ADVECT, patterns=("hexagon",)))
+    assert [row["wall_ms"] for row in report.rows] == ["1000.0"]
 
 
 @pytest.mark.parametrize("driver, kwargs, csv_text, table", [

@@ -203,6 +203,10 @@ def test_natural_ordering_uses_the_pattern_row_height(kind, case):
 def test_only_regular_meshes_carry_a_row_height(tmp_path):
     mesh = build_regular_mesh("rtri", 0.01, (0, 0, 1, 1))
     write_mesh(mesh, tmp_path / "rtri.mesh")
+    # a file without its row_height line reads as a mesh without one
+    text = (tmp_path / "rtri.mesh").read_text()
+    assert text.endswith(f"row_height {float(mesh.row_height)!r}\n")
+    (tmp_path / "rtri.mesh").write_text(text[:text.rindex("row_height")])
     others = (read_mesh(tmp_path / "rtri.mesh"),
               build_pattern_tiling("rtri", 1.0, 2, 2),
               *build_random_mesh_pair(0.2, 0.05))
@@ -212,6 +216,16 @@ def test_only_regular_meshes_carry_a_row_height(tmp_path):
     assert np.array_equal(natural_ordering(others[0]),
                           banded_ordering_reference(mesh,
                                                     1.2 * gaps.max()))
+
+
+@pytest.mark.parametrize("kind", PATTERNS)
+@pytest.mark.parametrize("case", DRIVER_MESHES)
+def test_mesh_file_keeps_the_row_height(kind, case, tmp_path):
+    mesh = DRIVER_MESHES[case][0](kind)
+    write_mesh(mesh, tmp_path / "m.mesh")
+    back = read_mesh(tmp_path / "m.mesh")
+    assert back.row_height.hex() == mesh.row_height.hex()
+    assert np.array_equal(natural_ordering(back), natural_ordering(mesh))
 
 
 def test_natural_ordering_interleaves_split_squares():
@@ -294,6 +308,21 @@ def test_read_mesh_errors(tmp_path):
     with pytest.raises(MeshError, match=":13: periodic pair 1 7: side 1 is "
                                         "not a boundary side$"):
         read_mesh(bad)
+
+
+def test_read_mesh_row_height_line(tmp_path):
+    path = tmp_path / "m.mesh"
+    for tail in ("row_height 0.5\n", "periodic 1\n0 2\nrow_height 0.5\n"):
+        path.write_text(UNIT_SQUARE + tail)
+        assert read_mesh(path).row_height == 0.5
+    expected = "expected 'row_height y' with y finite and positive$"
+    for tail, line in [("row_height\n", 9), ("row_height x\n", 9),
+                       ("row_height nan\n", 9), ("row_height inf\n", 9),
+                       ("row_height -1\n", 9), ("row_height 0.5 1\n", 9),
+                       ("rows 2\n", 9), ("periodic 1\n0 2\n1\n", 11)]:
+        path.write_text(UNIT_SQUARE + tail)
+        with pytest.raises(MeshError, match=f":{line}: {expected}"):
+            read_mesh(path)
 
 
 SQUARE_VERTICES = [(0, 0), (1, 0), (1, 1), (0, 1)]

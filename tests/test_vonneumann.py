@@ -6,8 +6,8 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from polydg import vonneumann
-from polydg.basis import BasisError
-from polydg.mesh import GeneratingPattern
+from polydg.basis import DEGREES, BasisError, CellBases, edge_quadrature
+from polydg.mesh import PATTERN_KINDS, GeneratingPattern
 from polydg.vonneumann import (THETA_RANGES, PatternSymbol, SweepConfig,
                                SymbolError, check_admissible,
                                closed_form_p0_eigs, max_spectral_radius,
@@ -62,7 +62,7 @@ def test_symbol_conjugate_symmetry(kind, vel):
 
 def test_zero_wavenumber_jacobi_symbol_matches_periodic_limit():
     sym = PatternSymbol("square", 0, AREA, (1.0, 0.5))
-    R = sym.jacobi_symbol(2.0, 0.0, 0.0)
+    R = sym.jacobi_symbol(2.0, *sym.wave_phases(0.0, 0.0))
     lam = closed_form_p0_eigs("square", np.sqrt(AREA), 1.0, 0.5, 2.0, 0.0, 0.0)
     assert abs(R[0, 0] - lam[0]) < 1e-12
 
@@ -80,7 +80,7 @@ def test_p0_closed_form_matches_symbol(kind):
         k = rng.uniform(0.5, 4.0)
         nx, ny = rng.uniform(-3.0, 3.0, 2)
         sym = PatternSymbol(kind, 0, AREA, (a, b))
-        R = sym.jacobi_symbol(k, nx, ny)
+        R = sym.jacobi_symbol(k, *sym.wave_phases(nx, ny))
         eigs = np.linalg.eigvals(R)
         wx, wy = paper_wave_coords(kind, nx, ny)
         closed = closed_form_p0_eigs(kind, h, a, b, k, wx, wy)
@@ -279,7 +279,7 @@ def test_two_cyclic_detected_from_blocks(kind, two_cyclic):
     if two_cyclic:
         # R_hat = [[0, X], [Y, 0]]: its spectrum is symmetric about 0
         nl = sym.n_loc
-        R = sym.jacobi_symbol(3.0, phases=(0.4, -1.1))
+        R = sym.jacobi_symbol(3.0, 0.4, -1.1)
         assert np.max(np.abs(R[:nl, :nl])) < 1e-14
         assert np.max(np.abs(R[nl:, nl:])) < 1e-14
 
@@ -423,3 +423,115 @@ def test_max_spectral_radius_recomputes_in_slices(monkeypatch):
     sizes.clear()
     assert max_spectral_radius("rtri", 2, k, AREA).hex() == sliced.hex()
     assert max(sizes) == n * n
+
+
+# -- the dict assembly the offset-indexed stack replaced ----------------------
+
+def element_basis(vertices, p):
+    """The one-cell basis the old assembly built per element."""
+    return CellBases(vertices, [np.arange(len(vertices))], p).bases[0]
+
+
+def find_partner_reference(pattern, mid, direction, scale):
+    """Element index and lattice offset of the cell across an edge; the
+    partner traverses the shared side in the opposite direction."""
+    a1, a2 = pattern.lattice
+    for b, el in enumerate(pattern.elements):
+        nb = len(el)
+        for j in range(nb):
+            d = el[(j + 1) % nb] - el[j]
+            if np.linalg.norm(d + direction) > 1e-9 * scale:
+                continue
+            smid = 0.5 * (el[j] + el[(j + 1) % nb])
+            for m1 in (-1, 0, 1):
+                for m2 in (-1, 0, 1):
+                    if np.linalg.norm(smid + m1 * a1 + m2 * a2 - mid) \
+                            < 1e-9 * scale:
+                        return b, (m1, m2)
+    raise AssertionError(f"no neighbor found across edge at {mid}")
+
+
+def pattern_assembly_reference(kind, p):
+    """(mass, {(m1, m2): (alpha part, beta part)}) as the old per-element
+    loop built them."""
+    pattern = GeneratingPattern.make(kind, AREA)
+    bases = [element_basis(el, p) for el in pattern.elements]
+    nl = bases[0].coeffs.shape[0]
+    dim = len(bases) * nl
+    th = np.mean(THETA_RANGES[kind])
+    ra, rb = np.cos(th), np.sin(th)
+    a1, a2 = pattern.lattice
+    scale = np.linalg.norm(a1)
+    parts = {}
+
+    def add(m, a, b, blk_a, blk_b):
+        zero = lambda: np.zeros((dim, dim))
+        Ba, Bb = parts.setdefault(m, (zero(), zero()))
+        Ba[a * nl:(a + 1) * nl, b * nl:(b + 1) * nl] += blk_a
+        Bb[a * nl:(a + 1) * nl, b * nl:(b + 1) * nl] += blk_b
+
+    mass = np.zeros((dim, dim))
+    for a, basis in enumerate(bases):
+        q = basis.quadrature
+        B = basis.eval(q.nodes)
+        G = basis.eval_grad(q.nodes)
+        mass[a * nl:(a + 1) * nl, a * nl:(a + 1) * nl] = \
+            np.einsum("q,qi,qj->ij", q.weights, B, B)
+        add((0, 0), a, a,
+            -np.einsum("q,qi,ql->il", q.weights, G[:, :, 0], B),
+            -np.einsum("q,qi,ql->il", q.weights, G[:, :, 1], B))
+    for a, el in enumerate(pattern.elements):
+        nv = len(el)
+        for j in range(nv):
+            p0, p1 = el[j], el[(j + 1) % nv]
+            d = p1 - p0
+            normal = np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
+            q = edge_quadrature(p0, p1, 2 * p + 1)
+            wa = bases[a].eval(q.nodes)
+            if ra * normal[0] + rb * normal[1] >= 0.0:
+                E = np.einsum("q,qi,ql->il", q.weights, wa, wa)
+                add((0, 0), a, a, normal[0] * E, normal[1] * E)
+            else:
+                b, (m1, m2) = find_partner_reference(pattern, 0.5 * (p0 + p1),
+                                                     d, scale)
+                wb = bases[b].eval(q.nodes - (m1 * a1 + m2 * a2))
+                E = np.einsum("q,qi,ql->il", q.weights, wa, wb)
+                add((m1, m2), a, b, normal[0] * E, normal[1] * E)
+    return mass, parts
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+@pytest.mark.parametrize("p", DEGREES)
+def test_symbol_stack_equals_the_dict_assembly(kind, p):
+    mass, parts = pattern_assembly_reference(kind, p)
+    ops = vonneumann.pattern_operators(kind, p, AREA)
+    assert ops.offsets.tolist() == [list(m) for m in parts]
+    assert np.array_equal(ops.parts,
+                          np.stack([np.stack(pair) for pair in parts.values()]))
+    assert np.array_equal(ops.mass, mass)
+    nl = ops.n_loc
+    k = timestep_family(AREA, "k2")
+    for th in np.linspace(*THETA_RANGES[kind], 3):
+        alpha, beta = np.cos(th), np.sin(th)
+        blocks = {m: alpha * Ba + beta * Bb for m, (Ba, Bb) in parts.items()}
+        diag = np.zeros_like(mass)
+        for a in range(ops.n_elems):
+            sl = slice(a * nl, (a + 1) * nl)
+            diag[sl, sl] = blocks[(0, 0)][sl, sl]
+        two_cyclic = ops.n_elems == 2 and not any(
+            np.any(B[:nl, :nl]) or np.any(B[nl:, nl:])
+            for m, B in blocks.items() if m != (0, 0))
+        Dinv = np.linalg.inv(mass + k * diag)
+        C = np.stack([-k * (Dinv @ (B - diag if m == (0, 0) else B))
+                      for m, B in blocks.items()])
+        sym = PatternSymbol(kind, p, AREA, (alpha, beta))
+        assert np.array_equal(sym.blocks, np.stack(list(blocks.values())))
+        assert np.array_equal(sym.diag, diag)
+        assert sym.two_cyclic is two_cyclic
+        offsets, parts_k = sym._symbol_parts(k)
+        assert np.array_equal(offsets, np.array(list(blocks), float))
+        if two_cyclic:
+            assert np.array_equal(parts_k[0], C[:, :nl, nl:])
+            assert np.array_equal(parts_k[1], C[:, nl:, :nl])
+        else:
+            assert np.array_equal(parts_k, C)
