@@ -144,6 +144,22 @@ def n_local(p):
 BATCH_CELLS = 128
 
 
+def ragged_polygons(points, cell_ptr):
+    """Signed areas (n,) and centroids (n, 2) of the n polygons stored back
+    to back in points (P, 2), polygon c in rows cell_ptr[c]:cell_ptr[c + 1],
+    and their batches: (cells (k,), vertices (k, nv, 2)) of up to
+    BATCH_CELLS cells with one vertex count nv."""
+    counts = np.diff(cell_ptr)
+    area, centroid = np.empty(len(counts)), np.empty((len(counts), 2))
+    batches = []
+    for nv in np.unique(counts):
+        idx = np.flatnonzero(counts == nv)
+        for b in np.array_split(idx, -(-len(idx) // BATCH_CELLS)):
+            batches.append((b, points[cell_ptr[b, None] + np.arange(nv)]))
+            area[b], centroid[b] = polygon_area_centroid(batches[-1][1])
+    return area, centroid, batches
+
+
 def volume_degree(p):
     """Total degree the cell quadrature integrates exactly."""
     return max(2 * p, 2 * p + 2 if p > 0 else 2)
@@ -207,11 +223,13 @@ class CellBases:
     """Orthonormal modal bases and volume quadratures of many polygonal
     cells, kept as arrays.
 
-    The basis functions of a cell are linear combinations of centered-scaled
-    monomials ((x - cx)/d)^i ((y - cy)/d)^j, with c the centroid and d the
-    cell diameter. The combination coefficients come from modified
-    Gram-Schmidt under the L2 inner product of the cell quadrature, so the
-    Gram matrix is the identity and the first function is 1/sqrt(area).
+    Cell c has the vertices vertices[cell_idx[cell_ptr[c]:cell_ptr[c + 1]]],
+    counter-clockwise. Its basis functions are linear combinations of
+    centered-scaled monomials ((x - cx)/d)^i ((y - cy)/d)^j, with c the
+    centroid and d the cell diameter. The combination coefficients come
+    from modified Gram-Schmidt under the L2 inner product of the cell
+    quadrature, so the Gram matrix is the identity and the first function
+    is 1/sqrt(area).
 
     `areas`, `centroids`, `diameters` and `coeffs` (cells, n_loc, n_loc) are
     indexed by cell. A group is up to BATCH_CELLS cells with the same
@@ -219,36 +237,29 @@ class CellBases:
     weights (k, nq)) per group. `bases[c]` is a per-cell view.
     """
 
-    def __init__(self, vertices, cells, p):
+    def __init__(self, vertices, cell_ptr, cell_idx, p):
         check_degree(p)
         self.exps = monomial_exponents(p)
         self.n_loc = len(self.exps)
-        self.n_cells = n = len(cells)
-        counts = np.array([len(c) for c in cells])
-        if np.any(counts < 3):
+        cell_ptr = np.asarray(cell_ptr)
+        self.n_cells = n = len(cell_ptr) - 1
+        if np.any(np.diff(cell_ptr) < 3):
             raise BasisError("polygon needs at least 3 vertices")
-        vertices = np.asarray(vertices, dtype=float)
-        groups = []
-        for nv in np.unique(counts):
-            idx = np.flatnonzero(counts == nv)
-            groups += np.array_split(idx, -(-len(idx) // BATCH_CELLS))
-        verts = [vertices[np.array([cells[c] for c in idx])] for idx in groups]
-        self.areas, self.centroids = np.empty(n), np.empty((n, 2))
-        self.diameters = np.empty(n)
-        for idx, v in zip(groups, verts):
-            self.areas[idx], self.centroids[idx] = polygon_area_centroid(v)
-            d = v - self.centroids[idx][:, None, :]
-            self.diameters[idx] = 2.0 * np.hypot(d[..., 0], d[..., 1]).max(1)
+        points = np.asarray(vertices, dtype=float)[cell_idx]
+        self.areas, self.centroids, batches = ragged_polygons(points, cell_ptr)
         # a non-finite vertex makes the area or the centroid non-finite
         bad = ~((self.areas >= 1e-14) & np.isfinite(self.centroids).all(1))
         if bad.any():
             c = np.flatnonzero(bad)[0]
             raise BasisError(f"degenerate cell {c} at {self.centroids[c]} "
                              f"(area {self.areas[c]:g})")
+        self.diameters = np.empty(n)
         self.coeffs = np.empty((n, self.n_loc, self.n_loc))
         self.groups = []
         self.bases = [None] * n
-        for idx, v in zip(groups, verts):
+        for idx, v in batches:
+            d = v - self.centroids[idx][:, None, :]
+            self.diameters[idx] = 2.0 * np.hypot(d[..., 0], d[..., 1]).max(1)
             nodes, weights = _fan_quadrature(v, self.centroids[idx],
                                              volume_degree(p))
             V = _monomial_values(self.exps, self._scaled(idx, nodes))
@@ -310,7 +321,7 @@ class DgSpace(CellBases):
     per-edge views in `edge_quads`."""
 
     def __init__(self, mesh, p):
-        super().__init__(mesh.vertices, mesh.cells, p)
+        super().__init__(mesh.vertices, mesh.cell_ptr, mesh.cell_idx, p)
         self.mesh = mesh
         ends = mesh.edge_vertices
         q = edge_quadrature(mesh.vertices[ends[:, 0]],

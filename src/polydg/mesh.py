@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .basis import polygon_area_centroid
+from .basis import polygon_area_centroid, ragged_polygons
 
 BOUNDARY = -1
 
@@ -17,21 +17,23 @@ class MeshError(Exception):
     pass
 
 
-class _PairError(MeshError):
-    """An invalid periodic pair; `pair` is its index in the given list."""
+class _ItemError(MeshError):
+    """An invalid vertex or periodic pair, item `item` of its `section`."""
 
-    def __init__(self, pair, msg):
+    def __init__(self, section, item, msg):
         super().__init__(msg)
-        self.pair = pair
+        self.section, self.item = section, item
 
 
 class PolyMesh:
     """Planar polygonal tessellation with edge-neighbor topology.
 
-    `cells` are vertex-index lists, turned counter-clockwise. A directed
-    side is a pair of consecutive vertices of a cell; sides are numbered in
-    cell order. An edge is a side and its reverse, a boundary side, or two
-    boundary sides glued periodically. The edges are arrays in edge order:
+    The cells are one CSR pair of int64 arrays: cell c has the vertex
+    indices `cell_idx[cell_ptr[c]:cell_ptr[c + 1]]`, turned
+    counter-clockwise (a clockwise cell is reversed in full). A directed
+    side is a pair of consecutive vertices of a cell; side s starts at
+    `cell_idx[s]`. An edge is a side and its reverse, a boundary side, or
+    two boundary sides glued periodically. The edges are arrays in edge order:
     interior edges by their first side, then boundary edges, then periodic
     edges by pair.
     - `edge_left`, `edge_right` (E,): the cell the normal points away
@@ -55,49 +57,61 @@ class PolyMesh:
 
     row_height = None
 
-    def __init__(self, vertices, cells, periodic_pairs=None, boundary_tag="inflow_outflow",
-                 periodic_translations=None):
+    def __init__(self, vertices, cell_ptr, cell_idx, periodic_pairs=None,
+                 boundary_tag="inflow_outflow", periodic_translations=None):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.cells = [list(map(int, c)) for c in cells]
-        if not self.cells:
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=-1))
+        if len(bad):
+            x, y = self.vertices[bad[0]].tolist()
+            raise _ItemError("vertices", bad[0],
+                             f"vertex {bad[0]} = ({x}, {y}) is not finite")
+        self.cell_ptr = np.array(cell_ptr, dtype=np.int64)
+        self.cell_idx = np.array(cell_idx, dtype=np.int64)
+        self.n_cells = len(self.cell_ptr) - 1
+        if self.n_cells < 1:
             raise MeshError("empty cell list")
-        self.n_cells = len(self.cells)
         self.boundary_tag = boundary_tag
-        counts = np.array([len(c) for c in self.cells])
-        self._orient_ccw(counts)
-        self._build_edges(counts, periodic_pairs, periodic_translations)
+        self._orient_ccw()
+        self._build_edges(periodic_pairs, periodic_translations)
 
     # -- construction ----------------------------------------------------
 
-    def _orient_ccw(self, counts):
-        """Reverse the clockwise cells; set areas and centroids."""
+    def _orient_ccw(self):
+        """Check cells; reverse the clockwise ones; set areas and centroids."""
+        ptr, idx = self.cell_ptr, self.cell_idx
+        counts = np.diff(ptr)
+        if ptr[0] != 0 or ptr[-1] != len(idx):
+            raise MeshError(f"cell_ptr runs from {ptr[0]} to {ptr[-1]}, "
+                            f"not from 0 to len(cell_idx) = {len(idx)}")
         short = np.flatnonzero(counts < 3)
         if len(short):
-            raise MeshError(
-                f"cell {self.cells[short[0]]} has fewer than 3 vertices")
-        flat = np.concatenate(self.cells)
-        missing = (flat < 0) | (flat >= len(self.vertices))
-        if missing.any():
-            c = np.repeat(np.arange(self.n_cells), counts)[missing][0]
-            raise MeshError(f"cell references missing vertex: {self.cells[c]}")
-        area, centroid = _ragged_area_centroid(self.vertices[flat], counts)
-        flip = np.flatnonzero(area < 0)
-        for c in flip:
-            self.cells[c].reverse()
-        if len(flip):
-            area, centroid = _ragged_area_centroid(
-                self.vertices[np.concatenate(self.cells)], counts)
+            raise MeshError(f"cell {short[0]} has {counts[short[0]]} "
+                            f"vertices, fewer than 3")
+        missing = np.flatnonzero((idx < 0) | (idx >= len(self.vertices)))
+        if len(missing):
+            c = np.searchsorted(ptr, missing[0], side="right") - 1
+            raise MeshError(f"cell {c} references missing vertex "
+                            f"{idx[missing[0]]}")
+        area, centroid, _ = ragged_polygons(self.vertices[idx], ptr)
+        flip = np.repeat(area < 0, counts)
+        if flip.any():
+            # position j of a cell in rows a:b moves to a + b - 1 - j
+            pos = np.arange(len(idx))
+            mirror = np.repeat(ptr[:-1] + ptr[1:] - 1, counts) - pos
+            self.cell_idx = idx = idx[np.where(flip, mirror, pos)]
+            area, centroid, _ = ragged_polygons(self.vertices[idx], ptr)
         self.cell_areas, self.cell_centroids = area, centroid
         if np.any(self.cell_areas <= 0.0):
             raise MeshError("cell with non-positive area")
 
-    def _build_edges(self, counts, periodic_pairs, translations):
-        # directed sides (a, b) in cell order; the partner of a side is the
-        # side (b, a), or -1
-        ends = np.stack((np.concatenate(self.cells),
-                         np.concatenate([c[1:] + c[:1] for c in self.cells])),
-                        axis=1)
-        side_cell = np.repeat(np.arange(self.n_cells), counts)
+    def _build_edges(self, periodic_pairs, translations):
+        # directed sides (a, b) in cell order, b next after a in its cell;
+        # the partner of a side is the side (b, a), or -1
+        ptr, idx = self.cell_ptr, self.cell_idx
+        succ = np.arange(1, len(idx) + 1)
+        succ[ptr[1:] - 1] = ptr[:-1]
+        ends = np.stack((idx, idx[succ]), axis=1)
+        side_cell = np.repeat(np.arange(self.n_cells), np.diff(ptr))
         nv = len(self.vertices)
         key = ends[:, 0] * nv + ends[:, 1]
         order = np.argsort(key, kind="stable")
@@ -159,17 +173,19 @@ class PolyMesh:
                 else:
                     seen.add(s)
                     continue
-                raise _PairError(k, f"periodic pair {a} {b}: {msg}")
+                raise _ItemError("periodic", k,
+                                 f"periodic pair {a} {b}: {msg}")
             gap = (p0[b] - p1[a]) - (p1[b] - p0[a])
             if np.hypot(*gap) > 1e-9 * np.hypot(*(p1[a] - p0[a])):
-                raise _PairError(k, f"periodic pair {a} {b}: side {b} is not "
-                                    f"side {a} translated and reversed")
+                raise _ItemError("periodic", k,
+                                 f"periodic pair {a} {b}: side {b} is not "
+                                 f"side {a} translated and reversed")
         return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
     # -- queries ---------------------------------------------------------
 
     def cell_vertices(self, c):
-        return self.vertices[self.cells[c]]
+        return self.vertices[self.cell_idx[slice(*self.cell_ptr[c:c + 2])]]
 
     @property
     def is_periodic(self):
@@ -315,49 +331,34 @@ def _lattice_instances(shapes, a1, a2, m1_range, m2_range):
     return (offsets[:, None, None] + shapes).reshape(-1, *shapes.shape[1:])
 
 
-def _vertex_pool(points, counts, snap):
-    """Vertices and cells (vertex index lists) of the polygons stored back
-    to back in points (P, 2), counts (n,) vertices each. Points that round
-    to one multiple of snap share a vertex, numbered by and placed at their
-    first occurrence."""
+def _vertex_pool(points, snap):
+    """Vertices and the vertex index (P,) of each of points (P, 2). Points
+    that round to one multiple of snap share a vertex, numbered by and
+    placed at their first occurrence."""
     keys = np.rint(points / snap).astype(np.int64)   # -0.0 becomes 0
     order = np.lexsort(keys.T)   # stable: a group's first point leads it
     lead = np.r_[True, np.any(np.diff(keys[order], axis=0) != 0, axis=1)]
     first = order[lead]
     index = np.empty_like(order)
     index[order] = np.argsort(np.argsort(first))[np.cumsum(lead) - 1]
-    index, starts = index.tolist(), (np.cumsum(counts) - counts).tolist()
-    cells = [index[s:s + c] for s, c in zip(starts, counts.tolist())]
-    return points[np.sort(first)], cells
+    return points[np.sort(first)], index
 
 
-def _ragged_area_centroid(points, counts):
-    """Areas (n,) and centroids (n, 2) of the polygons stored back to back
-    in points, one batch per vertex count."""
-    starts = np.cumsum(counts) - counts
-    area, centroid = np.empty(len(counts)), np.empty((len(counts), 2))
-    for nv in np.unique(counts):
-        sel = np.flatnonzero(counts == nv)
-        area[sel], centroid[sel] = polygon_area_centroid(
-            points[starts[sel, None] + np.arange(nv)])
-    return area, centroid
-
-
-def _row_major_cells(points, counts, instance, min_area, snap):
-    """Vertices and cells of the polygons stored back to back in points,
-    counts (n,) vertices each, that have area above min_area, sorted by
-    centroid y, then x, both rounded to 1e-9, ties by instance (n,); then
-    the areas and centroids of the polygons dropped."""
-    area, centroid = _ragged_area_centroid(points, counts)
+def _row_major_cells(points, cell_ptr, instance, min_area, snap):
+    """Vertices and CSR pair of the polygons stored back to back in points
+    (`ragged_polygons`) that have area above min_area, sorted by centroid
+    y, then x, both rounded to 1e-9, ties by instance (n,); then the areas
+    and centroids of the polygons dropped."""
+    area, centroid, _ = ragged_polygons(points, cell_ptr)
     # numpy's rounding, which round() of a numpy float uses too
     order = np.lexsort((instance, *np.round(centroid, 9).T))
     order = order[area[order] > min_area]
-    size = counts[order]
-    gather = (np.repeat(np.cumsum(counts)[order] - np.cumsum(size), size)
-              + np.arange(size.sum()))
+    size = np.diff(cell_ptr)[order]
+    kept = np.cumsum(np.r_[0, size])
+    gather = np.repeat(cell_ptr[order] - kept[:-1], size) + np.arange(kept[-1])
+    verts, index = _vertex_pool(points[gather], snap)
     small = area <= min_area
-    return (*_vertex_pool(points[gather], size, snap), area[small],
-            centroid[small])
+    return verts, kept, index, area[small], centroid[small]
 
 
 def build_pattern_tiling(kind, element_area, n1, n2):
@@ -369,10 +370,10 @@ def build_pattern_tiling(kind, element_area, n1, n2):
     pat = GeneratingPattern.make(kind, element_area)
     a1, a2 = pat.lattice
     polys = _lattice_instances(pat.elements, a1, a2, range(n1), range(n2))
-    verts, cells = _vertex_pool(polys.reshape(-1, 2),
-                                 np.full(len(polys), polys.shape[1]),
-                                 1e-9 * np.sqrt(element_area))
-    return PolyMesh(verts, cells, periodic_pairs="auto",
+    verts, index = _vertex_pool(polys.reshape(-1, 2),
+                                1e-9 * np.sqrt(element_area))
+    return PolyMesh(verts, np.arange(0, len(index) + 1, polys.shape[1]),
+                    index, periodic_pairs="auto",
                     periodic_translations=(n1 * a1, n2 * a2))
 
 
@@ -468,18 +469,25 @@ def build_regular_mesh(kind, element_area, domain, periodic=False,
     # clipping returns the instances inside unchanged and those outside empty
     snap = 1e-9 * np.sqrt(element_area)
     whole = np.flatnonzero(inside)
-    clipped = {i: c for i in np.flatnonzero(meets & ~inside)
-               if len(c := _dedupe_loop(
-                   clip_polygon_rect(polys[i], x0, y0, x1, y1), snap)) >= 3}
-    verts, cells, lost_area, lost_centroid = _row_major_cells(
+    clipped, narrow = {}, 0.0
+    for i in np.flatnonzero(meets & ~inside):
+        piece = clip_polygon_rect(polys[i], x0, y0, x1, y1)
+        if len(c := _dedupe_loop(piece, snap)) >= 3:
+            clipped[i] = c
+        elif len(piece):
+            # a piece narrower than the snap, which the vertex pool would
+            # close up, is left out, and its area with it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                narrow += polygon_area_centroid(piece)[0]
+    verts, cell_ptr, cell_idx, lost_area, lost_centroid = _row_major_cells(
         np.concatenate([polys[whole].reshape(-1, 2), *clipped.values()]),
-        np.array([polys.shape[1]] * len(whole)
-                 + [len(c) for c in clipped.values()]),
+        np.cumsum([0] + [polys.shape[1]] * len(whole)
+                  + [len(c) for c in clipped.values()]),
         np.array([*whole, *clipped]), 1e-10 * element_area, snap)
-    mesh = PolyMesh(verts, cells, **options)
+    mesh = PolyMesh(verts, cell_ptr, cell_idx, **options)
     mesh.row_height = abs(pat.lattice[1, 1])
     try:
-        mesh.validate(domain_area=W * H)
+        mesh.validate(domain_area=W * H - narrow)
     except MeshError as exc:
         if not len(lost_area):
             raise
@@ -528,7 +536,8 @@ def build_random_mesh_pair(h, delta, domain=(0.0, 0.0, 1.0, 1.0), seed=0):
     # (a tiny delta, e.g. three points on one side of the rectangle) leave
     # sliver triangles; DgSpace finds dependent monomials on some of area up
     # to ~2e-8 h^2, so any below 1e-7 h^2 is refused here by index and area.
-    dmesh = PolyMesh(pts.copy(), [list(s) for s in tri.simplices])
+    dmesh = PolyMesh(pts.copy(), np.arange(0, tri.simplices.size + 1, 3),
+                     tri.simplices.ravel())
     slivers = np.flatnonzero(dmesh.cell_areas < 1e-7 * h * h)
     if len(slivers):
         t = slivers[0]
@@ -553,9 +562,10 @@ def build_random_mesh_pair(h, delta, domain=(0.0, 0.0, 1.0, 1.0), seed=0):
             raise MeshError(f"near-degenerate Voronoi cell for point {i}")
         cells.append(poly)
     order = np.lexsort(pts.T)   # by y, then x
-    verts, vcells = _vertex_pool(np.concatenate([cells[ix] for ix in order]),
-                                 np.array([len(cells[ix]) for ix in order]), snap)
-    vmesh = PolyMesh(verts, vcells)
+    verts, index = _vertex_pool(np.concatenate([cells[ix] for ix in order]),
+                                snap)
+    vmesh = PolyMesh(verts, np.cumsum([0] + [len(cells[ix]) for ix in order]),
+                     index)
     vmesh.validate(domain_area=(x1 - x0) * (y1 - y0))
     return dmesh, vmesh
 
@@ -593,8 +603,8 @@ def write_mesh(mesh, path):
     for v in mesh.vertices:
         lines.append(f"{float(v[0])!r} {float(v[1])!r}")
     lines.append(f"cells {mesh.n_cells}")
-    for c in mesh.cells:
-        lines.append(" ".join(str(i) for i in c))
+    ptr, idx = mesh.cell_ptr.tolist(), mesh.cell_idx.tolist()
+    lines += [" ".join(map(str, idx[a:b])) for a, b in zip(ptr, ptr[1:])]
     if mesh.is_periodic:
         lines.append(f"periodic {len(mesh.periodic_map)}")
         for a, b in mesh.periodic_map:
@@ -649,8 +659,11 @@ def read_mesh(path):
         if raw[i].split()[0] != "row_height" or not 0.0 < row_height < np.inf:
             fail(i, f"expected {what}")
     try:
-        mesh = PolyMesh(verts, cells, periodic_pairs=pairs or None)
-    except _PairError as exc:
-        fail(first_pair + exc.pair, str(exc))
+        mesh = PolyMesh(verts, np.cumsum([0] + [len(c) for c in cells]),
+                        [v for c in cells for v in c],
+                        periodic_pairs=pairs or None)
+    except _ItemError as exc:
+        first = 2 if exc.section == "vertices" else first_pair
+        fail(first + exc.item, str(exc))
     mesh.row_height = row_height
     return mesh

@@ -64,8 +64,9 @@ class PatternOperators:
         self.dim = self.n_elems * self.n_loc
         # the elements of a pattern have equal vertex counts
         verts = np.concatenate(self.pattern.elements)
-        cells = np.arange(len(verts)).reshape(self.n_elems, -1)
-        self.bases = CellBases(verts, cells, p).bases
+        nv = len(self.pattern.elements[0])
+        self.bases = CellBases(verts, np.arange(0, len(verts) + 1, nv),
+                               np.arange(len(verts)), p).bases
         elem = np.arange(self.dim) // self.n_loc
         self.mask = elem[:, None] == elem
         self._assemble()
@@ -381,7 +382,7 @@ def velocity_mirror(pattern, t0, t1):
     return Ti
 
 
-def screened_grid(syms, k, n, n_theta, mirror=None, prune=False):
+def screened_grid(syms, k, n, n_theta, mirror=None):
     """Screened spectral radii on the grid of n_theta velocity angles and
     the phases 2 pi (j1, j2) / n, shape (n_theta, n * n), phases in C order.
 
@@ -391,13 +392,13 @@ def screened_grid(syms, k, n, n_theta, mirror=None, prune=False):
     are the first ceil(n_theta / 2), and angle n_theta - 1 - t takes angle
     t's radii at the phases T phi.
 
-    With `prune`, each angle is screened with the floor
+    Each angle is screened with the floor
     best - SCREEN_TOL - ROUNDING_MARGIN, best being the largest radius
     found so far: at phase zero of every angle, then on each angle
     screened. A pruned point's bound b, and so its radius r <= b, lies
     below the grid's peak minus SCREEN_TOL; the margin covers rounding
     (~1e-15) in b and in the phase-zero radii. So the points within
-    SCREEN_TOL of the peak, and their values, are the unpruned grid's.
+    SCREEN_TOL of the peak, and their values, are an unfloored screen's.
     """
     # screen the half of the phases that is at or before its conjugate
     # point -phi in C order and copy each value to the conjugate
@@ -407,14 +408,12 @@ def screened_grid(syms, k, n, n_theta, mirror=None, prune=False):
     keep, copy = flat[half], conj[half]
     phis = 2.0 * np.pi * np.arange(n) / n
     screened = np.empty((n_theta, n * n))
-    best = -np.inf
-    if prune:
-        best = max(sym.spectral_radius_phases(k, 0.0, 0.0, screen=True)
-                   for sym in syms)
+    best = max(sym.spectral_radius_phases(k, 0.0, 0.0, screen=True)
+               for sym in syms)
     for sym, row in zip(syms, screened):
-        floor = best - SCREEN_TOL - ROUNDING_MARGIN if prune else None
         row[keep] = row[copy] = sym.spectral_radius_phases(
-            k, phis[keep // n], phis[keep % n], screen=True, floor=floor)
+            k, phis[keep // n], phis[keep % n], screen=True,
+            floor=best - SCREEN_TOL - ROUNDING_MARGIN)
         best = max(best, row.max())
     if mirror is not None:
         # rho(t0 + t1 - theta, T phi) = rho(theta, phi)
@@ -476,7 +475,7 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     n_theta = len(thetas)
     syms = [symbol(th) for th in
             thetas[:n_theta if mirror is None else (n_theta + 1) // 2]]
-    screened = screened_grid(syms, k, n, n_theta, mirror, prune=True)
+    screened = screened_grid(syms, k, n, n_theta, mirror)
     # Verify every point the screen puts near the peak on the reference
     # path, so the peak and its location are those of a full reference grid
     # (first in C order over theta, then phase); the refine below starts

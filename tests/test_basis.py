@@ -12,7 +12,8 @@ from polydg.basis import (DEGREES, BasisError, CellBases, DgSpace,
                           check_degree, edge_quadrature, n_local,
                           monomial_exponents, polygon_quadrature)
 from polydg.experiments import advection_mesh
-from polydg.mesh import PolyMesh, build_random_mesh_pair, build_regular_mesh
+from polydg.mesh import (MeshError, PolyMesh, build_random_mesh_pair,
+                         build_regular_mesh)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -85,21 +86,21 @@ def test_n_local_and_exponent_order():
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_orthonormal_basis_gram_identity(p):
     verts = regular_polygon(5, 0.8) + 2.0
-    basis = CellBases(verts, [np.arange(len(verts))], p).bases[0]
+    basis = CellBases(verts, [0, 5], np.arange(5), p).bases[0]
     G = basis.gram()
     assert np.max(np.abs(G - np.eye(n_local(p)))) < 1e-10
 
 
 def test_first_basis_function_is_inverse_sqrt_area():
     verts = 2.0 * UNIT_SQUARE  # area 4
-    basis = CellBases(verts, [np.arange(len(verts))], 0).bases[0]
+    basis = CellBases(verts, [0, 4], np.arange(4), 0).bases[0]
     vals = basis.eval(np.array([[0.3, 0.7], [1.5, 1.9]]))
     assert np.allclose(vals, 0.5)
 
 
 def test_scaling_robustness():
     tiny = 1e-3 * regular_polygon(6)
-    basis = CellBases(tiny, [np.arange(len(tiny))], 3).bases[0]
+    basis = CellBases(tiny, [0, 6], np.arange(6), 3).bases[0]
     G = basis.gram()
     assert np.max(np.abs(G - np.eye(10))) < 1e-10
 
@@ -256,7 +257,7 @@ def test_collapsed_cell_is_named():
     # a unit square and a sliver triangle of area 5e-16
     verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0],
              [2.0, 1e-15]]
-    mesh = PolyMesh(verts, [[0, 1, 2, 3], [1, 4, 5]])
+    mesh = PolyMesh(verts, [0, 4, 7], [0, 1, 2, 3, 1, 4, 5])
     with pytest.raises(BasisError, match=r"degenerate cell 1 at \[1\.6"):
         DgSpace(mesh, 1)
 
@@ -266,9 +267,14 @@ def test_non_finite_vertex_is_named(bad):
     # 2 x 2 unit squares; vertex 8, (2, 2), belongs to cell 3 only
     g = np.arange(3.0)
     verts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
-    cells = [[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 7, 6], [4, 5, 8, 7]]
-    DgSpace(PolyMesh(verts, cells), 2)
+    cell_ptr = [0, 4, 8, 12, 16]
+    cell_idx = [0, 1, 4, 3, 1, 2, 5, 4, 3, 4, 7, 6, 4, 5, 8, 7]
+    DgSpace(PolyMesh(verts, cell_ptr, cell_idx), 2)
     verts[8, 1] = bad
+    # a PolyMesh refuses the vertex itself; CellBases names the cell
+    with pytest.raises(MeshError, match=f"^vertex 8 = \\(2\\.0, {bad}\\) is "
+                                        "not finite$"):
+        PolyMesh(verts, cell_ptr, cell_idx)
     with np.errstate(invalid="ignore"), \
             pytest.raises(BasisError, match="degenerate cell 3 at"):
-        DgSpace(PolyMesh(verts, cells), 2)
+        CellBases(verts, cell_ptr, cell_idx, 2)

@@ -165,6 +165,18 @@ def test_periodic_advect_needs_a_periodic_mesh_file(tmp_path, capsys):
     assert "periodic section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_advect_refuses_a_non_finite_mesh_file_vertex(bad, tmp_path, capsys):
+    out = tmp_path / "m.mesh"
+    out.write_text("polymesh 1\nvertices 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n"
+                   f"{bad} 1.0\ncells 1\n0 1 2 3\n")
+    rc = main(["advect", "--mesh-file", str(out), "--p", "0", "--k", "k1",
+               "--steps", "1"])
+    assert rc == 2
+    assert (f"error: {out}:6: vertex 3 = ({bad}, 1.0) is not finite"
+            in capsys.readouterr().err)
+
+
 def test_mesh_gen_voronoi(tmp_path):
     out = tmp_path / "v.mesh"
     rc = main(["mesh", "gen", "--pattern", "voronoi", "--h", "0.25",

@@ -17,6 +17,18 @@ from polydg.mesh import (BOUNDARY, GeneratingPattern, MeshError, PolyMesh,
 PATTERNS = ("hexagon", "square", "rtri", "etri")
 
 
+def csr(cells):
+    """The CSR pair (cell_ptr, cell_idx) of vertex-index lists."""
+    return (np.cumsum([0] + [len(c) for c in cells]),
+            np.array([v for c in cells for v in c], dtype=np.int64))
+
+
+def cell_lists(cell_ptr, cell_idx):
+    """The vertex-index lists of a CSR pair."""
+    return [list(map(int, cell_idx[a:b]))
+            for a, b in zip(cell_ptr[:-1], cell_ptr[1:])]
+
+
 def test_equal_area_law():
     h_E = 1.3
     area = np.sqrt(3.0) / 4.0 * h_E ** 2
@@ -105,7 +117,8 @@ def test_random_pair_determinism_and_duality():
     d2, v2 = build_random_mesh_pair(0.1, 0.025, (0, 0, 1, 1), seed=7)
     assert np.array_equal(d1.vertices, d2.vertices)
     assert np.array_equal(v1.vertices, v2.vertices)
-    assert d1.cells == d2.cells
+    assert np.array_equal(d1.cell_ptr, d2.cell_ptr)
+    assert np.array_equal(d1.cell_idx, d2.cell_idx)
     # each Voronoi cell contains its generating point (= Delaunay vertex,
     # cells ordered by sorted generating point)
     assert v1.cell_areas.sum() == pytest.approx(1.0, rel=1e-12)
@@ -131,7 +144,7 @@ def test_natural_ordering_square_grid_identity():
 
 
 def test_natural_ordering_single_cell():
-    mesh = PolyMesh([(0, 0), (1, 0), (0, 1)], [[0, 1, 2]])
+    mesh = PolyMesh([(0, 0), (1, 0), (0, 1)], [0, 3], [0, 1, 2])
     assert np.array_equal(natural_ordering(mesh), [0])
 
 
@@ -239,13 +252,38 @@ def test_natural_ordering_interleaves_split_squares():
     assert np.all(np.diff(cx) > 0)
 
 
-def test_mesh_roundtrip(tmp_path):
-    mesh = build_regular_mesh("hexagon", 0.01, (0, 0, 1, 1))
+ROUNDTRIP_MESHES = {
+    **{f"{kind}-{bc}": (lambda k=kind, per=bc == "periodic":
+                        experiments.advection_mesh(k, periodic=per))
+       for kind in PATTERNS for bc in ("zero-inflow", "periodic")},
+    "voronoi": lambda: build_random_mesh_pair(0.2, 0.05, seed=7)[1],
+    "delaunay": lambda: build_random_mesh_pair(0.2, 0.05, seed=7)[0],
+}
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP_MESHES)
+def test_mesh_roundtrip(name, tmp_path):
+    mesh = ROUNDTRIP_MESHES[name]()
     path = tmp_path / "m.mesh"
     write_mesh(mesh, path)
     back = read_mesh(path)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert back.cells == mesh.cells
+    assert back.boundary_tag == mesh.boundary_tag
+    for array in MESH_ARRAYS:
+        a, b = getattr(back, array), getattr(mesh, array)
+        assert a.dtype == b.dtype, array
+        if array == "edge_shifts":
+            # the file keeps no shifts: read_mesh takes a periodic edge's
+            # from its two sides' midpoints, which round off the lattice
+            # translation the builder gives
+            assert np.max(np.abs(a - b)) <= 1e-15, array
+        else:
+            assert np.array_equal(a, b), array
+    assert back.is_periodic == name.endswith("-periodic")
+    assert back.row_height == mesh.row_height   # None on random meshes
+    assert np.array_equal(natural_ordering(back), natural_ordering(mesh))
+    # and written again, byte for byte
+    write_mesh(back, tmp_path / "again.mesh")
+    assert (tmp_path / "again.mesh").read_bytes() == path.read_bytes()
 
 
 def test_mesh_roundtrip_periodic(tmp_path):
@@ -344,7 +382,23 @@ SQUARE_VERTICES = [(0, 0), (1, 0), (1, 1), (0, 1)]
 def test_polymesh_refuses_bad_topology(vertices, cells, options, message):
     with np.errstate(invalid="ignore"), pytest.raises(MeshError,
                                                       match=message):
-        PolyMesh(vertices, cells, **options)
+        PolyMesh(vertices, *csr(cells), **options)
+
+
+@pytest.mark.parametrize("cell_ptr, cell_idx, message", [
+    ([0], [], "^empty cell list$"),
+    ([1, 4], [0, 1, 2, 3], r"^cell_ptr runs from 1 to 4, not from 0 to "
+                           r"len\(cell_idx\) = 4$"),
+    ([0, 3], [0, 1, 2, 3], r"^cell_ptr runs from 0 to 3, not from 0 to "
+                           r"len\(cell_idx\) = 4$"),
+    ([0, 3, 5], [0, 1, 2, 2, 3], "^cell 1 has 2 vertices, fewer than 3$"),
+    ([0, 4, 3, 6], [0, 1, 2, 3, 0, 2],
+     "^cell 1 has -1 vertices, fewer than 3$"),
+    ([0, 3, 6], [0, 1, 2, 2, 3, 4], "^cell 1 references missing vertex 4$"),
+    ([0, 3], [0, -1, 2], "^cell 0 references missing vertex -1$")])
+def test_polymesh_refuses_a_bad_csr_pair(cell_ptr, cell_idx, message):
+    with pytest.raises(MeshError, match=message):
+        PolyMesh(SQUARE_VERTICES, cell_ptr, cell_idx)
 
 
 def test_random_pair_names_delaunay_sliver():
@@ -358,13 +412,13 @@ def test_random_pair_names_delaunay_sliver():
 
 # -- the dict-based side matcher the array build replaced --------------------
 
-def ref_mesh(vertices, cells, periodic_pairs=None,
+def ref_mesh(vertices, cell_ptr, cell_idx, periodic_pairs=None,
              boundary_tag="inflow_outflow", periodic_translations=None):
     """The per-cell, per-side construction kept as the reference: vertices,
-    cells, areas, centroids, periodic map and the edges as (left, right, v0,
-    v1, normal, length, shift) tuples."""
+    cells (vertex-index lists), areas, centroids, periodic map and the edges
+    as (left, right, v0, v1, normal, length, shift) tuples."""
     vertices = np.asarray(vertices, dtype=float)
-    cells = [list(map(int, c)) for c in cells]
+    cells = cell_lists(cell_ptr, cell_idx)
     for c in cells:
         if polygon_area_centroid(vertices[c])[0] < 0:
             c.reverse()
@@ -423,7 +477,9 @@ def ref_mesh(vertices, cells, periodic_pairs=None,
 def assert_mesh_equals(mesh, ref):
     vertices, cells, areas, centroids, periodic_map, edges = ref
     assert np.array_equal(mesh.vertices, vertices)
-    assert mesh.cells == cells
+    cell_ptr, cell_idx = csr(cells)
+    assert np.array_equal(mesh.cell_ptr, cell_ptr)
+    assert np.array_equal(mesh.cell_idx, cell_idx)
     assert np.array_equal(mesh.cell_areas, areas)
     assert np.array_equal(mesh.cell_centroids, centroids)
     assert np.array_equal(mesh.periodic_map,
@@ -454,8 +510,9 @@ def built(monkeypatch):
 def half_clockwise_voronoi():
     """A Voronoi mesh given with every other cell clockwise."""
     _, voronoi = build_random_mesh_pair(0.2, 0.05, seed=7)
-    cells = [c[::-1] if i % 2 else c for i, c in enumerate(voronoi.cells)]
-    return mesh_module.PolyMesh(voronoi.vertices, cells)
+    cells = cell_lists(voronoi.cell_ptr, voronoi.cell_idx)
+    cells = [c[::-1] if i % 2 else c for i, c in enumerate(cells)]
+    return mesh_module.PolyMesh(voronoi.vertices, *csr(cells))
 
 
 MESH_BUILDS = {
@@ -528,7 +585,7 @@ def instance_loop_reference(kind, element_area, domain=None, periodic=False,
                 off = m1 * a1 + m2 * a2
                 for el in pat.elements:
                     cells.append([get(p + off, snap) for p in el])
-        return PolyMesh(verts, cells,
+        return PolyMesh(verts, *csr(cells),
                         periodic_pairs="auto" if periodic else None,
                         periodic_translations=(n1 * a1, n2 * a2))
     x0, y0, x1, y1 = map(float, domain)
@@ -549,7 +606,7 @@ def instance_loop_reference(kind, element_area, domain=None, periodic=False,
                         instances.append(base + el * scale)
         cells = [[get(p, snap) for p in poly]
                  for poly in sorted(instances, key=_row_major_key)]
-        return PolyMesh(verts, cells, periodic_pairs="auto",
+        return PolyMesh(verts, *csr(cells), periodic_pairs="auto",
                         periodic_translations=((W, 0.0), (0.0, H)))
     a1, a2 = pat.lattice
     inv = np.linalg.inv(np.stack([a1, a2], axis=1))
@@ -581,17 +638,18 @@ def instance_loop_reference(kind, element_area, domain=None, periodic=False,
                         polys.append(clipped)
     cells = [[get(p, snap) for p in poly]
              for poly in sorted(polys, key=_row_major_key)]
-    return PolyMesh(verts, cells, boundary_tag=boundary_tag)
+    return PolyMesh(verts, *csr(cells), boundary_tag=boundary_tag)
 
 
-MESH_ARRAYS = ("vertices", "cell_areas", "cell_centroids", "edge_left",
+MESH_ARRAYS = ("vertices", "cell_ptr", "cell_idx", "cell_areas",
+               "cell_centroids", "edge_left",
                "edge_right", "edge_vertices", "edge_normals", "edge_lengths",
                "edge_shifts", "periodic_map")
 
 
 def assert_same_mesh(mesh, ref):
-    assert mesh.cells == ref.cells
     assert mesh.boundary_tag == ref.boundary_tag
+    assert mesh.n_cells == ref.n_cells
     for name in MESH_ARRAYS:
         a, b = getattr(mesh, name), getattr(ref, name)
         assert a.dtype == b.dtype, name
@@ -601,6 +659,7 @@ def assert_same_mesh(mesh, ref):
 UNIT = (0.0, 0.0, 1.0, 1.0)
 OFFSET = (0.3, -0.7, 1.6, 0.2)
 SLIVERS = (-1e-7, -1e-7, 1.0 + 1e-7, 1.0 + 1e-7)
+SUB_SNAP = (0.0, 1e-12, 0.96875, 1.0 + 1e-12)
 INSTANCE_LOOP_CASES = {
     "h0.2": (lambda k: build_regular_mesh(k, 0.04, UNIT),
              lambda k: instance_loop_reference(k, 0.04, UNIT)),
@@ -612,6 +671,11 @@ INSTANCE_LOOP_CASES = {
     # floor, which the builder drops
     "h0.1-slivers": (lambda k: build_regular_mesh(k, 0.01, SLIVERS),
                      lambda k: instance_loop_reference(k, 0.01, SLIVERS)),
+    # edges 1e-12 off lattice lines leave pieces narrower than the vertex
+    # snap, which the builder drops (the square mesh was refused)
+    "h0.25-sub-snap": (lambda k: build_regular_mesh(k, 0.0625, SUB_SNAP),
+                       lambda k: instance_loop_reference(k, 0.0625,
+                                                         SUB_SNAP)),
     "euler": (experiments.euler_mesh,
               lambda k: instance_loop_reference(
                   k, experiments.EULER_H ** 2, experiments.EULER_DOMAIN,
@@ -631,6 +695,38 @@ INSTANCE_LOOP_CASES = {
 def test_regular_mesh_equals_instance_loop_reference(kind, case):
     build, reference = INSTANCE_LOOP_CASES[case]
     assert_same_mesh(build(kind), reference(kind))
+
+
+def assert_csr_invariants(mesh):
+    """cell_ptr starts at 0 and steps by at least 3, cell_idx is in range,
+    every stored cell turns counter-clockwise, and cell_vertices(c) reads
+    cell c's slice of cell_idx."""
+    ptr, idx = mesh.cell_ptr, mesh.cell_idx
+    assert ptr.dtype == idx.dtype == np.int64
+    assert ptr[0] == 0 and ptr[-1] == len(idx)
+    assert np.all(np.diff(ptr) >= 3)
+    assert np.all((idx >= 0) & (idx < len(mesh.vertices)))
+    for c in range(mesh.n_cells):
+        verts = mesh.cell_vertices(c)
+        assert np.array_equal(verts, mesh.vertices[idx[ptr[c]:ptr[c + 1]]])
+        assert polygon_area_centroid(verts)[0] > 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), h=st.floats(0.1, 0.3),
+       delta=st.floats(0.05, 0.45), kind=st.sampled_from(PATTERNS),
+       area=st.floats(0.002, 0.05), periodic=st.booleans())
+def test_cells_are_a_valid_csr_pair(seed, h, delta, kind, area, periodic):
+    meshes = list(build_random_mesh_pair(h, delta * h, seed=seed))
+    width = height = 1.0
+    if periodic:
+        # whole rectangular periods
+        pw, ph, _ = GeneratingPattern.make(kind, area, "pointy").rect_period()
+        width, height = max(1, round(1 / pw)) * pw, max(1, round(1 / ph)) * ph
+    meshes.append(build_regular_mesh(kind, area, (0.0, 0.0, width, height),
+                                     periodic=periodic))
+    for mesh in meshes:
+        assert_csr_invariants(mesh)
 
 
 def test_fine_regular_mesh_equals_instance_loop_reference():
@@ -659,8 +755,9 @@ def test_random_regular_mesh_equals_instance_loop_reference(
 
 
 def clip_everything_reference(kind, element_area, domain):
-    """(vertices, cells) of build_regular_mesh, non-periodic, built by
-    clipping every padded lattice instance against the rectangle."""
+    """(vertices, cell_ptr, cell_idx) of build_regular_mesh, non-periodic,
+    built by clipping every padded lattice instance against the
+    rectangle."""
     x0, y0, x1, y1 = map(float, domain)
     pat = GeneratingPattern.make(kind, element_area, "pointy")
     a1, a2 = pat.lattice
@@ -687,8 +784,8 @@ def clip_everything_reference(kind, element_area, domain):
     verts, get = _vertex_pool()
     cells = [[get(p, snap) for p in poly]
              for poly in sorted(polys, key=_row_major_key)]
-    ref = PolyMesh(verts, cells)
-    return ref.vertices, ref.cells
+    ref = PolyMesh(verts, *csr(cells))
+    return ref.vertices, ref.cell_ptr, ref.cell_idx
 
 
 @pytest.mark.parametrize("kind", PATTERNS)
@@ -697,9 +794,11 @@ def clip_everything_reference(kind, element_area, domain):
                                        (0.1, (0.3, -0.7, 1.6, 0.2))])
 def test_regular_mesh_equals_clip_everything_reference(kind, h, domain):
     mesh = build_regular_mesh(kind, h * h, domain)
-    vertices, cells = clip_everything_reference(kind, h * h, domain)
+    vertices, cell_ptr, cell_idx = clip_everything_reference(kind, h * h,
+                                                              domain)
     assert np.array_equal(mesh.vertices, vertices)
-    assert mesh.cells == cells
+    assert np.array_equal(mesh.cell_ptr, cell_ptr)
+    assert np.array_equal(mesh.cell_idx, cell_idx)
 
 
 # -- non-finite input ---------------------------------------------------------
@@ -721,6 +820,25 @@ def test_regular_mesh_refuses_non_finite_input(area, domain, name, periodic):
 def test_pattern_tiling_refuses_non_finite_area(area):
     with pytest.raises(MeshError, match="^element_area = (nan|inf) is not"):
         build_pattern_tiling("hexagon", area, 2, 2)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_polymesh_refuses_a_non_finite_vertex(bad):
+    vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (float(bad), 1.0)]
+    with pytest.raises(MeshError,
+                       match=fr"^vertex 3 = \({bad}, 1\.0\) is not finite$"):
+        PolyMesh(vertices, [0, 3, 6], [0, 1, 2, 0, 2, 3])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_mesh_names_the_non_finite_vertex_line(bad, tmp_path):
+    # vertex 2 is on line 5; without the check it read as a mesh whose
+    # area is NaN and whose validate() held
+    path = tmp_path / "m.mesh"
+    path.write_text(UNIT_SQUARE.replace("1.0 1.0\n", f"{bad} 1.0\n"))
+    with pytest.raises(MeshError, match=fr":5: vertex 2 = \({bad}, 1\.0\) "
+                                        "is not finite$"):
+        read_mesh(path)
 
 
 @pytest.mark.parametrize("kind", ["etri", "rtri"])

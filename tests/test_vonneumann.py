@@ -222,15 +222,37 @@ def test_velocity_mirror_rejects_an_asymmetric_motif():
                                                                 [1, 0]]
 
 
+def unpruned_grid(syms, k, n, n_theta, mirror=None):
+    """The screened grid of `screened_grid` without a floor: every point
+    of the screened half of the phases eigen-solved."""
+    flat = np.arange(n * n)
+    conj = (-(flat // n) % n) * n + (-flat % n)
+    half = flat <= conj
+    keep, copy = flat[half], conj[half]
+    phis = 2.0 * np.pi * np.arange(n) / n
+    screened = np.empty((n_theta, n * n))
+    for sym, row in zip(syms, screened):
+        row[keep] = row[copy] = sym.spectral_radius_phases(
+            k, phis[keep // n], phis[keep % n], screen=True)
+    if mirror is not None:
+        i1, i2 = (mirror @ np.stack(np.divmod(flat, n))) % n
+        m = n_theta // 2
+        screened[::-1][:m, i1 * n + i2] = screened[:m]
+    return screened
+
+
 @pytest.mark.parametrize("kind", ["square", "hexagon", "etri"])
 @pytest.mark.parametrize("theta_samples", [8, 9])
-def test_mirrored_screen_matches_full_screen(kind, theta_samples):
+def test_mirrored_screen_matches_full_screen(monkeypatch, kind,
+                                             theta_samples):
     t0, t1 = THETA_RANGES[kind]
     syms = [PatternSymbol(kind, 2, AREA, (np.cos(th), np.sin(th)))
             for th in np.linspace(t0, t1, theta_samples)]
     T = velocity_mirror(GeneratingPattern.make(kind, AREA), t0, t1)
     k = timestep_family(AREA, "k2")
-    full = screened_grid(syms, k, 12, theta_samples)
+    full = unpruned_grid(syms, k, 12, theta_samples)
+    # a floor of -inf prunes no point, so every mirrored value is compared
+    monkeypatch.setattr(vonneumann, "ROUNDING_MARGIN", np.inf)
     half = screened_grid(syms[:(theta_samples + 1) // 2], k, 12,
                          theta_samples, T)
     assert np.max(np.abs(half - full)) <= 1e-13
@@ -375,9 +397,9 @@ def test_pruned_screen_keeps_the_near_peak_values(monkeypatch, kind, p):
             syms = [PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
                     for th in np.linspace(t0, t1, n_theta)]
             syms = syms[:n_theta if mirror is None else (n_theta + 1) // 2]
-            full = screened_grid(syms, k, 10, n_theta, mirror)
+            full = unpruned_grid(syms, k, 10, n_theta, mirror)
             floors.clear()
-            pruned = screened_grid(syms, k, 10, n_theta, mirror, prune=True)
+            pruned = screened_grid(syms, k, 10, n_theta, mirror)
             # every floor keeps the rounding margin below the peak's band
             assert max(floors) <= full.max() - vonneumann.SCREEN_TOL \
                 - 0.5 * vonneumann.ROUNDING_MARGIN
@@ -429,7 +451,8 @@ def test_max_spectral_radius_recomputes_in_slices(monkeypatch):
 
 def element_basis(vertices, p):
     """The one-cell basis the old assembly built per element."""
-    return CellBases(vertices, [np.arange(len(vertices))], p).bases[0]
+    return CellBases(vertices, [0, len(vertices)], np.arange(len(vertices)),
+                     p).bases[0]
 
 
 def find_partner_reference(pattern, mid, direction, scale):
