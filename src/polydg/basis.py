@@ -127,7 +127,8 @@ DEGREES = (0, 1, 2, 3)
 def check_degree(p):
     """A BasisError unless p is an integer in DEGREES."""
     if not isinstance(p, (int, np.integer)) or p not in DEGREES:
-        raise BasisError(f"degree p={p} unsupported (0..3)")
+        raise BasisError(f"degree p={p} unsupported "
+                         f"({min(DEGREES)}..{max(DEGREES)})")
 
 
 def monomial_exponents(p):

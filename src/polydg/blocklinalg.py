@@ -351,9 +351,10 @@ def factor_bilu0(A, ordering=None):
 
 
 MAX_ITERS = 200000
+TOL = 1e-14   # relative l2 residual at which both solvers stop
 
 
-def block_jacobi_solve(A, rhs, tol=1e-14, max_iters=MAX_ITERS):
+def block_jacobi_solve(A, rhs, tol=TOL, max_iters=MAX_ITERS):
     """Fixed-point iteration x <- D^{-1} rhs + (I - D^{-1} A) x from x = 0.
 
     Returns (x, iterations, converged); iterations is the first iterate index
@@ -372,7 +373,7 @@ def block_jacobi_solve(A, rhs, tol=1e-14, max_iters=MAX_ITERS):
     return x, max_iters, False
 
 
-def gmres(A, rhs, preconditioner=None, restart=20, tol=1e-14,
+def gmres(A, rhs, preconditioner=None, restart=20, tol=TOL,
           max_iters=MAX_ITERS):
     """Right-preconditioned restarted GMRES with Givens rotations, from
     x = 0.
@@ -408,14 +409,11 @@ def gmres(A, rhs, preconditioner=None, restart=20, tol=1e-14,
                 break
             w = A.matvec(prec(V[j]))
             total += 1
-            for i in range(j + 1):
-                H[i, j] = np.dot(V[i], w)
-                w = w - H[i, j] * V[i]
-            # one re-orthogonalization pass
-            for i in range(j + 1):
-                c = np.dot(V[i], w)
-                H[i, j] += c
-                w = w - c * V[i]
+            # classical Gram-Schmidt twice ("twice is enough")
+            for _pass in range(2):
+                c = V[:j + 1] @ w
+                H[:j + 1, j] += c
+                w = w - c @ V[:j + 1]
             H[j + 1, j] = np.linalg.norm(w)
             happy = H[j + 1, j] < 1e-30 * bnorm
             if not happy:

@@ -9,14 +9,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import DEGREES, DgSpace, check_degree
-from .blocklinalg import (block_jacobi_solve, factor_bilu0,
+from .blocklinalg import (TOL, block_jacobi_solve, factor_bilu0,
                           factor_block_jacobi, gmres)
 from .discretization import (assemble_advection, gaussian_pulse,
                              rotating_velocity)
 from .euler import EulerDiscretization, EulerParams
-from .mesh import (PATTERN_KINDS, build_random_mesh_pair, build_regular_mesh,
-                   natural_ordering, read_mesh)
-from .timestepping import newton_solve
+from .mesh import (PATTERN_KINDS, RANDOM_JITTER, build_random_mesh_pair,
+                   build_regular_mesh, natural_ordering, read_mesh)
+from .timestepping import NEWTON_TOL, backward_euler_system, newton_solve
 from .vonneumann import TIMESTEP_FACTORS, SweepConfig, ratio_table
 
 CSV_HEADER = ["experiment", "mesh", "pattern", "p", "k_label", "solver",
@@ -29,6 +29,9 @@ SOLVER_CONFIGS = {
     "gmres+jacobi": ("gmres", "jacobi"),
     "gmres+ilu0": ("gmres", "ilu0"),
 }
+DEFAULT_SOLVER = "jacobi"
+DEFAULT_PAIR = SOLVER_CONFIGS[DEFAULT_SOLVER]
+BOUNDARY_CONDITIONS = ("zero-inflow", "periodic")
 
 
 class ExperimentError(Exception):
@@ -177,11 +180,10 @@ def advection_timestep(label, h=ADVECTION_H):
 
 
 def advection_mesh(pattern, h=ADVECTION_H, periodic=False):
-    return build_regular_mesh(pattern, h * h, (0.0, 0.0, 1.0, 1.0),
-                              periodic=periodic)
+    return build_regular_mesh(pattern, h * h, periodic=periodic)
 
 
-def run_advect_case(mesh, p, k, solver, preconditioner, tol=1e-14, n_steps=1):
+def run_advect_case(mesh, p, k, solver, preconditioner, tol=TOL, n_steps=1):
     """Project the Gaussian and advance n_steps backward Euler solves.
 
     Returns the last solve's count and residual, and whether every solve
@@ -191,7 +193,7 @@ def run_advect_case(mesh, p, k, solver, preconditioner, tol=1e-14, n_steps=1):
     """
     space = DgSpace(mesh, p)
     M, L = assemble_advection(space, rotating_velocity)
-    A = L.scaled_add_diag(k, M.diagonal_blocks())
+    A = backward_euler_system(M, L, k)
     u = space.project(gaussian_pulse()).ravel()
     ordering = natural_ordering(mesh) if preconditioner == "ilu0" else None
     it, res, ok = 0, 0.0, True
@@ -203,30 +205,11 @@ def run_advect_case(mesh, p, k, solver, preconditioner, tol=1e-14, n_steps=1):
     return it, res, ok
 
 
-def run_advect(patterns=PATTERN_KINDS, p_list=DEGREES,
-               k_labels=tuple(TIMESTEP_FACTORS), solver="jacobi",
-               preconditioner="none", tol=1e-14, mesh_file=None,
-               h=ADVECTION_H, n_steps=12, bc="zero-inflow"):
-    solver_config_name(solver, preconditioner)
-    if bc not in ("zero-inflow", "periodic"):
-        raise ExperimentError(f"unknown boundary condition {bc!r}")
-    steps = _checked_steps(p_list, k_labels, advection_timestep, h, patterns,
-                           tol=tol, n_steps=n_steps)
-    periodic = bc == "periodic"
-    report = ExperimentReport("advect", {
-        "h": h, "solver": solver, "preconditioner": preconditioner,
-        "tol": tol, "p": ",".join(map(str, p_list)),
-        "k": ",".join(k_labels), "bc": bc, "mesh_file": mesh_file or ""})
-    for pattern in patterns if mesh_file is None else ("file",):
-        if mesh_file is None:
-            mesh = advection_mesh(pattern, h, periodic=periodic)
-            mesh_name = f"regular-{pattern}"
-        else:
-            mesh = read_mesh(mesh_file)
-            if periodic and not mesh.is_periodic:
-                raise ExperimentError(f"bc 'periodic' needs a mesh file with "
-                                      f"a periodic section: {mesh_file}")
-            mesh_name = mesh_file
+def _advect_rows(report, meshes, p_list, steps, solver, preconditioner,
+                 tol, n_steps):
+    """Add a row per (mesh, p, k) to report; meshes yields (mesh name,
+    pattern, mesh) and is drawn one mesh at a time."""
+    for mesh_name, pattern, mesh in meshes:
         for p in p_list:
             for lab, k in steps:
                 (it, res, ok), wall = _timed(run_advect_case, mesh, p, k,
@@ -239,30 +222,50 @@ def run_advect(patterns=PATTERN_KINDS, p_list=DEGREES,
     return report
 
 
+def run_advect(patterns=PATTERN_KINDS, p_list=DEGREES,
+               k_labels=tuple(TIMESTEP_FACTORS), solver=DEFAULT_PAIR[0],
+               preconditioner=DEFAULT_PAIR[1], tol=TOL, mesh_file=None,
+               h=ADVECTION_H, n_steps=12, bc=BOUNDARY_CONDITIONS[0]):
+    solver_config_name(solver, preconditioner)
+    if bc not in BOUNDARY_CONDITIONS:
+        raise ExperimentError(f"unknown boundary condition {bc!r}")
+    steps = _checked_steps(p_list, k_labels, advection_timestep, h, patterns,
+                           tol=tol, n_steps=n_steps)
+    periodic = bc == "periodic"
+    report = ExperimentReport("advect", {
+        "h": h, "solver": solver, "preconditioner": preconditioner,
+        "tol": tol, "p": ",".join(map(str, p_list)),
+        "k": ",".join(k_labels), "bc": bc, "mesh_file": mesh_file or ""})
+    if mesh_file is None:
+        meshes = ((f"regular-{pattern}", pattern,
+                   advection_mesh(pattern, h, periodic=periodic))
+                  for pattern in patterns)
+    else:
+        mesh = read_mesh(mesh_file)
+        if periodic and not mesh.is_periodic:
+            raise ExperimentError(f"bc 'periodic' needs a mesh file with "
+                                  f"a periodic section: {mesh_file}")
+        meshes = [(mesh_file, "file", mesh)]
+    return _advect_rows(report, meshes, p_list, steps, solver,
+                        preconditioner, tol, n_steps)
+
+
 def run_random_advect(h=ADVECTION_H, delta=None, seed=0, p_list=DEGREES,
-                      k_labels=tuple(TIMESTEP_FACTORS), solver="jacobi",
-                      preconditioner="none", tol=1e-14, n_steps=12):
+                      k_labels=tuple(TIMESTEP_FACTORS), solver=DEFAULT_PAIR[0],
+                      preconditioner=DEFAULT_PAIR[1], tol=TOL, n_steps=12):
     solver_config_name(solver, preconditioner)
     steps = _checked_steps(p_list, k_labels, advection_timestep, h,
                            tol=tol, n_steps=n_steps)
     if delta is None:
-        delta = 0.25 * h
+        delta = RANDOM_JITTER * h
     delaunay, voronoi = build_random_mesh_pair(h, delta, seed=seed)
     report = ExperimentReport("random-advect", {
         "h": h, "delta": delta, "seed": seed, "solver": solver,
         "preconditioner": preconditioner, "tol": tol})
-    for name, mesh in (("voronoi", voronoi), ("delaunay", delaunay)):
-        for p in p_list:
-            for lab, k in steps:
-                (it, res, ok), wall = _timed(run_advect_case, mesh, p, k,
-                                             solver, preconditioner, tol,
-                                             n_steps)
-                report.add(mesh=f"{name}({mesh.n_cells} cells)", pattern=name,
-                           p=p, k_label=lab, solver=solver,
-                           preconditioner=preconditioner, iterations=it,
-                           final_residual=f"{res:.3e}", wall_ms=f"{wall:.1f}",
-                           converged=ok)
-    return report
+    meshes = [(f"{name}({mesh.n_cells} cells)", name, mesh)
+              for name, mesh in (("voronoi", voronoi), ("delaunay", delaunay))]
+    return _advect_rows(report, meshes, p_list, steps, solver, preconditioner,
+                        tol, n_steps)
 
 
 # -- Euler vortex ---------------------------------------------------------
@@ -281,7 +284,7 @@ def euler_mesh(pattern, h=EULER_H):
                               boundary_tag="exact_state")
 
 
-def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13):
+def run_euler_case(mesh, p, k, solver_names, tol=TOL, newton_tol=NEWTON_TOL):
     """One backward Euler step of the vortex via Newton.
 
     All requested solver configurations are run on the same sequence of
@@ -300,24 +303,19 @@ def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13):
     totals = {name: 0 for name in solver_names}
     ok_all = {name: True for name in solver_names}
 
-    # the state of the last residual evaluation and its Lax-Friedrichs
-    # coefficients: newton_solve asks for the Jacobian at the state whose
-    # residual it has just evaluated
-    last = {"u": None, "alphas": None}
+    # the Lax-Friedrichs coefficients of the last residual evaluation:
+    # newton_solve asks for the Jacobian at the very state whose residual
+    # it has just evaluated
+    last = {}
 
     def residual(u):
         r, last["alphas"] = disc.spatial_residual(u, k)
-        last["u"] = u
         W = disc.coeffs(u - Un)
         mr = np.einsum("cij,cj->ci", Mblocks, W.reshape(mesh.n_cells, -1))
         return mr.ravel() + k * r
 
     def jacobian(u):
-        if last["u"] is u or np.array_equal(last["u"], u):
-            alphas = last["alphas"]
-        else:
-            _, alphas = disc.spatial_residual(u, k)
-        J = disc.spatial_jacobian(u, k, alphas)
+        J = disc.spatial_jacobian(u, k, last["alphas"])
         return J.scaled_add_diag(k, Mblocks)
 
     def linear_solver(A, rhs):
@@ -341,8 +339,8 @@ def run_euler_case(mesh, p, k, solver_names, tol=1e-14, newton_tol=5e-13):
 
 def run_euler_vortex(patterns=PATTERN_KINDS, p_list=DEGREES,
                      k_labels=tuple(TIMESTEP_FACTORS),
-                     solver_names=("gmres+ilu0",), tol=1e-14,
-                     newton_tol=5e-13):
+                     solver_names=(DEFAULT_SOLVER,), tol=TOL,
+                     newton_tol=NEWTON_TOL):
     _check_solver_names(solver_names)
     steps = _checked_steps(p_list, k_labels, euler_timestep, EULER_H,
                            patterns, tol=tol, newton_tol=newton_tol)

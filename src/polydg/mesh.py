@@ -11,6 +11,8 @@ from .basis import polygon_area_centroid, ragged_polygons
 BOUNDARY = -1
 
 PATTERN_KINDS = ("hexagon", "square", "rtri", "etri")
+UNIT_SQUARE = (0.0, 0.0, 1.0, 1.0)
+RANDOM_JITTER = 0.25   # build_random_mesh_pair's default delta, over h
 
 
 class MeshError(Exception):
@@ -413,7 +415,7 @@ def _dedupe_loop(poly, snap):
     return np.array(out)
 
 
-def build_regular_mesh(kind, element_area, domain, periodic=False,
+def build_regular_mesh(kind, element_area, domain=UNIT_SQUARE, periodic=False,
                        boundary_tag="inflow_outflow"):
     """Tile an axis-aligned rectangle with one of the four generating patterns.
 
@@ -507,15 +509,18 @@ def build_regular_mesh(kind, element_area, domain, periodic=False,
 
 # -- randomized Delaunay / Voronoi pair ----------------------------------
 
-def build_random_mesh_pair(h, delta, domain=(0.0, 0.0, 1.0, 1.0), seed=0):
+def build_random_mesh_pair(h, delta=None, domain=UNIT_SQUARE, seed=0):
     """Perturbed-grid Delaunay triangulation and clipped Voronoi diagram.
 
     Generating points sit on the h-grid of the rectangle, each coordinate
     independently perturbed by Uniform[-delta, delta] (numpy default_rng /
-    PCG64, from the given seed). Points leaving the rectangle are discarded;
-    the Voronoi cells are clipped to the rectangle by half-plane intersection
-    with the bisectors of the Delaunay neighbors.
+    PCG64, from the given seed; delta defaults to RANDOM_JITTER h). Points
+    leaving the rectangle are discarded; the Voronoi cells are clipped to
+    the rectangle by half-plane intersection with the bisectors of the
+    Delaunay neighbors.
     """
+    if delta is None:
+        delta = RANDOM_JITTER * h
     x0, y0, x1, y1 = map(float, domain)
     if delta < 0 or delta >= h / 2:
         raise MeshError("perturbation must satisfy 0 <= delta < h/2")

@@ -34,13 +34,16 @@ def _finite_norm(F, step):
 
 
 MAX_NEWTON_STEPS = 20
+NEWTON_TOL = 5e-13
 
 
-def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=5e-13):
+def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=NEWTON_TOL):
     """Newton's method with full steps, at most MAX_NEWTON_STEPS of them.
 
-    residual_fn(u) -> F(u); jacobian_fn(u) -> A, the block matrix dF/du;
-    linear_solver(A, rhs) -> (x, n_iters). Convergence:
+    residual_fn(u) -> F(u); jacobian_fn(u) -> A, the block matrix dF/du,
+    always called with the very array last passed to residual_fn, so it
+    may reuse what that evaluation computed; linear_solver(A, rhs) ->
+    (x, n_iters). Convergence:
     ||F|| <= tol * max(1, ||F0||); a non-finite ||F|| is a
     TimesteppingError. Each Jacobian is released before the next
     is built, so it and the factorizations cached on it never overlap with

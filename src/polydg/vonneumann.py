@@ -24,14 +24,12 @@ THETA_RANGES = {
 
 
 def check_admissible(kind, alpha, beta):
-    ok = alpha >= -1e-12 and beta >= -1e-12
-    if kind in ("hexagon", "etri"):
-        ok = ok and (np.sqrt(3.0) * alpha - beta >= -1e-12)
-    elif kind == "rtri":
-        ok = ok and (alpha - beta >= -1e-12)
-    if not ok:
-        raise SymbolError(
-            f"velocity ({alpha}, {beta}) violates the sign conditions for {kind}")
+    """A SymbolError unless the angle of (alpha, beta) lies in the
+    pattern's cone THETA_RANGES[kind], up to 1e-12."""
+    t0, t1 = THETA_RANGES[kind]
+    if not t0 - 1e-12 <= np.arctan2(beta, alpha) <= t1 + 1e-12:
+        raise SymbolError(f"velocity ({alpha}, {beta}) lies outside the "
+                          f"admissible cone of {kind}")
 
 
 def _representative_theta(kind):
@@ -145,8 +143,8 @@ class PatternSymbol:
 
     def __init__(self, kind, p, element_area, velocity):
         alpha, beta = float(velocity[0]), float(velocity[1])
-        check_admissible(kind, alpha, beta)
         ops = pattern_operators(kind, p, element_area)
+        check_admissible(kind, alpha, beta)
         self.pattern = ops.pattern
         self.n_loc = ops.n_loc
         self.dim = ops.dim
@@ -320,11 +318,15 @@ BOUND_SQUARINGS = 16
 RECOMPUTE_SLICE = 256
 
 
+# the velocity angles a sweep covers: each pattern's own cone, or [0, pi/4]
+THETA_RANGE_MODES = ("per-pattern", "quarter-pi")
+
+
 @dataclass
 class SweepConfig:
     theta_samples: int = 32
     wave_samples: int = 48
-    theta_range: str = "per-pattern"   # per-pattern | quarter-pi
+    theta_range: str = "per-pattern"   # one of THETA_RANGE_MODES
     refine: bool = True                # polish the coarse-grid peak locally
 
 
@@ -460,7 +462,7 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
         t0, t1 = THETA_RANGES[kind]
     else:
         raise SymbolError(f"unknown theta range {config.theta_range!r} "
-                          "(choose from 'per-pattern', 'quarter-pi')")
+                          f"(choose from {', '.join(THETA_RANGE_MODES)})")
     thetas = np.linspace(t0, t1, config.theta_samples)
     n = config.wave_samples
     phis = 2.0 * np.pi * np.arange(n) / n

@@ -100,6 +100,67 @@ def test_gmres_restart_still_converges():
     assert np.linalg.norm(A.matvec(x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+def mgs_gmres(A, rhs, prec, restart, tol, max_iters=10000):
+    """The restarted GMRES that orthogonalized by modified Gram-Schmidt and
+    one re-orthogonalization pass, one vector at a time."""
+    n = A.dim
+    x = np.zeros(n)
+    bnorm = np.linalg.norm(rhs)
+    total = 0
+    while total <= max_iters:
+        r = rhs - A.matvec(x)
+        beta = np.linalg.norm(r)
+        if beta <= tol * bnorm:
+            return x, total
+        V = np.zeros((restart + 1, n))
+        H = np.zeros((restart + 1, restart))
+        cs, sn, g = np.zeros(restart), np.zeros(restart), np.zeros(restart + 1)
+        V[0], g[0] = r / beta, beta
+        for j in range(restart):
+            w = A.matvec(prec(V[j]))
+            total += 1
+            for i in range(j + 1):
+                H[i, j] = np.dot(V[i], w)
+                w = w - H[i, j] * V[i]
+            for i in range(j + 1):
+                c = np.dot(V[i], w)
+                H[i, j] += c
+                w = w - c * V[i]
+            H[j + 1, j] = np.linalg.norm(w)
+            V[j + 1] = w / H[j + 1, j]
+            for i in range(j):
+                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+                H[i, j] = t
+            denom = np.hypot(H[j, j], H[j + 1, j])
+            cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
+            H[j, j], H[j + 1, j] = denom, 0.0
+            g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+            if abs(g[j + 1]) <= tol * bnorm:
+                break
+        y = scipy.linalg.solve_triangular(H[:j + 1, :j + 1], g[:j + 1])
+        x = x + prec(V[:j + 1].T @ y)
+    return x, total
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("restart", [5, 20])
+@pytest.mark.parametrize("jacobi", [False, True])
+def test_gmres_matches_the_one_vector_at_a_time_reference(seed, restart,
+                                                          jacobi):
+    # two classical Gram-Schmidt passes sum in another order than the
+    # modified Gram-Schmidt loop: the count stays, x moves by rounding
+    A = random_block_matrix(40, 3, density=0.2, seed=seed, sdd=False)
+    A = A.scaled_add_diag(1.0, 8.0 * np.eye(3)[None].repeat(40, axis=0))
+    rhs = np.random.default_rng(100 + seed).standard_normal(A.dim)
+    fac = factor_block_jacobi(A) if jacobi else None
+    x, it, ok = gmres(A, rhs, preconditioner=fac, restart=restart, tol=1e-12)
+    x_ref, it_ref = mgs_gmres(A, rhs, fac.apply if jacobi else lambda v: v,
+                              restart, 1e-12)
+    assert ok and it == it_ref
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
 def lower_triangular_block_matrix(n, b, seed):
     rng = np.random.default_rng(seed)
     blocks = {}

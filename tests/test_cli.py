@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from polydg import vonneumann
-from polydg.cli import emit, main
-from polydg.experiments import CSV_HEADER, ExperimentReport
+from polydg.cli import build_parser, emit, main
+from polydg.experiments import (CSV_HEADER, DEFAULT_SOLVER, SOLVER_CONFIGS,
+                                ExperimentReport, run_euler_vortex)
 from polydg.mesh import read_mesh
 
 
@@ -81,6 +82,27 @@ def test_euler_vortex_subcommand(tmp_path):
     row = dict(zip(header, rows[0]))
     assert int(row["newton_iters"]) >= 1
     assert int(row["iterations"]) > 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "advect", "random-advect",
+                                     "euler-vortex"])
+def test_parser_passes_on_only_what_was_typed(command):
+    # every default is the run_* function's: the parser adds none
+    assert list(vars(build_parser().parse_args([command]))) == ["run"]
+
+
+def test_euler_vortex_default_solver_is_run_euler_vortex_s(tmp_path):
+    out = tmp_path / "ev.csv"
+    flags = dict(patterns=["square"], p_list=[0], k_labels=["k1"])
+    assert main(["euler-vortex", "--pattern", "square", "--p", "0",
+                 "--k", "k1", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    cli_pairs = [(r[header.index("solver")], r[header.index("preconditioner")])
+                 for r in rows]
+    run_pairs = [(r["solver"], r["preconditioner"])
+                    for r in run_euler_vortex(**flags).rows]
+    assert cli_pairs == run_pairs == [SOLVER_CONFIGS[DEFAULT_SOLVER]]
+    assert DEFAULT_SOLVER == "jacobi"   # the default README documents
 
 
 def test_euler_vortex_rejects_bad_combination(capsys):
@@ -187,6 +209,25 @@ def test_mesh_gen_voronoi(tmp_path):
     # but the clipped Voronoi cells still tile the domain
     assert mesh.n_cells > 0
     assert mesh.cell_areas.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("flags, refused", [
+    (["--pattern", "voronoi", "--h", "0.25", "--area", "0.5"], "--area"),
+    (["--pattern", "delaunay", "--h", "0.25", "--periodic"], "--periodic"),
+    (["--pattern", "voronoi", "--h", "0.25", "--periodic", "--area", "0.5"],
+     "--area, --periodic"),
+    (["--pattern", "hex", "--area", "0.0625", "--h", "0.3"], "--h"),
+    (["--pattern", "square", "--area", "0.0625", "--delta", "0.1"],
+     "--delta"),
+    (["--pattern", "hex", "--area", "0.0625", "--seed", "5"], "--seed")])
+def test_mesh_gen_refuses_flags_it_would_ignore(flags, refused, tmp_path,
+                                                capsys):
+    out = tmp_path / "m.mesh"
+    assert main(["mesh", "gen", "--out", str(out)] + flags) == 2
+    pattern = flags[1]
+    assert (f"error: --pattern {pattern} does not take {refused}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_mesh_gen_missing_required_flag(capsys):

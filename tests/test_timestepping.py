@@ -84,10 +84,16 @@ def test_newton_linear_problem_converges_in_one_iteration():
 
 
 def test_newton_quadratic_convergence_on_nonlinear_problem():
+    # run_euler_case reuses the residual's Lax-Friedrichs coefficients in
+    # the Jacobian, which is right only at the very state evaluated last
+    last = []
+
     def residual(u):
+        last.append(u)
         return np.array([u[0] ** 3 - 2.0])
 
     def jacobian(u):
+        assert u is last[-1]
         return np.array([[3.0 * u[0] ** 2]])
 
     def solver(A, rhs):

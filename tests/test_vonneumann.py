@@ -30,6 +30,17 @@ def test_admissibility_cones():
         check_admissible("hexagon", 0.2, 1.0)       # needs sqrt(3) a >= b
 
 
+@pytest.mark.parametrize("kind", THETA_RANGES)
+def test_admissible_cone_is_the_sweep_range(kind):
+    t0, t1 = THETA_RANGES[kind]
+    for theta in np.linspace(t0, t1, 9):
+        check_admissible(kind, np.cos(theta), np.sin(theta))
+    check_admissible(kind, 0.0, 0.0)
+    for theta in (t0 - 1e-9, t1 + 1e-9, np.pi):
+        with pytest.raises(SymbolError, match="outside the admissible cone"):
+            check_admissible(kind, np.cos(theta), np.sin(theta))
+
+
 def test_timestep_family():
     assert timestep_family(AREA, "k1") == pytest.approx(3.0)
     assert timestep_family(AREA, "k2") == pytest.approx(6.0)
