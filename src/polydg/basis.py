@@ -166,6 +166,11 @@ def volume_degree(p):
     return max(2 * p, 2 * p + 2 if p > 0 else 2)
 
 
+def edge_degree(p):
+    """Total degree the edge quadrature integrates exactly."""
+    return 2 * p + 1
+
+
 def _monomial_values(exps, s):
     """Monomials at centered-scaled points s (..., 2): (..., len(exps))."""
     out = np.empty(s.shape[:-1] + (len(exps),))
@@ -326,7 +331,7 @@ class DgSpace(CellBases):
         self.mesh = mesh
         ends = mesh.edge_vertices
         q = edge_quadrature(mesh.vertices[ends[:, 0]],
-                            mesh.vertices[ends[:, 1]], 2 * p + 1)
+                            mesh.vertices[ends[:, 1]], edge_degree(p))
         self.edge_nodes, self.edge_weights = q.nodes, q.weights
         self.edge_quads = [Quadrature(x, w) for x, w in
                            zip(self.edge_nodes, self.edge_weights)]

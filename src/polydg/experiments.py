@@ -242,9 +242,10 @@ def run_advect(patterns=PATTERN_KINDS, p_list=DEGREES,
                   for pattern in patterns)
     else:
         mesh = read_mesh(mesh_file)
-        if periodic and not mesh.is_periodic:
-            raise ExperimentError(f"bc 'periodic' needs a mesh file with "
-                                  f"a periodic section: {mesh_file}")
+        if mesh.is_periodic != periodic:
+            need = "with" if periodic else "without"
+            raise ExperimentError(f"bc {bc!r} needs a mesh file {need} a "
+                                  f"periodic line: {mesh_file}")
         meshes = [(mesh_file, "file", mesh)]
     return _advect_rows(report, meshes, p_list, steps, solver,
                         preconditioner, tol, n_steps)

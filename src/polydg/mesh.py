@@ -19,12 +19,16 @@ class MeshError(Exception):
     pass
 
 
-class _ItemError(MeshError):
-    """An invalid vertex or periodic pair, item `item` of its `section`."""
+class _VertexError(MeshError):
+    """An invalid vertex, number `item`."""
 
-    def __init__(self, section, item, msg):
+    def __init__(self, item, msg):
         super().__init__(msg)
-        self.section, self.item = section, item
+        self.item = item
+
+
+class _UnpairedSide(MeshError):
+    """A boundary side that no period moves onto another boundary side."""
 
 
 class PolyMesh:
@@ -48,10 +52,10 @@ class PolyMesh:
     `periodic_map` (K, 2) holds the two sides of each periodic edge, and
     every boundary edge carries the condition `boundary_tag`.
 
-    periodic_pairs is None (every unmatched side is a boundary edge),
-    "auto" (each unmatched side pairs with its translate by a combination
-    of the two periodic_translations) or a list of side-index pairs
-    (a, b), side b being side a translated and reversed.
+    `periods` is None (every unmatched side is a boundary edge) or the
+    torus's two translations t1, t2, kept as a (2, 2) array: each unmatched
+    side then pairs with its translate by one of +-t1, +-t2, +-(t1 + t2),
+    +-(t1 - t2), and the edge's shift is that translation, exactly.
 
     `row_height` is the spacing of the cell rows of a regular tiling,
     which `build_regular_mesh` sets; it is None on every other mesh.
@@ -59,14 +63,18 @@ class PolyMesh:
 
     row_height = None
 
-    def __init__(self, vertices, cell_ptr, cell_idx, periodic_pairs=None,
-                 boundary_tag="inflow_outflow", periodic_translations=None):
+    def __init__(self, vertices, cell_ptr, cell_idx, periods=None,
+                 boundary_tag="inflow_outflow"):
         self.vertices = np.asarray(vertices, dtype=float)
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=-1))
         if len(bad):
             x, y = self.vertices[bad[0]].tolist()
-            raise _ItemError("vertices", bad[0],
-                             f"vertex {bad[0]} = ({x}, {y}) is not finite")
+            raise _VertexError(bad[0],
+                               f"vertex {bad[0]} = ({x}, {y}) is not finite")
+        self.periods = None if periods is None else np.array(periods, float)
+        if self.periods is not None and self.periods.shape != (2, 2):
+            raise MeshError(f"periods must be two 2-vectors, not an array "
+                            f"of shape {self.periods.shape}")
         self.cell_ptr = np.array(cell_ptr, dtype=np.int64)
         self.cell_idx = np.array(cell_idx, dtype=np.int64)
         self.n_cells = len(self.cell_ptr) - 1
@@ -74,7 +82,7 @@ class PolyMesh:
             raise MeshError("empty cell list")
         self.boundary_tag = boundary_tag
         self._orient_ccw()
-        self._build_edges(periodic_pairs, periodic_translations)
+        self._build_edges()
 
     # -- construction ----------------------------------------------------
 
@@ -106,7 +114,7 @@ class PolyMesh:
         if np.any(self.cell_areas <= 0.0):
             raise MeshError("cell with non-positive area")
 
-    def _build_edges(self, periodic_pairs, translations):
+    def _build_edges(self):
         # directed sides (a, b) in cell order, b next after a in its cell;
         # the partner of a side is the side (b, a), or -1
         ptr, idx = self.cell_ptr, self.cell_idx
@@ -137,14 +145,11 @@ class PolyMesh:
 
         interior = np.flatnonzero(partner > np.arange(len(key)))
         unmatched = np.flatnonzero(partner < 0)
-        if periodic_pairs is None:
+        if self.periods is None:
             pairs, shifts = np.empty((0, 2), dtype=np.int64), np.empty((0, 2))
-        elif periodic_pairs == "auto":
-            pairs, shifts = _match_periodic(unmatched, mids[unmatched],
-                                            translations)
         else:
-            pairs = self._checked_pairs(periodic_pairs, partner, p0, p1)
-            shifts = mids[pairs[:, 0]] - mids[pairs[:, 1]]
+            pairs, shifts = _match_periodic(unmatched, mids[unmatched],
+                                            self.periods)
         boundary = unmatched[~np.isin(unmatched, pairs)]
 
         first = np.concatenate((interior, boundary, pairs[:, 0]))
@@ -158,31 +163,6 @@ class PolyMesh:
         self.edge_shifts = np.concatenate(
             (np.zeros((len(interior) + len(boundary), 2)), shifts))
         self.periodic_map = pairs
-
-    def _checked_pairs(self, pairs, partner, p0, p1):
-        """pairs as a (K, 2) array, after checking that each names two
-        boundary sides, not named before, the second the first translated
-        and reversed."""
-        seen = set()
-        for k, (a, b) in enumerate(pairs):
-            for s in (a, b):
-                if not 0 <= s < len(partner):
-                    msg = f"side {s} out of range 0..{len(partner) - 1}"
-                elif partner[s] >= 0:
-                    msg = f"side {s} is not a boundary side"
-                elif s in seen:
-                    msg = f"side {s} is paired twice"
-                else:
-                    seen.add(s)
-                    continue
-                raise _ItemError("periodic", k,
-                                 f"periodic pair {a} {b}: {msg}")
-            gap = (p0[b] - p1[a]) - (p1[b] - p0[a])
-            if np.hypot(*gap) > 1e-9 * np.hypot(*(p1[a] - p0[a])):
-                raise _ItemError("periodic", k,
-                                 f"periodic pair {a} {b}: side {b} is not "
-                                 f"side {a} translated and reversed")
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
     # -- queries ---------------------------------------------------------
 
@@ -213,14 +193,13 @@ class PolyMesh:
         return True
 
 
-def _match_periodic(sides, mids, translations):
+def _match_periodic(sides, mids, periods):
     """Pair the sides (B,) whose midpoints mids (B, 2) differ by one of the
-    lattice translations, each side with the first free match in the order
-    +-t1, +-t2, +-(t1 + t2), +-(t1 - t2). Returns the side pairs (K, 2) and
-    the shifts (K, 2): the right cell of an edge lives at -t."""
-    if not translations:
-        raise MeshError("periodic matching requires translation vectors")
-    t1, t2 = (np.asarray(t, float) for t in translations)
+    lattice translations of periods (2, 2), each side with the first free
+    match in the order +-t1, +-t2, +-(t1 + t2), +-(t1 - t2). Returns the
+    side pairs (K, 2) and the shifts (K, 2): the right cell of an edge
+    lives at -t."""
+    t1, t2 = periods
     cand = np.array([t1, -t1, t2, -t2, t1 + t2, -(t1 + t2), t1 - t2, t2 - t1])
     scale = max(np.linalg.norm(t1), np.linalg.norm(t2))
     dist, near = cKDTree(mids).query(mids[:, None, :] + cand)
@@ -232,7 +211,7 @@ def _match_periodic(sides, mids, translations):
             continue
         free = np.flatnonzero(hit[i] & ~used[near[i]])
         if not len(free):
-            raise MeshError(f"unpaired periodic boundary side {sides[i]}")
+            raise _UnpairedSide(f"unpaired periodic boundary side {sides[i]}")
         j = near[i, free[0]]
         pairs.append((sides[i], sides[j]))
         shifts.append(-cand[free[0]])
@@ -375,8 +354,7 @@ def build_pattern_tiling(kind, element_area, n1, n2):
     verts, index = _vertex_pool(polys.reshape(-1, 2),
                                 1e-9 * np.sqrt(element_area))
     return PolyMesh(verts, np.arange(0, len(index) + 1, polys.shape[1]),
-                    index, periodic_pairs="auto",
-                    periodic_translations=(n1 * a1, n2 * a2))
+                    index, periods=(n1 * a1, n2 * a2))
 
 
 def _clip_polygon_halfplane(poly, point, normal):
@@ -453,8 +431,7 @@ def build_regular_mesh(kind, element_area, domain=UNIT_SQUARE, periodic=False,
         shapes = np.multiply(pat.elements, scale)
         polys = (base[:, None, None] + shapes).reshape(-1, *shapes.shape[1:])
         meets = inside = np.ones(len(polys), dtype=bool)
-        options = {"periodic_pairs": "auto",
-                   "periodic_translations": ((W, 0.0), (0.0, H))}
+        options = {"periods": ((W, 0.0), (0.0, H))}
     else:
         # cover the rectangle with padded lattice instances
         a1, a2 = pat.lattice
@@ -602,7 +579,7 @@ def natural_ordering(mesh):
 # -- mesh file I/O -------------------------------------------------------
 
 def write_mesh(mesh, path):
-    """Header, full-precision vertices, cells, periodic pairs, row height."""
+    """Header, full-precision vertices, cells, periods, row height."""
     lines = ["polymesh 1"]
     lines.append(f"vertices {len(mesh.vertices)}")
     for v in mesh.vertices:
@@ -610,10 +587,9 @@ def write_mesh(mesh, path):
     lines.append(f"cells {mesh.n_cells}")
     ptr, idx = mesh.cell_ptr.tolist(), mesh.cell_idx.tolist()
     lines += [" ".join(map(str, idx[a:b])) for a, b in zip(ptr, ptr[1:])]
-    if mesh.is_periodic:
-        lines.append(f"periodic {len(mesh.periodic_map)}")
-        for a, b in mesh.periodic_map:
-            lines.append(f"{a} {b}")
+    if mesh.periods is not None:
+        x1, y1, x2, y2 = mesh.periods.ravel().tolist()
+        lines.append(f"periodic {x1!r} {y1!r} {x2!r} {y2!r}")
     if mesh.row_height is not None:
         lines.append(f"row_height {float(mesh.row_height)!r}")
     with open(path, "w") as f:
@@ -621,9 +597,10 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
-    """Read the format of write_mesh. The optional periodic section lists
-    pairs of directed side indices (in cell order) glued by translation;
-    the optional last line sets the mesh's row height."""
+    """Read the format of write_mesh. The optional line `periodic x1 y1 x2
+    y2` gives the torus's two translations, which glue every boundary side
+    to its translate; the optional line after it sets the mesh's row
+    height. Any other non-blank line is refused."""
     with open(path) as f:
         raw = f.read().splitlines()
 
@@ -653,22 +630,28 @@ def read_mesh(path):
     nc = count(i, "cells")
     cells = [values(i + 1 + k, int, "vertex indices") for k in range(nc)]
     i += 1 + nc
-    pairs, row_height = [], None
+    periods = row_height = None
     if i < len(raw) and raw[i].split()[:1] == ["periodic"]:
-        pairs = [values(i + 1 + k, int, "two side indices", 2)
-                 for k in range(count(i, "periodic"))]
-        first_pair, i = i + 1, i + 1 + len(pairs)
+        what = "'periodic x1 y1 x2 y2' with finite values"
+        periods = values(i, float, what, 4, skip=1)
+        if not np.all(np.isfinite(periods)):
+            fail(i, f"expected {what}")
+        periods, periodic_line, i = np.reshape(periods, (2, 2)), i, i + 1
     if i < len(raw) and raw[i].strip():
         what = "'row_height y' with y finite and positive"
         row_height, = values(i, float, what, 1, skip=1)
         if raw[i].split()[0] != "row_height" or not 0.0 < row_height < np.inf:
             fail(i, f"expected {what}")
+        i += 1
+    for j in range(i, len(raw)):
+        if raw[j].strip():
+            fail(j, f"unexpected {raw[j].strip()!r}")
     try:
         mesh = PolyMesh(verts, np.cumsum([0] + [len(c) for c in cells]),
-                        [v for c in cells for v in c],
-                        periodic_pairs=pairs or None)
-    except _ItemError as exc:
-        first = 2 if exc.section == "vertices" else first_pair
-        fail(first + exc.item, str(exc))
+                        [v for c in cells for v in c], periods=periods)
+    except _VertexError as exc:
+        fail(2 + exc.item, str(exc))
+    except _UnpairedSide as exc:
+        fail(periodic_line, str(exc))
     mesh.row_height = row_height
     return mesh

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CellBases, check_degree, edge_quadrature, n_local
+from .basis import (CellBases, check_degree, edge_degree, edge_quadrature,
+                    n_local)
 from .mesh import GeneratingPattern, PATTERN_KINDS, h_E_from_area
 
 
@@ -108,7 +109,6 @@ class PatternOperators:
             add((0, 0), a, a,
                 -np.einsum("q,qi,ql->il", q.weights, G[:, :, 0], B),
                 -np.einsum("q,qi,ql->il", q.weights, G[:, :, 1], B))
-        edge_deg = 2 * self.p + 1
         for a, el in enumerate(self.pattern.elements):
             nv = len(el)
             for j in range(nv):
@@ -116,7 +116,7 @@ class PatternOperators:
                 d = p1 - p0
                 length = np.hypot(d[0], d[1])
                 normal = np.array([d[1], -d[0]]) / length
-                q = edge_quadrature(p0, p1, edge_deg)
+                q = edge_quadrature(p0, p1, edge_degree(self.p))
                 wa = self.bases[a].eval(q.nodes)
                 # in/outflow decided by the representative cone direction
                 if ra * normal[0] + rb * normal[1] >= 0.0:

@@ -9,8 +9,9 @@ import pytest
 
 from polydg import vonneumann
 from polydg.cli import build_parser, emit, main
-from polydg.experiments import (CSV_HEADER, DEFAULT_SOLVER, SOLVER_CONFIGS,
-                                ExperimentReport, run_euler_vortex)
+from polydg.experiments import (ADVECTION_H, CSV_HEADER, DEFAULT_SOLVER,
+                                SOLVER_CONFIGS, ExperimentReport,
+                                run_euler_vortex)
 from polydg.mesh import read_mesh
 
 
@@ -178,13 +179,38 @@ def test_mesh_gen_roundtrip(tmp_path):
 
 
 def test_periodic_advect_needs_a_periodic_mesh_file(tmp_path, capsys):
+    # and a periodic mesh file is not run under a zero-inflow header
     out = tmp_path / "m.mesh"
-    assert main(["mesh", "gen", "--pattern", "square", "--area", "0.0625",
-                 "--domain", "0", "0", "1", "1", "--out", str(out)]) == 0
-    rc = main(["advect", "--mesh-file", str(out), "--bc", "periodic",
-               "--p", "0", "--k", "k1", "--steps", "1"])
-    assert rc == 2
-    assert "periodic section" in capsys.readouterr().err
+    for periodic, bc, need in [([], "periodic", "with"),
+                               (["--periodic"], "zero-inflow", "without")]:
+        assert main(["mesh", "gen", "--pattern", "square", "--area", "0.0625",
+                     "--domain", "0", "0", "1", "1", "--out", str(out)]
+                    + periodic) == 0
+        capsys.readouterr()
+        rc = main(["advect", "--mesh-file", str(out), "--bc", bc,
+                   "--p", "0", "--k", "k1", "--steps", "1"])
+        assert rc == 2
+        assert (f"error: bc '{bc}' needs a mesh file {need} a periodic line"
+                in capsys.readouterr().err)
+
+
+def test_periodic_mesh_file_runs_as_the_mesh_written(tmp_path):
+    # the area advect builds at its default h, h * h = 0.0025000000000000005;
+    # --area 0.0025 would build vertices up to 1.1e-16 away
+    out = tmp_path / "m.mesh"
+    area = repr(ADVECTION_H * ADVECTION_H)
+    assert main(["mesh", "gen", "--pattern", "hex", "--area", area,
+                 "--periodic", "--out", str(out)]) == 0
+    flags = ["--bc", "periodic", "--p", "2", "--k", "k2", "--steps", "3",
+             "--solver", "gmres", "--preconditioner", "jacobi"]
+    counts = []
+    for source in (["--mesh-file", str(out)], ["--pattern", "hex"]):
+        csv_path = tmp_path / "ad.csv"
+        assert main(["advect", *source, *flags, "--out", str(csv_path)]) == 0
+        header, (row,) = read_csv(csv_path)
+        row = dict(zip(header, row))
+        counts.append((row["iterations"], row["final_residual"]))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -271,14 +271,9 @@ def test_mesh_roundtrip(name, tmp_path):
     for array in MESH_ARRAYS:
         a, b = getattr(back, array), getattr(mesh, array)
         assert a.dtype == b.dtype, array
-        if array == "edge_shifts":
-            # the file keeps no shifts: read_mesh takes a periodic edge's
-            # from its two sides' midpoints, which round off the lattice
-            # translation the builder gives
-            assert np.max(np.abs(a - b)) <= 1e-15, array
-        else:
-            assert np.array_equal(a, b), array
+        assert np.array_equal(a, b), array
     assert back.is_periodic == name.endswith("-periodic")
+    assert np.array_equal(back.periods, mesh.periods)   # None if not periodic
     assert back.row_height == mesh.row_height   # None on random meshes
     assert np.array_equal(natural_ordering(back), natural_ordering(mesh))
     # and written again, byte for byte
@@ -302,13 +297,15 @@ UNIT_SQUARE = ("polymesh 1\nvertices 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
 
 
 def test_read_mesh_periodic_section(tmp_path):
-    # side 2 (top) is side 0 (bottom) translated by (0, 1) and reversed
+    # the unit square glued to a torus: side 2 (top) is side 0 (bottom)
+    # moved by t2 = (0, 1), side 3 (left) is side 1 (right) moved by -t1
     path = tmp_path / "m.mesh"
-    path.write_text(UNIT_SQUARE + "periodic 1\n0 2\n")
+    path.write_text(UNIT_SQUARE + "periodic 1.0 0.0 0.0 1.0\n")
     mesh = read_mesh(path)
-    assert np.array_equal(mesh.periodic_map, [[0, 2]])
-    assert np.array_equal(mesh.edge_right, [BOUNDARY, BOUNDARY, 0])
-    assert np.array_equal(mesh.edge_shifts[-1], [0.0, -1.0])
+    assert np.array_equal(mesh.periods, [[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(mesh.periodic_map, [[0, 2], [1, 3]])
+    assert np.array_equal(mesh.edge_right, [0, 0])
+    assert np.array_equal(mesh.edge_shifts, [[0.0, -1.0], [1.0, 0.0]])
 
 
 def test_read_mesh_errors(tmp_path):
@@ -325,41 +322,54 @@ def test_read_mesh_errors(tmp_path):
     bad.write_text("polymesh 1\nvertices two\n0.0 0.0\n")
     with pytest.raises(MeshError, match=":2: expected 'vertices N'$"):
         read_mesh(bad)
-    for section, error in [
-            ("0 999", ":10: periodic pair 0 999: side 999 out of range 0..3$"),
-            ("0 x", ":10: expected two side indices$"),
-            ("0 0", ":10: periodic pair 0 0: side 0 is paired twice$"),
-            ("0 1", ":10: periodic pair 0 1: side 1 is not side 0 "
-                    "translated and reversed$")]:
-        bad.write_text(UNIT_SQUARE + "periodic 1\n" + section + "\n")
-        with pytest.raises(MeshError, match=error):
+    expected = "expected 'periodic x1 y1 x2 y2' with finite values$"
+    for line in ["periodic 1.0 0.0 0.0", "periodic 1.0 0.0 0.0 1.0 0.0",
+                 "periodic 1", "periodic 1.0 0.0 0.0 x", "periodic",
+                 "periodic nan 0.0 0.0 1.0", "periodic 1.0 0.0 0.0 inf"]:
+        bad.write_text(UNIT_SQUARE + line + "\n")
+        with pytest.raises(MeshError, match=f":9: {expected}"):
             read_mesh(bad)
-    bad.write_text(UNIT_SQUARE + "periodic 2\n0 2\n")
-    with pytest.raises(MeshError, match=":11: expected two side indices$"):
+    # the top side is the bottom one moved by (0, 1), not by (0, 2)
+    bad.write_text(UNIT_SQUARE + "periodic 1.0 0.0 0.0 2.0\n")
+    with pytest.raises(MeshError,
+                       match=":9: unpaired periodic boundary side 0$"):
         read_mesh(bad)
-    bad.write_text(UNIT_SQUARE + "periodic 2\n0 2\n1 2\n")
-    with pytest.raises(MeshError, match=":11: .*side 2 is paired twice$"):
+    # two unit squares side by side: moved by (1, 0), the left side (3)
+    # lands on the side cell 0 shares with cell 1, not on a boundary side
+    two = ("polymesh 1\nvertices 6\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n"
+           "cells 2\n0 1 4 3\n1 2 5 4\n")
+    bad.write_text(two + "periodic 1.0 0.0 0.0 1.0\n")
+    with pytest.raises(MeshError,
+                       match=":12: unpaired periodic boundary side 3$"):
         read_mesh(bad)
-    # two unit squares side by side: side 1 of cell 0 is shared with cell 1
-    bad.write_text("polymesh 1\nvertices 6\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n"
-                   "cells 2\n0 1 4 3\n1 2 5 4\nperiodic 1\n1 7\n")
-    with pytest.raises(MeshError, match=":13: periodic pair 1 7: side 1 is "
-                                        "not a boundary side$"):
-        read_mesh(bad)
+    bad.write_text(two + "periodic 2.0 0.0 0.0 1.0\n")
+    assert len(read_mesh(bad).periodic_map) == 3
 
 
 def test_read_mesh_row_height_line(tmp_path):
     path = tmp_path / "m.mesh"
-    for tail in ("row_height 0.5\n", "periodic 1\n0 2\nrow_height 0.5\n"):
+    for tail in ("row_height 0.5\n", "row_height 0.5\n\n",
+                 "periodic 1.0 0.0 0.0 1.0\nrow_height 0.5\n"):
         path.write_text(UNIT_SQUARE + tail)
         assert read_mesh(path).row_height == 0.5
     expected = "expected 'row_height y' with y finite and positive$"
     for tail, line in [("row_height\n", 9), ("row_height x\n", 9),
                        ("row_height nan\n", 9), ("row_height inf\n", 9),
                        ("row_height -1\n", 9), ("row_height 0.5 1\n", 9),
-                       ("rows 2\n", 9), ("periodic 1\n0 2\n1\n", 11)]:
+                       ("rows 2\n", 9), ("periodic 1 0 0 1\n1\n", 10)]:
         path.write_text(UNIT_SQUARE + tail)
         with pytest.raises(MeshError, match=f":{line}: {expected}"):
+            read_mesh(path)
+    # no line is left unread: not one after the row height, nor the row
+    # height after a blank line
+    for tail, line, unread in [
+            ("row_height 0.5\ngarbage here\n", 10, "garbage here"),
+            ("row_height 0.5\nperiodic 1 0 0 1\n", 10, "periodic 1 0 0 1"),
+            ("\n\nrow_height 0.5\n", 11, "row_height 0.5"),
+            ("\nperiodic 1 0 0 1\n", 10, "periodic 1 0 0 1")]:
+        path.write_text(UNIT_SQUARE + tail)
+        with pytest.raises(MeshError,
+                           match=f":{line}: unexpected '{unread}'$"):
             read_mesh(path)
 
 
@@ -373,11 +383,10 @@ SQUARE_VERTICES = [(0, 0), (1, 0), (1, 1), (0, 1)]
      "^zero-length edge$"),
     ([(0, 0), (1, 0), (2, 0)], [[0, 1, 2]], {},
      "^cell with non-positive area$"),
-    (SQUARE_VERTICES, [[0, 1, 2, 3]], {"periodic_pairs": "auto"},
-     "^periodic matching requires translation vectors$"),
+    (SQUARE_VERTICES, [[0, 1, 2, 3]], {"periods": ((1, 0),)},
+     r"^periods must be two 2-vectors, not an array of shape \(1, 2\)$"),
     # the top side is the bottom one moved by (0, 1), not by (0, 2)
-    (SQUARE_VERTICES, [[0, 1, 2, 3]],
-     {"periodic_pairs": "auto", "periodic_translations": ((1, 0), (0, 2))},
+    (SQUARE_VERTICES, [[0, 1, 2, 3]], {"periods": ((1, 0), (0, 2))},
      "^unpaired periodic boundary side 0$")])
 def test_polymesh_refuses_bad_topology(vertices, cells, options, message):
     with np.errstate(invalid="ignore"), pytest.raises(MeshError,
@@ -412,8 +421,8 @@ def test_random_pair_names_delaunay_sliver():
 
 # -- the dict-based side matcher the array build replaced --------------------
 
-def ref_mesh(vertices, cell_ptr, cell_idx, periodic_pairs=None,
-             boundary_tag="inflow_outflow", periodic_translations=None):
+def ref_mesh(vertices, cell_ptr, cell_idx, periods=None,
+             boundary_tag="inflow_outflow"):
     """The per-cell, per-side construction kept as the reference: vertices,
     cells (vertex-index lists), areas, centroids, periodic map and the edges
     as (left, right, v0, v1, normal, length, shift) tuples."""
@@ -446,8 +455,8 @@ def ref_mesh(vertices, cell_ptr, cell_idx, periodic_pairs=None,
         else:
             boundary.append(si)
     periodic_map = []
-    if periodic_pairs == "auto":
-        t1, t2 = (np.asarray(t, float) for t in periodic_translations)
+    if periods is not None:
+        t1, t2 = (np.asarray(t, float) for t in periods)
         cand = [t1, -t1, t2, -t2, t1 + t2, -(t1 + t2), t1 - t2, t2 - t1]
         scale = max(np.linalg.norm(t1), np.linalg.norm(t2))
         mids = {si: 0.5 * (vertices[sides[si][1]] + vertices[sides[si][2]])
@@ -586,8 +595,7 @@ def instance_loop_reference(kind, element_area, domain=None, periodic=False,
                 for el in pat.elements:
                     cells.append([get(p + off, snap) for p in el])
         return PolyMesh(verts, *csr(cells),
-                        periodic_pairs="auto" if periodic else None,
-                        periodic_translations=(n1 * a1, n2 * a2))
+                        periods=(n1 * a1, n2 * a2) if periodic else None)
     x0, y0, x1, y1 = map(float, domain)
     W, H = x1 - x0, y1 - y0
     pat = GeneratingPattern.make(kind, element_area, "pointy")
@@ -606,8 +614,8 @@ def instance_loop_reference(kind, element_area, domain=None, periodic=False,
                         instances.append(base + el * scale)
         cells = [[get(p, snap) for p in poly]
                  for poly in sorted(instances, key=_row_major_key)]
-        return PolyMesh(verts, *csr(cells), periodic_pairs="auto",
-                        periodic_translations=((W, 0.0), (0.0, H)))
+        return PolyMesh(verts, *csr(cells),
+                        periods=((W, 0.0), (0.0, H)))
     a1, a2 = pat.lattice
     inv = np.linalg.inv(np.stack([a1, a2], axis=1))
     corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
