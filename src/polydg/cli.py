@@ -11,6 +11,7 @@ Exit code is 0 only if every requested solve converged.
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from . import experiments
@@ -83,29 +84,39 @@ def euler_vortex(**given):
     return run_euler_vortex(**given)
 
 
-# mesh gen's flags that one family of patterns takes, by the parameter of
-# its mesh function they set: the first is required, the other family's
-# are refused
+# mesh gen's flags that only one family of patterns takes, by the parameter
+# of its mesh function they set; the other family refuses them
 REGULAR_FLAGS = {"element_area": "--area", "periodic": "--periodic"}
-RANDOM_FLAGS = {"h": "--h", "delta": "--delta", "seed": "--seed"}
+RANDOM_FLAGS = {"delta": "--delta", "seed": "--seed"}
 
 
 def mesh_gen(pattern, path, **given):
-    """Write the mesh of `pattern` to path."""
+    """Write the mesh of `pattern` to path. A regular pattern takes one of
+    --area and --h; --h gives the area h * h, the mesh `advect --h` builds.
+    A random pair takes its grid spacing as --h."""
     random = pattern in ("voronoi", "delaunay")
-    own, other = ((RANDOM_FLAGS, REGULAR_FLAGS) if random
-                  else (REGULAR_FLAGS, RANDOM_FLAGS))
+    other = REGULAR_FLAGS if random else RANDOM_FLAGS
     refused = [flag for key, flag in other.items() if key in given]
     if refused:
         raise MeshError(f"--pattern {pattern} does not take "
                         f"{', '.join(refused)}")
-    required = next(iter(own))
-    if required not in given:
-        raise MeshError(f"--pattern {pattern} requires {own[required]}")
     if random:
+        if "h" not in given:
+            raise MeshError(f"--pattern {pattern} requires --h")
         delaunay, voronoi = build_random_mesh_pair(**given)
         mesh = voronoi if pattern == "voronoi" else delaunay
     else:
+        if "element_area" in given and "h" in given:
+            raise MeshError(f"--pattern {pattern} does not take --h "
+                            f"together with --area")
+        if "h" in given:
+            h = given.pop("h")
+            if not (math.isfinite(h) and h > 0):
+                raise MeshError(f"h must be finite and positive, got {h}")
+            # the area experiments.advection_mesh builds from h
+            given["element_area"] = h * h
+        if "element_area" not in given:
+            raise MeshError(f"--pattern {pattern} requires --area or --h")
         mesh = build_regular_mesh(_pattern(pattern), **given)
     write_mesh(mesh, path)
     print(f"wrote {mesh.n_cells} cells to {path}")
@@ -162,7 +173,8 @@ def build_parser():
                     metavar=("x0", "y0", "x1", "y1"))
     mg.add_argument("--periodic", action="store_true")
     mg.add_argument("--h", type=float,
-                    help="grid spacing (voronoi/delaunay)")
+                    help="grid spacing (voronoi/delaunay); for the regular "
+                         "patterns element area h^2, as advect --h")
     mg.add_argument("--delta", type=float,
                     help="perturbation bound (voronoi/delaunay)")
     mg.add_argument("--seed", type=int)

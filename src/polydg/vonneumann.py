@@ -213,8 +213,10 @@ class PatternSymbol:
         5.6), b_s = ||M^(2^s)||_F^(1/(2^s root)) >= rho(R_hat) for every s,
         up to rounding. M is squared up to BOUND_SQUARINGS times, rescaled
         to unit norm before each squaring, and the log-norms are summed
-        with doubling weights. A point whose b_s is below the floor gets
-        b_s; every other point gets its eigenvalue radius, bitwise the
+        with doubling weights. The squarings run in real arithmetic on
+        M = Re + i Im, as (Re, Im) -> (Re Re - Im Im, Re Im + Im Re), and
+        the norm sums both parts. A point whose b_s is below the floor
+        gets b_s; every other point gets its eigenvalue radius, bitwise the
         value without a floor.
         """
         if not screen:
@@ -242,10 +244,11 @@ class PatternSymbol:
         M = M.reshape((-1,) + M.shape[-2:])
         rho = np.empty(len(M))
         todo = np.arange(len(M))
-        A, log_norm = M, np.zeros(len(M))
+        # the powers of M = Re + i Im, squared in real arithmetic
+        Re, Im, log_norm = M.real.copy(), M.imag.copy(), np.zeros(len(M))
         for s in range(BOUND_SQUARINGS + 1):
-            F = A.reshape(len(A), -1).view(float)
-            norm = np.sqrt(np.einsum("ij,ij->i", F, F))
+            norm = np.sqrt(np.einsum("ijk,ijk->i", Re, Re)
+                           + np.einsum("ijk,ijk->i", Im, Im))
             with np.errstate(divide="ignore"):
                 log_norm = 2.0 * log_norm + np.log(norm)
             bound = np.exp(log_norm / (2 ** s * (2 if self.two_cyclic else 1)))
@@ -254,9 +257,10 @@ class PatternSymbol:
             todo, log_norm = todo[~low], log_norm[~low]
             if s == BOUND_SQUARINGS or not len(todo):
                 break
-            A, norm = A[~low], norm[~low]
-            A *= 1.0 / np.where(norm > 0.0, norm, 1.0)[:, None, None]
-            A = A @ A
+            norm = norm[~low]
+            scale = (1.0 / np.where(norm > 0.0, norm, 1.0))[:, None, None]
+            Re, Im = Re[~low] * scale, Im[~low] * scale
+            Re, Im = Re @ Re - Im @ Im, Re @ Im + Im @ Re
         rho[todo] = radius(M[todo])
         return rho.reshape(phi1.shape)
 
@@ -308,8 +312,9 @@ def closed_form_p0_eigs(kind, h, alpha, beta, k, nx, ny):
 SCREEN_TOL = 1e-9
 # Extra room below the pruning floor for rounding (`screened_grid`).
 ROUNDING_MARGIN = 1e-9
-# Squarings before a point is eigen-solved: on the default grid 12 or 20
-# cost within 4 % of 16 in squarings plus eigen-solves, and 8 cost 50 % more.
+# Squarings before a point is eigen-solved: on the default grid at p = 2, k2,
+# squarings plus eigen-solves cost 4 % more with 12 than with 16, as much
+# with 20 or 24 (within 1 %), and 40 % more with 8.
 BOUND_SQUARINGS = 16
 # Points recomputed on the reference path per call: a whole near-peak row
 # (rtri p=2 k2 puts all 2304 phases of theta = 0 there) in one call holds
@@ -425,12 +430,70 @@ def screened_grid(syms, k, n, n_theta, mirror=None):
     return screened
 
 
+def nelder_mead(f, x0, xatol, fatol, maxiter):
+    """Minimize f from x0 by the simplex search of Nelder and Mead
+    (Comput. J. 7(4), 1965); returns the best vertex and its value.
+
+    It replays scipy 1.17.1's `minimize(f, x0, method="Nelder-Mead",
+    options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})`, which
+    is non-adaptive and unbounded, operation for operation: the same
+    initial simplex, re-sorting and step expressions, and f gets a fresh
+    copy of each point. So it evaluates the same points and returns the
+    same value, bit for bit.
+    """
+    x0 = np.asarray(x0, float).ravel()
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for j in range(N):
+        y = x0.copy()
+        y[j] = 1.05 * y[j] if y[j] != 0 else 0.00025
+        sim[j + 1] = y
+    fsim = np.array([f(np.copy(x)) for x in sim], dtype=float)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # sorted twice, as scipy does: an unstable argsort may reorder ties
+    sim, fsim = ordered(*ordered(sim, fsim))
+    for _ in range(maxiter - 1):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = f(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # contract outside the simplex, or inside it
+            outside = fxr < fsim[-1]
+            xc = (1.5 * xbar - 0.5 * sim[-1] if outside
+                  else 0.5 * xbar + 0.5 * sim[-1])
+            fxc = f(np.copy(xc))
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                # shrink towards the best vertex
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(np.copy(sim[j]))
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
 def max_spectral_radius(kind, p, k, element_area, config=None):
     """Max Jacobi symbol spectral radius over velocity angle and wavenumber.
 
     A coarse (theta x phase-grid) sweep locates the peak; a derivative-free
-    local search then refines it, since the maximizer can be sharp. The
-    timestep k must be finite and positive.
+    local search, `nelder_mead` from the peak (theta clamped to the cone),
+    then refines it, since the maximizer can be sharp. The timestep k must
+    be finite and positive.
 
     The coarse grid is screened with the cheap `screen=True` path on half
     of it: rho(-phi) = rho(phi) halves each phase grid, and when the
@@ -442,13 +505,12 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     bound proves it more than SCREEN_TOL below a radius already found keeps
     the bound instead of an eigen-solve (`screened_grid`), which leaves the
     values within SCREEN_TOL of the peak as they are. Every such point,
-    mirrored rows included, is then
-    recomputed on the reference path, so the peak, its first location in C
-    order and thus the refine's start are bit for bit those of a full
-    reference grid.
+    mirrored rows included, is then recomputed on the reference path, so
+    the peak, its first location in C order and thus the refine's start
+    are bit for bit those of a full reference grid. The refine evaluates
+    the points scipy's Nelder-Mead would, so the result is also bit for
+    bit the one `scipy.optimize.minimize` gave.
     """
-    from scipy.optimize import minimize
-
     config = config or SweepConfig()
     if config.theta_samples < 1 or config.wave_samples < 1:
         raise SymbolError("sample counts must be >= 1")
@@ -501,9 +563,9 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
         sym = symbol(min(max(x[0], t0), t1))
         return -float(sym.spectral_radius_phases(k, x[1], x[2]))
 
-    res = minimize(neg_rho, np.array(best_point), method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 400})
-    return max(best, -float(res.fun))
+    _, fun = nelder_mead(neg_rho, np.array(best_point), xatol=1e-8,
+                         fatol=1e-12, maxiter=400)
+    return max(best, -float(fun))
 
 
 def ratio_table(p_list, k_labels, config=None, kinds=PATTERN_KINDS):

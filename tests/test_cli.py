@@ -195,11 +195,11 @@ def test_periodic_advect_needs_a_periodic_mesh_file(tmp_path, capsys):
 
 
 def test_periodic_mesh_file_runs_as_the_mesh_written(tmp_path):
-    # the area advect builds at its default h, h * h = 0.0025000000000000005;
-    # --area 0.0025 would build vertices up to 1.1e-16 away
+    # --h 0.05 builds advect's default mesh, area h * h =
+    # 0.0025000000000000005; --area 0.0025 builds vertices up to 1.1e-16 away
+    assert ADVECTION_H == 0.05
     out = tmp_path / "m.mesh"
-    area = repr(ADVECTION_H * ADVECTION_H)
-    assert main(["mesh", "gen", "--pattern", "hex", "--area", area,
+    assert main(["mesh", "gen", "--pattern", "hex", "--h", "0.05",
                  "--periodic", "--out", str(out)]) == 0
     flags = ["--bc", "periodic", "--p", "2", "--k", "k2", "--steps", "3",
              "--solver", "gmres", "--preconditioner", "jacobi"]
@@ -242,6 +242,7 @@ def test_mesh_gen_voronoi(tmp_path):
     (["--pattern", "delaunay", "--h", "0.25", "--periodic"], "--periodic"),
     (["--pattern", "voronoi", "--h", "0.25", "--periodic", "--area", "0.5"],
      "--area, --periodic"),
+    # a regular pattern takes --h in place of --area, not with it
     (["--pattern", "hex", "--area", "0.0625", "--h", "0.3"], "--h"),
     (["--pattern", "square", "--area", "0.0625", "--delta", "0.1"],
      "--delta"),
@@ -254,6 +255,30 @@ def test_mesh_gen_refuses_flags_it_would_ignore(flags, refused, tmp_path,
     assert (f"error: --pattern {pattern} does not take {refused}"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--area", "0.0625", "--h", "0.25"],
+     "--pattern square does not take --h together with --area"),
+    ([], "--pattern square requires --area or --h"),
+    (["--h", "-0.25"], "h must be finite and positive, got -0.25"),
+    (["--h", "nan"], "h must be finite and positive, got nan")])
+def test_mesh_gen_regular_takes_one_of_area_and_h(flags, message, tmp_path,
+                                                   capsys):
+    out = tmp_path / "m.mesh"
+    assert main(["mesh", "gen", "--pattern", "square", "--out", str(out)]
+                + flags) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mesh_gen_h_writes_the_mesh_of_area_h_squared(tmp_path):
+    files = []
+    for flags in (["--h", "0.05"], ["--area", repr(0.05 * 0.05)]):
+        files.append(tmp_path / f"{len(files)}.mesh")
+        assert main(["mesh", "gen", "--pattern", "etri", "--periodic",
+                     "--out", str(files[-1])] + flags) == 0
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
 def test_mesh_gen_missing_required_flag(capsys):

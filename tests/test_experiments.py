@@ -1,11 +1,15 @@
 """Experiment drivers: the timestep families, and input checks made
 before any work."""
 
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import polydg
 from polydg import experiments
 from polydg.basis import BasisError
 from polydg.experiments import (ExperimentError, advection_timestep,
@@ -158,3 +162,19 @@ def test_report_columns_come_from_the_rows(monkeypatch, tmp_path, driver,
     report.write_csv(tmp_path / "out.csv")
     assert (tmp_path / "out.csv").read_bytes() == csv_text.encode()
     assert report.format_table() == table
+
+
+def test_analyze_runs_without_scipy_optimize():
+    # the refine is polydg's own: a cold analyze run pays no scipy.optimize
+    # import, and a later lazy import would bring that cost back
+    src = os.path.dirname(os.path.dirname(polydg.__file__))
+    code = ("import sys\n"
+            "from polydg.experiments import run_analyze\n"
+            "from polydg.vonneumann import SweepConfig\n"
+            "run_analyze(p_list=(0,), k_labels=('k1',),\n"
+            "            config=SweepConfig(theta_samples=3, wave_samples=6))\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -180,13 +180,13 @@ def test_screened_sweep_matches_full_grid(kind, p, label, theta_samples,
     # the refine starts from the coarse peak: record where
     starts = []
 
-    def record_start(fun, x0, **kwargs):
+    def record_start(f, x0, **kwargs):
         starts.append(tuple(x0))
-        return scipy.optimize.OptimizeResult(fun=0.0)
+        return x0, 0.0
 
     cfg.refine = True
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "minimize", record_start)
+        mp.setattr(vonneumann, "nelder_mead", record_start)
         assert max_spectral_radius(kind, p, k, AREA, cfg) == best
     assert starts == [best_point]
 
@@ -201,14 +201,87 @@ def test_mirrored_sweep_matches_full_grid(kind, theta_samples):
     best, best_point = full_grid_peak(kind, 2, k, cfg)
     starts = []
 
-    def record_start(fun, x0, **kwargs):
+    def record_start(f, x0, **kwargs):
         starts.append(tuple(x0))
-        return scipy.optimize.OptimizeResult(fun=0.0)
+        return x0, 0.0
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "minimize", record_start)
+        mp.setattr(vonneumann, "nelder_mead", record_start)
         assert max_spectral_radius(kind, 2, k, AREA, cfg) == best
     assert starts == [best_point]
+
+
+# the options max_spectral_radius refines with
+REFINE_OPTIONS = {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 400}
+
+
+def evaluations(minimize, f, x0):
+    """The points minimize(f, x0) hands to f, in order, and the minimum it
+    returns."""
+    points = []
+
+    def logged(x):
+        points.append(x.copy())
+        return f(x)
+
+    return points, minimize(logged, x0)
+
+
+def scipy_minimum(f, x0):
+    return scipy.optimize.minimize(f, x0, method="Nelder-Mead",
+                                   options=REFINE_OPTIONS).fun
+
+
+def own_minimum(f, x0):
+    return vonneumann.nelder_mead(f, x0, **REFINE_OPTIONS)[1]
+
+
+def assert_replays_scipy(f, x0):
+    own_points, own = evaluations(own_minimum, f, x0)
+    scipy_points, theirs = evaluations(scipy_minimum, f, x0)
+    assert len(own_points) == len(scipy_points)
+    for a, b in zip(own_points, scipy_points):
+        assert a.tobytes() == b.tobytes()
+    assert float(own).hex() == float(theirs).hex()
+
+
+SMOOTH_OBJECTIVES = {
+    "bowl": lambda x, a: float(np.sum(np.arange(1, len(x) + 1)
+                                      * (x - a) ** 2)),
+    "ripple": lambda x, a: float(np.sum((x - a) ** 2)
+                                 + 0.1 * np.cos(3.0 * np.sum(x))),
+    "rosenbrock": lambda x, a: float(
+        np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+        + (x[-1] - a) ** 2),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SMOOTH_OBJECTIVES)),
+       a=st.floats(-2.0, 2.0),
+       x0=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+                   min_size=1, max_size=3))
+def test_nelder_mead_replays_scipy(name, a, x0):
+    # a zero start component gets the simplex step 0.00025, others x 1.05
+    objective = SMOOTH_OBJECTIVES[name]
+    assert_replays_scipy(lambda x: objective(x, a), np.array(x0))
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+@pytest.mark.parametrize("p", DEGREES)
+def test_refine_replays_scipy(monkeypatch, kind, p):
+    refines = []
+    own = vonneumann.nelder_mead
+
+    def recorded(f, x0, **options):
+        refines.append((f, x0))
+        return own(f, x0, **options)
+
+    monkeypatch.setattr(vonneumann, "nelder_mead", recorded)
+    cfg = SweepConfig(theta_samples=3, wave_samples=6)
+    max_spectral_radius(kind, p, timestep_family(AREA, "k2"), AREA, cfg)
+    (f, x0), = refines
+    assert_replays_scipy(f, x0)
 
 
 @pytest.mark.parametrize("kind,T", [
@@ -361,6 +434,45 @@ def test_norm_power_bound_holds_at_every_squaring(kind, p, label, frac,
                                      *phases)
     assert np.all(np.isfinite(bounds))
     assert min(bounds) >= rho * (1.0 - 1e-12)
+
+
+def complex_bounds(sym, k, phi1, phi2, n):
+    """b_0, ..., b_(n-1) of the norm-power bound at one point, squared in
+    complex arithmetic: the oracle of the screen's real squarings."""
+    offsets, parts = sym._symbol_parts(k)
+    phase = np.exp(1j * (offsets @ [phi1, phi2]))
+
+    def symbol(C):
+        return np.tensordot(phase, C, 1)
+
+    M = (symbol(parts[0]) @ symbol(parts[1]) if sym.two_cyclic
+         else symbol(parts))
+    root = 2 if sym.two_cyclic else 1
+    bounds, log_norm = [], 0.0
+    for s in range(n):
+        norm = np.linalg.norm(M)
+        log_norm = 2.0 * log_norm + np.log(norm)
+        bounds.append(np.exp(log_norm / (2 ** s * root)))
+        M = (M / norm) @ (M / norm)
+    return bounds
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagon", "rtri", "etri"])
+@pytest.mark.parametrize("phases", [(0.7, -2.1), (2.9, 0.4)])
+def test_real_squarings_match_complex_reference(kind, phases):
+    # a floor just above b_s, below b_0 .. b_(s-1), makes the screen
+    # return its b_s; squared in real arithmetic it sums in another order
+    t0, t1 = THETA_RANGES[kind]
+    th = t0 + 0.3 * (t1 - t0)
+    sym = PatternSymbol(kind, 2, AREA, (np.cos(th), np.sin(th)))
+    k = timestep_family(AREA, "k2")
+    reference = complex_bounds(sym, k, *phases, 4)
+    for s, b in enumerate(reference):
+        floor = b * (1.0 + 1e-10)
+        assert all(earlier > floor for earlier in reference[:s])
+        value = sym.spectral_radius_phases(k, *phases, screen=True,
+                                           floor=floor)
+        assert value == pytest.approx(b, rel=1e-12, abs=0.0)
 
 
 def test_norm_power_bound_of_tiny_and_zero_symbols():
