@@ -141,7 +141,8 @@ def n_local(p):
 
 
 # most cells in one batch: bounds the (cells, nodes, n_loc) temporaries of
-# the batched build and assembly (1.5 MB each at p = 3)
+# the batched build and assembly (1.5 MB each at p = 3); each group also
+# keeps one such array, its basis values at its volume nodes
 BATCH_CELLS = 128
 
 
@@ -240,7 +241,10 @@ class CellBases:
     `areas`, `centroids`, `diameters` and `coeffs` (cells, n_loc, n_loc) are
     indexed by cell. A group is up to BATCH_CELLS cells with the same
     vertex count; `groups` holds (cell indices, quadrature nodes (k, nq, 2),
-    weights (k, nq)) per group. `bases[c]` is a per-cell view.
+    weights (k, nq), basis values at the nodes (k, nq, n_loc)) per group.
+    The values are those `values(cells, nodes)` returns, evaluated once
+    here; `values` and `gradients` serve every other point. `bases[c]` is a
+    per-cell view, built on first read.
     """
 
     def __init__(self, vertices, cell_ptr, cell_idx, p):
@@ -262,7 +266,6 @@ class CellBases:
         self.diameters = np.empty(n)
         self.coeffs = np.empty((n, self.n_loc, self.n_loc))
         self.groups = []
-        self.bases = [None] * n
         for idx, v in batches:
             d = v - self.centroids[idx][:, None, :]
             self.diameters[idx] = 2.0 * np.hypot(d[..., 0], d[..., 1]).max(1)
@@ -271,10 +274,18 @@ class CellBases:
             V = _monomial_values(self.exps, self._scaled(idx, nodes))
             self.coeffs[idx] = _orthonormalize(V, weights, idx,
                                                self.centroids[idx])
-            self.groups.append((idx, nodes, weights))
+            # what values(idx, nodes) evaluates, on the same arrays
+            self.groups.append((idx, nodes, weights,
+                                V @ self.coeffs[idx].transpose(0, 2, 1)))
+
+    @functools.cached_property
+    def bases(self):
+        """Per-cell views, built on first read."""
+        out = [None] * self.n_cells
+        for idx, nodes, weights, _values in self.groups:
             for k, c in enumerate(idx):
-                self.bases[c] = CellBasis(self, c,
-                                          Quadrature(nodes[k], weights[k]))
+                out[c] = CellBasis(self, c, Quadrature(nodes[k], weights[k]))
+        return out
 
     def _scaled(self, cells, points):
         return ((points - self.centroids[cells][:, None, :])
@@ -324,7 +335,7 @@ class CellBasis:
 class DgSpace(CellBases):
     """The cell bases and quadratures of a PolyMesh, plus the edge rules:
     `edge_nodes` (edges, ne, 2) and `edge_weights` (edges, ne), with
-    per-edge views in `edge_quads`."""
+    per-edge views in `edge_quads`, built on first read."""
 
     def __init__(self, mesh, p):
         super().__init__(mesh.vertices, mesh.cell_ptr, mesh.cell_idx, p)
@@ -333,17 +344,20 @@ class DgSpace(CellBases):
         q = edge_quadrature(mesh.vertices[ends[:, 0]],
                             mesh.vertices[ends[:, 1]], edge_degree(p))
         self.edge_nodes, self.edge_weights = q.nodes, q.weights
-        self.edge_quads = [Quadrature(x, w) for x, w in
-                           zip(self.edge_nodes, self.edge_weights)]
+
+    @functools.cached_property
+    def edge_quads(self):
+        """Per-edge views, built on first read."""
+        return [Quadrature(x, w) for x, w in
+                zip(self.edge_nodes, self.edge_weights)]
 
     def project(self, fn):
         """Per-cell L2 projection of fn(x, y), whose values may carry
         trailing component axes; returns (n_cells, *components, n_loc)."""
         out = None
-        for cells, nodes, weights in self.groups:
+        for cells, nodes, weights, B in self.groups:
             vals = fn(nodes[..., 0], nodes[..., 1])
-            proj = np.einsum("cq,cq...,cqi->c...i", weights, vals,
-                             self.values(cells, nodes))
+            proj = np.einsum("cq,cq...,cqi->c...i", weights, vals, B)
             if out is None:
                 out = np.empty((self.n_cells,) + proj.shape[1:])
             out[cells] = proj
@@ -351,4 +365,6 @@ class DgSpace(CellBases):
 
     def evaluate(self, coeffs, cell, points):
         """Evaluate the DG function with modal coefficients at points in a cell."""
-        return self.bases[cell].eval(points) @ np.asarray(coeffs)[cell]
+        pts = np.atleast_2d(np.asarray(points, float))
+        return (self.values(np.array([cell]), pts[None])[0]
+                @ np.asarray(coeffs)[cell])

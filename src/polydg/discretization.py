@@ -23,17 +23,36 @@ def _velocity_fn(velocity):
     return lambda x, y: (np.full_like(x, a), np.full_like(x, b))
 
 
-def _weighted_products(w, a, b):
+def _weighted_products(w, a, b, out=None):
     """sum_q w[k, q] a[k, q, i] b[k, q, l] for each k: (k, i, l)."""
-    return (a * w[..., None]).transpose(0, 2, 1) @ b
+    return np.matmul((a * w[..., None]).transpose(0, 2, 1), b, out=out)
+
+
+def _finite(bx, by):
+    """Per row of nodes: is the velocity finite at all of them."""
+    return np.all(np.isfinite(bx) & np.isfinite(by), axis=1)
+
+
+def _beta_dot_grad(space, beta, cells, nodes):
+    """beta . grad of the basis functions of cells (k,) at their nodes
+    (k, q, 2): (k, q, n_loc), formed in the gradients' arrays. Its other
+    temporaries are freed on return, before the next group's are made."""
+    bx, by = beta(nodes[..., 0], nodes[..., 1])
+    bad = ~_finite(bx, by)
+    if bad.any():
+        raise AssemblyError(f"velocity not finite on cell {cells[bad][0]}")
+    gx, gy = space.gradients(cells, nodes)
+    gx *= bx[..., None]
+    gy *= by[..., None]
+    gx += gy
+    return gx
 
 
 def assemble_mass(space):
     """Block-diagonal mass matrix (identity blocks under the orthonormal basis,
     assembled by quadrature for consistency)."""
     blocks = np.empty((space.n_cells, space.n_loc, space.n_loc))
-    for cells, nodes, weights in space.groups:
-        B = space.values(cells, nodes)
+    for cells, _nodes, weights, B in space.groups:
         blocks[cells] = _weighted_products(weights, B, B)
     diag = np.arange(space.n_cells)
     return BlockSparseMatrix.from_coo(space.n_cells, space.n_loc, diag, diag,
@@ -43,32 +62,47 @@ def assemble_mass(space):
 def assemble_advection(space, velocity):
     """Assemble (M, L) for u_t + div(beta u) = 0 with pointwise upwind flux.
 
-    velocity: constant (a, b) pair or a callable (x, y) -> (bx, by).
+    velocity: constant (a, b) pair or a callable (x, y) -> (bx, by), finite
+    at every volume and edge quadrature node.
     Boundary edges get a zero exterior state on the inflow part; periodic
     edges couple to the shifted neighbor.
     """
     mesh = space.mesh
     beta = _velocity_fn(velocity)
-    rows, cols, blocks = [], [], []
+    left, right = mesh.edge_left, mesh.edge_right
+    inner = np.flatnonzero(right != BOUNDARY)
+    # the terms in the order they are summed: the volume term of each cell,
+    # group by group, then one term per edge and three per inner edge
+    n_terms = mesh.n_cells + len(left) + 3 * len(inner)
+    rows = np.empty(n_terms, dtype=np.int64)
+    cols = np.empty_like(rows)
+    blocks = np.empty((n_terms, space.n_loc, space.n_loc))
+    at = 0
+
+    def add(r, c, w, a, b, negate=False):
+        """Write _weighted_products(w, a, b), negated if asked, as the next
+        terms, of rows r and columns c."""
+        nonlocal at
+        sl = slice(at, at + len(r))
+        rows[sl], cols[sl] = r, c
+        out = _weighted_products(w, a, b, out=blocks[sl])
+        if negate:
+            np.negative(out, out=out)
+        at = sl.stop
 
     # volume terms: - int (beta . grad v_i) u_l
-    for cells, nodes, weights in space.groups:
-        bx, by = beta(nodes[..., 0], nodes[..., 1])
-        bad = ~np.all(np.isfinite(bx) & np.isfinite(by), axis=1)
-        if bad.any():
-            raise AssemblyError(f"velocity not finite on cell {cells[bad][0]}")
-        gx, gy = space.gradients(cells, nodes)
-        bdotg = bx[..., None] * gx + by[..., None] * gy
-        rows.append(cells)
-        cols.append(cells)
-        blocks.append(-_weighted_products(weights, bdotg,
-                                          space.values(cells, nodes)))
+    for cells, nodes, weights, B in space.groups:
+        add(cells, cells, weights, _beta_dot_grad(space, beta, cells, nodes),
+            B, negate=True)
 
     # face terms, both sides per edge
-    left, right = mesh.edge_left, mesh.edge_right
     normals, shifts = mesh.edge_normals, mesh.edge_shifts
     nodes, weights = space.edge_nodes, space.edge_weights
     bx, by = beta(nodes[..., 0], nodes[..., 1])
+    bad = ~_finite(bx, by)
+    if bad.any():
+        raise AssemblyError(
+            f"velocity not finite on edge {np.flatnonzero(bad)[0]}")
     s = bx * normals[:, :1] + by * normals[:, 1:]
     out_mask = s >= 0.0
     w_out = weights * np.where(out_mask, s, 0.0)
@@ -76,25 +110,19 @@ def assemble_advection(space, velocity):
     wl = space.values(left, nodes)
     # every edge: the interior trace leaves through the outflow part; on
     # boundary edges the inflow part sees the exterior state 0
-    rows.append(left)
-    cols.append(left)
-    blocks.append(_weighted_products(w_out, wl, wl))
-    inner = np.flatnonzero(right != BOUNDARY)
+    add(left, left, w_out, wl, wl)
     li, ri = left[inner], right[inner]
     wl, w_out, w_in = wl[inner], w_out[inner], w_in[inner]
     wr = space.values(ri, nodes[inner] - shifts[inner][:, None, :])
     # inflow seen from the left cell (normal n), then both parts seen from
     # the right cell (normal -n), where the flux contributes with -s
-    rows += [li, ri, ri]
-    cols += [ri, li, ri]
-    blocks += [_weighted_products(w_in, wl, wr),
-               -_weighted_products(w_out, wr, wl),
-               -_weighted_products(w_in, wr, wr)]
+    add(li, ri, w_in, wl, wr)
+    add(ri, li, w_out, wr, wl, negate=True)
+    add(ri, ri, w_in, wr, wr, negate=True)
 
     M = assemble_mass(space)
-    L = BlockSparseMatrix.from_coo(mesh.n_cells, space.n_loc,
-                                   np.concatenate(rows), np.concatenate(cols),
-                                   np.concatenate(blocks))
+    L = BlockSparseMatrix.from_coo(mesh.n_cells, space.n_loc, rows, cols,
+                                   blocks)
     return M, L
 
 

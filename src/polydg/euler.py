@@ -213,9 +213,8 @@ class EulerDiscretization:
         self.n_cells = mesh.n_cells
         self.dim = self.n_cells * self.b
         # per group: cells, weights, basis values and x-, y-gradients
-        self._groups = [(cells, weights, space.values(cells, nodes),
-                         *space.gradients(cells, nodes))
-                        for cells, nodes, weights in space.groups]
+        self._groups = [(cells, weights, B, *space.gradients(cells, nodes))
+                        for cells, nodes, weights, B in space.groups]
         left, right = mesh.edge_left, mesh.edge_right
         normals, shifts = mesh.edge_normals, mesh.edge_shifts
         nodes, weights = space.edge_nodes, space.edge_weights

@@ -11,7 +11,8 @@ from polydg.blocklinalg import (BlockSparseMatrix, block_jacobi_solve,
 from polydg.discretization import (AssemblyError, assemble_advection,
                                    assemble_mass, gaussian_pulse,
                                    rotating_velocity)
-from polydg.experiments import advection_timestep
+from polydg.euler import EulerParams, vortex_exact
+from polydg.experiments import advection_mesh, advection_timestep
 from polydg.mesh import BOUNDARY, build_random_mesh_pair, build_regular_mesh
 from polydg.timestepping import backward_euler_system
 
@@ -189,6 +190,127 @@ def test_batched_assembly_matches_per_edge_loop(pattern, periodic, velocity):
             assert err <= 1e-13 * np.max(np.abs(ref.blocks))
 
 
+# -- the groups' basis values against re-evaluating them on every pass -----
+
+def reevaluated_operators(space, beta, fn):
+    """M, L and the projection of fn, with the basis values at the volume
+    nodes re-evaluated through space.values on every pass and the terms
+    of L gathered in lists and concatenated."""
+    def products(w, a, b):
+        return (a * w[..., None]).transpose(0, 2, 1) @ b
+
+    mesh = space.mesh
+    n, nl = space.n_cells, space.n_loc
+    mass = np.empty((n, nl, nl))
+    proj = None
+    rows, cols, blocks = [], [], []
+    for cells, nodes, weights, _values in space.groups:
+        B = space.values(cells, nodes)
+        mass[cells] = products(weights, B, B)
+        vals = fn(nodes[..., 0], nodes[..., 1])
+        pc = np.einsum("cq,cq...,cqi->c...i", weights, vals,
+                       space.values(cells, nodes))
+        if proj is None:
+            proj = np.empty((n,) + pc.shape[1:])
+        proj[cells] = pc
+        bx, by = beta(nodes[..., 0], nodes[..., 1])
+        gx, gy = space.gradients(cells, nodes)
+        bdotg = bx[..., None] * gx + by[..., None] * gy
+        rows.append(cells)
+        cols.append(cells)
+        blocks.append(-products(weights, bdotg, space.values(cells, nodes)))
+    left, right = mesh.edge_left, mesh.edge_right
+    nodes, weights = space.edge_nodes, space.edge_weights
+    bx, by = beta(nodes[..., 0], nodes[..., 1])
+    s = bx * mesh.edge_normals[:, :1] + by * mesh.edge_normals[:, 1:]
+    out_mask = s >= 0.0
+    w_out = weights * np.where(out_mask, s, 0.0)
+    w_in = weights * np.where(out_mask, 0.0, s)
+    wl = space.values(left, nodes)
+    rows.append(left)
+    cols.append(left)
+    blocks.append(products(w_out, wl, wl))
+    inner = np.flatnonzero(right != BOUNDARY)
+    li, ri = left[inner], right[inner]
+    wl, w_out, w_in = wl[inner], w_out[inner], w_in[inner]
+    wr = space.values(ri, nodes[inner] - mesh.edge_shifts[inner][:, None, :])
+    rows += [li, ri, ri]
+    cols += [ri, li, ri]
+    blocks += [products(w_in, wl, wr), -products(w_out, wr, wl),
+               -products(w_in, wr, wr)]
+    diag = np.arange(n)
+    return (BlockSparseMatrix.from_coo(n, nl, diag, diag, mass),
+            BlockSparseMatrix.from_coo(n, nl, np.concatenate(rows),
+                                       np.concatenate(cols),
+                                       np.concatenate(blocks)),
+            proj)
+
+
+# the regular patterns with zero-inflow and periodic boundaries, and the
+# Delaunay and Voronoi meshes of one random pair (several vertex counts,
+# so several groups)
+MESH_CASES = ([(kind, periodic) for kind in PERIODIC_AREA
+               for periodic in (False, True)]
+              + [("delaunay", None), ("voronoi", None)])
+
+
+def case_mesh(kind, periodic):
+    if periodic is None:
+        return build_random_mesh_pair(0.2)[kind == "voronoi"]
+    return build_regular_mesh(kind, PERIODIC_AREA[kind],
+                              (0.0, 0.0, 1.0, 1.0), periodic=periodic)
+
+
+@pytest.mark.parametrize("kind, periodic", MESH_CASES)
+def test_groups_carry_the_basis_values_at_their_nodes(kind, periodic):
+    mesh = case_mesh(kind, periodic)
+    for p in range(4):
+        space = DgSpace(mesh, p)
+        assert sum(len(g[0]) for g in space.groups) == mesh.n_cells
+        for cells, nodes, _weights, values in space.groups:
+            assert values.shape == nodes.shape[:2] + (space.n_loc,)
+            assert np.array_equal(values, space.values(cells, nodes))
+
+
+@pytest.mark.parametrize("kind, periodic", MESH_CASES)
+def test_carried_values_assemble_as_reevaluated(kind, periodic):
+    mesh = case_mesh(kind, periodic)
+    params = EulerParams(x0=0.5, y0=0.5)
+    vortex = lambda x, y: vortex_exact(params, x, y, 0.0)
+    for p in range(4):
+        space = DgSpace(mesh, p)
+        M, L = assemble_advection(space, rotating_velocity)
+        ref_M, ref_L, ref_u = reevaluated_operators(space, rotating_velocity,
+                                                     gaussian_pulse())
+        for got, ref in ((M, ref_M), (L, ref_L)):
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.blocks, ref.blocks)
+        assert np.array_equal(assemble_mass(space).blocks, ref_M.blocks)
+        assert np.array_equal(space.project(gaussian_pulse()), ref_u)
+        # a state with component axes, as the Euler set-up projects
+        assert np.array_equal(space.project(vortex),
+                              reevaluated_operators(space, rotating_velocity,
+                                                    vortex)[2])
+
+
+def test_cell_and_edge_views_are_built_on_first_read():
+    mesh = case_mesh("voronoi", None)
+    space = DgSpace(mesh, 2)
+    assemble_advection(space, rotating_velocity)
+    u = space.project(gaussian_pulse())
+    point = mesh.cell_vertices(3).mean(axis=0)
+    x = space.evaluate(u, 3, point)
+    assert "bases" not in vars(space)
+    assert "edge_quads" not in vars(space)
+    # evaluate() is the cell's own view, evaluated
+    assert np.array_equal(x, space.bases[3].eval(point) @ u[3])
+    assert space.bases is space.bases
+    assert len(space.bases) == mesh.n_cells
+    assert len(space.edge_quads) == len(mesh.edge_left)
+    assert "bases" in vars(space) and "edge_quads" in vars(space)
+
+
 def test_non_finite_velocity_names_the_cell():
     # 2 x 2 squares; the velocity is infinite right of x = 0.5, first on
     # cell 1
@@ -196,3 +318,19 @@ def test_non_finite_velocity_names_the_cell():
     with pytest.raises(AssemblyError, match="velocity not finite on cell 1$"):
         assemble_advection(space, lambda x, y: (
             np.where(x > 0.5, np.inf, 1.0), np.zeros_like(y)))
+
+
+@pytest.mark.parametrize("velocity", [
+    # infinite on the inner edges at x = 0.5 only, where no volume node
+    # lies; unchecked, 8 of L's 64 blocks come out non-finite
+    lambda x, y: (1.0 / (x - 0.5), np.zeros_like(y)),
+    # infinite on the boundary x = 0 only
+    lambda x, y: (1.0 / x, np.zeros_like(y))], ids=["x=0.5", "x=0"])
+def test_non_finite_velocity_names_the_edge(velocity):
+    space = DgSpace(advection_mesh("square", 0.25), 1)
+    with np.errstate(divide="ignore"):
+        bx, by = velocity(space.edge_nodes[..., 0], space.edge_nodes[..., 1])
+        first = np.flatnonzero(~np.isfinite(bx).all(axis=1))[0]
+        with pytest.raises(AssemblyError,
+                           match=f"velocity not finite on edge {first}$"):
+            assemble_advection(space, velocity)

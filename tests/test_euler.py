@@ -242,7 +242,7 @@ def loop_tables(disc):
     values, right values or None)."""
     space = disc.space
     cell = [None] * disc.n_cells
-    for cells, nodes, weights in space.groups:
+    for cells, nodes, weights, _values in space.groups:
         B = space.values(cells, nodes)
         G = np.stack(space.gradients(cells, nodes), axis=-1)
         for c, data in zip(cells, zip(weights, B, G)):
@@ -362,6 +362,19 @@ def test_batched_assembly_equals_loop_periodic(domain):
     # block keys); 2 x 1 cells: edges joining a cell to itself
     mesh = build_regular_mesh("square", 0.25, domain, periodic=True)
     assert mesh.is_periodic
+    for p in range(4):
+        assert_batched_equals_loop(mesh, p, seed=p)
+
+
+# element areas at which each pattern tiles the periodic unit square
+PERIODIC_AREA = {"hexagon": 0.021, "square": 0.02, "rtri": 0.02,
+                 "etri": 0.016}
+
+
+@pytest.mark.parametrize("kind", sorted(PERIODIC_AREA))
+def test_batched_assembly_equals_loop_periodic_kinds(kind):
+    mesh = build_regular_mesh(kind, PERIODIC_AREA[kind], (0.0, 0.0, 1.0, 1.0),
+                              periodic=True)
     for p in range(4):
         assert_batched_equals_loop(mesh, p, seed=p)
 
