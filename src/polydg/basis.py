@@ -162,6 +162,12 @@ def ragged_polygons(points, cell_ptr):
     return area, centroid, batches
 
 
+def quadrature_products(wa, b, out=None):
+    """sum_q wa[k, q, i] b[k, q, l] for each k: (k, i, l), one batched
+    matmul over the quadrature nodes; wa already carries the weights."""
+    return np.matmul(wa.transpose(0, 2, 1), b, out=out)
+
+
 def volume_degree(p):
     """Total degree the cell quadrature integrates exactly."""
     return max(2 * p, 2 * p + 2 if p > 0 else 2)

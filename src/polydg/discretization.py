@@ -8,6 +8,7 @@ arrays, which `BlockSparseMatrix.from_coo` sums into block-CSR.
 
 import numpy as np
 
+from .basis import quadrature_products
 from .blocklinalg import BlockSparseMatrix
 from .mesh import BOUNDARY
 
@@ -21,11 +22,6 @@ def _velocity_fn(velocity):
         return velocity
     a, b = float(velocity[0]), float(velocity[1])
     return lambda x, y: (np.full_like(x, a), np.full_like(x, b))
-
-
-def _weighted_products(w, a, b, out=None):
-    """sum_q w[k, q] a[k, q, i] b[k, q, l] for each k: (k, i, l)."""
-    return np.matmul((a * w[..., None]).transpose(0, 2, 1), b, out=out)
 
 
 def _finite(bx, by):
@@ -53,7 +49,7 @@ def assemble_mass(space):
     assembled by quadrature for consistency)."""
     blocks = np.empty((space.n_cells, space.n_loc, space.n_loc))
     for cells, _nodes, weights, B in space.groups:
-        blocks[cells] = _weighted_products(weights, B, B)
+        blocks[cells] = quadrature_products(B * weights[..., None], B)
     diag = np.arange(space.n_cells)
     return BlockSparseMatrix.from_coo(space.n_cells, space.n_loc, diag, diag,
                                       blocks)
@@ -80,12 +76,12 @@ def assemble_advection(space, velocity):
     at = 0
 
     def add(r, c, w, a, b, negate=False):
-        """Write _weighted_products(w, a, b), negated if asked, as the next
+        """Write the node sums of w a b, negated if asked, as the next
         terms, of rows r and columns c."""
         nonlocal at
         sl = slice(at, at + len(r))
         rows[sl], cols[sl] = r, c
-        out = _weighted_products(w, a, b, out=blocks[sl])
+        out = quadrature_products(a * w[..., None], b, out=blocks[sl])
         if negate:
             np.negative(out, out=out)
         at = sl.stop

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BATCH_CELLS
+from .basis import BATCH_CELLS, quadrature_products
 from .blocklinalg import BlockSparseMatrix, sum_in_order
 from .mesh import BOUNDARY
 
@@ -154,23 +154,15 @@ def _weak_sums(w, f, a):
 
 def _block_sums(w, a, D, c):
     """sum_q ((w[k, q] a[k, q, i]) D[k, q, r, s]) c[k, q, l] as blocks
-    (k, 4 n_a, 4 n_c), rows (r, i) and columns (s, l), summed in
-    quadrature-point order."""
+    (k, 4 n_a, 4 n_c), rows (r, i) and columns (s, l). One batched matmul
+    contracts the nodes; it agrees with their sum in node order to 1e-13
+    relative, not bit for bit."""
     k, nq, na = a.shape
     nc = c.shape[2]
-    # nodes first and cells last: each node's products are contiguous and
-    # run over a long inner axis
-    wa = np.ascontiguousarray((w[..., None] * a).transpose(1, 2, 0))
-    D = np.ascontiguousarray(D.transpose(1, 2, 3, 0))
-    c = np.ascontiguousarray(c.transpose(1, 2, 0))
-    out = np.zeros((N_COMP, na, N_COMP, nc, k))
-    t = np.empty((N_COMP, na, N_COMP, 1, k))
-    term = np.empty_like(out)
-    for q in range(nq):
-        np.multiply(wa[q, None, :, None], D[q, :, None], out=t[:, :, :, 0])
-        np.multiply(t, c[q, None, None, None], out=term)
-        out += term
-    return out.transpose(4, 0, 1, 2, 3).reshape(k, N_COMP * na, N_COMP * nc)
+    # sizes spelled out: a chunk without inner edges has k = 0
+    left = (a * w[..., None])[:, :, None, :, None] * D[:, :, :, None, :]
+    return quadrature_products(left.reshape(k, nq, N_COMP * na * N_COMP),
+                               c).reshape(k, N_COMP * na, N_COMP * nc)
 
 
 class _EdgeChunk:
@@ -199,9 +191,10 @@ class EulerDiscretization:
 
     The residual and the Jacobian are batched: volume terms per
     `space.groups` group, face terms per chunk of at most BATCH_CELLS edges.
-    Every quadrature sum runs in quadrature-point order and each cell's
-    terms are added in the order of a loop over cells, then edges, so the
-    results are bitwise those of that loop.
+    Each cell's terms are added in the order of a loop over cells, then
+    edges. The residual sums its quadrature nodes in node order, so it is
+    bitwise that loop's; the Jacobian contracts them with one BLAS matmul
+    per term and agrees with that loop to 1e-13 relative per block.
     """
 
     def __init__(self, space, params):

@@ -1,6 +1,7 @@
 """Experiment drivers: the timestep families, and input checks made
 before any work."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -178,3 +179,31 @@ def test_analyze_runs_without_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a small advect and Euler case in fresh interpreters, the thread
+    # count set before numpy loads; every column but wall_ms must match
+    src = os.path.dirname(os.path.dirname(polydg.__file__))
+    code = ("import sys\n"
+            "from polydg.experiments import (SOLVER_CONFIGS, run_advect,\n"
+            "                                run_euler_vortex)\n"
+            "run_advect(('hexagon',), (3,), ('k2',), 'gmres', 'ilu0',\n"
+            "           h=0.1, n_steps=2).write_csv(sys.argv[1])\n"
+            "run_euler_vortex(('rtri',), (1,), ('k2',),\n"
+            "                 tuple(SOLVER_CONFIGS)).write_csv(sys.argv[2])\n")
+    rows = {}
+    for n in (1, 2):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(n),
+                   OMP_NUM_THREADS=str(n))
+        paths = [tmp_path / f"{name}{n}.csv" for name in ("advect", "euler")]
+        subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                       check=True)
+        rows[n] = []
+        for path in paths:
+            with open(path, newline="") as f:
+                lines = list(csv.reader(f))
+            wall = lines[1].index("wall_ms")
+            rows[n] += [line[:wall] + line[wall + 1:] for line in lines]
+    assert len(rows[1]) == 3 + 5  # comment, header and rows of each
+    assert rows[1] == rows[2]
