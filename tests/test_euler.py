@@ -361,7 +361,7 @@ def assert_batched_equals_loop(mesh, p, seed=0):
         loop_jacobian(disc, U, list(frozen))
     assert np.array_equal(J.indptr, J_loop.indptr)
     assert np.array_equal(J.indices, J_loop.indices)
-    # the Jacobian's node sums are one BLAS contraction: within the 1e-13
+    # the Jacobian's node sums are BLAS contractions: within the 1e-13
     # bound for assembled operators of the loop's node-order sums, not
     # bitwise, and where the loop cancels to exact zeros BLAS may leave
     # ~1e-17

@@ -183,22 +183,32 @@ def test_analyze_runs_without_scipy_optimize():
 
 def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a small advect and Euler case in fresh interpreters, the thread
-    # count set before numpy loads; every column but wall_ms must match
+    # count set before numpy loads; every column but wall_ms must match,
+    # and so must the Jacobian contraction of a p = 3 volume group's size
+    # (128 cells, 150 nodes, 10 basis functions) on random inputs
     src = os.path.dirname(os.path.dirname(polydg.__file__))
-    code = ("import sys\n"
+    code = ("import hashlib, sys\n"
+            "import numpy as np\n"
+            "from polydg.euler import _block_sums\n"
             "from polydg.experiments import (SOLVER_CONFIGS, run_advect,\n"
             "                                run_euler_vortex)\n"
             "run_advect(('hexagon',), (3,), ('k2',), 'gmres', 'ilu0',\n"
             "           h=0.1, n_steps=2).write_csv(sys.argv[1])\n"
             "run_euler_vortex(('rtri',), (1,), ('k2',),\n"
-            "                 tuple(SOLVER_CONFIGS)).write_csv(sys.argv[2])\n")
-    rows = {}
+            "                 tuple(SOLVER_CONFIGS)).write_csv(sys.argv[2])\n"
+            "rng = np.random.default_rng(0)\n"
+            "w, a, D, c = (rng.standard_normal((128, 150) + s)\n"
+            "              for s in ((), (10,), (4, 4), (10,)))\n"
+            "J = _block_sums(w, a, D, c)\n"
+            "print(J.shape, hashlib.sha256(J.tobytes()).hexdigest())\n")
+    rows, sums = {}, {}
     for n in (1, 2):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(n),
                    OMP_NUM_THREADS=str(n))
         paths = [tmp_path / f"{name}{n}.csv" for name in ("advect", "euler")]
-        subprocess.run([sys.executable, "-c", code, *paths], env=env,
-                       check=True)
+        sums[n] = subprocess.run([sys.executable, "-c", code, *paths],
+                                 env=env, check=True, capture_output=True,
+                                 text=True).stdout
         rows[n] = []
         for path in paths:
             with open(path, newline="") as f:
@@ -207,3 +217,5 @@ def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
             rows[n] += [line[:wall] + line[wall + 1:] for line in lines]
     assert len(rows[1]) == 3 + 5  # comment, header and rows of each
     assert rows[1] == rows[2]
+    assert sums[1].startswith("(128, 40, 40) ")
+    assert sums[1] == sums[2]

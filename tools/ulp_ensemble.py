@@ -1,16 +1,18 @@
 """Which table counts can round-off move? Rerun a table with last-bit noise.
 
     python tools/ulp_ensemble.py [advect] [euler] [--seeds N]
-        [--patterns rtri,...] [--p 3,...] [--k k2,...]
-        [--solvers jacobi,gmres+jacobi,gmres+ilu0] [--smoke] [--out PATH]
+        [--patterns rtri,...] [--p 3,...] [--k k2,...] [--smoke] [--out PATH]
 
-Runs each table named (default: both) once as is and once per seed
-0..N-1. Under a seed, every right-hand side that reaches
+Runs each cell (pattern, p, k) of each table named (default: both), with
+every solver configuration of `experiments.SOLVER_CONFIGS`, once as is and
+once per seed 0..N-1. Under a seed, every right-hand side that reaches
 `experiments.solve_linear` is scaled entrywise by 1 + s 2^-52, with s drawn
-from {-1, 0, 1} by a generator of that seed. The patch is made on the
-imported module, in this process; the package itself is not changed.
+from {-1, 0, 1} by a generator seeded with the seed and the cell, so a run
+filtered to some cells gives them the ranges of the full table. The patch
+is made on the imported module, in this process; the package itself is not
+changed.
 
-Writes one CSV row per table cell (pattern, p, k, solver configuration):
+Writes one CSV row per table cell and solver configuration:
 the unperturbed count and the smallest and largest count over all runs,
 and for Euler the same for the Newton steps. A cell whose minimum and
 maximum differ has a count that round-off moves, so a change that moves
@@ -22,6 +24,7 @@ one pattern and timestep, 2 seeds) in a few seconds.
 import argparse
 import contextlib
 import csv
+import itertools
 import os
 import sys
 
@@ -50,44 +53,51 @@ HEADER = ["table", "pattern", "p", "k_label", "solver", "preconditioner",
           "newton_max"]
 
 
-def perturbed(solve, seed):
+def perturbed(solve, rng):
     """solve_linear with each right-hand side scaled by 1 + s ULP, s in
-    {-1, 0, 1} drawn per entry from the generator of seed."""
-    rng = np.random.default_rng(seed)
-
+    {-1, 0, 1} drawn per entry from rng."""
     def solve_linear(A, rhs, *args, **kwargs):
         s = rng.integers(-1, 2, size=rhs.shape)
         return solve(A, rhs * (1.0 + s * ULP), *args, **kwargs)
     return solve_linear
 
 
-def run_table(table, patterns, p_list, k_labels, solvers, **size):
-    """The table's report rows, one per cell."""
+def run_cell(table, pattern, p, k_label, **size):
+    """The report rows of one cell, one per solver configuration."""
+    names = tuple(experiments.SOLVER_CONFIGS)
     if table == "euler":
-        return experiments.run_euler_vortex(patterns, p_list, k_labels,
-                                            solvers).rows
-    return [row for name in solvers
+        return experiments.run_euler_vortex((pattern,), (p,), (k_label,),
+                                            names).rows
+    return [row for name in names
             for row in experiments.run_advect(
-                patterns, p_list, k_labels,
+                (pattern,), (p,), (k_label,),
                 *experiments.SOLVER_CONFIGS[name], **size).rows]
 
 
-def ensemble(table, seeds, **filters):
-    """{cell: [(iterations, newton_iters) of each run]}, the unperturbed
-    run first."""
+def ensemble(table, seeds, patterns, p_list, k_labels, **size):
+    """{(pattern, p, k, solver, preconditioner): [(iterations,
+    newton_iters) of each run]}, the unperturbed run first."""
     runs = {}
     solve = experiments.solve_linear
     try:
-        for seed in [None, *range(seeds)]:
-            experiments.solve_linear = (solve if seed is None
-                                        else perturbed(solve, seed))
-            for row in run_table(table, **filters):
-                cell = tuple(row[c] for c in HEADER[1:6])
-                runs.setdefault(cell, []).append(
-                    (int(row["iterations"]), row["newton_iters"]))
+        for cell in itertools.product(patterns, p_list, k_labels):
+            for seed in [None, *range(seeds)]:
+                # seeded only once the unperturbed run has checked cell
+                experiments.solve_linear = solve if seed is None else (
+                    perturbed(solve, np.random.default_rng(
+                        (seed, *cell_key(*cell)))))
+                for row in run_cell(table, *cell, **size):
+                    runs.setdefault(tuple(row[c] for c in HEADER[1:6]),
+                                    []).append((int(row["iterations"]),
+                                                row["newton_iters"]))
     finally:
         experiments.solve_linear = solve
     return runs
+
+
+def cell_key(pattern, p, k_label):
+    """The cell as non-negative integers, for seeding its noise."""
+    return PATTERN_KINDS.index(pattern), p, CELLS["k_labels"].index(k_label)
 
 
 def ranges(table, runs):
@@ -111,8 +121,6 @@ def main(argv=None):
     parser.add_argument("--patterns", type=_csv_list())
     parser.add_argument("--p", dest="p_list", type=_csv_list(int))
     parser.add_argument("--k", dest="k_labels", type=_csv_list())
-    parser.add_argument("--solvers", type=_csv_list(),
-                        default=tuple(experiments.SOLVER_CONFIGS))
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     args = parser.parse_args(argv)
@@ -124,16 +132,12 @@ def main(argv=None):
         args.seeds = SMOKE_SEEDS if args.smoke else 4
     if args.seeds < 0:
         parser.error("--seeds must not be negative")
-    for name in args.solvers:
-        if name not in experiments.SOLVER_CONFIGS:
-            parser.error(f"unknown solver configuration {name!r}")
     given = {k: getattr(args, k) for k in CELLS if getattr(args, k)}
     rows = []
     try:
         for table in dict.fromkeys(args.tables or TABLES):
             size = SMOKE[table] if args.smoke else {}
-            runs = ensemble(table, args.seeds, solvers=args.solvers,
-                            **{**CELLS, **size, **given})
+            runs = ensemble(table, args.seeds, **{**CELLS, **size, **given})
             rows += ranges(table, runs)
     except (BasisError, experiments.ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
