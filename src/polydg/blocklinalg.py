@@ -219,9 +219,9 @@ class BlockILU0Factorization:
     the stored ordering.
     """
 
-    def __init__(self, A, ordering=None):
+    def __init__(self, A, ordering):
         n, b = self.n, self.b = A.n, A.b
-        self.ordering = np.asarray(range(n) if ordering is None else ordering)
+        self.ordering = ordering
         self._indptr, self._indices, source = A._permuted_pattern(
             self.ordering)
         indptr, cols = self._indptr, self._indices
@@ -350,12 +350,14 @@ def factor_bilu0(A, ordering=None):
     return A._ilu0[key]
 
 
-MAX_ITERS = 200000
+MAX_ITERS = 200000   # both solvers stop unconverged after this many steps
 TOL = 1e-14   # relative l2 residual at which both solvers stop
+RESTART = 20   # GMRES Arnoldi steps between restarts
 
 
-def block_jacobi_solve(A, rhs, tol=TOL, max_iters=MAX_ITERS):
-    """Fixed-point iteration x <- D^{-1} rhs + (I - D^{-1} A) x from x = 0.
+def block_jacobi_solve(A, rhs, tol=TOL):
+    """Fixed-point iteration x <- D^{-1} rhs + (I - D^{-1} A) x from x = 0,
+    at most MAX_ITERS steps.
 
     Returns (x, iterations, converged); iterations is the first iterate index
     whose relative l2 residual meets tol.
@@ -365,18 +367,17 @@ def block_jacobi_solve(A, rhs, tol=TOL, max_iters=MAX_ITERS):
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         bnorm = 1.0
-    for it in range(max_iters + 1):
+    for it in range(MAX_ITERS + 1):
         r = rhs - A.matvec(x)
         if np.linalg.norm(r) <= tol * bnorm:
             return x, it, True
         x = x + fac.apply(r)
-    return x, max_iters, False
+    return x, MAX_ITERS, False
 
 
-def gmres(A, rhs, preconditioner=None, restart=20, tol=TOL,
-          max_iters=MAX_ITERS):
-    """Right-preconditioned restarted GMRES with Givens rotations, from
-    x = 0.
+def gmres(A, rhs, preconditioner=None, tol=TOL):
+    """Right-preconditioned GMRES with Givens rotations, from x = 0,
+    restarted every RESTART steps and stopped after MAX_ITERS.
 
     Convergence is declared on the true relative residual; the returned count
     is the total number of Arnoldi steps across restarts.
@@ -385,7 +386,7 @@ def gmres(A, rhs, preconditioner=None, restart=20, tol=TOL,
         prec = lambda v: v
     else:
         prec = preconditioner.apply
-    n = A.dim
+    n, restart, max_iters = A.dim, RESTART, MAX_ITERS
     x = np.zeros(n)
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:

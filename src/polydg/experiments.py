@@ -183,7 +183,7 @@ def advection_mesh(pattern, h=ADVECTION_H, periodic=False):
     return build_regular_mesh(pattern, h * h, periodic=periodic)
 
 
-def run_advect_case(mesh, p, k, solver, preconditioner, tol=TOL, n_steps=1):
+def run_advect_case(mesh, p, k, solver, preconditioner, tol, n_steps):
     """Project the Gaussian and advance n_steps backward Euler solves.
 
     Returns the last solve's count and residual, and whether every solve
@@ -280,8 +280,8 @@ def euler_timestep(label, h=EULER_H):
     return _scaled_timestep(label, 0.03 * h)
 
 
-def euler_mesh(pattern, h=EULER_H):
-    return build_regular_mesh(pattern, h * h, EULER_DOMAIN, periodic=False,
+def euler_mesh(pattern):
+    return build_regular_mesh(pattern, EULER_H * EULER_H, EULER_DOMAIN,
                               boundary_tag="exact_state")
 
 
@@ -291,7 +291,9 @@ def run_euler_case(mesh, p, k, solver_names, tol=TOL, newton_tol=NEWTON_TOL):
     All requested solver configurations are run on the same sequence of
     Newton linear systems (driven by the first configuration's solution),
     so their iteration totals are directly comparable. Returns
-    {name: (total_iterations, converged)}, newton_iters, final_newton_residual.
+    {name: (total_iterations, converged)}, newton_iters, final_newton_residual;
+    the totals are summed over the per-step {name: (iterations, converged)}
+    records that Newton keeps in `linear_iters`.
     """
     _check_solver_names(solver_names)
     space = DgSpace(mesh, p)
@@ -301,8 +303,6 @@ def run_euler_case(mesh, p, k, solver_names, tol=TOL, newton_tol=NEWTON_TOL):
     ordering = (natural_ordering(mesh)
                 if any(SOLVER_CONFIGS[name][1] == "ilu0"
                        for name in solver_names) else None)
-    totals = {name: 0 for name in solver_names}
-    ok_all = {name: True for name in solver_names}
 
     # the Lax-Friedrichs coefficients of the last residual evaluation:
     # newton_solve asks for the Jacobian at the very state whose residual
@@ -320,21 +320,18 @@ def run_euler_case(mesh, p, k, solver_names, tol=TOL, newton_tol=NEWTON_TOL):
         return J.scaled_add_diag(k, Mblocks)
 
     def linear_solver(A, rhs):
-        x_drive, it_drive = None, None
-        for name in solver_names:
-            s, pc = SOLVER_CONFIGS[name]
-            x, it, _res, ok = solve_linear(A, rhs, s, pc, tol, ordering)
-            totals[name] += it
-            ok_all[name] = ok_all[name] and ok
-            if x_drive is None:
-                x_drive, it_drive = x, it
-        return x_drive, it_drive
+        solves = {name: solve_linear(A, rhs, *SOLVER_CONFIGS[name], tol,
+                                     ordering) for name in solver_names}
+        return solves[solver_names[0]][0], {
+            name: (it, ok) for name, (_x, it, _res, ok) in solves.items()}
 
     res = newton_solve(residual, jacobian, Un, linear_solver, tol=newton_tol)
     if not res.converged:
         raise ExperimentError(
             f"Newton failed to converge: residuals {res.residual_norms}")
-    out = {name: (totals[name], ok_all[name]) for name in solver_names}
+    out = {name: (sum(step[name][0] for step in res.linear_iters),
+                  all(step[name][1] for step in res.linear_iters))
+           for name in solver_names}
     return out, res.n_iters, res.residual_norms[-1]
 
 

@@ -496,11 +496,14 @@ def build_random_mesh_pair(h, delta=None, domain=UNIT_SQUARE, seed=0):
     the rectangle by half-plane intersection with the bisectors of the
     Delaunay neighbors.
     """
+    if not (np.isfinite(h) and h > 0):
+        raise MeshError(f"h must be finite and positive, got {h}")
     if delta is None:
         delta = RANDOM_JITTER * h
     x0, y0, x1, y1 = map(float, domain)
-    if delta < 0 or delta >= h / 2:
-        raise MeshError("perturbation must satisfy 0 <= delta < h/2")
+    if not 0 <= delta < h / 2:
+        raise MeshError(f"perturbation must satisfy 0 <= delta < h/2, "
+                        f"got delta={delta}")
     nx = int(round((x1 - x0) / h)) + 1
     ny = int(round((y1 - y0) / h)) + 1
     if nx * ny < 3:

@@ -21,7 +21,7 @@ def left_coupling_block():
     return np.array([[0.0, -1.0], [0.0, 0.0]])
 
 
-def assemble_1d_advection(n_intervals, h, periodic=True):
+def assemble_1d_advection(n_intervals, h):
     """Return (M, L) block matrices for N intervals of length h."""
     Mb = mass_block(h)
     Lb = diag_block()
@@ -31,19 +31,14 @@ def assemble_1d_advection(n_intervals, h, periodic=True):
     for j in range(n_intervals):
         mblocks[(j, j)] = Mb
         lblocks[(j, j)] = Lb
-        jm = j - 1
-        if jm < 0:
-            if not periodic:
-                continue
-            jm = n_intervals - 1
-        lblocks[(j, jm)] = Cb
+        lblocks[(j, (j - 1) % n_intervals)] = Cb
     M = BlockSparseMatrix.from_block_dict(n_intervals, 2, mblocks)
     L = BlockSparseMatrix.from_block_dict(n_intervals, 2, lblocks)
     return M, L
 
 
-def backward_euler_matrix(n_intervals, h, k, periodic=True):
-    M, L = assemble_1d_advection(n_intervals, h, periodic)
+def backward_euler_matrix(n_intervals, h, k):
+    M, L = assemble_1d_advection(n_intervals, h)
     return L.scaled_add_diag(k, M.diagonal_blocks())
 
 

@@ -43,7 +43,8 @@ def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=NEWTON_TOL):
     residual_fn(u) -> F(u); jacobian_fn(u) -> A, the block matrix dF/du,
     always called with the very array last passed to residual_fn, so it
     may reuse what that evaluation computed; linear_solver(A, rhs) ->
-    (x, n_iters). Convergence:
+    (x, record), where record (an iteration count, say) is kept per step in
+    the result's `linear_iters`. Convergence:
     ||F|| <= tol * max(1, ||F0||); a non-finite ||F|| is a
     TimesteppingError. Each Jacobian is released before the next
     is built, so it and the factorizations cached on it never overlap with
@@ -58,9 +59,9 @@ def newton_solve(residual_fn, jacobian_fn, u0, linear_solver, tol=NEWTON_TOL):
         if norms[-1] <= tol * ref:
             return NewtonResult(u, it, lin_iters, norms, True)
         A = jacobian_fn(u)
-        du, n_lin = linear_solver(A, -F)
+        du, record = linear_solver(A, -F)
         del A
-        lin_iters.append(n_lin)
+        lin_iters.append(record)
         u = u + du
         F = residual_fn(u)
         norms.append(_finite_norm(F, it + 1))

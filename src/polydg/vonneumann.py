@@ -332,7 +332,6 @@ class SweepConfig:
     theta_samples: int = 32
     wave_samples: int = 48
     theta_range: str = "per-pattern"   # one of THETA_RANGE_MODES
-    refine: bool = True                # polish the coarse-grid peak locally
 
 
 # each timestep label's multiple of the family's k1; powers of two, so each
@@ -556,7 +555,7 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     t, g = np.unravel_index(np.argmax(exact), exact.shape)
     best = max(float(exact[t, g]), 0.0)
     best_point = (thetas[t], phis[g // n], phis[g % n]) if best > 0.0 else None
-    if not config.refine or best_point is None:
+    if best_point is None:
         return best
 
     def neg_rho(x):
@@ -568,8 +567,9 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     return max(best, -float(fun))
 
 
-def ratio_table(p_list, k_labels, config=None, kinds=PATTERN_KINDS):
-    """Per (p, k): log(lambda_max(best pattern)) / log(lambda_max(pattern)).
+def ratio_table(p_list, k_labels, config=None):
+    """Per (p, k) and pattern kind: log(lambda_max(best pattern)) /
+    log(lambda_max(pattern)).
 
     Returns {(kind, p, k_label): (lambda_max, ratio)}; the winning pattern in
     each (p, k) column has ratio exactly 1.
@@ -586,8 +586,8 @@ def ratio_table(p_list, k_labels, config=None, kinds=PATTERN_KINDS):
     for p in p_list:
         for lab, k in steps.items():
             lams = {kind: max_spectral_radius(kind, p, k, area, config)
-                    for kind in kinds}
+                    for kind in PATTERN_KINDS}
             best = min(lams.values())
-            for kind in kinds:
+            for kind in PATTERN_KINDS:
                 out[(kind, p, lab)] = (lams[kind], np.log(best) / np.log(lams[kind]))
     return out

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydg import blocklinalg
 from polydg.blocklinalg import (BlockSparseMatrix, LinalgError,
                                 block_jacobi_solve, factor_bilu0,
                                 factor_block_jacobi, gmres,
@@ -92,10 +93,11 @@ def test_gmres_zero_rhs():
     assert ok and it == 0 and np.all(x == 0.0)
 
 
-def test_gmres_restart_still_converges():
+def test_gmres_restart_still_converges(monkeypatch):
+    monkeypatch.setattr(blocklinalg, "RESTART", 5)
     A = random_block_matrix(30, 2, density=0.15, seed=12)
     rhs = np.random.default_rng(13).standard_normal(A.dim)
-    x, it, ok = gmres(A, rhs, restart=5, tol=1e-12)
+    x, it, ok = gmres(A, rhs, tol=1e-12)
     assert ok
     assert np.linalg.norm(A.matvec(x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -146,15 +148,16 @@ def mgs_gmres(A, rhs, prec, restart, tol, max_iters=10000):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("restart", [5, 20])
 @pytest.mark.parametrize("jacobi", [False, True])
-def test_gmres_matches_the_one_vector_at_a_time_reference(seed, restart,
-                                                          jacobi):
+def test_gmres_matches_the_one_vector_at_a_time_reference(monkeypatch, seed,
+                                                          restart, jacobi):
     # two classical Gram-Schmidt passes sum in another order than the
     # modified Gram-Schmidt loop: the count stays, x moves by rounding
     A = random_block_matrix(40, 3, density=0.2, seed=seed, sdd=False)
     A = A.scaled_add_diag(1.0, 8.0 * np.eye(3)[None].repeat(40, axis=0))
     rhs = np.random.default_rng(100 + seed).standard_normal(A.dim)
     fac = factor_block_jacobi(A) if jacobi else None
-    x, it, ok = gmres(A, rhs, preconditioner=fac, restart=restart, tol=1e-12)
+    monkeypatch.setattr(blocklinalg, "RESTART", restart)
+    x, it, ok = gmres(A, rhs, preconditioner=fac, tol=1e-12)
     x_ref, it_ref = mgs_gmres(A, rhs, fac.apply if jacobi else lambda v: v,
                               restart, 1e-12)
     assert ok and it == it_ref
@@ -228,9 +231,10 @@ def test_bilu0_names_the_singular_elimination_step():
 
 
 @pytest.mark.parametrize("solve", [block_jacobi_solve, gmres])
-def test_solvers_stop_unconverged_at_max_iters(solve):
+def test_solvers_stop_unconverged_at_max_iters(monkeypatch, solve):
+    monkeypatch.setattr(blocklinalg, "MAX_ITERS", 2)
     A = random_block_matrix(6, 2, seed=3)
-    _, it, ok = solve(A, np.ones(A.dim), tol=1e-14, max_iters=2)
+    _, it, ok = solve(A, np.ones(A.dim), tol=1e-14)
     assert (it, ok) == (2, False)
 
 

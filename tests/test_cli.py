@@ -272,6 +272,23 @@ def test_mesh_gen_regular_takes_one_of_area_and_h(flags, message, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mesh", "gen", "--pattern", "voronoi", "--h", "nan"],
+     "h must be finite and positive, got nan"),
+    (["mesh", "gen", "--pattern", "delaunay", "--h", "0"],
+     "h must be finite and positive, got 0.0"),
+    (["mesh", "gen", "--pattern", "voronoi", "--h", "0.1", "--delta", "nan"],
+     "perturbation must satisfy 0 <= delta < h/2, got delta=nan"),
+    (["random-advect", "--h", "0.1", "--delta", "nan"],
+     "perturbation must satisfy 0 <= delta < h/2, got delta=nan")])
+def test_bad_random_mesh_input_is_an_error(argv, message, tmp_path, capsys):
+    out = tmp_path / "m.mesh"
+    flags = ["--out", str(out)] if argv[0] == "mesh" else []
+    assert main(argv + flags) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mesh_gen_h_writes_the_mesh_of_area_h_squared(tmp_path):
     files = []
     for flags in (["--h", "0.05"], ["--area", repr(0.05 * 0.05)]):

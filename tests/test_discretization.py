@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydg import blocklinalg
 from polydg.basis import DgSpace
 from polydg.blocklinalg import (BlockSparseMatrix, block_jacobi_solve,
                                 factor_block_jacobi, gmres)
@@ -111,8 +112,11 @@ def test_gmres_jacobi_never_needs_more_steps_than_block_jacobi(seed, p, jitter,
         b = M.matvec(space.project(gaussian_pulse()).ravel())
         _, n_jacobi, ok = block_jacobi_solve(A, b, tol=1e-10)
         assert ok
-        _, n_gmres, ok = gmres(A, b, preconditioner=factor_block_jacobi(A),
-                               restart=n_jacobi, tol=1e-10)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocklinalg, "RESTART", n_jacobi)
+            _, n_gmres, ok = gmres(A, b,
+                                   preconditioner=factor_block_jacobi(A),
+                                   tol=1e-10)
         assert ok
         assert n_gmres <= n_jacobi
 

@@ -211,6 +211,32 @@ def test_newton_jacobian_reuses_the_residual_alphas(monkeypatch):
     assert len(calls) == n_newton + 1
 
 
+def test_solver_totals_are_sums_of_newtons_per_step_record(monkeypatch):
+    # run_euler_case takes each configuration's total and converged flag
+    # from the per-step records newton_solve keeps in linear_iters
+    results = []
+    newton_solve = experiments.newton_solve
+
+    def recording(*args, **kwargs):
+        results.append(newton_solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "newton_solve", recording)
+    names = ("jacobi", "gmres+jacobi", "gmres+ilu0")
+    counts, n_newton, _ = experiments.run_euler_case(
+        experiments.euler_mesh("rtri"), 0, experiments.euler_timestep("k2"),
+        names)
+    (res,) = results
+    assert len(res.linear_iters) == n_newton == 4
+    for name in names:
+        steps = [step[name] for step in res.linear_iters]
+        assert counts[name] == (sum(it for it, _ in steps),
+                                all(ok for _, ok in steps))
+    # the benchmark's smoke pins
+    assert [counts[name] for name in names] == [(95, True), (87, True),
+                                               (36, True)]
+
+
 def test_unknown_solver_name_fails_before_setup(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("set-up ran")

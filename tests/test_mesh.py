@@ -1,5 +1,7 @@
 """Mesh construction, validation, ordering, and serialization tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,16 @@ def test_random_pair_delta_zero_gives_grid():
 def test_random_pair_errors():
     with pytest.raises(MeshError):
         build_random_mesh_pair(0.1, 0.06, (0, 0, 1, 1), seed=0)
+
+
+@pytest.mark.parametrize("h, delta, message", [
+    (np.nan, None, "h must be finite and positive, got nan"),
+    (0.0, None, "h must be finite and positive, got 0.0"),
+    (-0.1, None, "h must be finite and positive, got -0.1"),
+    (0.1, np.nan, "0 <= delta < h/2, got delta=nan")])
+def test_random_pair_refuses_bad_h_and_delta(h, delta, message):
+    with pytest.raises(MeshError, match=re.escape(message)):
+        build_random_mesh_pair(h, delta)
 
 
 def test_natural_ordering_square_grid_identity():

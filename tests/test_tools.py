@@ -1,0 +1,67 @@
+"""The scripts under tools/: the known-failure check and the ulp ensemble."""
+
+import importlib.util
+import os
+
+import pytest
+
+from polydg.mesh import PATTERN_KINDS
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "tools")
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(TOOLS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LOG = """\
+tests/test_a.py ..F.E                                                    [100%]
+=========================== short test summary info ============================
+FAILED tests/test_a.py::test_count[rtri-p1 k2] - assert 3 == 4
+ERROR tests/test_b.py - ImportError: cannot import name 'gone'
+ERROR tests/test_a.py::test_fixture[x] - RuntimeError: set-up failed
+============= 1 failed, 3 passed, 2 errors in 0.12s =============
+"""
+
+
+def test_known_failures_reads_failed_and_error_lines(tmp_path):
+    check = load_tool("check_known_failures")
+    log = tmp_path / "run.log"
+    log.write_text(LOG)
+    assert check.failed_ids(log) == {
+        "tests/test_a.py::test_count[rtri-p1 k2]",
+        "ERROR tests/test_b.py",
+        "ERROR tests/test_a.py::test_fixture[x]"}
+    assert check.main(["check", str(log), str(log)]) == 0
+    # a known list of the FAILED line only misses both errors
+    known = tmp_path / "known.txt"
+    known.write_text(LOG.splitlines()[2] + "\n")
+    assert check.main(["check", str(log), str(known)]) == 1
+
+
+# pattern -> the advect counts of block Jacobi, GMRES+Jacobi and GMRES+ILU(0)
+# (the order of experiments.SOLVER_CONFIGS) at p = 1, k2, h = 0.2, 2 steps
+STABLE_ADVECT_COUNTS = {
+    "hexagon": (40, 37, 7),
+    "square": (43, 40, 9),
+    "rtri": (53, 51, 11),
+    "etri": (51, 49, 9),
+}
+
+
+def test_small_advect_counts_are_ulp_stable():
+    ulp = load_tool("ulp_ensemble")
+    runs = ulp.ensemble("advect", 2, PATTERN_KINDS, (1,), ("k2",), h=0.2,
+                        n_steps=2)
+    got = {}
+    for (pattern, p, k_label, solver, pc), counts in runs.items():
+        assert (p, k_label) == (1, "k2")
+        # the unperturbed run and both perturbed runs give one count
+        assert len(counts) == 3 and len(set(counts)) == 1, (pattern, solver)
+        got.setdefault(pattern, []).append(counts[0][0])
+    assert {kind: tuple(c) for kind, c in got.items()} == STABLE_ADVECT_COUNTS

@@ -99,9 +99,16 @@ def test_p0_closed_form_matches_symbol(kind):
             assert np.min(np.abs(eigs - lam)) < 1e-10
 
 
-def test_single_pattern_ratio_is_one():
-    cfg = SweepConfig(theta_samples=4, wave_samples=8, refine=False)
-    tab = ratio_table([0], ["k1"], cfg, kinds=("square",))
+def no_refine(f, x0, **kwargs):
+    """A `nelder_mead` stand-in that leaves the coarse-grid peak as is."""
+    return x0, 0.0
+
+
+def test_single_pattern_ratio_is_one(monkeypatch):
+    monkeypatch.setattr(vonneumann, "nelder_mead", no_refine)
+    monkeypatch.setattr(vonneumann, "PATTERN_KINDS", ("square",))
+    cfg = SweepConfig(theta_samples=4, wave_samples=8)
+    tab = ratio_table([0], ["k1"], cfg)
     (lam, ratio), = tab.values()
     assert ratio == pytest.approx(1.0)
     assert 0.0 < lam < 1.0
@@ -138,11 +145,12 @@ def test_bad_timestep_fails_before_any_sweep(monkeypatch, k):
         max_spectral_radius("square", 1, k, AREA)
 
 
-def test_quarter_pi_range_square_matches_per_pattern():
+def test_quarter_pi_range_square_matches_per_pattern(monkeypatch):
     # the square cone is [0, pi/2] but the peak is symmetric about pi/4,
     # so sweeping only [0, pi/4] must find the same maximum
-    cfg_a = SweepConfig(theta_samples=9, wave_samples=16, refine=False)
-    cfg_b = SweepConfig(theta_samples=9, wave_samples=16, refine=False,
+    monkeypatch.setattr(vonneumann, "nelder_mead", no_refine)
+    cfg_a = SweepConfig(theta_samples=9, wave_samples=16)
+    cfg_b = SweepConfig(theta_samples=9, wave_samples=16,
                         theta_range="quarter-pi")
     ra = max_spectral_radius("square", 0, 3.0, AREA, cfg_a)
     rb = max_spectral_radius("square", 0, 3.0, AREA, cfg_b)
@@ -173,18 +181,15 @@ def full_grid_peak(kind, p, k, config):
 def test_screened_sweep_matches_full_grid(kind, p, label, theta_samples,
                                           wave_samples):
     k = timestep_family(AREA, label)
-    cfg = SweepConfig(theta_samples=theta_samples, wave_samples=wave_samples,
-                      refine=False)
+    cfg = SweepConfig(theta_samples=theta_samples, wave_samples=wave_samples)
     best, best_point = full_grid_peak(kind, p, k, cfg)
-    assert max_spectral_radius(kind, p, k, AREA, cfg) == best
     # the refine starts from the coarse peak: record where
     starts = []
 
     def record_start(f, x0, **kwargs):
         starts.append(tuple(x0))
-        return x0, 0.0
+        return no_refine(f, x0)
 
-    cfg.refine = True
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vonneumann, "nelder_mead", record_start)
         assert max_spectral_radius(kind, p, k, AREA, cfg) == best

@@ -2,25 +2,31 @@
 
     python tools/check_known_failures.py LOG [KNOWN]
 
-Reads the `FAILED <test id>` summary lines of the pytest log LOG and of
-KNOWN (default: test_output.txt at the repository root). Exits 0 when both
-name the same test IDs; otherwise prints the IDs that newly fail and those
-that no longer fail, and exits 1.
+Reads the `FAILED <test id>` and `ERROR <test id>` summary lines of the
+pytest log LOG and of KNOWN (default: test_output.txt at the repository
+root); an ERROR line is a collection error (its ID is a file) or an error
+in a test's set-up or tear-down. Exits 0 when both name the same failures;
+otherwise prints those that are new and those that are gone, and exits 1.
+An error keeps its "ERROR " prefix, so a test that errors where it failed
+before counts as a change.
 """
 
 import os
 import re
 import sys
 
-# "FAILED path::name[params] - message": the params may hold spaces
-FAILED = re.compile(r"^FAILED (\S+::[^\s\[]+(?:\[[^\]]*\])?)")
+# "FAILED path::name[params] - message": the params may hold spaces;
+# "ERROR path - message" or "ERROR path::name[params] - message"
+SUMMARY = re.compile(r"^(FAILED|ERROR) ([^\s\[]+(?:\[[^\]]*\])?)")
 KNOWN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "test_output.txt")
 
 
 def failed_ids(path):
+    """The failing test IDs of a log, each error's as "ERROR <id>"."""
     with open(path) as f:
-        return {m.group(1) for m in map(FAILED.match, f) if m}
+        return {m.group(2) if m.group(1) == "FAILED" else m.group(0)
+                for m in map(SUMMARY.match, f) if m}
 
 
 def main(argv):
