@@ -141,8 +141,8 @@ def n_local(p):
 
 
 # most cells in one batch: bounds the (cells, nodes, n_loc) temporaries of
-# batched build and assembly (1.5 MB each at p = 3, 6 MB for an Euler left
-# factor); each group also keeps one, its basis values at its volume nodes
+# the batched build and of volume (not face) terms, 1.5 MB each at p = 3,
+# 6 MB for an Euler left factor; each group keeps one, its volume values
 BATCH_CELLS = 128
 
 

@@ -68,28 +68,14 @@ def assemble_advection(space, velocity):
     left, right = mesh.edge_left, mesh.edge_right
     inner = np.flatnonzero(right != BOUNDARY)
     # the terms in the order they are summed: the volume term of each cell,
-    # group by group, then one term per edge and three per inner edge
-    n_terms = mesh.n_cells + len(left) + 3 * len(inner)
-    rows = np.empty(n_terms, dtype=np.int64)
-    cols = np.empty_like(rows)
-    blocks = np.empty((n_terms, space.n_loc, space.n_loc))
-    at = 0
-
-    def add(r, c, w, a, b, negate=False):
-        """Write the node sums of w a b, negated if asked, as the next
-        terms, of rows r and columns c."""
-        nonlocal at
-        sl = slice(at, at + len(r))
-        rows[sl], cols[sl] = r, c
-        out = quadrature_products(a * w[..., None], b, out=blocks[sl])
-        if negate:
-            np.negative(out, out=out)
-        at = sl.stop
+    # then LL of each edge, then LR, RL and RR of each inner edge
+    n, nl = mesh.n_cells, space.n_loc
+    blocks = np.empty((n + len(left) + 3 * len(inner), nl, nl))
 
     # volume terms: - int (beta . grad v_i) u_l
     for cells, nodes, weights, B in space.groups:
-        add(cells, cells, weights, _beta_dot_grad(space, beta, cells, nodes),
-            B, negate=True)
+        blocks[cells] = -quadrature_products(
+            _beta_dot_grad(space, beta, cells, nodes) * weights[..., None], B)
 
     # face terms, both sides per edge
     normals, shifts = mesh.edge_normals, mesh.edge_shifts
@@ -106,19 +92,23 @@ def assemble_advection(space, velocity):
     wl = space.values(left, nodes)
     # every edge: the interior trace leaves through the outflow part; on
     # boundary edges the inflow part sees the exterior state 0
-    add(left, left, w_out, wl, wl)
+    quadrature_products(wl * w_out[..., None], wl, out=blocks[n:n + len(left)])
     li, ri = left[inner], right[inner]
     wl, w_out, w_in = wl[inner], w_out[inner], w_in[inner]
     wr = space.values(ri, nodes[inner] - shifts[inner][:, None, :])
     # inflow seen from the left cell (normal n), then both parts seen from
     # the right cell (normal -n), where the flux contributes with -s
-    add(li, ri, w_in, wl, wr)
-    add(ri, li, w_out, wr, wl, negate=True)
-    add(ri, ri, w_in, wr, wr, negate=True)
+    lr, rl, rr = blocks[n + len(left):].reshape(3, len(inner), nl, nl)
+    quadrature_products(wl * w_in[..., None], wr, out=lr)
+    quadrature_products(wr * w_out[..., None], wl, out=rl)
+    quadrature_products(wr * w_in[..., None], wr, out=rr)
+    np.negative(rl, out=rl)
+    np.negative(rr, out=rr)
 
+    rows = np.concatenate((np.arange(n), left, li, ri, ri))
+    cols = np.concatenate((np.arange(n), left, ri, li, ri))
     M = assemble_mass(space)
-    L = BlockSparseMatrix.from_coo(mesh.n_cells, space.n_loc, rows, cols,
-                                   blocks)
+    L = BlockSparseMatrix.from_coo(n, nl, rows, cols, blocks)
     return M, L
 
 

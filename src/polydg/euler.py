@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BATCH_CELLS, quadrature_products
+from .basis import quadrature_products
 from .blocklinalg import BlockSparseMatrix, sum_in_order
 from .mesh import BOUNDARY
 
@@ -152,39 +152,32 @@ def _weak_sums(w, f, a):
     return out
 
 
-def _block_sums(w, a, D, c):
+def _block_sums(w, a, D, c, out=None):
     """sum_q ((w[k, q] a[k, q, i]) D[k, q, r, s]) c[k, q, l] as blocks
-    (k, 4 n_a, 4 n_c), rows (r, i) and columns (s, l). A batched matmul
-    per row component r contracts the nodes; it agrees with their sum in
-    node order to 1e-13 relative, not bit for bit."""
+    (k, 4 n_a, 4 n_c), rows (r, i) and columns (s, l), written into out if
+    given. A batched matmul per row component r contracts the nodes; it
+    agrees with their sum in node order to 1e-13 relative, not bit for
+    bit."""
     k, nq, na = a.shape
+    nc = c.shape[2]
+    if out is None:
+        out = np.empty((k, N_COMP * na, N_COMP * nc))
     wa = a * w[..., None]
-    out = np.empty((k, N_COMP, na * N_COMP, c.shape[2]))
+    by_row = out.reshape(k, N_COMP, na * N_COMP, nc)
     # a row component r at a time, a quarter of the whole left factor; sizes
-    # spelled out, as a chunk without inner edges has k = 0
+    # spelled out, as a mesh without inner edges has k = 0
     for r in range(N_COMP):
         left = wa[:, :, :, None] * D[:, :, None, r, :]
         quadrature_products(left.reshape(k, nq, na * N_COMP), c,
-                            out=out[:, r])
-    return out.reshape(k, N_COMP * na, N_COMP * c.shape[2])
+                            out=by_row[:, r])
+    return out
 
 
-class _EdgeChunk:
-    """Consecutive edges sl and their trace data. `inner` marks the edges
-    with a right cell, whose right traces `wr` holds; the terms of each
-    edge start at its slot `res_slot` of the residual buffer and `jac_slot`
-    of the Jacobian buffer."""
-
-    def __init__(self, sl, left, right, normals, nodes, weights, wl, wr,
-                 res_slot, jac_slot):
-        self.sl = sl
-        self.inner = inner = right != BOUNDARY
-        self.left, self.right = left, right[inner]
-        self.normals = normals[:, None, :]
-        self.bnd_nodes = nodes[~inner]
-        self.weights, self.wl, self.wr = weights, wl, wr
-        self.inner_weights, self.inner_wl = weights[inner], wl[inner]
-        self.res_slot, self.jac_slot = res_slot, jac_slot
+def _volume_blocks(W, w, B, gx, gy, gamma):
+    """The Jacobian's volume blocks of a group of cells with coefficients
+    W; its temporaries are freed on return, before the next group's."""
+    A1, A2 = flux_jacobians(_states(B, W), gamma)
+    return -(_block_sums(w, gx, A1, B) + _block_sums(w, gy, A2, B))
 
 
 class EulerDiscretization:
@@ -194,11 +187,14 @@ class EulerDiscretization:
     State layout: per cell, component-major (block size 4 * n_loc).
 
     The residual and the Jacobian are batched: volume terms per
-    `space.groups` group, face terms per chunk of at most BATCH_CELLS edges.
-    Each cell's terms are added in the order of a loop over cells, then
-    edges. The residual sums its quadrature nodes in node order, so it is
-    bitwise that loop's; the Jacobian contracts them with BLAS matmuls and
-    agrees with that loop to 1e-13 relative per block.
+    `space.groups` group, face terms for all edges at once. Each cell's
+    terms are added in the order of a loop over cells, then edges, which
+    the layout of the term buffers gives by construction: the mesh orders
+    its edges interior, boundary, periodic, and a periodic mesh has no
+    boundary edge, so the inner edges are the first `_n_inner`. The
+    residual sums its quadrature nodes in node order, so it is bitwise that
+    loop's; the Jacobian contracts them with BLAS matmuls and agrees with
+    that loop to 1e-13 relative per block.
     """
 
     def __init__(self, space, params):
@@ -207,44 +203,29 @@ class EulerDiscretization:
         self.params = params
         self.n_loc = space.n_loc
         self.b = N_COMP * space.n_loc
-        self.n_cells = mesh.n_cells
+        self.n_cells = n = mesh.n_cells
         self.dim = self.n_cells * self.b
         # per group: cells, weights, basis values and x-, y-gradients
         self._groups = [(cells, weights, B, *space.gradients(cells, nodes))
                         for cells, nodes, weights, B in space.groups]
-        left, right = mesh.edge_left, mesh.edge_right
-        normals, shifts = mesh.edge_normals, mesh.edge_shifts
-        nodes, weights = space.edge_nodes, space.edge_weights
-        inner = right != BOUNDARY
-        self._boundary = np.flatnonzero(~inner)
-        wl = space.values(left, nodes)
-        wr = space.values(right[inner], nodes[inner] - shifts[inner][:, None, :])
-        at = np.cumsum(inner) - 1  # row of each inner edge in wr
-        # the terms in the order of a loop over cells, then edges: in the
-        # residual the x- and y-volume terms of each cell, then per edge
-        # left and right; in the Jacobian the volume block of each cell,
-        # then per edge LL, LR, RL and RR. An edge's terms start at its
-        # slot, after the volume terms and the terms of the earlier edges
-        n, l, r = self.n_cells, left[inner], right[inner]
-        e, before = np.arange(len(left)), np.cumsum(inner) - inner
-        res_slot, jac_slot = 2 * n + e + before, n + e + 3 * before
-        self._res_cells = cells = np.empty(2 * n + len(left) + len(l),
-                                           dtype=np.int64)
-        cells[:2 * n] = np.tile(np.arange(n), 2)
-        cells[res_slot], cells[res_slot[inner] + 1] = left, r
-        self._jac_rows = rows = np.empty(n + len(left) + 3 * len(l),
-                                         dtype=np.int64)
-        self._jac_cols = cols = np.empty_like(rows)
-        rows[:n] = cols[:n] = np.arange(n)
-        rows[jac_slot] = cols[jac_slot] = left
-        for t, (i, j) in enumerate(((l, r), (r, l), (r, r)), start=1):
-            rows[jac_slot[inner] + t], cols[jac_slot[inner] + t] = i, j
-        self._chunks = [
-            _EdgeChunk(sl, left[sl], right[sl], normals[sl], nodes[sl],
-                       weights[sl], wl[sl], wr[at[sl][inner[sl]]],
-                       res_slot[sl], jac_slot[sl])
-            for sl in (slice(e0, e0 + BATCH_CELLS)
-                       for e0 in range(0, len(left), BATCH_CELLS))]
+        self._left = left = mesh.edge_left
+        nodes, shifts = space.edge_nodes, mesh.edge_shifts
+        self._n_inner = ni = np.count_nonzero(mesh.edge_right != BOUNDARY)
+        self._right = r = mesh.edge_right[:ni]
+        self._normals = mesh.edge_normals[:, None, :]
+        self._wl = space.values(left, nodes)
+        self._wr = space.values(r, nodes[:ni] - shifts[:ni, None, :])
+        # the keys of the terms in the order of a loop over cells, then
+        # edges: each cell's volume term, each inner edge's terms, each
+        # boundary edge's left term
+        def keys(*per_inner_edge):
+            return np.concatenate((np.arange(n), np.stack(
+                per_inner_edge, axis=1).ravel(), left[ni:]))
+
+        l = left[:ni]
+        self._res_cells = keys(l, r)  # left, right
+        # LL, LR, RL, RR
+        self._jac_rows, self._jac_cols = keys(l, l, r, r), keys(l, r, l, r)
 
     def coeffs(self, U):
         """View the flat state as (n_cells, 4, n_loc)."""
@@ -264,68 +245,66 @@ class EulerDiscretization:
             raise EulerError(
                 f"non-finite coefficient on cell {np.flatnonzero(bad)[0]}")
         tag = self.mesh.boundary_tag
-        if len(self._boundary) and tag != "exact_state":
+        if self._n_inner < len(self._left) and tag != "exact_state":
             raise EulerError(f"unsupported boundary tag {tag!r} on boundary "
-                             f"edge {self._boundary[0]} for Euler")
+                             f"edge {self._n_inner} for Euler")
         return W
 
     def spatial_residual(self, U, t_bc, frozen_alphas=None):
         """Weak-form spatial operator L(U); also returns the Lax-Friedrichs
         dissipation coefficients used, (edges, edge nodes)."""
-        gamma = self.params.gamma
+        gamma, n, ni = self.params.gamma, self.n_cells, self._n_inner
         W = self._checked_coeffs(U)
-        if frozen_alphas is not None:
-            frozen_alphas = np.asarray(frozen_alphas)
         terms = np.empty((len(self._res_cells), N_COMP, self.n_loc))
         for cells, w, B, gx, gy in self._groups:
             f1, f2 = flux(_states(B, W[cells]), gamma)
-            terms[cells] = -_weak_sums(w, f1, gx)
-            terms[self.n_cells + cells] = -_weak_sums(w, f2, gy)
-        alphas = np.empty(self.space.edge_weights.shape)
-        for ch in self._chunks:
-            um = _states(ch.wl, W[ch.left])
-            up = np.empty_like(um)
-            up[ch.inner] = _states(ch.wr, W[ch.right])
-            x = ch.bnd_nodes
-            up[~ch.inner] = vortex_exact(self.params, x[..., 0], x[..., 1],
-                                         t_bc)
-            alpha = None if frozen_alphas is None else frozen_alphas[ch.sl]
-            fn, alphas[ch.sl] = lax_friedrichs_flux(um, up, ch.normals, gamma,
-                                                    alpha)
-            terms[ch.res_slot] = _weak_sums(ch.weights, fn, ch.wl)
-            terms[ch.res_slot[ch.inner] + 1] = -_weak_sums(
-                ch.inner_weights, fn[ch.inner], ch.wr)
+            terms[cells] = -_weak_sums(w, f1, gx) - _weak_sums(w, f2, gy)
+        x = self.space.edge_nodes[ni:]
+        up = np.concatenate((_states(self._wr, W[self._right]),
+                             vortex_exact(self.params, x[..., 0], x[..., 1],
+                                          t_bc)))
+        fn, alphas = lax_friedrichs_flux(
+            _states(self._wl, W[self._left]), up, self._normals, gamma,
+            None if frozen_alphas is None else np.asarray(frozen_alphas))
+        w, wl = self.space.edge_weights, self._wl
+        inner = terms[n:n + 2 * ni].reshape(ni, 2, N_COMP, self.n_loc)
+        inner[:, 0] = _weak_sums(w[:ni], fn[:ni], wl[:ni])
+        inner[:, 1] = -_weak_sums(w[:ni], fn[:ni], self._wr)
+        terms[n + 2 * ni:] = _weak_sums(w[ni:], fn[ni:], wl[ni:])
         return sum_in_order(self._res_cells, terms)[1].ravel(), alphas
 
-    def spatial_jacobian(self, U, t_bc, alphas):
+    def spatial_jacobian(self, U, alphas):
         """Jacobian of the spatial operator with the Lax-Friedrichs
         coefficients frozen at the given per-edge values."""
-        gamma = self.params.gamma
+        n, b = self.n_cells, self.b
         W = self._checked_coeffs(U)
-        alphas = np.asarray(alphas)[..., None, None]
-        blocks = np.empty((len(self._jac_rows), self.b, self.b))
-        for cells, w, B, gx, gy in self._groups:
-            A1, A2 = flux_jacobians(_states(B, W[cells]), gamma)
-            blocks[cells] = -(_block_sums(w, gx, A1, B)
-                              + _block_sums(w, gy, A2, B))
-        I4 = np.eye(N_COMP)
-        for ch in self._chunks:
-            inner = ch.inner
-            nx = ch.normals[..., 0, None, None]
-            ny = ch.normals[..., 1, None, None]
-            alpha = alphas[ch.sl]
-            A1, A2 = flux_jacobians(_states(ch.wl, W[ch.left]), gamma)
-            dm = 0.5 * (A1 * nx + A2 * ny + alpha * I4)
-            A1, A2 = flux_jacobians(_states(ch.wr, W[ch.right]), gamma)
-            dp = 0.5 * (A1 * nx[inner] + A2 * ny[inner] - alpha[inner] * I4)
-            w, wl, wr = ch.inner_weights, ch.inner_wl, ch.wr
-            s = ch.jac_slot[inner]
-            blocks[ch.jac_slot] = _block_sums(ch.weights, ch.wl, dm, ch.wl)
-            blocks[s + 1] = _block_sums(w, wl, dp, wr)
-            blocks[s + 2] = -_block_sums(w, wr, dm[inner], wl)
-            blocks[s + 3] = -_block_sums(w, wr, dp, wr)
-        return BlockSparseMatrix.from_coo(self.n_cells, self.b, self._jac_rows,
+        blocks = np.empty((len(self._jac_rows), b, b))
+        for cells, *group in self._groups:
+            blocks[cells] = _volume_blocks(W[cells], *group, self.params.gamma)
+        self._face_blocks(W, np.asarray(alphas)[..., None, None], blocks[n:])
+        return BlockSparseMatrix.from_coo(n, b, self._jac_rows,
                                           self._jac_cols, blocks)
+
+    def _face_blocks(self, W, alphas, out):
+        """Write the face blocks, coefficients alphas (E, nq, 1, 1) frozen,
+        into out: LL, LR, RL and RR of each inner edge, then LL of each
+        boundary edge. Its temporaries, the all-edge flux derivatives among
+        them, are freed on return."""
+        gamma, ni, I4 = self.params.gamma, self._n_inner, np.eye(N_COMP)
+        nx = self._normals[..., 0, None, None]
+        ny = self._normals[..., 1, None, None]
+        A1, A2 = flux_jacobians(_states(self._wl, W[self._left]), gamma)
+        dm = 0.5 * (A1 * nx + A2 * ny + alphas * I4)
+        A1, A2 = flux_jacobians(_states(self._wr, W[self._right]), gamma)
+        dp = 0.5 * (A1 * nx[:ni] + A2 * ny[:ni] - alphas[:ni] * I4)
+        w, wl, wr = self.space.edge_weights, self._wl, self._wr
+        inner = out[:4 * ni].reshape(ni, 4, self.b, self.b)
+        _block_sums(w[:ni], wl[:ni], dm[:ni], wl[:ni], out=inner[:, 0])
+        _block_sums(w[:ni], wl[:ni], dp, wr, out=inner[:, 1])
+        _block_sums(w[:ni], wr, dm[:ni], wl[:ni], out=inner[:, 2])
+        _block_sums(w[:ni], wr, dp, wr, out=inner[:, 3])
+        np.negative(inner[:, 2:], out=inner[:, 2:])
+        _block_sums(w[ni:], wl[ni:], dm[ni:], wl[ni:], out=out[4 * ni:])
 
     def mass_blocks(self):
         """Per-cell mass blocks kron(I4, m), m the scalar mass matrix:

@@ -316,7 +316,7 @@ def run_euler_case(mesh, p, k, solver_names, tol=TOL, newton_tol=NEWTON_TOL):
         return mr.ravel() + k * r
 
     def jacobian(u):
-        J = disc.spatial_jacobian(u, k, last["alphas"])
+        J = disc.spatial_jacobian(u, last["alphas"])
         return J.scaled_add_diag(k, Mblocks)
 
     def linear_solver(A, rhs):

@@ -393,6 +393,17 @@ def _dedupe_loop(poly, snap):
     return np.array(out)
 
 
+def _checked_domain(domain):
+    """The bounds (x0, y0, x1, y1) of a finite rectangle of positive area."""
+    x0, y0, x1, y1 = bounds = tuple(map(float, domain))
+    for name, value in zip(("x0", "y0", "x1", "y1"), bounds):
+        if not np.isfinite(value):
+            raise MeshError(f"{name} = {value} is not finite")
+    if x1 <= x0 or y1 <= y0:
+        raise MeshError("degenerate domain")
+    return bounds
+
+
 def build_regular_mesh(kind, element_area, domain=UNIT_SQUARE, periodic=False,
                        boundary_tag="inflow_outflow"):
     """Tile an axis-aligned rectangle with one of the four generating patterns.
@@ -406,13 +417,8 @@ def build_regular_mesh(kind, element_area, domain=UNIT_SQUARE, periodic=False,
     row-major by centroid and share the points that round to one multiple
     of 1e-9 sqrt(element_area).
     """
-    x0, y0, x1, y1 = bounds = tuple(map(float, domain))
-    for name, value in zip(("x0", "y0", "x1", "y1"), bounds):
-        if not np.isfinite(value):
-            raise MeshError(f"{name} = {value} is not finite")
+    x0, y0, x1, y1 = _checked_domain(domain)
     W, H = x1 - x0, y1 - y0
-    if W <= 0 or H <= 0:
-        raise MeshError("degenerate domain")
     pat = GeneratingPattern.make(kind, element_area, "pointy")
     if periodic:
         pw, ph, offsets = pat.rect_period()
@@ -500,7 +506,7 @@ def build_random_mesh_pair(h, delta=None, domain=UNIT_SQUARE, seed=0):
         raise MeshError(f"h must be finite and positive, got {h}")
     if delta is None:
         delta = RANDOM_JITTER * h
-    x0, y0, x1, y1 = map(float, domain)
+    x0, y0, x1, y1 = _checked_domain(domain)
     if not 0 <= delta < h / 2:
         raise MeshError(f"perturbation must satisfy 0 <= delta < h/2, "
                         f"got delta={delta}")

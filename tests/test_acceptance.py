@@ -401,7 +401,7 @@ def test_property_jacobian_finite_difference():
     disc = EulerDiscretization(DgSpace(mesh, 1), EulerParams(x0=0.5, y0=0.5))
     U = disc.project_exact(0.0)
     _, alphas = disc.spatial_residual(U, 0.0)
-    A = disc.spatial_jacobian(U, 0.0, alphas).to_dense()
+    A = disc.spatial_jacobian(U, alphas).to_dense()
     scale = max(1.0, np.max(np.abs(A)))
     eps = 1e-6
     rng = np.random.default_rng(1)

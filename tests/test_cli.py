@@ -280,7 +280,15 @@ def test_mesh_gen_regular_takes_one_of_area_and_h(flags, message, tmp_path,
     (["mesh", "gen", "--pattern", "voronoi", "--h", "0.1", "--delta", "nan"],
      "perturbation must satisfy 0 <= delta < h/2, got delta=nan"),
     (["random-advect", "--h", "0.1", "--delta", "nan"],
-     "perturbation must satisfy 0 <= delta < h/2, got delta=nan")])
+     "perturbation must satisfy 0 <= delta < h/2, got delta=nan"),
+    (["mesh", "gen", "--pattern", "voronoi", "--h", "0.1",
+      "--domain", "nan", "0", "1", "1"], "x0 = nan is not finite"),
+    (["mesh", "gen", "--pattern", "voronoi", "--h", "0.1",
+      "--domain", "0", "0", "inf", "1"], "x1 = inf is not finite"),
+    (["mesh", "gen", "--pattern", "voronoi", "--h", "0.1",
+      "--domain", "0", "0", "0", "1"], "degenerate domain"),
+    (["mesh", "gen", "--pattern", "delaunay", "--h", "0.1",
+      "--domain", "1", "0", "0", "1"], "degenerate domain")])
 def test_bad_random_mesh_input_is_an_error(argv, message, tmp_path, capsys):
     out = tmp_path / "m.mesh"
     flags = ["--out", str(out)] if argv[0] == "mesh" else []

@@ -149,6 +149,17 @@ def test_random_pair_refuses_bad_h_and_delta(h, delta, message):
         build_random_mesh_pair(h, delta)
 
 
+@pytest.mark.parametrize("domain, message", [
+    ((np.nan, 0, 1, 1), "x0 = nan is not finite"),
+    ((0, 0, np.inf, 1), "x1 = inf is not finite"),
+    ((0, 0, 0, 1), "degenerate domain"),
+    ((1, 0, 0, 1), "degenerate domain")])
+def test_random_pair_refuses_a_bad_domain(domain, message):
+    # the check and the messages of build_regular_mesh
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        build_random_mesh_pair(0.1, domain=domain)
+
+
 def test_natural_ordering_square_grid_identity():
     mesh = build_regular_mesh("square", (1.0 / 3.0) ** 2, (0, 0, 1, 1))
     perm = natural_ordering(mesh)
@@ -720,7 +731,12 @@ def test_regular_mesh_equals_instance_loop_reference(kind, case):
 def assert_csr_invariants(mesh):
     """cell_ptr starts at 0 and steps by at least 3, cell_idx is in range,
     every stored cell turns counter-clockwise, and cell_vertices(c) reads
-    cell c's slice of cell_idx."""
+    cell c's slice of cell_idx. Every boundary edge comes after all inner
+    edges, and a periodic mesh has none: the layout of the Euler terms
+    rests on this."""
+    on_boundary = mesh.edge_right == BOUNDARY
+    assert not on_boundary[:np.count_nonzero(~on_boundary)].any()
+    assert mesh.periods is None or not on_boundary.any()
     ptr, idx = mesh.cell_ptr, mesh.cell_idx
     assert ptr.dtype == idx.dtype == np.int64
     assert ptr[0] == 0 and ptr[-1] == len(idx)
