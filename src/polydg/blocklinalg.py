@@ -206,17 +206,20 @@ def _levels(starts, stops, cols, lower):
 class BlockILU0Factorization:
     """In-place block ILU(0) on the (permuted) sparsity pattern of A.
 
-    Block IKJ elimination visiting only existing blocks; storage equals the
-    input block count. Sensitive to the element ordering, which is stored.
+    Block IKJ elimination visiting only existing blocks. Sensitive to the
+    element ordering, which is stored.
 
     The elimination and the triangular solves run by level sets (Saad,
     Iterative Methods for Sparse Linear Systems, 2nd ed., sec. 11.6): a row
-    of a forward (backward) level reads only rows of earlier levels.
-    `blocks` holds L's strictly lower blocks with the rows in forward-level
-    order, U's diagonal blocks in row order, then U's strictly upper blocks
-    with the rows in backward-level order; `uinv` holds the inverses of U's
-    diagonal blocks in backward-level order. `stored()` gives the factor in
-    the stored ordering.
+    of a forward (backward) level reads only rows of earlier levels. Each
+    sweep holds its off-diagonal blocks as row panels, with the rows in the
+    sweep's level order: row i's panel is the b x (t b) matrix of its blocks
+    of L (or of U) side by side in column order, padded with zero blocks to
+    t, the most any row of the sweep has, and each slot reads one row of
+    the sweep (a padding slot reads row i). So a level of a sweep is one
+    gather and one batched matmul. U's diagonal blocks are kept in
+    forward-level order and their inverses `uinv` in backward-level order.
+    `stored()` gives the factor in the stored ordering.
     """
 
     def __init__(self, A, ordering):
@@ -227,40 +230,75 @@ class BlockILU0Factorization:
         indptr, cols = self._indptr, self._indices
         rows = np.repeat(np.arange(n), np.diff(indptr))
         diag = np.flatnonzero(cols == rows)
+        n_lower, n_upper = diag - indptr[:-1], indptr[1:] - diag - 1
         flevel = _levels(indptr[:-1], diag, cols, lower=True)
         blevel = _levels(diag + 1, indptr[1:], cols, lower=False)
         forder = np.argsort(flevel, kind="stable")
         border = np.argsort(blevel, kind="stable")
-        fpos, self._bpos = np.argsort(forder), np.argsort(border)
-        lower = np.flatnonzero(cols < rows)
-        lower = lower[np.argsort(fpos[rows[lower]], kind="stable")]
-        upper = np.flatnonzero(cols > rows)
-        upper = upper[np.argsort(self._bpos[rows[upper]], kind="stable")]
-        self._layout = np.concatenate((lower, diag, upper))
-        self.blocks = A.blocks[source[self._layout]]
-        self.uinv = np.empty((n, b, b), dtype=self.blocks.dtype)
-        self._factorize(rows, diag, lower, np.split(
-            forder, np.cumsum(np.bincount(flevel))[:-1]))
-        self._lower = self._sweep(flevel, forder, diag - indptr[:-1],
-                                  fpos[cols[lower]], 0)
-        self._upper = self._sweep(blevel, border, indptr[1:] - diag - 1,
-                                  self._bpos[cols[upper]], len(lower) + n)
+        self._fpos, self._bpos = np.argsort(forder), np.argsort(border)
+        tf, tb = n_lower.max(initial=0), n_upper.max(initial=0)
+        # each block's place in its row's [L panel | pivot | U panel]
+        self._slot = np.arange(len(cols)) - indptr[rows] + np.where(
+            cols >= rows, tf - n_lower[rows], 0)
+        dtype = A.blocks.dtype
+        self._lower = np.zeros((n, b, tf, b), dtype=dtype)
+        self._pivots = np.empty((n, b, b), dtype=dtype)
+        self._upper = np.zeros((n, b, tb, b), dtype=dtype)
+        self.uinv = np.empty((n, b, b), dtype=dtype)
+        fsizes = np.bincount(flevel)
+        self._factorize(A.blocks, source, rows, diag, flevel, forder,
+                        fsizes)
+        # each sweep's solution, in the sweep's order, which every apply
+        # reuses (so one caller at a time); the levels hold views of it
+        self._z = np.empty((2, n, b), dtype=dtype)
+        self._forward = self._panel_levels(
+            self._z[0], self._lower, self._fpos, rows, cols, cols < rows, 0,
+            fsizes)
+        self._backward = self._panel_levels(
+            self._z[1], self._upper, self._bpos, rows, cols, cols > rows,
+            tf + 1, np.bincount(blevel), self.uinv)
         self._gather = self.ordering[forder]
-        self._to_backward = fpos[border]
+        self._to_backward = self._fpos[border]
         self._unorder = self._bpos[np.argsort(self.ordering)]
 
-    def _factorize(self, rows, diag, lower, levels):
-        """Level by level, step t takes the t-th lower block (i, k) of every
-        row i of the level as one batch: L_ik = A_ik U_kk^{-1}, then
-        A_ij -= L_ik U_kj for each block (k, j) of U with (i, j) in the
-        pattern. The level's pivot blocks are inverted after its last step.
-        Each block sees the operations of the row-by-row elimination in the
-        same order, so the factor is bitwise the same. A singular pivot is
-        named by its row: the first in the earliest level that has one."""
-        n, indptr, cols, blocks = self.n, self._indptr, self._indices, \
-            self.blocks
-        where = np.empty(len(cols), dtype=np.int64)  # position in blocks
-        where[self._layout] = np.arange(len(cols))
+    def _panel_levels(self, z, panels, pos, rows, cols, mask, first, sizes,
+                      uinv=None):
+        """Per level of a sweep, whose rows `pos` places and whose blocks
+        `mask` picks, with their slots from `first` on: the level's rows of
+        the sweep's solution z, as (rows, b, 1); its row panels as b x (t b)
+        matrices; the rows its slots read; a buffer for what they read, as
+        (rows, t b, 1) and as (rows t, b); and its rows of uinv, if given."""
+        n, b, t = self.n, self.b, panels.shape[2]
+        reads = np.repeat(np.arange(n), t).reshape(n, t)
+        reads[pos[rows[mask]], self._slot[mask] - first] = pos[cols[mask]]
+        panels = panels.reshape(n, b, t * b)
+        ends = np.cumsum(sizes)
+        levels = []
+        for s, e in zip((ends - sizes).tolist(), ends.tolist()):
+            read = np.empty((e - s, t * b, 1), dtype=z.dtype)
+            level = (z[s:e, :, None], panels[s:e], reads[s:e].ravel(), read,
+                     read.reshape((e - s) * t, b))
+            levels.append(level if uinv is None else (*level, uinv[s:e]))
+        return levels
+
+    def _factorize(self, blocks, source, rows, diag, flevel, forder, sizes):
+        """Level by level, in working rows [L blocks | pivot | U blocks]
+        filled from A's `blocks` (pattern block p is blocks[source[p]]):
+        step t takes the t-th lower block (i, k) of every row i of the level
+        as one batch: L_ik = A_ik U_kk^{-1}, then A_ij -= L_ik U_kj for each
+        block (k, j) of U with (i, j) in the pattern. The level's pivot
+        blocks are inverted after its last step, and its working rows are
+        written to the panels. Each block sees the operations of the
+        row-by-row elimination in the same order, so the factor is bitwise
+        the same. A singular pivot is named by its row: the first in the
+        earliest level that has one."""
+        n, b, indptr, cols = self.n, self.b, self._indptr, self._indices
+        slot, tf = self._slot, self._lower.shape[2]
+        width = tf + 1 + self._upper.shape[2]
+        ends = np.cumsum(sizes)
+        # each block's place in its level's working rows
+        work = (self._fpos[rows] - (ends - sizes)[flevel[rows]]) * width + slot
+        lower = np.flatnonzero(cols < rows)
         # lower block (i, k) meets each upper block (k, j) of row k
         k = cols[lower]
         counts = (indptr[1:] - diag - 1)[k]
@@ -271,56 +309,71 @@ class BlockILU0Factorization:
         target = rows[lower[meet]] * n + cols[kj]
         ij = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
         hit = keys[ij] == target
-        meet, kj, ij = meet[hit], where[kj[hit]], where[ij[hit]]
-        rank = lower - indptr[rows[lower]]  # place of each in its row
-        ukk, n_lower = self._bpos[k], diag - indptr[:-1]
-        lo = 0
-        for level in levels:
-            hi = lo + n_lower[level].sum()
-            mlo, mhi = np.searchsorted(meet, (lo, hi))
-            for t in range(rank[lo:hi].max(initial=-1) + 1):
-                ik = lo + np.flatnonzero(rank[lo:hi] == t)
-                m = mlo + np.flatnonzero(rank[meet[mlo:mhi]] == t)
-                blocks[ik] = blocks[ik] @ self.uinv[ukk[ik]]
-                blocks[ij[m]] = blocks[ij[m]] - blocks[meet[m]] @ blocks[kj[m]]
+        meet, kj, ij = meet[hit], kj[hit], ij[hit]
+        # step (level, t) of each lower block and each meeting, in step order
+        step = flevel[rows[lower]] * tf + slot[lower]
+        by_step = np.argsort(step, kind="stable")
+        ik_at, ukk = work[lower[by_step]], self._bpos[k[by_step]]
+        m = np.argsort(step[meet], kind="stable")
+        meet, kj, ij = meet[m], kj[m], ij[m]
+        mik_at, ij_at = work[lower[meet]], work[ij]
+        kj_row, kj_slot = self._bpos[rows[kj]], slot[kj] - tf - 1
+        steps = np.arange(len(sizes) * tf + 1)
+        lsteps = np.searchsorted(step[by_step], steps).tolist()
+        msteps = np.searchsorted(step[meet], steps).tolist()
+        by_row = np.argsort(self._fpos[rows], kind="stable")
+        fill_at, fill_src = work[by_row], source[by_row]
+        row_first = np.concatenate(([0], np.cumsum(np.diff(indptr)[forder])))
+        for lev, (s, e) in enumerate(zip((ends - sizes).tolist(),
+                                         ends.tolist())):
+            W = np.zeros(((e - s) * width, b, b), dtype=blocks.dtype)
+            here = slice(row_first[s], row_first[e])  # the level's blocks
+            W[fill_at[here]] = blocks[fill_src[here]]
+            for t in range(lev * tf, (lev + 1) * tf):
+                lo, hi = lsteps[t], lsteps[t + 1]
+                if lo == hi:
+                    break
+                at = ik_at[lo:hi]
+                W[at] = W[at] @ self.uinv[ukk[lo:hi]]
+                lo, hi = msteps[t], msteps[t + 1]
+                at = ij_at[lo:hi]
+                W[at] = W[at] - W[mik_at[lo:hi]] @ self._upper[
+                    kj_row[lo:hi], :, kj_slot[lo:hi]]
+            W = W.reshape(e - s, width, b, b)
+            level = forder[s:e]
+            self._pivots[s:e] = W[:, tf]
             self.uinv[self._bpos[level]] = _block_inverse(
-                blocks[len(lower) + level], "pivot block at elimination step",
-                level)
-            lo = hi
-
-    def _sweep(self, level, order, counts, cols, offset):
-        """Per level of a sweep: its first and end row in the sweep's order
-        and one BSR matrix over a view of its off-diagonal blocks. `order`
-        lists the rows by level, counts[i] is the number of off-diagonal
-        blocks of row i, `cols` their columns in the sweep's order, and
-        blocks[offset:] the blocks."""
-        # int32 indices, which scipy.sparse would otherwise check and convert
-        ptr = np.concatenate(([0], np.cumsum(counts[order]))).astype(np.int32)
-        cols = cols.astype(np.int32)
-        ends = np.cumsum(np.bincount(level))
-        return [(s, e, scipy.sparse.bsr_matrix(
-            (self.blocks[offset + ptr[s]:offset + ptr[e]], cols[ptr[s]:ptr[e]],
-             ptr[s:e + 1] - ptr[s]), shape=((e - s) * self.b, self.n * self.b)))
-            for s, e in zip(ends - np.bincount(level), ends)]
+                self._pivots[s:e], "pivot block at elimination step", level)
+            self._lower[s:e] = W[:, :tf].transpose(0, 2, 1, 3)
+            self._upper[self._bpos[level]] = W[:, tf + 1:].transpose(
+                0, 2, 1, 3)
 
     def apply(self, x):
         """Solve L U y = x (in the stored ordering)."""
-        z = x.reshape(self.n, self.b)[self._gather]
-        for s, e, L in self._lower:
-            z[s:e] -= (L @ z.reshape(-1)).reshape(e - s, self.b)
-        z = z[self._to_backward]
-        for s, e, U in self._upper:
-            acc = z[s:e] - (U @ z.reshape(-1)).reshape(e - s, self.b)
-            z[s:e] = (self.uinv[s:e] @ acc[:, :, None])[:, :, 0]
-        return z[self._unorder].reshape(x.shape)
+        z, zb = self._z
+        np.take(x.reshape(self.n, self.b), self._gather, axis=0, out=z)
+        # mode="clip" lets take write to `out` unbuffered; reads are in range
+        for zs, L, reads, read, read_rows in self._forward:
+            z.take(reads, axis=0, out=read_rows, mode="clip")
+            zs -= L @ read
+        np.take(z, self._to_backward, axis=0, out=zb)
+        for zs, U, reads, read, read_rows, uinv in self._backward:
+            zb.take(reads, axis=0, out=read_rows, mode="clip")
+            np.matmul(uinv, zs - U @ read, out=zs)
+        return zb[self._unorder].reshape(x.shape)
 
     def stored(self):
         """The factor in the stored ordering, as the row-by-row elimination
         leaves it: a BlockSparseMatrix of L's strictly lower blocks (L's unit
         diagonal is implied) and U's blocks, and the inverses of U's diagonal
         blocks by row."""
-        blocks = np.empty_like(self.blocks)
-        blocks[self._layout] = self.blocks
+        rows = np.repeat(np.arange(self.n), np.diff(self._indptr))
+        slot, tf = self._slot, self._lower.shape[2]
+        lower, upper = slot < tf, slot > tf
+        blocks = self._pivots[self._fpos[rows]]
+        blocks[lower] = self._lower[self._fpos[rows[lower]], :, slot[lower]]
+        blocks[upper] = self._upper[self._bpos[rows[upper]], :,
+                                    slot[upper] - tf - 1]
         return (BlockSparseMatrix(self.n, self.b, self._indptr, self._indices,
                                   blocks), self.uinv[self._bpos])
 
@@ -364,14 +417,15 @@ def block_jacobi_solve(A, rhs, tol=TOL):
     """
     fac = factor_block_jacobi(A)
     x = np.zeros(A.dim)
+    r = rhs  # the residual of x = 0
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         bnorm = 1.0
     for it in range(MAX_ITERS + 1):
-        r = rhs - A.matvec(x)
         if np.linalg.norm(r) <= tol * bnorm:
             return x, it, True
         x = x + fac.apply(r)
+        r = rhs - A.matvec(x)
     return x, MAX_ITERS, False
 
 
@@ -392,8 +446,8 @@ def gmres(A, rhs, preconditioner=None, tol=TOL):
     if bnorm == 0.0:
         return x, 0, True
     total = 0
+    r = rhs  # the residual of x = 0
     while total <= max_iters:
-        r = rhs - A.matvec(x)
         beta = np.linalg.norm(r)
         if beta <= tol * bnorm:
             return x, total, True
@@ -438,7 +492,7 @@ def gmres(A, rhs, preconditioner=None, tol=TOL):
         y = scipy.linalg.solve_triangular(H[:j_used, :j_used], g[:j_used],
                                           check_finite=False)
         x = x + prec(V[:j_used].T @ y)
-    r = rhs - A.matvec(x)
+        r = rhs - A.matvec(x)
     return x, total, np.linalg.norm(r) <= tol * bnorm
 
 

@@ -401,6 +401,9 @@ def _checked_domain(domain):
             raise MeshError(f"{name} = {value} is not finite")
     if x1 <= x0 or y1 <= y0:
         raise MeshError("degenerate domain")
+    for name, size in (("width", x1 - x0), ("height", y1 - y0)):
+        if not np.isfinite(size):
+            raise MeshError(f"domain {name} = {size} is not finite")
     return bounds
 
 

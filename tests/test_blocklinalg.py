@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydg import blocklinalg
+from polydg.basis import DgSpace
 from polydg.blocklinalg import (BlockSparseMatrix, LinalgError,
                                 block_jacobi_solve, factor_bilu0,
                                 factor_block_jacobi, gmres,
                                 jacobi_iteration_matrix, spectral_radius)
+from polydg.discretization import assemble_advection, rotating_velocity
+from polydg.mesh import (build_random_mesh_pair, build_regular_mesh,
+                         natural_ordering)
+from polydg.timestepping import backward_euler_system
 
 
 def random_block_matrix(n, b, density=0.3, seed=0, sdd=True):
@@ -465,6 +470,53 @@ def test_bilu0_apply_matches_dense_solve_and_row_sweep(system):
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     ref = ilu0_apply_reference(fac, x)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def advect_system(mesh, p):
+    """Backward Euler advection operator at k = 0.1 and its natural
+    ordering."""
+    M, L = assemble_advection(DgSpace(mesh, p), rotating_velocity)
+    return backward_euler_system(M, L, 0.1), natural_ordering(mesh)
+
+
+@pytest.mark.parametrize("kind", ["hexagon", "voronoi"])
+def test_bilu0_row_panels_on_assembled_operators(kind):
+    # p = 2 blocks are 6 x 6; the Voronoi rows hold uneven numbers of lower
+    # and upper blocks, so most row panels are padded with zero blocks
+    mesh = (build_regular_mesh("hexagon", 0.2 ** 2) if kind == "hexagon"
+            else build_random_mesh_pair(0.2)[1])
+    A, ordering = advect_system(mesh, 2)
+    fac = factor_bilu0(A, ordering)
+    F, uinv = fac.stored()
+    ref_blocks, ref_uinv = bilu0_reference(A, ordering)
+    assert np.array_equal(F.blocks, ref_blocks)
+    assert np.array_equal(uinv, ref_uinv)
+    rows = np.repeat(np.arange(F.n), np.diff(F.indptr))
+    n_lower = np.bincount(rows[F.indices < rows], minlength=F.n)
+    n_upper = np.bincount(rows[F.indices > rows], minlength=F.n)
+    if kind == "voronoi":
+        assert n_lower.max() - n_lower.min() >= 3
+        assert n_upper.max() - n_upper.min() >= 3
+    rng = np.random.default_rng(21)
+    x, other = rng.standard_normal((2, A.dim))
+    x_before = x.copy()
+    got = fac.apply(x)
+    assert np.array_equal(x, x_before)
+    ref = ilu0_apply_reference(fac, x)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    # each apply returns its own array
+    got_before = got.copy()
+    fac.apply(other)
+    assert np.array_equal(got, got_before)
+
+
+def test_bilu0_of_one_block_row():
+    block = np.array([[4.0, 1.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 3.0]])
+    A = BlockSparseMatrix(1, 3, [0, 1], [0], block[None])
+    fac = factor_bilu0(A)
+    x = np.array([1.0, -2.0, 0.5])
+    assert np.allclose(fac.apply(x), np.linalg.solve(block, x), rtol=1e-14)
+    assert np.array_equal(fac.stored()[1][0], block_inverse_reference(block))
 
 
 @settings(max_examples=30, deadline=None)

@@ -155,7 +155,10 @@ def test_analyze_bad_degree_exits_2_before_any_sweep(monkeypatch, capsys):
     (["--area", "nan"], "element_area = nan is not finite"),
     (["--area", "inf"], "element_area = inf is not finite"),
     (["--area", "0.02", "--domain", "0", "0", "inf", "1"],
-     "x1 = inf is not finite")])
+     "x1 = inf is not finite"),
+    # argparse reads "-1e308" as a flag, but not a negative integer
+    (["--area", "0.02", "--domain", str(-10 ** 308), "0", "1e308", "1"],
+     "domain width = inf is not finite")])
 def test_mesh_gen_non_finite_input_exits_2(flags, message, tmp_path, capsys):
     out = tmp_path / "m.mesh"
     rc = main(["mesh", "gen", "--pattern", "hex", "--out", str(out)] + flags)
@@ -288,7 +291,10 @@ def test_mesh_gen_regular_takes_one_of_area_and_h(flags, message, tmp_path,
     (["mesh", "gen", "--pattern", "voronoi", "--h", "0.1",
       "--domain", "0", "0", "0", "1"], "degenerate domain"),
     (["mesh", "gen", "--pattern", "delaunay", "--h", "0.1",
-      "--domain", "1", "0", "0", "1"], "degenerate domain")])
+      "--domain", "1", "0", "0", "1"], "degenerate domain"),
+    (["mesh", "gen", "--pattern", "voronoi", "--h", "0.1",
+      "--domain", "0", str(-10 ** 308), "1", "1e308"],
+     "domain height = inf is not finite")])
 def test_bad_random_mesh_input_is_an_error(argv, message, tmp_path, capsys):
     out = tmp_path / "m.mesh"
     flags = ["--out", str(out)] if argv[0] == "mesh" else []

@@ -122,12 +122,12 @@ ADVECT_CSV = (
     "solver=gmres tol=1e-14\r\n"
     "experiment,mesh,pattern,p,k_label,solver,preconditioner,iterations,"
     "newton_iters,final_residual,wall_ms\r\n"
-    "advect,regular-hexagon,hexagon,1,k2,gmres,ilu0,7,,4.414e-16,0.0\r\n")
+    "advect,regular-hexagon,hexagon,1,k2,gmres,ilu0,7,,2.262e-16,0.0\r\n")
 ADVECT_TABLE = (
     "experiment  mesh             pattern  p  k_label  solver  "
     "preconditioner  iterations  newton_iters  final_residual  wall_ms\n"
     "advect      regular-hexagon  hexagon  1  k2       gmres   ilu0"
-    "            7                         4.414e-16       0.0    ")
+    "            7                         2.262e-16       0.0    ")
 
 
 def test_advect_wall_ms_includes_the_set_up(monkeypatch):
@@ -185,13 +185,20 @@ def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a small advect and Euler case in fresh interpreters, the thread
     # count set before numpy loads; every column but wall_ms must match,
     # and so must the Jacobian contraction of a p = 3 volume group's size
-    # (128 cells, 150 nodes, 10 basis functions) on random inputs
+    # (128 cells, 150 nodes, 10 basis functions) on random inputs and an
+    # ILU(0) apply on a p = 3 advect system
     src = os.path.dirname(os.path.dirname(polydg.__file__))
     code = ("import hashlib, sys\n"
             "import numpy as np\n"
+            "from polydg.basis import DgSpace\n"
+            "from polydg.blocklinalg import factor_bilu0\n"
+            "from polydg.discretization import (assemble_advection,\n"
+            "                                   rotating_velocity)\n"
             "from polydg.euler import _block_sums\n"
-            "from polydg.experiments import (SOLVER_CONFIGS, run_advect,\n"
-            "                                run_euler_vortex)\n"
+            "from polydg.experiments import (SOLVER_CONFIGS, advection_mesh,\n"
+            "                                run_advect, run_euler_vortex)\n"
+            "from polydg.mesh import natural_ordering\n"
+            "from polydg.timestepping import backward_euler_system\n"
             "run_advect(('hexagon',), (3,), ('k2',), 'gmres', 'ilu0',\n"
             "           h=0.1, n_steps=2).write_csv(sys.argv[1])\n"
             "run_euler_vortex(('rtri',), (1,), ('k2',),\n"
@@ -200,7 +207,13 @@ def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
             "w, a, D, c = (rng.standard_normal((128, 150) + s)\n"
             "              for s in ((), (10,), (4, 4), (10,)))\n"
             "J = _block_sums(w, a, D, c)\n"
-            "print(J.shape, hashlib.sha256(J.tobytes()).hexdigest())\n")
+            "print(J.shape, hashlib.sha256(J.tobytes()).hexdigest())\n"
+            "mesh = advection_mesh('hexagon', 0.1)\n"
+            "M, L = assemble_advection(DgSpace(mesh, 3), rotating_velocity)\n"
+            "A = backward_euler_system(M, L, 0.1)\n"
+            "y = factor_bilu0(A, natural_ordering(mesh)).apply(\n"
+            "    rng.standard_normal(A.dim))\n"
+            "print(y.shape, hashlib.sha256(y.tobytes()).hexdigest())\n")
     rows, sums = {}, {}
     for n in (1, 2):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(n),
@@ -218,4 +231,5 @@ def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert len(rows[1]) == 3 + 5  # comment, header and rows of each
     assert rows[1] == rows[2]
     assert sums[1].startswith("(128, 40, 40) ")
+    assert "\n(1200,) " in sums[1]
     assert sums[1] == sums[2]

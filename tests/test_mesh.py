@@ -153,11 +153,22 @@ def test_random_pair_refuses_bad_h_and_delta(h, delta, message):
     ((np.nan, 0, 1, 1), "x0 = nan is not finite"),
     ((0, 0, np.inf, 1), "x1 = inf is not finite"),
     ((0, 0, 0, 1), "degenerate domain"),
-    ((1, 0, 0, 1), "degenerate domain")])
+    ((1, 0, 0, 1), "degenerate domain"),
+    ((-1e308, 0, 1e308, 1), "domain width = inf is not finite"),
+    ((0, -1e308, 1, 1e308), "domain height = inf is not finite")])
 def test_random_pair_refuses_a_bad_domain(domain, message):
     # the check and the messages of build_regular_mesh
     with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
         build_random_mesh_pair(0.1, domain=domain)
+
+
+@pytest.mark.parametrize("domain, message", [
+    ((-1e308, 0, 1e308, 1), "domain width = inf is not finite"),
+    ((0, -1e308, 1, 1e308), "domain height = inf is not finite")])
+def test_regular_mesh_refuses_an_overflowing_domain(domain, message):
+    # finite bounds whose width or height overflows to inf
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        build_regular_mesh("square", 0.01, domain)
 
 
 def test_natural_ordering_square_grid_identity():

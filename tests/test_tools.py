@@ -65,3 +65,46 @@ def test_small_advect_counts_are_ulp_stable():
         assert len(counts) == 3 and len(set(counts)) == 1, (pattern, solver)
         got.setdefault(pattern, []).append(counts[0][0])
     assert {kind: tuple(c) for kind, c in got.items()} == STABLE_ADVECT_COUNTS
+
+
+def test_against_flags_counts_outside_the_parent_range(tmp_path, capsys):
+    # the smoke advect cell unperturbed, compared with doctored parent CSVs
+    ulp = load_tool("ulp_ensemble")
+    this = tmp_path / "this.csv"
+    run = ["advect", "--smoke", "--seeds", "0", "--out", str(this)]
+    assert ulp.main(run) == 0
+    header, *rows = this.read_text().splitlines()[1:]
+    cols = header.split(",")
+    first = rows[0].split(",")
+    count = int(first[cols.index("iterations")])
+
+    def parent(iterations, lo, hi):
+        row = list(first)
+        row[cols.index("iterations")] = str(iterations)
+        row[cols.index("iterations_min")] = str(lo)
+        row[cols.index("iterations_max")] = str(hi)
+        path = tmp_path / "parent.csv"
+        path.write_text("\n".join(["# seeds=4", header, ",".join(row),
+                                   *rows[1:]]) + "\n")
+        return ["--against", str(path)]
+
+    label = "advect {} p={} {} {}/{}".format(*first[1:6])
+    capsys.readouterr()
+    assert ulp.main(run + parent(count, count, count)) == 0
+    assert capsys.readouterr().err == ""
+    # moved, but within the parent's range
+    assert ulp.main(run + parent(count + 1, count, count + 1)) == 0
+    assert capsys.readouterr().err == (
+        f"moved: {label} iterations {count + 1} -> {count}, "
+        f"parent range {count}-{count + 1}\n")
+    assert ulp.main(run + parent(count + 1, count + 1, count + 2)) == 1
+    assert capsys.readouterr().err == (
+        f"outside: {label} iterations {count + 1} -> {count}, "
+        f"parent range {count + 1}-{count + 2}\n")
+    # a cell the parent did not run
+    path = tmp_path / "parent.csv"
+    path.write_text("\n".join(["# seeds=4", header, *rows[1:]]) + "\n")
+    assert ulp.main(run + ["--against", str(path)]) == 1
+    assert capsys.readouterr().err == f"no parent row: {label}\n"
+    assert ulp.main(run + ["--against", str(tmp_path / "missing.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: --against: ")

@@ -2,6 +2,7 @@
 
     python tools/ulp_ensemble.py [advect] [euler] [--seeds N]
         [--patterns rtri,...] [--p 3,...] [--k k2,...] [--smoke] [--out PATH]
+        [--against PARENT.csv]
 
 Runs each cell (pattern, p, k) of each table named (default: both), with
 every solver configuration of `experiments.SOLVER_CONFIGS`, once as is and
@@ -19,6 +20,13 @@ maximum differ has a count that round-off moves, so a change that moves
 only the last bits of its inputs may move that count within that range.
 `--smoke` runs a small size (advect at h = 0.2 with 2 steps, Euler at p = 0,
 one pattern and timestep, 2 seeds) in a few seconds.
+
+`--against PARENT.csv` compares this run's unperturbed counts with an
+ensemble CSV written by an earlier run, say of the parent commit. It prints
+to standard error every iteration count that differs from the parent's
+unperturbed count, and every count (Newton steps included) outside the
+parent's range, with that range, and exits 1 if any count lies outside it
+or has no parent row. `--seeds 0` runs the unperturbed counts only.
 """
 
 import argparse
@@ -109,6 +117,49 @@ def ranges(table, runs):
                min(newton, default=""), max(newton, default="")]
 
 
+def read_ranges(path):
+    """{(table, pattern, p, k_label, solver, preconditioner): row} of an
+    ensemble CSV, each row a {column: text} dict."""
+    with open(path, newline="") as f:
+        lines = [line for line in csv.reader(f)
+                 if line and not line[0].startswith("#")]
+    header, *rows = lines
+    return {tuple(row[:6]): dict(zip(header, row)) for row in rows}
+
+
+def against(table_runs, parent):
+    """Print each unperturbed count of table_runs ({table: runs}) that
+    moved from the parent's (a read_ranges dict) or lies outside the
+    parent's range; return how many lie outside or have no parent row. The
+    CSV keeps no unperturbed Newton count, so a Newton count is judged by
+    the range alone."""
+    bad = 0
+    for table, runs in table_runs.items():
+        for cell, counts in runs.items():
+            key = (table, *map(str, cell))
+            label = "{} {} p={} {} {}/{}".format(*key)
+            ref = parent.get(key)
+            if ref is None:
+                print(f"no parent row: {label}", file=sys.stderr)
+                bad += 1
+                continue
+            iterations, newton = counts[0]
+            checks = [("iterations", iterations, int(ref["iterations"]),
+                       ref["iterations_min"], ref["iterations_max"])]
+            if newton != "":
+                checks.append(("newton", int(newton), None,
+                               ref["newton_min"], ref["newton_max"]))
+            for what, got, was, lo, hi in checks:
+                inside = int(lo) <= got <= int(hi)
+                if inside and was in (None, got):
+                    continue
+                bad += not inside
+                print(f"{'moved' if inside else 'outside'}: {label} {what} "
+                      f"{'' if was is None else f'{was} -> '}{got}, "
+                      f"parent range {lo}-{hi}", file=sys.stderr)
+    return bad
+
+
 def _csv_list(kind=str):
     return lambda text: tuple(kind(v) for v in text.split(","))
 
@@ -123,6 +174,8 @@ def main(argv=None):
     parser.add_argument("--k", dest="k_labels", type=_csv_list())
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
+    parser.add_argument("--against", metavar="PARENT.csv",
+                        help="an ensemble CSV to compare the counts with")
     args = parser.parse_args(argv)
     for table in args.tables:
         if table not in TABLES:
@@ -133,22 +186,30 @@ def main(argv=None):
     if args.seeds < 0:
         parser.error("--seeds must not be negative")
     given = {k: getattr(args, k) for k in CELLS if getattr(args, k)}
-    rows = []
+    table_runs = {}
+    try:
+        # read first, so that a bad file fails before the runs
+        parent = read_ranges(args.against) if args.against else None
+    except (OSError, ValueError) as exc:
+        print(f"error: --against: {exc}", file=sys.stderr)
+        return 2
     try:
         for table in dict.fromkeys(args.tables or TABLES):
             size = SMOKE[table] if args.smoke else {}
-            runs = ensemble(table, args.seeds, **{**CELLS, **size, **given})
-            rows += ranges(table, runs)
+            table_runs[table] = ensemble(table, args.seeds,
+                                         **{**CELLS, **size, **given})
     except (BasisError, experiments.ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    rows = [row for table, runs in table_runs.items()
+            for row in ranges(table, runs)]
     with (open(args.out, "w", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
         w = csv.writer(out)
         w.writerow([f"# seeds={args.seeds} ulp={ULP!r} smoke={args.smoke}"])
         w.writerow(HEADER)
         w.writerows(rows)
-    return 0
+    return 1 if parent is not None and against(table_runs, parent) else 0
 
 if __name__ == "__main__":
     sys.exit(main())
