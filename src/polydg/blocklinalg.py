@@ -203,6 +203,84 @@ def _levels(starts, stops, cols, lower):
     return np.array(level, dtype=np.int64)
 
 
+class _Panels:
+    """The row panels of one triangular sweep of block ILU(0), padded level
+    by level.
+
+    The sweep visits the rows by level (`order`; `pos` is each row's place
+    in it) and reads the off-diagonal blocks that `mask` picks. A row's
+    panel is the b x (t b) matrix of those blocks side by side in column
+    order, padded with zero blocks to t, the most any row of its level has
+    (`widths`); each slot reads one row of the sweep, `reads`, and a padding
+    slot reads the row itself. The levels' panels lie back to back in one
+    flat buffer, so the b rows of block p are the rows first[p] + stride[p]
+    * arange(b) of the buffer seen as (-1, b).
+    """
+
+    def __init__(self, level, rows, cols, mask, b):
+        n, self.b, self.level = len(level), b, level
+        self.order = np.argsort(level, kind="stable")
+        self.pos = np.argsort(self.order)
+        sizes = np.bincount(level)
+        self.bounds = np.concatenate(([0], np.cumsum(sizes)))
+        count = np.bincount(rows[mask], minlength=n)
+        self.widths = np.zeros(len(sizes), dtype=np.int64)
+        np.maximum.at(self.widths, level, count)
+        # each level's first slot, and each row's
+        self.slots = np.concatenate(([0], np.cumsum(sizes * self.widths)))
+        t = self.widths[level]
+        row_slot = self.slots[level] + (self.pos - self.bounds[level]) * t
+        self.reads = np.repeat(np.arange(n), t[self.order])
+        r = rows[mask]
+        k = np.arange(len(r)) - (np.cumsum(count) - count)[r]  # place in row
+        self.reads[row_slot[r] + k] = self.pos[cols[mask]]
+        self.first = np.zeros(len(rows), dtype=np.int64)
+        self.stride = np.zeros(len(rows), dtype=np.int64)
+        self.first[mask] = b * row_slot[r] + k
+        self.stride[mask] = t[r]
+
+    def segments(self, p):
+        """The rows of the flat buffer seen as (-1, b) that hold blocks p,
+        as (len(p), b)."""
+        return self.first[p, None] + self.stride[p, None] * np.arange(self.b)
+
+    def panels(self, buf):
+        """Per level, its rows s:e of the sweep, its slots and its panels
+        in the flat buffer buf, as (rows, b, t b)."""
+        b, bounds, slots = self.b, self.bounds.tolist(), self.slots.tolist()
+        for lev, t in enumerate(self.widths.tolist()):
+            s, e = bounds[lev], bounds[lev + 1]
+            yield s, e, slice(slots[lev], slots[lev + 1]), buf[
+                b * b * slots[lev]:b * b * slots[lev + 1]].reshape(
+                    e - s, b, t * b)
+
+    def levels(self, buf, z, read, prod):
+        """Per level that reads a row: its rows of the sweep's solution z,
+        as (rows, b, 1); its panels in buf; the rows its slots read; views
+        of the flat buffer `read` for what they read, as (rows, t b, 1) and
+        as (rows t, b); and a view of the flat buffer `prod` for the
+        product, as (rows, b, 1)."""
+        out = []
+        for s, e, slots, panels in self.panels(buf):
+            m, tb = panels.shape[0], panels.shape[2]
+            if tb:
+                here = read[:m * tb].reshape(m, tb, 1)
+                out.append((z[s:e, :, None], panels, self.reads[slots], here,
+                            here.reshape(-1, self.b),
+                            prod[:m * self.b].reshape(m, self.b, 1)))
+        return out
+
+
+def _sweep(z, levels):
+    """Level by level, subtract from the level's rows of z its panels
+    times the rows of z they read."""
+    # mode="clip" lets take write to `out` unbuffered; reads are in range
+    for zs, panels, reads, read, read_rows, prod in levels:
+        z.take(reads, axis=0, out=read_rows, mode="clip")
+        np.matmul(panels, read, out=prod)
+        zs -= prod
+
+
 class BlockILU0Factorization:
     """In-place block ILU(0) on the (permuted) sparsity pattern of A.
 
@@ -211,97 +289,82 @@ class BlockILU0Factorization:
 
     The elimination and the triangular solves run by level sets (Saad,
     Iterative Methods for Sparse Linear Systems, 2nd ed., sec. 11.6): a row
-    of a forward (backward) level reads only rows of earlier levels. Each
-    sweep holds its off-diagonal blocks as row panels, with the rows in the
-    sweep's level order: row i's panel is the b x (t b) matrix of its blocks
-    of L (or of U) side by side in column order, padded with zero blocks to
-    t, the most any row of the sweep has, and each slot reads one row of
-    the sweep (a padding slot reads row i). So a level of a sweep is one
-    gather and one batched matmul. U's diagonal blocks are kept in
-    forward-level order and their inverses `uinv` in backward-level order.
-    `stored()` gives the factor in the stored ordering.
+    of a forward (backward) level reads only rows of earlier levels. L and
+    U are held as the row panels of their sweeps (`_Panels`), so a level of
+    a sweep is one gather and one batched matmul. The inverses `uinv` of
+    U's diagonal blocks, in backward-level order, are folded into U's
+    panels: the backward sweep multiplies its right-hand side by uinv once
+    and then subtracts U_ii^{-1} U_ij z_j level by level. `stored()` gives
+    the factor in the stored ordering by factoring A's blocks again.
     """
+
+    FOLD_ROWS = 64   # rows of U's panels multiplied by uinv at once
 
     def __init__(self, A, ordering):
         n, b = self.n, self.b = A.n, A.b
         self.ordering = ordering
-        self._indptr, self._indices, source = A._permuted_pattern(
+        self._indptr, self._indices, self._source = A._permuted_pattern(
             self.ordering)
+        self._blocks = A.blocks   # read-only, so stored() can factor again
         indptr, cols = self._indptr, self._indices
         rows = np.repeat(np.arange(n), np.diff(indptr))
         diag = np.flatnonzero(cols == rows)
-        n_lower, n_upper = diag - indptr[:-1], indptr[1:] - diag - 1
-        flevel = _levels(indptr[:-1], diag, cols, lower=True)
-        blevel = _levels(diag + 1, indptr[1:], cols, lower=False)
-        forder = np.argsort(flevel, kind="stable")
-        border = np.argsort(blevel, kind="stable")
-        self._fpos, self._bpos = np.argsort(forder), np.argsort(border)
-        tf, tb = n_lower.max(initial=0), n_upper.max(initial=0)
-        # each block's place in its row's [L panel | pivot | U panel]
-        self._slot = np.arange(len(cols)) - indptr[rows] + np.where(
-            cols >= rows, tf - n_lower[rows], 0)
-        dtype = A.blocks.dtype
-        self._lower = np.zeros((n, b, tf, b), dtype=dtype)
-        self._pivots = np.empty((n, b, b), dtype=dtype)
-        self._upper = np.zeros((n, b, tb, b), dtype=dtype)
-        self.uinv = np.empty((n, b, b), dtype=dtype)
-        fsizes = np.bincount(flevel)
-        self._factorize(A.blocks, source, rows, diag, flevel, forder,
-                        fsizes)
-        # each sweep's solution, in the sweep's order, which every apply
-        # reuses (so one caller at a time); the levels hold views of it
-        self._z = np.empty((2, n, b), dtype=dtype)
-        self._forward = self._panel_levels(
-            self._z[0], self._lower, self._fpos, rows, cols, cols < rows, 0,
-            fsizes)
-        self._backward = self._panel_levels(
-            self._z[1], self._upper, self._bpos, rows, cols, cols > rows,
-            tf + 1, np.bincount(blevel), self.uinv)
-        self._gather = self.ordering[forder]
-        self._to_backward = self._fpos[border]
-        self._unorder = self._bpos[np.argsort(self.ordering)]
+        self._fwd = _Panels(_levels(indptr[:-1], diag, cols, lower=True),
+                            rows, cols, cols < rows, b)
+        self._bwd = _Panels(_levels(diag + 1, indptr[1:], cols, lower=False),
+                            rows, cols, cols > rows, b)
+        lbuf, _, ubuf, self.uinv = self._factorize()
+        # U_ii^{-1} U_ij in place: matmul copies an input that overlaps its
+        # output, so a chunk of rows bounds that copy
+        for s, e, _, U in self._bwd.panels(ubuf):
+            for c in range(0, e - s, self.FOLD_ROWS):
+                u = U[c:c + self.FOLD_ROWS]
+                np.matmul(self.uinv[s + c:s + c + len(u)], u, out=u)
+        # each sweep's solution in the sweep's order, and what a level reads
+        # and its product, which every apply reuses (so one caller at a time)
+        self._z = np.empty((2, n, b), dtype=self.uinv.dtype)
+        read = np.empty(b * max(np.diff(sweep.slots).max(initial=0)
+                                for sweep in (self._fwd, self._bwd)),
+                        dtype=self.uinv.dtype)
+        prod = np.empty(n * b, dtype=self.uinv.dtype)
+        self._forward = self._fwd.levels(lbuf, self._z[0], read, prod)
+        self._backward = self._bwd.levels(ubuf, self._z[1], read, prod)
+        self._gather = self.ordering[self._fwd.order]
+        self._to_backward = self._fwd.pos[self._bwd.order]
+        self._unorder = self._bwd.pos[np.argsort(self.ordering)]
 
-    def _panel_levels(self, z, panels, pos, rows, cols, mask, first, sizes,
-                      uinv=None):
-        """Per level of a sweep, whose rows `pos` places and whose blocks
-        `mask` picks, with their slots from `first` on: the level's rows of
-        the sweep's solution z, as (rows, b, 1); its row panels as b x (t b)
-        matrices; the rows its slots read; a buffer for what they read, as
-        (rows, t b, 1) and as (rows t, b); and its rows of uinv, if given."""
-        n, b, t = self.n, self.b, panels.shape[2]
-        reads = np.repeat(np.arange(n), t).reshape(n, t)
-        reads[pos[rows[mask]], self._slot[mask] - first] = pos[cols[mask]]
-        panels = panels.reshape(n, b, t * b)
-        ends = np.cumsum(sizes)
-        levels = []
-        for s, e in zip((ends - sizes).tolist(), ends.tolist()):
-            read = np.empty((e - s, t * b, 1), dtype=z.dtype)
-            level = (z[s:e, :, None], panels[s:e], reads[s:e].ravel(), read,
-                     read.reshape((e - s) * t, b))
-            levels.append(level if uinv is None else (*level, uinv[s:e]))
-        return levels
-
-    def _factorize(self, blocks, source, rows, diag, flevel, forder, sizes):
+    def _factorize(self):
         """Level by level, in working rows [L blocks | pivot | U blocks]
-        filled from A's `blocks` (pattern block p is blocks[source[p]]):
-        step t takes the t-th lower block (i, k) of every row i of the level
-        as one batch: L_ik = A_ik U_kk^{-1}, then A_ij -= L_ik U_kj for each
-        block (k, j) of U with (i, j) in the pattern. The level's pivot
-        blocks are inverted after its last step, and its working rows are
-        written to the panels. Each block sees the operations of the
-        row-by-row elimination in the same order, so the factor is bitwise
-        the same. A singular pivot is named by its row: the first in the
-        earliest level that has one."""
+        filled from A's blocks and padded to the level's widest row: step t
+        takes the t-th lower block (i, k) of every row i of the level as one
+        batch: L_ik = A_ik U_kk^{-1}, then A_ij -= L_ik U_kj for each block
+        (k, j) of U with (i, j) in the pattern. The level's pivot blocks are
+        inverted after its last step, and its working rows are written to
+        the panels. Each block sees the operations of the row-by-row
+        elimination in the same order, so the factor is bitwise the same. A
+        singular pivot is named by its row: the first in the earliest level
+        that has one.
+
+        Returns the flat buffers of L's and U's panels, the pivot blocks in
+        forward-level order and their inverses in backward-level order."""
         n, b, indptr, cols = self.n, self.b, self._indptr, self._indices
-        slot, tf = self._slot, self._lower.shape[2]
-        width = tf + 1 + self._upper.shape[2]
-        ends = np.cumsum(sizes)
+        fwd, bwd, blocks = self._fwd, self._bwd, self._blocks
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        diag = np.flatnonzero(cols == rows)
+        n_lower, n_upper = diag - indptr[:-1], indptr[1:] - diag - 1
+        tl = fwd.widths
+        tu = np.zeros_like(tl)
+        np.maximum.at(tu, fwd.level, n_upper)
+        width = tl + 1 + tu
+        lev = fwd.level[rows]
         # each block's place in its level's working rows
-        work = (self._fpos[rows] - (ends - sizes)[flevel[rows]]) * width + slot
+        slot = np.arange(len(cols)) - indptr[rows] + np.where(
+            cols >= rows, tl[lev] - n_lower[rows], 0)
+        work = (fwd.pos[rows] - fwd.bounds[lev]) * width[lev] + slot
         lower = np.flatnonzero(cols < rows)
         # lower block (i, k) meets each upper block (k, j) of row k
         k = cols[lower]
-        counts = (indptr[1:] - diag - 1)[k]
+        counts = n_upper[k]
         meet = np.repeat(np.arange(len(lower)), counts)
         kj = np.arange(len(meet)) + np.repeat(
             diag[k] + 1 - np.cumsum(counts) + counts, counts)
@@ -310,72 +373,77 @@ class BlockILU0Factorization:
         ij = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
         hit = keys[ij] == target
         meet, kj, ij = meet[hit], kj[hit], ij[hit]
-        # step (level, t) of each lower block and each meeting, in step order
-        step = flevel[rows[lower]] * tf + slot[lower]
+        # step of each lower block and each meeting (a level has a step per
+        # lower block of its widest row), in step order
+        first_step = np.concatenate(([0], np.cumsum(tl)))
+        step = first_step[lev[lower]] + slot[lower]
         by_step = np.argsort(step, kind="stable")
-        ik_at, ukk = work[lower[by_step]], self._bpos[k[by_step]]
+        ik_at, ukk = work[lower[by_step]], bwd.pos[k[by_step]]
         m = np.argsort(step[meet], kind="stable")
         meet, kj, ij = meet[m], kj[m], ij[m]
-        mik_at, ij_at = work[lower[meet]], work[ij]
-        kj_row, kj_slot = self._bpos[rows[kj]], slot[kj] - tf - 1
-        steps = np.arange(len(sizes) * tf + 1)
+        mik_at, ij_at, ukj = work[lower[meet]], work[ij], bwd.segments(kj)
+        steps = np.arange(first_step[-1] + 1)
         lsteps = np.searchsorted(step[by_step], steps).tolist()
         msteps = np.searchsorted(step[meet], steps).tolist()
-        by_row = np.argsort(self._fpos[rows], kind="stable")
-        fill_at, fill_src = work[by_row], source[by_row]
-        row_first = np.concatenate(([0], np.cumsum(np.diff(indptr)[forder])))
-        for lev, (s, e) in enumerate(zip((ends - sizes).tolist(),
-                                         ends.tolist())):
-            W = np.zeros(((e - s) * width, b, b), dtype=blocks.dtype)
+        by_row = np.argsort(fwd.pos[rows], kind="stable")
+        fill_at, fill_src = work[by_row], self._source[by_row]
+        row_first = np.concatenate(
+            ([0], np.cumsum(np.diff(indptr)[fwd.order])))
+        upper = by_row[cols[by_row] > rows[by_row]]
+        up_at, up_rows = work[upper], bwd.segments(upper)
+        up_first = np.concatenate(([0], np.cumsum(n_upper[fwd.order])))
+        lbuf = np.zeros(fwd.slots[-1] * b * b, dtype=blocks.dtype)
+        ubuf = np.zeros(bwd.slots[-1] * b * b, dtype=blocks.dtype)
+        urows = ubuf.reshape(-1, b)
+        pivots = np.empty((n, b, b), dtype=blocks.dtype)
+        uinv = np.empty((n, b, b), dtype=blocks.dtype)
+        for lv, (s, e, _, L) in enumerate(fwd.panels(lbuf)):
+            W = np.zeros(((e - s) * width[lv], b, b), dtype=blocks.dtype)
             here = slice(row_first[s], row_first[e])  # the level's blocks
             W[fill_at[here]] = blocks[fill_src[here]]
-            for t in range(lev * tf, (lev + 1) * tf):
+            for t in range(first_step[lv], first_step[lv + 1]):
                 lo, hi = lsteps[t], lsteps[t + 1]
-                if lo == hi:
-                    break
                 at = ik_at[lo:hi]
-                W[at] = W[at] @ self.uinv[ukk[lo:hi]]
+                W[at] = W[at] @ uinv[ukk[lo:hi]]
                 lo, hi = msteps[t], msteps[t + 1]
                 at = ij_at[lo:hi]
-                W[at] = W[at] - W[mik_at[lo:hi]] @ self._upper[
-                    kj_row[lo:hi], :, kj_slot[lo:hi]]
-            W = W.reshape(e - s, width, b, b)
-            level = forder[s:e]
-            self._pivots[s:e] = W[:, tf]
-            self.uinv[self._bpos[level]] = _block_inverse(
-                self._pivots[s:e], "pivot block at elimination step", level)
-            self._lower[s:e] = W[:, :tf].transpose(0, 2, 1, 3)
-            self._upper[self._bpos[level]] = W[:, tf + 1:].transpose(
+                W[at] = W[at] - W[mik_at[lo:hi]] @ urows[ukj[lo:hi]]
+            here = slice(up_first[s], up_first[e])  # the level's U blocks
+            urows[up_rows[here]] = W[up_at[here]]
+            W = W.reshape(e - s, width[lv], b, b)
+            level = fwd.order[s:e]
+            pivots[s:e] = W[:, tl[lv]]
+            uinv[bwd.pos[level]] = _block_inverse(
+                pivots[s:e], "pivot block at elimination step", level)
+            L.reshape(e - s, b, tl[lv], b)[...] = W[:, :tl[lv]].transpose(
                 0, 2, 1, 3)
+        return lbuf, pivots, ubuf, uinv
 
     def apply(self, x):
         """Solve L U y = x (in the stored ordering)."""
         z, zb = self._z
         np.take(x.reshape(self.n, self.b), self._gather, axis=0, out=z)
-        # mode="clip" lets take write to `out` unbuffered; reads are in range
-        for zs, L, reads, read, read_rows in self._forward:
-            z.take(reads, axis=0, out=read_rows, mode="clip")
-            zs -= L @ read
-        np.take(z, self._to_backward, axis=0, out=zb)
-        for zs, U, reads, read, read_rows, uinv in self._backward:
-            zb.take(reads, axis=0, out=read_rows, mode="clip")
-            np.matmul(uinv, zs - U @ read, out=zs)
+        _sweep(z, self._forward)
+        np.matmul(self.uinv, z[self._to_backward, :, None],
+                  out=zb[:, :, None])
+        _sweep(zb, self._backward)
         return zb[self._unorder].reshape(x.shape)
 
     def stored(self):
         """The factor in the stored ordering, as the row-by-row elimination
         leaves it: a BlockSparseMatrix of L's strictly lower blocks (L's unit
         diagonal is implied) and U's blocks, and the inverses of U's diagonal
-        blocks by row."""
+        blocks by row. U's panels hold U_ii^{-1} U_ij, so this factors A's
+        blocks again."""
+        lbuf, pivots, ubuf, uinv = self._factorize()
         rows = np.repeat(np.arange(self.n), np.diff(self._indptr))
-        slot, tf = self._slot, self._lower.shape[2]
-        lower, upper = slot < tf, slot > tf
-        blocks = self._pivots[self._fpos[rows]]
-        blocks[lower] = self._lower[self._fpos[rows[lower]], :, slot[lower]]
-        blocks[upper] = self._upper[self._bpos[rows[upper]], :,
-                                    slot[upper] - tf - 1]
+        lower = np.flatnonzero(self._indices < rows)
+        upper = np.flatnonzero(self._indices > rows)
+        blocks = pivots[self._fwd.pos[rows]]
+        blocks[lower] = lbuf.reshape(-1, self.b)[self._fwd.segments(lower)]
+        blocks[upper] = ubuf.reshape(-1, self.b)[self._bwd.segments(upper)]
         return (BlockSparseMatrix(self.n, self.b, self._indptr, self._indices,
-                                  blocks), self.uinv[self._bpos])
+                                  blocks), uinv[self._bwd.pos])
 
     def lu_product_dense(self):
         """Dense L @ U in the stored ordering (tests only)."""
@@ -433,13 +501,14 @@ def gmres(A, rhs, preconditioner=None, tol=TOL):
     """Right-preconditioned GMRES with Givens rotations, from x = 0,
     restarted every RESTART steps and stopped after MAX_ITERS.
 
+    Each Arnoldi step applies the preconditioner once, to v_j, and keeps
+    z_j = M^{-1} v_j, so a cycle of m steps ends with x += Z[:m]^T y, the
+    flexible form (Saad, Iterative Methods for Sparse Linear Systems, 2nd
+    ed., sec. 9.4.1); without a preconditioner Z is V.
+
     Convergence is declared on the true relative residual; the returned count
     is the total number of Arnoldi steps across restarts.
     """
-    if preconditioner is None:
-        prec = lambda v: v
-    else:
-        prec = preconditioner.apply
     n, restart, max_iters = A.dim, RESTART, MAX_ITERS
     x = np.zeros(n)
     bnorm = np.linalg.norm(rhs)
@@ -452,6 +521,7 @@ def gmres(A, rhs, preconditioner=None, tol=TOL):
         if beta <= tol * bnorm:
             return x, total, True
         V = np.zeros((restart + 1, n))
+        Z = V if preconditioner is None else np.empty((restart, n))
         H = np.zeros((restart + 1, restart))
         cs = np.zeros(restart)
         sn = np.zeros(restart)
@@ -462,7 +532,9 @@ def gmres(A, rhs, preconditioner=None, tol=TOL):
         for j in range(restart):
             if total >= max_iters:
                 break
-            w = A.matvec(prec(V[j]))
+            if preconditioner is not None:
+                Z[j] = preconditioner.apply(V[j])
+            w = A.matvec(Z[j])
             total += 1
             # classical Gram-Schmidt twice ("twice is enough")
             for _pass in range(2):
@@ -491,7 +563,7 @@ def gmres(A, rhs, preconditioner=None, tol=TOL):
             break
         y = scipy.linalg.solve_triangular(H[:j_used, :j_used], g[:j_used],
                                           check_finite=False)
-        x = x + prec(V[:j_used].T @ y)
+        x = x + Z[:j_used].T @ y
         r = rhs - A.matvec(x)
     return x, total, np.linalg.norm(r) <= tol * bnorm
 

@@ -175,10 +175,16 @@ class PolyMesh:
 
     # -- validation ------------------------------------------------------
 
-    def validate(self, domain_area=None):
+    def validate(self, domain_area=None, moved=0.0):
+        """Check the cells' area sum against domain_area, if given, and that
+        each cell's edges close up. A builder that merged vertices passes
+        the farthest it `moved` a point: moving the boundary's vertices by
+        up to that changes the area by up to the boundary length times it."""
         if domain_area is not None:
             total = self.cell_areas.sum()
-            if abs(total - domain_area) > 1e-12 * domain_area:
+            boundary = self.edge_lengths[self.edge_right == BOUNDARY].sum()
+            if abs(total - domain_area) > (1e-12 * domain_area
+                                           + boundary * moved):
                 raise MeshError(f"area sum {total} != domain area {domain_area}")
         # sum of length * outward normal per cell, edge by edge
         ln = self.edge_lengths[:, None] * self.edge_normals
@@ -313,23 +319,26 @@ def _lattice_instances(shapes, a1, a2, m1_range, m2_range):
 
 
 def _vertex_pool(points, snap):
-    """Vertices and the vertex index (P,) of each of points (P, 2). Points
-    that round to one multiple of snap share a vertex, numbered by and
-    placed at their first occurrence."""
+    """Vertices, the vertex index (P,) of each of points (P, 2) and the
+    farthest a point moved. Points that round to one multiple of snap share
+    a vertex, numbered by and placed at their first occurrence."""
     keys = np.rint(points / snap).astype(np.int64)   # -0.0 becomes 0
     order = np.lexsort(keys.T)   # stable: a group's first point leads it
     lead = np.r_[True, np.any(np.diff(keys[order], axis=0) != 0, axis=1)]
     first = order[lead]
     index = np.empty_like(order)
     index[order] = np.argsort(np.argsort(first))[np.cumsum(lead) - 1]
-    return points[np.sort(first)], index
+    verts = points[np.sort(first)]
+    moved = np.linalg.norm(points - verts[index], axis=1).max(initial=0.0)
+    return verts, index, moved
 
 
 def _row_major_cells(points, cell_ptr, instance, min_area, snap):
     """Vertices and CSR pair of the polygons stored back to back in points
     (`ragged_polygons`) that have area above min_area, sorted by centroid
-    y, then x, both rounded to 1e-9, ties by instance (n,); then the areas
-    and centroids of the polygons dropped."""
+    y, then x, both rounded to 1e-9, ties by instance (n,); the farthest
+    the vertex pool moved a point; then the areas and centroids of the
+    polygons dropped."""
     area, centroid, _ = ragged_polygons(points, cell_ptr)
     # numpy's rounding, which round() of a numpy float uses too
     order = np.lexsort((instance, *np.round(centroid, 9).T))
@@ -337,9 +346,9 @@ def _row_major_cells(points, cell_ptr, instance, min_area, snap):
     size = np.diff(cell_ptr)[order]
     kept = np.cumsum(np.r_[0, size])
     gather = np.repeat(cell_ptr[order] - kept[:-1], size) + np.arange(kept[-1])
-    verts, index = _vertex_pool(points[gather], snap)
+    verts, index, moved = _vertex_pool(points[gather], snap)
     small = area <= min_area
-    return verts, kept, index, area[small], centroid[small]
+    return verts, kept, index, moved, area[small], centroid[small]
 
 
 def build_pattern_tiling(kind, element_area, n1, n2):
@@ -351,8 +360,8 @@ def build_pattern_tiling(kind, element_area, n1, n2):
     pat = GeneratingPattern.make(kind, element_area)
     a1, a2 = pat.lattice
     polys = _lattice_instances(pat.elements, a1, a2, range(n1), range(n2))
-    verts, index = _vertex_pool(polys.reshape(-1, 2),
-                                1e-9 * np.sqrt(element_area))
+    verts, index, _ = _vertex_pool(polys.reshape(-1, 2),
+                                   1e-9 * np.sqrt(element_area))
     return PolyMesh(verts, np.arange(0, len(index) + 1, polys.shape[1]),
                     index, periods=(n1 * a1, n2 * a2))
 
@@ -457,25 +466,31 @@ def build_regular_mesh(kind, element_area, domain=UNIT_SQUARE, periodic=False,
     # clipping returns the instances inside unchanged and those outside empty
     snap = 1e-9 * np.sqrt(element_area)
     whole = np.flatnonzero(inside)
-    clipped, narrow = {}, 0.0
+    clipped, narrow, moved = {}, 0.0, 0.0
     for i in np.flatnonzero(meets & ~inside):
         piece = clip_polygon_rect(polys[i], x0, y0, x1, y1)
         if len(c := _dedupe_loop(piece, snap)) >= 3:
             clipped[i] = c
+            if len(c) < len(piece):
+                # a point the loop dropped moved onto its nearest kept one
+                moved = max(moved, np.linalg.norm(
+                    piece[:, None] - c, axis=2).min(axis=1).max())
         elif len(piece):
             # a piece narrower than the snap, which the vertex pool would
             # close up, is left out, and its area with it
             with np.errstate(divide="ignore", invalid="ignore"):
                 narrow += polygon_area_centroid(piece)[0]
-    verts, cell_ptr, cell_idx, lost_area, lost_centroid = _row_major_cells(
-        np.concatenate([polys[whole].reshape(-1, 2), *clipped.values()]),
-        np.cumsum([0] + [polys.shape[1]] * len(whole)
-                  + [len(c) for c in clipped.values()]),
-        np.array([*whole, *clipped]), 1e-10 * element_area, snap)
+    verts, cell_ptr, cell_idx, pooled, lost_area, lost_centroid = (
+        _row_major_cells(
+            np.concatenate([polys[whole].reshape(-1, 2),
+                            *clipped.values()]),
+            np.cumsum([0] + [polys.shape[1]] * len(whole)
+                      + [len(c) for c in clipped.values()]),
+            np.array([*whole, *clipped]), 1e-10 * element_area, snap))
     mesh = PolyMesh(verts, cell_ptr, cell_idx, **options)
     mesh.row_height = abs(pat.lattice[1, 1])
     try:
-        mesh.validate(domain_area=W * H - narrow)
+        mesh.validate(domain_area=W * H - narrow, moved=max(moved, pooled))
     except MeshError as exc:
         if not len(lost_area):
             raise
@@ -556,11 +571,11 @@ def build_random_mesh_pair(h, delta=None, domain=UNIT_SQUARE, seed=0):
             raise MeshError(f"near-degenerate Voronoi cell for point {i}")
         cells.append(poly)
     order = np.lexsort(pts.T)   # by y, then x
-    verts, index = _vertex_pool(np.concatenate([cells[ix] for ix in order]),
-                                snap)
+    verts, index, moved = _vertex_pool(
+        np.concatenate([cells[ix] for ix in order]), snap)
     vmesh = PolyMesh(verts, np.cumsum([0] + [len(cells[ix]) for ix in order]),
                      index)
-    vmesh.validate(domain_area=(x1 - x0) * (y1 - y0))
+    vmesh.validate(domain_area=(x1 - x0) * (y1 - y0), moved=moved)
     return dmesh, vmesh
 
 

@@ -510,6 +510,75 @@ def test_bilu0_row_panels_on_assembled_operators(kind):
     assert np.array_equal(got, got_before)
 
 
+class CountingPreconditioner:
+    def __init__(self, fac):
+        self.fac, self.calls = fac, 0
+
+    def apply(self, v):
+        self.calls += 1
+        return self.fac.apply(v)
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "ilu0"])
+def test_gmres_applies_the_preconditioner_once_per_step(monkeypatch, kind):
+    # a cycle updates x from the preconditioned vectors it kept, so no
+    # cycle applies M^{-1} once more; RESTART = 3 makes several cycles
+    monkeypatch.setattr(blocklinalg, "RESTART", 3)
+    mesh = build_regular_mesh("hexagon", 0.2 ** 2)
+    A, ordering = advect_system(mesh, 2)
+    prec = CountingPreconditioner(factor_block_jacobi(A) if kind == "jacobi"
+                                  else factor_bilu0(A, ordering))
+    rhs = np.random.default_rng(22).standard_normal(A.dim)
+    x, it, ok = gmres(A, rhs, preconditioner=prec)
+    assert ok and it > 3
+    assert prec.calls == it
+    assert (np.linalg.norm(rhs - A.matvec(x))
+            <= blocklinalg.TOL * np.linalg.norm(rhs))
+
+
+def held_arrays(obj, A, held):
+    """The arrays that obj's attributes own, by id, without A's blocks:
+    views count as their base, and lists, tuples and objects of
+    blocklinalg are searched."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        if not np.shares_memory(obj, A.blocks):
+            held[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            held_arrays(item, A, held)
+    elif type(obj).__module__ == blocklinalg.__name__:
+        held_arrays(list(vars(obj).values()), A, held)
+    return held
+
+
+@pytest.mark.parametrize("kind", ["hexagon", "voronoi"])
+def test_bilu0_holds_one_set_of_panels_padded_by_level(kind):
+    # U_ii^{-1} is folded into U's panels in place, and each level's panels
+    # are padded to its own widest row: all the factor holds fits in the
+    # blocks of L's and U's panels so padded, U's pivots and their inverses
+    mesh = (build_regular_mesh("hexagon", 0.2 ** 2) if kind == "hexagon"
+            else build_random_mesh_pair(0.2)[1])
+    A, ordering = advect_system(mesh, 3)
+    fac = factor_bilu0(A, ordering)
+    F = fac.stored()[0]
+    rows = np.repeat(np.arange(F.n), np.diff(F.indptr))
+    diag = np.flatnonzero(F.indices == rows)
+    slots = 0
+    for level, mask in (
+            (blocklinalg._levels(F.indptr[:-1], diag, F.indices, lower=True),
+             F.indices < rows),
+            (blocklinalg._levels(diag + 1, F.indptr[1:], F.indices,
+                                 lower=False), F.indices > rows)):
+        widest = np.zeros(level.max() + 1, dtype=np.int64)
+        np.maximum.at(widest, level, np.bincount(rows[mask], minlength=F.n))
+        slots += np.bincount(level) @ widest
+    held = held_arrays(fac, A, {}).values()
+    assert sum(a.nbytes for a in held) <= (
+        (slots + 2 * F.n) * F.blocks[0].nbytes)
+
+
 def test_bilu0_of_one_block_row():
     block = np.array([[4.0, 1.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 3.0]])
     A = BlockSparseMatrix(1, 3, [0, 1], [0], block[None])

@@ -122,12 +122,12 @@ ADVECT_CSV = (
     "solver=gmres tol=1e-14\r\n"
     "experiment,mesh,pattern,p,k_label,solver,preconditioner,iterations,"
     "newton_iters,final_residual,wall_ms\r\n"
-    "advect,regular-hexagon,hexagon,1,k2,gmres,ilu0,7,,2.262e-16,0.0\r\n")
+    "advect,regular-hexagon,hexagon,1,k2,gmres,ilu0,7,,3.109e-16,0.0\r\n")
 ADVECT_TABLE = (
     "experiment  mesh             pattern  p  k_label  solver  "
     "preconditioner  iterations  newton_iters  final_residual  wall_ms\n"
     "advect      regular-hexagon  hexagon  1  k2       gmres   ilu0"
-    "            7                         2.262e-16       0.0    ")
+    "            7                         3.109e-16       0.0    ")
 
 
 def test_advect_wall_ms_includes_the_set_up(monkeypatch):

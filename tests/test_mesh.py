@@ -888,6 +888,19 @@ def test_read_mesh_names_the_non_finite_vertex_line(bad, tmp_path):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("kind", PATTERNS)
+@pytest.mark.parametrize("x0", [3e-11, -3e-11, -1e-10])
+def test_domain_side_within_the_vertex_snap_of_a_lattice_line(kind, x0):
+    # the side sits within the snap (2.5e-10 here) of the lattice line x = 0:
+    # the snap moves the clipped pieces' points onto it, which moves the
+    # area sum by up to the boundary length times the distance (hexagon and
+    # etri were refused at x0 < 0)
+    mesh = build_regular_mesh(kind, 0.0625, (x0, 0.0, 1.0, 1.0))
+    assert mesh.n_cells == build_regular_mesh(kind, 0.0625).n_cells
+    assert mesh.cell_areas.min() > 0.0
+    assert abs(mesh.cell_areas.sum() - (1.0 - x0)) <= 4.0 * abs(x0)
+
+
 @pytest.mark.parametrize("kind", ["etri", "rtri"])
 def test_domain_side_just_off_a_lattice_line_is_named(kind):
     # the clipped slivers along x0 fall below the area floor and are dropped
