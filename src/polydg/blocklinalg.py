@@ -480,8 +480,9 @@ def block_jacobi_solve(A, rhs, tol=TOL):
     """Fixed-point iteration x <- D^{-1} rhs + (I - D^{-1} A) x from x = 0,
     at most MAX_ITERS steps.
 
-    Returns (x, iterations, converged); iterations is the first iterate index
-    whose relative l2 residual meets tol.
+    Returns (x, iterations, residual, converged): iterations is the first
+    iterate index whose relative l2 residual meets tol, and residual is
+    ||rhs - A x||_2 of the x returned.
     """
     fac = factor_block_jacobi(A)
     x = np.zeros(A.dim)
@@ -490,11 +491,12 @@ def block_jacobi_solve(A, rhs, tol=TOL):
     if bnorm == 0.0:
         bnorm = 1.0
     for it in range(MAX_ITERS + 1):
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x, it, True
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol * bnorm:
+            return x, it, rnorm, True
         x = x + fac.apply(r)
         r = rhs - A.matvec(x)
-    return x, MAX_ITERS, False
+    return x, MAX_ITERS, np.linalg.norm(r), False
 
 
 def gmres(A, rhs, preconditioner=None, tol=TOL):
@@ -506,20 +508,22 @@ def gmres(A, rhs, preconditioner=None, tol=TOL):
     flexible form (Saad, Iterative Methods for Sparse Linear Systems, 2nd
     ed., sec. 9.4.1); without a preconditioner Z is V.
 
-    Convergence is declared on the true relative residual; the returned count
-    is the total number of Arnoldi steps across restarts.
+    Convergence is declared on the true relative residual. Returns (x,
+    iterations, residual, converged): iterations is the total number of
+    Arnoldi steps across restarts, and residual is ||rhs - A x||_2 of the
+    x returned.
     """
     n, restart, max_iters = A.dim, RESTART, MAX_ITERS
     x = np.zeros(n)
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
-        return x, 0, True
+        return x, 0, 0.0, True
     total = 0
     r = rhs  # the residual of x = 0
     while total <= max_iters:
         beta = np.linalg.norm(r)
         if beta <= tol * bnorm:
-            return x, total, True
+            return x, total, beta, True
         V = np.zeros((restart + 1, n))
         Z = V if preconditioner is None else np.empty((restart, n))
         H = np.zeros((restart + 1, restart))
@@ -565,7 +569,8 @@ def gmres(A, rhs, preconditioner=None, tol=TOL):
                                           check_finite=False)
         x = x + Z[:j_used].T @ y
         r = rhs - A.matvec(x)
-    return x, total, np.linalg.norm(r) <= tol * bnorm
+    rnorm = np.linalg.norm(r)
+    return x, total, rnorm, rnorm <= tol * bnorm
 
 
 def jacobi_iteration_matrix(A, dim_cap=2000):

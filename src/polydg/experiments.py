@@ -141,14 +141,13 @@ def solve_linear(A, rhs, solver, preconditioner, tol, ordering=None):
     (x, iterations, residual, ok)."""
     name = solver_config_name(solver, preconditioner)
     if name == "jacobi":
-        x, it, ok = block_jacobi_solve(A, rhs, tol=tol)
+        x, it, rnorm, ok = block_jacobi_solve(A, rhs, tol=tol)
     else:
         prec = (factor_block_jacobi(A) if name == "gmres+jacobi"
                 else factor_bilu0(A, ordering))
-        x, it, ok = gmres(A, rhs, preconditioner=prec, tol=tol)
+        x, it, rnorm, ok = gmres(A, rhs, preconditioner=prec, tol=tol)
     bnorm = np.linalg.norm(rhs)
-    res = float(np.linalg.norm(rhs - A.matvec(x)) / (bnorm if bnorm else 1.0))
-    return x, it, res, ok
+    return x, it, float(rnorm / (bnorm if bnorm else 1.0)), ok
 
 
 # -- symbol analysis ------------------------------------------------------

@@ -50,6 +50,7 @@ class PatternOperators:
     copy at lattice offset m1*a1 + m2*a2, (m1, m2) = `offsets[i]`: (0, 0)
     first, then the inflow offsets in the order the element sides meet
     them. `mask` (dim, dim) marks the element-diagonal blocks.
+    `phase_direction` is `_phase_direction()`, built with the operators.
     """
 
     def __init__(self, kind, p, element_area):
@@ -69,6 +70,7 @@ class PatternOperators:
         elem = np.arange(self.dim) // self.n_loc
         self.mask = elem[:, None] == elem
         self._assemble()
+        self.phase_direction = self._phase_direction()
 
     def _find_partner(self, mid, direction, scale):
         """Element index and lattice offset of the cell across an edge; the
@@ -131,11 +133,74 @@ class PatternOperators:
         self.offsets = np.array(list(parts))
         self.parts = np.stack(list(parts.values()))
 
+    def _phase_direction(self):
+        """The primitive integer direction d of the differences between the
+        offsets whose coupling blocks are not all zero, as a tuple, or None
+        when those differences do not lie on one line (or are all zero).
+
+        The Jacobi symbol is R_hat(phi) = sum_m exp(i m.phi) C_m, where the
+        element-diagonal blocks of offset (0, 0) are the Jacobi diagonal's
+        and do not count. With every counted m on a line m_0 + t d,
+        R_hat(phi) = exp(i m_0.phi) F(d.phi), so rho depends on phi only
+        through d.phi. On a two-cyclic pattern, R_hat = [[0, X], [Y, 0]]
+        and rho^2 = rho(X Y), so the offsets of X and those of Y are taken
+        separately. A velocity on the edge of the cone can only zero more
+        blocks, which adds invariance, so d holds on the whole cone.
+        """
+        ne, nl = self.n_elems, self.n_loc
+        # coupled[i, a, b]: offset i couples element a to element b
+        coupled = self.parts.reshape(len(self.parts), 2, ne, nl, ne, nl) \
+            .any(axis=(1, 3, 5))
+        coupled[0] &= ~np.eye(ne, dtype=bool)
+        if ne == 2 and not coupled[:, [0, 1], [0, 1]].any():
+            groups = [coupled[:, 0, 1], coupled[:, 1, 0]]
+        else:
+            groups = [coupled.any(axis=(1, 2))]
+        diffs = np.concatenate([self.offsets[g] - self.offsets[g][:1]
+                                for g in groups])
+        diffs = diffs[diffs.any(axis=1)]
+        if not len(diffs):
+            return None
+        d = diffs[0] // np.gcd(*diffs[0])
+        if np.any(d[0] * diffs[:, 1] - d[1] * diffs[:, 0]):
+            return None
+        return int(d[0]), int(d[1])
+
 
 @functools.cache
 def pattern_operators(kind, p, element_area):
     """The PatternOperators of (kind, p, element_area), built once."""
     return PatternOperators(kind, p, element_area)
+
+
+def _frobenius(Re, Im):
+    """Frobenius norms of the stacked matrices Re + i Im."""
+    return np.sqrt(np.einsum("ijk,ijk->i", Re, Re)
+                   + np.einsum("ijk,ijk->i", Im, Im))
+
+
+def _squared_bounds(Re, Im, norm, log_norm, floor, root):
+    """Per stacked matrix M = Re + i Im, whose b_0 term is `norm` =
+    ||M||_F with its log `log_norm`: the first norm-power bound b_s,
+    s = 1 .. BOUND_SQUARINGS, below `floor`, or inf where none is
+    (`PatternSymbol.spectral_radius_phases`)."""
+    bound = np.full(len(Re), np.inf)
+    todo = np.arange(len(Re))
+    for s in range(1, BOUND_SQUARINGS + 1):
+        if not len(todo):
+            break
+        scale = (1.0 / np.where(norm > 0.0, norm, 1.0))[:, None, None]
+        Re, Im = Re * scale, Im * scale
+        Re, Im = Re @ Re - Im @ Im, Re @ Im + Im @ Re
+        norm = _frobenius(Re, Im)
+        with np.errstate(divide="ignore"):
+            log_norm = 2.0 * log_norm + np.log(norm)
+        b = np.exp(log_norm / (2 ** s * root))
+        low = b < floor
+        bound[todo[low]] = b[low]
+        todo, Re, Im, norm, log_norm = (
+            todo[~low], Re[~low], Im[~low], norm[~low], log_norm[~low])
+    return bound
 
 
 class PatternSymbol:
@@ -150,6 +215,7 @@ class PatternSymbol:
         self.dim = ops.dim
         self.mass = ops.mass
         self.offsets = ops.offsets
+        self.phase_direction = ops.phase_direction
         self.blocks = alpha * ops.parts[:, 0] + beta * ops.parts[:, 1]
         # per-element diagonal blocks only (intra-pattern couplings excluded)
         self.diag = np.where(ops.mask, self.blocks[0], 0.0)
@@ -200,7 +266,8 @@ class PatternSymbol:
             self._parts_by_k[k] = parts
         return parts
 
-    def spectral_radius_phases(self, k, phi1, phi2, screen=False, floor=None):
+    def spectral_radius_phases(self, k, phi1, phi2, screen=False, floor=None,
+                               orbits=None):
         """max |eig(R_hat)| at lattice phases (phi1, phi2); broadcasts.
 
         The reference path builds R_hat with `jacobi_symbol`. `screen=True`
@@ -218,6 +285,14 @@ class PatternSymbol:
         the norm sums both parts. A point whose b_s is below the floor
         gets b_s; every other point gets its eigenvalue radius, bitwise the
         value without a floor.
+
+        `orbits`, an integer label per point, marks points whose radii are
+        equal (`screened_grid`); by default every point is its own orbit.
+        Every point first gets its own b_0. Of the points it leaves above
+        the floor, only the first of each orbit is squared, and when that
+        representative's b_s falls below the floor, every such point of its
+        orbit gets that b_s. The points of the orbits left are eigen-solved,
+        each on its own.
         """
         if not screen:
             R = self.jacobi_symbol(k, phi1, phi2)
@@ -242,26 +317,24 @@ class PatternSymbol:
         if floor is None:
             return radius(M)
         M = M.reshape((-1,) + M.shape[-2:])
-        rho = np.empty(len(M))
-        todo = np.arange(len(M))
-        # the powers of M = Re + i Im, squared in real arithmetic
-        Re, Im, log_norm = M.real.copy(), M.imag.copy(), np.zeros(len(M))
-        for s in range(BOUND_SQUARINGS + 1):
-            norm = np.sqrt(np.einsum("ijk,ijk->i", Re, Re)
-                           + np.einsum("ijk,ijk->i", Im, Im))
-            with np.errstate(divide="ignore"):
-                log_norm = 2.0 * log_norm + np.log(norm)
-            bound = np.exp(log_norm / (2 ** s * (2 if self.two_cyclic else 1)))
-            low = bound < floor
-            rho[todo[low]] = bound[low]
-            todo, log_norm = todo[~low], log_norm[~low]
-            if s == BOUND_SQUARINGS or not len(todo):
-                break
-            norm = norm[~low]
-            scale = (1.0 / np.where(norm > 0.0, norm, 1.0))[:, None, None]
-            Re, Im = Re[~low] * scale, Im[~low] * scale
-            Re, Im = Re @ Re - Im @ Im, Re @ Im + Im @ Re
-        rho[todo] = radius(M[todo])
+        root = 2 if self.two_cyclic else 1
+        # s = 0: each point's own bound, on contiguous copies (einsum sums
+        # a strided view in another order)
+        norm = _frobenius(M.real.copy(), M.imag.copy())
+        with np.errstate(divide="ignore"):
+            log_norm = np.log(norm)
+        rho = np.exp(log_norm / root)
+        high = np.flatnonzero(rho >= floor)
+        # s >= 1 on one representative per orbit, its first point left
+        labels = high if orbits is None else np.ravel(orbits)[high]
+        _, first, orbit = np.unique(labels, return_index=True,
+                                    return_inverse=True)
+        reps = high[first]
+        bound = _squared_bounds(M.real[reps], M.imag[reps], norm[reps],
+                                log_norm[reps], floor, root)
+        rho[high] = bound[orbit]
+        solve = high[bound[orbit] >= floor]
+        rho[solve] = radius(M[solve])
         return rho.reshape(phi1.shape)
 
 
@@ -405,6 +478,14 @@ def screened_grid(syms, k, n, n_theta, mirror=None):
     below the grid's peak minus SCREEN_TOL; the margin covers rounding
     (~1e-15) in b and in the phase-zero radii. So the points within
     SCREEN_TOL of the peak, and their values, are an unfloored screen's.
+
+    Where the pattern has a `phase_direction` d, rho depends on the phases
+    only through d.phi, so it is the same at every point of an orbit
+    {(j1, j2) : d1 j1 + d2 j2 = c mod n}. Each point is labelled with its
+    orbit c, and `spectral_radius_phases` squares only one point per orbit
+    and shares its bound (n orbits instead of about n^2 / 2 points); a
+    shared bound is still at least each radius of its orbit, up to
+    rounding. Without a direction (hexagon) every point is its own orbit.
     """
     # screen the half of the phases that is at or before its conjugate
     # point -phi in C order and copy each value to the conjugate
@@ -414,12 +495,15 @@ def screened_grid(syms, k, n, n_theta, mirror=None):
     keep, copy = flat[half], conj[half]
     phis = 2.0 * np.pi * np.arange(n) / n
     screened = np.empty((n_theta, n * n))
+    d = syms[0].phase_direction
+    orbits = (None if d is None
+              else (d[0] * (keep // n) + d[1] * (keep % n)) % n)
     best = max(sym.spectral_radius_phases(k, 0.0, 0.0, screen=True)
                for sym in syms)
     for sym, row in zip(syms, screened):
         row[keep] = row[copy] = sym.spectral_radius_phases(
             k, phis[keep // n], phis[keep % n], screen=True,
-            floor=best - SCREEN_TOL - ROUNDING_MARGIN)
+            floor=best - SCREEN_TOL - ROUNDING_MARGIN, orbits=orbits)
         best = max(best, row.max())
     if mirror is not None:
         # rho(t0 + t1 - theta, T phi) = rho(theta, phi)
@@ -509,6 +593,11 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     are bit for bit those of a full reference grid. The refine evaluates
     the points scipy's Nelder-Mead would, so the result is also bit for
     bit the one `scipy.optimize.minimize` gave.
+
+    Where rho depends on the phases only through d.phi (the
+    `phase_direction` of `PatternOperators`: square, rtri and etri), the
+    screen squares one point per phase orbit d1 j1 + d2 j2 = c mod n for
+    the bound (`screened_grid`); the values near the peak stay the same.
     """
     config = config or SweepConfig()
     if config.theta_samples < 1 or config.wave_samples < 1:

@@ -373,7 +373,7 @@ def test_property_conservation():
     u = space.project(gaussian_pulse()).ravel()
     ones = space.project(lambda x, y: np.ones_like(x)).ravel()
     A = backward_euler_system(M, L, 0.1)
-    unew, _, ok = block_jacobi_solve(A, M.matvec(u), tol=1e-14)
+    unew, _, _, ok = block_jacobi_solve(A, M.matvec(u), tol=1e-14)
     assert ok
     assert ones @ M.matvec(unew) == pytest.approx(ones @ M.matvec(u),
                                                   rel=1e-11)
@@ -462,7 +462,7 @@ def test_property_bilu0_exact_factorization():
     fac = factor_bilu0(A)
     assert np.max(np.abs(fac.lu_product_dense() - A.to_dense())) < 1e-10
     rhs = rng.standard_normal(A.dim)
-    _, it, ok = gmres(A, rhs, preconditioner=fac)
+    _, it, _, ok = gmres(A, rhs, preconditioner=fac)
     assert ok and it == 1
 
 

@@ -63,7 +63,7 @@ def test_block_diagonal_converges_in_one_iteration():
               for i in range(4)}
     A = BlockSparseMatrix.from_block_dict(4, 3, blocks)
     rhs = rng.standard_normal(A.dim)
-    x, it, ok = block_jacobi_solve(A, rhs)
+    x, it, _, ok = block_jacobi_solve(A, rhs)
     assert ok and it == 1
     assert np.allclose(A.matvec(x), rhs)
 
@@ -71,10 +71,10 @@ def test_block_diagonal_converges_in_one_iteration():
 def test_jacobi_count_invariant_under_permutation():
     A = random_block_matrix(8, 2, seed=6)
     rhs = np.random.default_rng(7).standard_normal(A.dim)
-    _, it0, ok0 = block_jacobi_solve(A, rhs)
+    _, it0, _, ok0 = block_jacobi_solve(A, rhs)
     perm = np.random.default_rng(8).permutation(8)
     idx = np.concatenate([np.arange(2 * p, 2 * p + 2) for p in perm])
-    _, it1, ok1 = block_jacobi_solve(A.permuted(perm), rhs[idx])
+    _, it1, _, ok1 = block_jacobi_solve(A.permuted(perm), rhs[idx])
     assert ok0 and ok1 and it0 == it1
 
 
@@ -82,19 +82,19 @@ def test_gmres_identity_and_exact_preconditioner():
     A = BlockSparseMatrix.from_block_dict(3, 2, {(i, i): np.eye(2)
                                                  for i in range(3)})
     rhs = np.arange(6, dtype=float)
-    x, it, ok = gmres(A, rhs)
+    x, it, _, ok = gmres(A, rhs)
     assert ok and it <= 1 and np.allclose(x, rhs)
     # exact (block diagonal) preconditioner on a block-diagonal system
     B = random_block_matrix(5, 3, density=0.0, seed=9)
     rhs = np.random.default_rng(10).standard_normal(B.dim)
-    x, it, ok = gmres(B, rhs, preconditioner=factor_block_jacobi(B))
+    x, it, _, ok = gmres(B, rhs, preconditioner=factor_block_jacobi(B))
     assert ok and it <= 2
     assert np.linalg.norm(B.matvec(x) - rhs) < 1e-10 * np.linalg.norm(rhs)
 
 
 def test_gmres_zero_rhs():
     A = random_block_matrix(3, 2, seed=11)
-    x, it, ok = gmres(A, np.zeros(A.dim))
+    x, it, _, ok = gmres(A, np.zeros(A.dim))
     assert ok and it == 0 and np.all(x == 0.0)
 
 
@@ -102,7 +102,7 @@ def test_gmres_restart_still_converges(monkeypatch):
     monkeypatch.setattr(blocklinalg, "RESTART", 5)
     A = random_block_matrix(30, 2, density=0.15, seed=12)
     rhs = np.random.default_rng(13).standard_normal(A.dim)
-    x, it, ok = gmres(A, rhs, tol=1e-12)
+    x, it, _, ok = gmres(A, rhs, tol=1e-12)
     assert ok
     assert np.linalg.norm(A.matvec(x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -162,7 +162,7 @@ def test_gmres_matches_the_one_vector_at_a_time_reference(monkeypatch, seed,
     rhs = np.random.default_rng(100 + seed).standard_normal(A.dim)
     fac = factor_block_jacobi(A) if jacobi else None
     monkeypatch.setattr(blocklinalg, "RESTART", restart)
-    x, it, ok = gmres(A, rhs, preconditioner=fac, tol=1e-12)
+    x, it, _, ok = gmres(A, rhs, preconditioner=fac, tol=1e-12)
     x_ref, it_ref = mgs_gmres(A, rhs, fac.apply if jacobi else lambda v: v,
                               restart, 1e-12)
     assert ok and it == it_ref
@@ -184,7 +184,7 @@ def test_bilu0_exact_on_block_lower_triangular():
     fac = factor_bilu0(A)
     assert np.max(np.abs(fac.lu_product_dense() - A.to_dense())) < 1e-10
     rhs = np.random.default_rng(15).standard_normal(A.dim)
-    _, it, ok = gmres(A, rhs, preconditioner=fac)
+    _, it, _, ok = gmres(A, rhs, preconditioner=fac)
     assert ok and it == 1
 
 
@@ -210,7 +210,7 @@ def test_bilu0_ordering_matters():
         mask[i * b:(i + 1) * b, j * b:(j + 1) * b] = False
     assert np.max(err[~mask]) < 1e-10  # pattern entries reproduced
     rhs = rng.standard_normal(A.dim)
-    _, it, ok = gmres(A, rhs, preconditioner=fac, tol=1e-12)
+    _, it, _, ok = gmres(A, rhs, preconditioner=fac, tol=1e-12)
     assert ok and it >= 2
 
 
@@ -239,8 +239,22 @@ def test_bilu0_names_the_singular_elimination_step():
 def test_solvers_stop_unconverged_at_max_iters(monkeypatch, solve):
     monkeypatch.setattr(blocklinalg, "MAX_ITERS", 2)
     A = random_block_matrix(6, 2, seed=3)
-    _, it, ok = solve(A, np.ones(A.dim), tol=1e-14)
+    _, it, _, ok = solve(A, np.ones(A.dim), tol=1e-14)
     assert (it, ok) == (2, False)
+
+
+@pytest.mark.parametrize("solve", [block_jacobi_solve, gmres])
+@pytest.mark.parametrize("max_iters", [2, blocklinalg.MAX_ITERS])
+def test_solvers_return_the_residual_of_their_x(monkeypatch, solve,
+                                                max_iters):
+    # converged, stopped at the cap, and a zero right-hand side: the
+    # residual returned is bitwise the one solve_linear once recomputed
+    monkeypatch.setattr(blocklinalg, "MAX_ITERS", max_iters)
+    A = random_block_matrix(6, 2, seed=18)
+    for rhs in (np.ones(A.dim), np.zeros(A.dim)):
+        x, _, res, ok = solve(A, rhs, tol=1e-12)
+        assert bool(ok) == (max_iters > 2 or not rhs.any())
+        assert res == np.linalg.norm(rhs - A.matvec(x))
 
 
 def test_jacobi_iteration_matrix_and_cap():
@@ -265,7 +279,7 @@ def test_jacobi_spectrum_convergence_consistency():
     rho = spectral_radius(R)
     assert rho < 1.0
     rhs = np.random.default_rng(19).standard_normal(A.dim)
-    _, it, ok = block_jacobi_solve(A, rhs, tol=1e-12)
+    _, it, _, ok = block_jacobi_solve(A, rhs, tol=1e-12)
     assert ok
     predicted = np.log(1e-12) / np.log(rho)
     assert it <= 4 * predicted + 10
@@ -529,7 +543,7 @@ def test_gmres_applies_the_preconditioner_once_per_step(monkeypatch, kind):
     prec = CountingPreconditioner(factor_block_jacobi(A) if kind == "jacobi"
                                   else factor_bilu0(A, ordering))
     rhs = np.random.default_rng(22).standard_normal(A.dim)
-    x, it, ok = gmres(A, rhs, preconditioner=prec)
+    x, it, _, ok = gmres(A, rhs, preconditioner=prec)
     assert ok and it > 3
     assert prec.calls == it
     assert (np.linalg.norm(rhs - A.matvec(x))

@@ -64,7 +64,7 @@ def test_periodic_step_conserves_mass():
     k = 0.05
     A = backward_euler_system(M, L, k)
     ones = space.project(lambda x, y: np.ones_like(x)).ravel()
-    unew, _, ok = block_jacobi_solve(A, M.matvec(u), tol=1e-14)
+    unew, _, _, ok = block_jacobi_solve(A, M.matvec(u), tol=1e-14)
     assert ok
     mass_old = ones @ M.matvec(u)
     mass_new = ones @ M.matvec(unew)
@@ -110,11 +110,11 @@ def test_gmres_jacobi_never_needs_more_steps_than_block_jacobi(seed, p, jitter,
         M, L = assemble_advection(space, rotating_velocity)
         A = backward_euler_system(M, L, advection_timestep(k_label, h))
         b = M.matvec(space.project(gaussian_pulse()).ravel())
-        _, n_jacobi, ok = block_jacobi_solve(A, b, tol=1e-10)
+        _, n_jacobi, _, ok = block_jacobi_solve(A, b, tol=1e-10)
         assert ok
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(blocklinalg, "RESTART", n_jacobi)
-            _, n_gmres, ok = gmres(A, b,
+            _, n_gmres, _, ok = gmres(A, b,
                                    preconditioner=factor_block_jacobi(A),
                                    tol=1e-10)
         assert ok

@@ -60,7 +60,7 @@ def test_backward_euler_zero_operator_is_identity():
     M, L = scalar_system(0.0)
     A = backward_euler_system(M, L, 0.7)
     u = np.array([2.5])
-    x, _, ok = block_jacobi_solve(A, M.matvec(u))
+    x, _, _, ok = block_jacobi_solve(A, M.matvec(u))
     assert ok and x[0] == pytest.approx(2.5, rel=1e-13)
 
 

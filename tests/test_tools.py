@@ -3,6 +3,7 @@
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 from polydg.mesh import PATTERN_KINDS
@@ -108,3 +109,34 @@ def test_against_flags_counts_outside_the_parent_range(tmp_path, capsys):
     assert capsys.readouterr().err == f"no parent row: {label}\n"
     assert ulp.main(run + ["--against", str(tmp_path / "missing.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: --against: ")
+
+
+def test_against_flags_any_changed_analyze_bit(tmp_path, capsys):
+    # the smoke analyze table, compared with a parent whose lambda_max
+    # differs in the last bit
+    ulp = load_tool("ulp_ensemble")
+    this = tmp_path / "this.csv"
+    run = ["analyze", "--smoke", "--out", str(this)]
+    assert ulp.main(run) == 0
+    header, *rows = this.read_text().splitlines()[1:]
+    cols = header.split(",")
+    assert len(rows) == len(PATTERN_KINDS)
+    first = rows[0].split(",")
+    for col in ("lambda_max", "log_ratio"):
+        text = first[cols.index(col)]
+        assert float.fromhex(text).hex() == text
+    lam = float.fromhex(first[cols.index("lambda_max")])
+    path = tmp_path / "parent.csv"
+    path.write_text(this.read_text())
+    capsys.readouterr()
+    assert ulp.main(run + ["--against", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    row = list(first)
+    row[cols.index("lambda_max")] = np.nextafter(lam, 1.0).hex()
+    path.write_text("\n".join(["# seeds=0", header, ",".join(row),
+                               *rows[1:]]) + "\n")
+    assert ulp.main(run + ["--against", str(path)]) == 1
+    label = "analyze {} p={} {} {}/{}".format(*first[1:6])
+    assert capsys.readouterr().err == (
+        f"changed: {label} lambda_max {np.nextafter(lam, 1.0).hex()} -> "
+        f"{lam.hex()}\n")

@@ -512,9 +512,9 @@ def test_pruned_screen_keeps_the_near_peak_values(monkeypatch, kind, p):
     floors = []
     unrecorded = PatternSymbol.spectral_radius_phases
 
-    def recorded(self, k, phi1, phi2, screen=False, floor=None):
+    def recorded(self, k, phi1, phi2, screen=False, floor=None, orbits=None):
         floors.append(-np.inf if floor is None else floor)
-        return unrecorded(self, k, phi1, phi2, screen, floor)
+        return unrecorded(self, k, phi1, phi2, screen, floor, orbits)
 
     monkeypatch.setattr(PatternSymbol, "spectral_radius_phases", recorded)
     pruned_points = 0
@@ -560,10 +560,10 @@ def test_max_spectral_radius_recomputes_in_slices(monkeypatch):
     sizes = []
     unrecorded = PatternSymbol.spectral_radius_phases
 
-    def recorded(self, k, phi1, phi2, screen=False, floor=None):
+    def recorded(self, k, phi1, phi2, screen=False, floor=None, orbits=None):
         if not screen:
             sizes.append(np.size(phi1))
-        return unrecorded(self, k, phi1, phi2, screen, floor)
+        return unrecorded(self, k, phi1, phi2, screen, floor, orbits)
 
     monkeypatch.setattr(PatternSymbol, "spectral_radius_phases", recorded)
     sliced = max_spectral_radius("rtri", 2, k, AREA)
@@ -573,6 +573,69 @@ def test_max_spectral_radius_recomputes_in_slices(monkeypatch):
     sizes.clear()
     assert max_spectral_radius("rtri", 2, k, AREA).hex() == sliced.hex()
     assert max(sizes) == n * n
+
+
+# a vector parallel to each pattern's phase direction; hexagon has none
+PHASE_DIRECTIONS = {"square": (-1, 1), "hexagon": None, "rtri": (0, 1),
+                    "etri": (-1, 1)}
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+@pytest.mark.parametrize("p", DEGREES)
+@settings(max_examples=10, deadline=None)
+@given(frac=st.floats(0.0, 1.0),
+       phases=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+       shift=st.integers(-48, 48))
+def test_radius_is_constant_across_the_phase_direction(kind, p, frac, phases,
+                                                      shift):
+    d = vonneumann.pattern_operators(kind, p, AREA).phase_direction
+    want = PHASE_DIRECTIONS[kind]
+    if want is None:
+        assert d is None
+        return
+    assert d[0] * want[1] - d[1] * want[0] == 0 and np.gcd(*d) == 1
+    t0, t1 = THETA_RANGES[kind]
+    th = t0 + frac * (t1 - t0)
+    sym = PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
+    # a grid shift along v, d.v = 0, leaves d.phi as it is
+    n = SweepConfig().wave_samples
+    v = np.array([-d[1], d[0]])
+    phi = np.array(phases)
+    P = np.stack([phi, phi + shift * (2.0 * np.pi / n) * v], axis=1)
+    rho, moved = sym.spectral_radius_phases(timestep_family(AREA, "k2"), *P)
+    assert moved == pytest.approx(rho, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["square", "rtri", "etri"])
+def test_orbit_screen_squares_one_point_per_orbit(monkeypatch, kind):
+    # the default grid with and without the orbits: the same lambda_max,
+    # bit for bit, from the same refine start
+    k = timestep_family(AREA, "k2")
+    squared, starts = [], []
+    unspied, own = vonneumann._squared_bounds, vonneumann.nelder_mead
+
+    def spied(Re, *args):
+        squared.append(len(Re))
+        return unspied(Re, *args)
+
+    def recorded(f, x0, **options):
+        starts.append(tuple(x0))
+        return own(f, x0, **options)
+
+    monkeypatch.setattr(vonneumann, "_squared_bounds", spied)
+    monkeypatch.setattr(vonneumann, "nelder_mead", recorded)
+    reduced = max_spectral_radius(kind, 2, k, AREA)
+    per_angle = list(squared)
+    squared.clear()
+    monkeypatch.setattr(vonneumann.pattern_operators(kind, 2, AREA),
+                        "phase_direction", None)
+    full = max_spectral_radius(kind, 2, k, AREA)
+    assert reduced.hex() == full.hex()
+    assert starts[0] == starts[1]
+    # one call per screened angle, and at most one point per orbit in each
+    n = SweepConfig().wave_samples
+    assert len(per_angle) == len(squared)
+    assert sum(per_angle) <= n * len(per_angle) < sum(squared)
 
 
 # -- the dict assembly the offset-indexed stack replaced ----------------------

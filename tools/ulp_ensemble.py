@@ -1,10 +1,10 @@
 """Which table counts can round-off move? Rerun a table with last-bit noise.
 
-    python tools/ulp_ensemble.py [advect] [euler] [--seeds N]
+    python tools/ulp_ensemble.py [advect] [euler] [analyze] [--seeds N]
         [--patterns rtri,...] [--p 3,...] [--k k2,...] [--smoke] [--out PATH]
         [--against PARENT.csv]
 
-Runs each cell (pattern, p, k) of each table named (default: both), with
+Runs each cell (pattern, p, k) of each table named (default: all), with
 every solver configuration of `experiments.SOLVER_CONFIGS`, once as is and
 once per seed 0..N-1. Under a seed, every right-hand side that reaches
 `experiments.solve_linear` is scaled entrywise by 1 + s 2^-52, with s drawn
@@ -19,14 +19,23 @@ and for Euler the same for the Newton steps. A cell whose minimum and
 maximum differ has a count that round-off moves, so a change that moves
 only the last bits of its inputs may move that count within that range.
 `--smoke` runs a small size (advect at h = 0.2 with 2 steps, Euler at p = 0,
-one pattern and timestep, 2 seeds) in a few seconds.
+one pattern and timestep, 2 seeds; analyze at p = 0, k2 on a 3 x 6 grid) in
+a few seconds.
+
+The `analyze` table is `vonneumann.ratio_table` on the default sweep, with
+no noise: `--seeds` does not apply to it. It writes one row per (pattern,
+p, k) with `lambda_max` and `log_ratio` as `float.hex`, so any change of a
+bit shows. `--patterns` selects rows only; every log ratio is taken over
+all four patterns.
 
 `--against PARENT.csv` compares this run's unperturbed counts with an
 ensemble CSV written by an earlier run, say of the parent commit. It prints
 to standard error every iteration count that differs from the parent's
 unperturbed count, and every count (Newton steps included) outside the
 parent's range, with that range, and exits 1 if any count lies outside it
-or has no parent row. `--seeds 0` runs the unperturbed counts only.
+or has no parent row. `--seeds 0` runs the unperturbed counts only. An
+analyze value that differs in any bit from the parent's is printed and
+exits 1 too.
 """
 
 import argparse
@@ -44,10 +53,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from polydg import experiments  # noqa: E402
 from polydg.basis import DEGREES, BasisError  # noqa: E402
 from polydg.mesh import PATTERN_KINDS  # noqa: E402
-from polydg.vonneumann import TIMESTEP_FACTORS  # noqa: E402
+from polydg.vonneumann import (TIMESTEP_FACTORS, SweepConfig,  # noqa: E402
+                               SymbolError, ratio_table)
 
 ULP = 2.0 ** -52
-TABLES = ("advect", "euler")
+TABLES = ("advect", "euler", "analyze")
 CELLS = {"patterns": PATTERN_KINDS, "p_list": DEGREES,
          "k_labels": tuple(TIMESTEP_FACTORS)}
 SMOKE_SEEDS = 2
@@ -55,10 +65,12 @@ SMOKE = {
     "advect": {"patterns": ("rtri",), "p_list": (1,), "k_labels": ("k2",),
                "h": 0.2, "n_steps": 2},
     "euler": {"patterns": ("rtri",), "p_list": (0,), "k_labels": ("k2",)},
+    "analyze": {"p_list": (0,), "k_labels": ("k2",),
+                "config": SweepConfig(theta_samples=3, wave_samples=6)},
 }
 HEADER = ["table", "pattern", "p", "k_label", "solver", "preconditioner",
           "iterations", "iterations_min", "iterations_max", "newton_min",
-          "newton_max"]
+          "newton_max", "lambda_max", "log_ratio"]
 
 
 def perturbed(solve, rng):
@@ -103,6 +115,16 @@ def ensemble(table, seeds, patterns, p_list, k_labels, **size):
     return runs
 
 
+def symbol_values(patterns, p_list, k_labels, config=None):
+    """{(pattern, p, k, "symbol", ""): (lambda_max, log_ratio)} of
+    `ratio_table`, each value a float.hex string."""
+    table = ratio_table(p_list, k_labels, config)
+    return {(kind, p, lab, "symbol", ""): (float(lam).hex(),
+                                          float(ratio).hex())
+            for (kind, p, lab), (lam, ratio) in table.items()
+            if kind in patterns}
+
+
 def cell_key(pattern, p, k_label):
     """The cell as non-negative integers, for seeding its noise."""
     return PATTERN_KINDS.index(pattern), p, CELLS["k_labels"].index(k_label)
@@ -110,11 +132,15 @@ def cell_key(pattern, p, k_label):
 
 def ranges(table, runs):
     """One CSV row per cell."""
+    if table == "analyze":
+        for cell, values in runs.items():
+            yield [table, *cell, "", "", "", "", "", *values]
+        return
     for cell, counts in runs.items():
         its = [it for it, _ in counts]
         newton = [n for _, n in counts if n != ""]
         yield [table, *cell, its[0], min(its), max(its),
-               min(newton, default=""), max(newton, default="")]
+               min(newton, default=""), max(newton, default=""), "", ""]
 
 
 def read_ranges(path):
@@ -130,9 +156,10 @@ def read_ranges(path):
 def against(table_runs, parent):
     """Print each unperturbed count of table_runs ({table: runs}) that
     moved from the parent's (a read_ranges dict) or lies outside the
-    parent's range; return how many lie outside or have no parent row. The
-    CSV keeps no unperturbed Newton count, so a Newton count is judged by
-    the range alone."""
+    parent's range, and each analyze value whose bits changed; return how
+    many lie outside, changed or have no parent row. The CSV keeps no
+    unperturbed Newton count, so a Newton count is judged by the range
+    alone."""
     bad = 0
     for table, runs in table_runs.items():
         for cell, counts in runs.items():
@@ -142,6 +169,13 @@ def against(table_runs, parent):
             if ref is None:
                 print(f"no parent row: {label}", file=sys.stderr)
                 bad += 1
+                continue
+            if table == "analyze":
+                for what, got in zip(("lambda_max", "log_ratio"), counts):
+                    if got != ref[what]:
+                        bad += 1
+                        print(f"changed: {label} {what} {ref[what]} -> "
+                              f"{got}", file=sys.stderr)
                 continue
             iterations, newton = counts[0]
             checks = [("iterations", iterations, int(ref["iterations"]),
@@ -166,8 +200,8 @@ def _csv_list(kind=str):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("tables", nargs="*", metavar="{advect,euler}",
-                        help="the tables to run (default: both)")
+    parser.add_argument("tables", nargs="*", metavar="{advect,euler,analyze}",
+                        help="the tables to run (default: all)")
     parser.add_argument("--seeds", type=int)
     parser.add_argument("--patterns", type=_csv_list())
     parser.add_argument("--p", dest="p_list", type=_csv_list(int))
@@ -195,10 +229,12 @@ def main(argv=None):
         return 2
     try:
         for table in dict.fromkeys(args.tables or TABLES):
-            size = SMOKE[table] if args.smoke else {}
-            table_runs[table] = ensemble(table, args.seeds,
-                                         **{**CELLS, **size, **given})
-    except (BasisError, experiments.ExperimentError) as exc:
+            cells = {**CELLS, **(SMOKE[table] if args.smoke else {}),
+                     **given}
+            table_runs[table] = (
+                symbol_values(**cells) if table == "analyze"
+                else ensemble(table, args.seeds, **cells))
+    except (BasisError, SymbolError, experiments.ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = [row for table, runs in table_runs.items()
