@@ -570,13 +570,18 @@ def gmres(A, rhs, preconditioner=None, tol=TOL):
         x = x + Z[:j_used].T @ y
         r = rhs - A.matvec(x)
     rnorm = np.linalg.norm(r)
-    return x, total, rnorm, rnorm <= tol * bnorm
+    return x, total, rnorm, bool(rnorm <= tol * bnorm)
 
 
-def jacobi_iteration_matrix(A, dim_cap=2000):
-    """Dense R_J = I - D^{-1} A for spectral studies on small systems."""
-    if A.dim > dim_cap:
-        raise LinalgError(f"dimension {A.dim} exceeds cap {dim_cap}")
+# unknowns above which jacobi_iteration_matrix refuses the dense R_J
+DENSE_DIM_CAP = 2000
+
+
+def jacobi_iteration_matrix(A):
+    """Dense R_J = I - D^{-1} A for spectral studies on small systems of
+    at most DENSE_DIM_CAP unknowns."""
+    if A.dim > DENSE_DIM_CAP:
+        raise LinalgError(f"dimension {A.dim} exceeds cap {DENSE_DIM_CAP}")
     dense = A.to_dense()
     Dinv = BlockSparseMatrix(
         A.n, A.b, np.arange(A.n + 1), np.arange(A.n),

@@ -42,7 +42,7 @@ def backward_euler_matrix(n_intervals, h, k):
     return L.scaled_add_diag(k, M.diagonal_blocks())
 
 
-def symbol_l_hat(h, k, n):
+def symbol_l_hat(h, n):
     """Fourier-space L for wavenumber n (the displayed 2 x 2 matrix)."""
     return diag_block() + np.exp(-1j * h * n) * left_coupling_block()
 

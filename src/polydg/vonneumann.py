@@ -50,7 +50,10 @@ class PatternOperators:
     copy at lattice offset m1*a1 + m2*a2, (m1, m2) = `offsets[i]`: (0, 0)
     first, then the inflow offsets in the order the element sides meet
     them. `mask` (dim, dim) marks the element-diagonal blocks.
-    `phase_direction` is `_phase_direction()`, built with the operators.
+    `two_cyclic` and `phase_direction` (`_symmetries`) are read from the
+    parts once. A velocity on the edge of the cone can only zero more
+    blocks, so a pattern two-cyclic in its parts is two-cyclic at every
+    admissible velocity, and its direction holds on the whole cone.
     """
 
     def __init__(self, kind, p, element_area):
@@ -70,7 +73,7 @@ class PatternOperators:
         elem = np.arange(self.dim) // self.n_loc
         self.mask = elem[:, None] == elem
         self._assemble()
-        self.phase_direction = self._phase_direction()
+        self.two_cyclic, self.phase_direction = self._symmetries()
 
     def _find_partner(self, mid, direction, scale):
         """Element index and lattice offset of the cell across an edge; the
@@ -133,38 +136,43 @@ class PatternOperators:
         self.offsets = np.array(list(parts))
         self.parts = np.stack(list(parts.values()))
 
-    def _phase_direction(self):
-        """The primitive integer direction d of the differences between the
-        offsets whose coupling blocks are not all zero, as a tuple, or None
-        when those differences do not lie on one line (or are all zero).
+    def _symmetries(self):
+        """(two_cyclic, phase_direction) of the pattern, read off which
+        element pairs each offset couples outside the Jacobi diagonal.
 
-        The Jacobi symbol is R_hat(phi) = sum_m exp(i m.phi) C_m, where the
+        Two elements that couple only to each other outside the Jacobi
+        diagonal make R_hat = [[0, X], [Y, 0]] (two-cyclic), whose
+        eigenvalues are +-sqrt(eig(X Y)).
+
+        The phase direction is the primitive integer direction d of the
+        differences between the coupling offsets, as a tuple, or None when
+        those differences do not lie on one line (or are all zero). The
+        Jacobi symbol is R_hat(phi) = sum_m exp(i m.phi) C_m, where the
         element-diagonal blocks of offset (0, 0) are the Jacobi diagonal's
         and do not count. With every counted m on a line m_0 + t d,
         R_hat(phi) = exp(i m_0.phi) F(d.phi), so rho depends on phi only
-        through d.phi. On a two-cyclic pattern, R_hat = [[0, X], [Y, 0]]
-        and rho^2 = rho(X Y), so the offsets of X and those of Y are taken
-        separately. A velocity on the edge of the cone can only zero more
-        blocks, which adds invariance, so d holds on the whole cone.
+        through d.phi. On a two-cyclic pattern rho^2 = rho(X Y), so the
+        offsets of X and those of Y are taken separately.
         """
         ne, nl = self.n_elems, self.n_loc
         # coupled[i, a, b]: offset i couples element a to element b
         coupled = self.parts.reshape(len(self.parts), 2, ne, nl, ne, nl) \
             .any(axis=(1, 3, 5))
         coupled[0] &= ~np.eye(ne, dtype=bool)
-        if ne == 2 and not coupled[:, [0, 1], [0, 1]].any():
+        two_cyclic = ne == 2 and not coupled[:, [0, 1], [0, 1]].any()
+        if two_cyclic:
             groups = [coupled[:, 0, 1], coupled[:, 1, 0]]
         else:
             groups = [coupled.any(axis=(1, 2))]
         diffs = np.concatenate([self.offsets[g] - self.offsets[g][:1]
                                 for g in groups])
         diffs = diffs[diffs.any(axis=1)]
-        if not len(diffs):
-            return None
-        d = diffs[0] // np.gcd(*diffs[0])
-        if np.any(d[0] * diffs[:, 1] - d[1] * diffs[:, 0]):
-            return None
-        return int(d[0]), int(d[1])
+        direction = None
+        if len(diffs):
+            d = diffs[0] // np.gcd(*diffs[0])
+            if not np.any(d[0] * diffs[:, 1] - d[1] * diffs[:, 0]):
+                direction = int(d[0]), int(d[1])
+        return two_cyclic, direction
 
 
 @functools.cache
@@ -216,14 +224,10 @@ class PatternSymbol:
         self.mass = ops.mass
         self.offsets = ops.offsets
         self.phase_direction = ops.phase_direction
+        self.two_cyclic = ops.two_cyclic
         self.blocks = alpha * ops.parts[:, 0] + beta * ops.parts[:, 1]
         # per-element diagonal blocks only (intra-pattern couplings excluded)
         self.diag = np.where(ops.mask, self.blocks[0], 0.0)
-        # Two elements that couple only to each other outside the Jacobi
-        # diagonal make R_hat = [[0, X], [Y, 0]] (two-cyclic), whose
-        # eigenvalues are +-sqrt(eig(X Y)).
-        self.two_cyclic = (ops.n_elems == 2
-                           and not self.blocks[1:, ops.mask].any())
         self._parts_by_k = {}
 
     def l_hat_phases(self, phi1, phi2):
@@ -266,8 +270,7 @@ class PatternSymbol:
             self._parts_by_k[k] = parts
         return parts
 
-    def spectral_radius_phases(self, k, phi1, phi2, screen=False, floor=None,
-                               orbits=None):
+    def spectral_radius_phases(self, k, phi1, phi2, screen=False, floor=None):
         """max |eig(R_hat)| at lattice phases (phi1, phi2); broadcasts.
 
         The reference path builds R_hat with `jacobi_symbol`. `screen=True`
@@ -278,21 +281,14 @@ class PatternSymbol:
         With a `floor`, points are proven low instead of solved. By
         Gelfand's formula (Horn and Johnson, Matrix Analysis, 2nd ed.,
         5.6), b_s = ||M^(2^s)||_F^(1/(2^s root)) >= rho(R_hat) for every s,
-        up to rounding. M is squared up to BOUND_SQUARINGS times, rescaled
-        to unit norm before each squaring, and the log-norms are summed
-        with doubling weights. The squarings run in real arithmetic on
-        M = Re + i Im, as (Re, Im) -> (Re Re - Im Im, Re Im + Im Re), and
-        the norm sums both parts. A point whose b_s is below the floor
-        gets b_s; every other point gets its eigenvalue radius, bitwise the
-        value without a floor.
-
-        `orbits`, an integer label per point, marks points whose radii are
-        equal (`screened_grid`); by default every point is its own orbit.
-        Every point first gets its own b_0. Of the points it leaves above
-        the floor, only the first of each orbit is squared, and when that
-        representative's b_s falls below the floor, every such point of its
-        orbit gets that b_s. The points of the orbits left are eigen-solved,
-        each on its own.
+        up to rounding. Each point's M is squared up to BOUND_SQUARINGS
+        times, rescaled to unit norm before each squaring, and the
+        log-norms are summed with doubling weights. The squarings run in
+        real arithmetic on M = Re + i Im, as
+        (Re, Im) -> (Re Re - Im Im, Re Im + Im Re), and the norm sums both
+        parts. A point whose b_s is below the floor (s = 0 first) gets b_s;
+        every other point gets its eigenvalue radius, bitwise the value
+        without a floor.
         """
         if not screen:
             R = self.jacobi_symbol(k, phi1, phi2)
@@ -325,15 +321,9 @@ class PatternSymbol:
             log_norm = np.log(norm)
         rho = np.exp(log_norm / root)
         high = np.flatnonzero(rho >= floor)
-        # s >= 1 on one representative per orbit, its first point left
-        labels = high if orbits is None else np.ravel(orbits)[high]
-        _, first, orbit = np.unique(labels, return_index=True,
-                                    return_inverse=True)
-        reps = high[first]
-        bound = _squared_bounds(M.real[reps], M.imag[reps], norm[reps],
-                                log_norm[reps], floor, root)
-        rho[high] = bound[orbit]
-        solve = high[bound[orbit] >= floor]
+        rho[high] = _squared_bounds(M.real[high], M.imag[high], norm[high],
+                                    log_norm[high], floor, root)
+        solve = high[rho[high] >= floor]
         rho[solve] = radius(M[solve])
         return rho.reshape(phi1.shape)
 
@@ -465,49 +455,50 @@ def screened_grid(syms, k, n, n_theta, mirror=None):
     """Screened spectral radii on the grid of n_theta velocity angles and
     the phases 2 pi (j1, j2) / n, shape (n_theta, n * n), phases in C order.
 
-    `syms` holds the symbols of the angles to screen, each on half the
-    phases, since rho(-phi) = rho(phi). Without a mirror they are all
-    n_theta angles; with the phase map `mirror` of `velocity_mirror` they
-    are the first ceil(n_theta / 2), and angle n_theta - 1 - t takes angle
-    t's radii at the phases T phi.
+    Each phase gets an orbit label, equal on phases whose radii are equal
+    by symmetry: rho(-phi) = rho(phi) always, and where the pattern has a
+    `phase_direction` d, rho depends on the phases only through d.phi. So
+    the label is min(j1 n + j2, its conjugate's) without a direction
+    (hexagon), and min(c, -c mod n), c = d1 j1 + d2 j2 mod n, with one
+    (square, rtri, etri): about n^2 / 2 or n / 2 + 1 orbits. Only the first
+    phase of each orbit in C order is screened, and its value is copied to
+    the whole orbit.
+
+    `syms` holds the symbols of the angles to screen. Without a mirror
+    they are all n_theta angles; with the phase map `mirror` of
+    `velocity_mirror` they are the first ceil(n_theta / 2), and angle
+    n_theta - 1 - t takes angle t's radii at the phases T phi.
 
     Each angle is screened with the floor
     best - SCREEN_TOL - ROUNDING_MARGIN, best being the largest radius
     found so far: at phase zero of every angle, then on each angle
     screened. A pruned point's bound b, and so its radius r <= b, lies
     below the grid's peak minus SCREEN_TOL; the margin covers rounding
-    (~1e-15) in b and in the phase-zero radii. So the points within
-    SCREEN_TOL of the peak, and their values, are an unfloored screen's.
-
-    Where the pattern has a `phase_direction` d, rho depends on the phases
-    only through d.phi, so it is the same at every point of an orbit
-    {(j1, j2) : d1 j1 + d2 j2 = c mod n}. Each point is labelled with its
-    orbit c, and `spectral_radius_phases` squares only one point per orbit
-    and shares its bound (n orbits instead of about n^2 / 2 points); a
-    shared bound is still at least each radius of its orbit, up to
-    rounding. Without a direction (hexagon) every point is its own orbit.
+    (~1e-15) in b, in the phase-zero radii and between the members of an
+    orbit. So the points within SCREEN_TOL of the peak, and their values,
+    are an unfloored screen's.
     """
-    # screen the half of the phases that is at or before its conjugate
-    # point -phi in C order and copy each value to the conjugate
-    flat = np.arange(n * n)
-    conj = (-(flat // n) % n) * n + (-flat % n)
-    half = flat <= conj
-    keep, copy = flat[half], conj[half]
+    j1, j2 = np.divmod(np.arange(n * n), n)
+    d = syms[0].phase_direction
+    if d is None:
+        label = np.minimum(j1 * n + j2, (-j1 % n) * n + (-j2 % n))
+    else:
+        c = (d[0] * j1 + d[1] * j2) % n
+        label = np.minimum(c, -c % n)
+    # reps[o]: orbit o's first phase; orbit[g]: phase g's orbit
+    _, reps, orbit = np.unique(label, return_index=True, return_inverse=True)
     phis = 2.0 * np.pi * np.arange(n) / n
     screened = np.empty((n_theta, n * n))
-    d = syms[0].phase_direction
-    orbits = (None if d is None
-              else (d[0] * (keep // n) + d[1] * (keep % n)) % n)
     best = max(sym.spectral_radius_phases(k, 0.0, 0.0, screen=True)
                for sym in syms)
     for sym, row in zip(syms, screened):
-        row[keep] = row[copy] = sym.spectral_radius_phases(
-            k, phis[keep // n], phis[keep % n], screen=True,
-            floor=best - SCREEN_TOL - ROUNDING_MARGIN, orbits=orbits)
+        row[:] = sym.spectral_radius_phases(
+            k, phis[j1[reps]], phis[j2[reps]], screen=True,
+            floor=best - SCREEN_TOL - ROUNDING_MARGIN)[orbit]
         best = max(best, row.max())
     if mirror is not None:
         # rho(t0 + t1 - theta, T phi) = rho(theta, phi)
-        i1, i2 = (mirror @ np.stack(np.divmod(flat, n))) % n
+        i1, i2 = (mirror @ np.stack([j1, j2])) % n
         m = n_theta // 2
         screened[::-1][:m, i1 * n + i2] = screened[:m]
     return screened
@@ -578,9 +569,11 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     then refines it, since the maximizer can be sharp. The timestep k must
     be finite and positive.
 
-    The coarse grid is screened with the cheap `screen=True` path on half
-    of it: rho(-phi) = rho(phi) halves each phase grid, and when the
-    pattern is mirror-symmetric about its cone's bisector
+    The coarse grid is screened with the cheap `screen=True` path on part
+    of it: one phase per orbit of phases with equal radii (`screened_grid`:
+    rho(-phi) = rho(phi), and on square, rtri and etri rho depends on
+    d.phi only, d the `phase_direction` of `PatternOperators`), and when
+    the pattern is mirror-symmetric about its cone's bisector
     (`velocity_mirror`: square and etri with T = [[0, 1], [1, 0]], hexagon
     with T = [[1, 0], [1, -1]]; not rtri, and no pattern on the quarter-pi
     range) only the first ceil(N/2) angles are screened and angle N-1-t
@@ -593,11 +586,6 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     are bit for bit those of a full reference grid. The refine evaluates
     the points scipy's Nelder-Mead would, so the result is also bit for
     bit the one `scipy.optimize.minimize` gave.
-
-    Where rho depends on the phases only through d.phi (the
-    `phase_direction` of `PatternOperators`: square, rtri and etri), the
-    screen squares one point per phase orbit d1 j1 + d2 j2 = c mod n for
-    the bound (`screened_grid`); the values near the peak stay the same.
     """
     config = config or SweepConfig()
     if config.theta_samples < 1 or config.wave_samples < 1:

@@ -8,6 +8,7 @@ are separate tests so an unmatched cell is reported precisely.
 import numpy as np
 import pytest
 
+from polydg import blocklinalg
 from polydg.basis import DgSpace
 from polydg.blocklinalg import (BlockSparseMatrix, block_jacobi_solve,
                                 factor_bilu0, gmres, jacobi_iteration_matrix,
@@ -163,7 +164,7 @@ def test_p0_closed_forms_random_draws(kind):
 
 @pytest.mark.parametrize("kind", PATTERNS)
 @pytest.mark.parametrize("p", [0, 1])
-def test_symbol_matches_assembled_tiling(kind, p):
+def test_symbol_matches_assembled_tiling(monkeypatch, kind, p):
     n1 = n2 = 4
     theta = {"square": 0.6, "hexagon": 0.4, "rtri": 0.5, "etri": 0.4}[kind]
     vel = (np.cos(theta), np.sin(theta))
@@ -172,7 +173,8 @@ def test_symbol_matches_assembled_tiling(kind, p):
     space = DgSpace(mesh, p)
     M, L = assemble_advection(space, vel)
     A = backward_euler_system(M, L, k)
-    eigs = np.linalg.eigvals(jacobi_iteration_matrix(A, dim_cap=4000))
+    monkeypatch.setattr(blocklinalg, "DENSE_DIM_CAP", 4000)
+    eigs = np.linalg.eigvals(jacobi_iteration_matrix(A))
     sym = PatternSymbol(kind, p, AREA, vel)
     for m1 in range(n1):
         for m2 in range(n2):

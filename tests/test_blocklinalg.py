@@ -241,6 +241,7 @@ def test_solvers_stop_unconverged_at_max_iters(monkeypatch, solve):
     A = random_block_matrix(6, 2, seed=3)
     _, it, _, ok = solve(A, np.ones(A.dim), tol=1e-14)
     assert (it, ok) == (2, False)
+    assert ok is False
 
 
 @pytest.mark.parametrize("solve", [block_jacobi_solve, gmres])
@@ -257,14 +258,15 @@ def test_solvers_return_the_residual_of_their_x(monkeypatch, solve,
         assert res == np.linalg.norm(rhs - A.matvec(x))
 
 
-def test_jacobi_iteration_matrix_and_cap():
+def test_jacobi_iteration_matrix_and_cap(monkeypatch):
     A = random_block_matrix(4, 2, seed=17)
     R = jacobi_iteration_matrix(A)
     # diagonal blocks of R vanish
     for i in range(4):
         assert np.max(np.abs(R[2 * i:2 * i + 2, 2 * i:2 * i + 2])) < 1e-12
+    monkeypatch.setattr(blocklinalg, "DENSE_DIM_CAP", 4)
     with pytest.raises(LinalgError):
-        jacobi_iteration_matrix(A, dim_cap=4)
+        jacobi_iteration_matrix(A)
 
 
 def test_dense_eigenvalue_guards():

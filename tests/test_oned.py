@@ -42,7 +42,7 @@ def test_symbol_matches_assembled_eigenvalues():
 
 def test_closed_form_nonzero_eigenvalue_2x2():
     h, k, wn = 0.2, 0.13, 3.7
-    Ahat = mass_block(h) + k * symbol_l_hat(h, k, wn)
+    Ahat = mass_block(h) + k * symbol_l_hat(h, wn)
     D = mass_block(h) + k * diag_block()
     Rhat = np.eye(2) - np.linalg.solve(D, Ahat)
     eigs = np.linalg.eigvals(Rhat)

@@ -311,23 +311,12 @@ def test_velocity_mirror_rejects_an_asymmetric_motif():
                                                                 [1, 0]]
 
 
-def unpruned_grid(syms, k, n, n_theta, mirror=None):
-    """The screened grid of `screened_grid` without a floor: every point
-    of the screened half of the phases eigen-solved."""
-    flat = np.arange(n * n)
-    conj = (-(flat // n) % n) * n + (-flat % n)
-    half = flat <= conj
-    keep, copy = flat[half], conj[half]
-    phis = 2.0 * np.pi * np.arange(n) / n
-    screened = np.empty((n_theta, n * n))
-    for sym, row in zip(syms, screened):
-        row[keep] = row[copy] = sym.spectral_radius_phases(
-            k, phis[keep // n], phis[keep % n], screen=True)
-    if mirror is not None:
-        i1, i2 = (mirror @ np.stack(np.divmod(flat, n))) % n
-        m = n_theta // 2
-        screened[::-1][:m, i1 * n + i2] = screened[:m]
-    return screened
+def unpruned_grid(monkeypatch, syms, k, n, n_theta, mirror=None):
+    """`screened_grid` without pruning: a floor of -inf eigen-solves the
+    first point of every orbit."""
+    with monkeypatch.context() as m:
+        m.setattr(vonneumann, "ROUNDING_MARGIN", np.inf)
+        return screened_grid(syms, k, n, n_theta, mirror)
 
 
 @pytest.mark.parametrize("kind", ["square", "hexagon", "etri"])
@@ -339,10 +328,9 @@ def test_mirrored_screen_matches_full_screen(monkeypatch, kind,
             for th in np.linspace(t0, t1, theta_samples)]
     T = velocity_mirror(GeneratingPattern.make(kind, AREA), t0, t1)
     k = timestep_family(AREA, "k2")
-    full = unpruned_grid(syms, k, 12, theta_samples)
-    # a floor of -inf prunes no point, so every mirrored value is compared
-    monkeypatch.setattr(vonneumann, "ROUNDING_MARGIN", np.inf)
-    half = screened_grid(syms[:(theta_samples + 1) // 2], k, 12,
+    full = unpruned_grid(monkeypatch, syms, k, 12, theta_samples)
+    # unpruned, so every mirrored value is compared
+    half = unpruned_grid(monkeypatch, syms[:(theta_samples + 1) // 2], k, 12,
                          theta_samples, T)
     assert np.max(np.abs(half - full)) <= 1e-13
 
@@ -512,9 +500,9 @@ def test_pruned_screen_keeps_the_near_peak_values(monkeypatch, kind, p):
     floors = []
     unrecorded = PatternSymbol.spectral_radius_phases
 
-    def recorded(self, k, phi1, phi2, screen=False, floor=None, orbits=None):
+    def recorded(self, k, phi1, phi2, screen=False, floor=None):
         floors.append(-np.inf if floor is None else floor)
-        return unrecorded(self, k, phi1, phi2, screen, floor, orbits)
+        return unrecorded(self, k, phi1, phi2, screen, floor)
 
     monkeypatch.setattr(PatternSymbol, "spectral_radius_phases", recorded)
     pruned_points = 0
@@ -525,7 +513,7 @@ def test_pruned_screen_keeps_the_near_peak_values(monkeypatch, kind, p):
             syms = [PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
                     for th in np.linspace(t0, t1, n_theta)]
             syms = syms[:n_theta if mirror is None else (n_theta + 1) // 2]
-            full = unpruned_grid(syms, k, 10, n_theta, mirror)
+            full = unpruned_grid(monkeypatch, syms, k, 10, n_theta, mirror)
             floors.clear()
             pruned = screened_grid(syms, k, 10, n_theta, mirror)
             # every floor keeps the rounding margin below the peak's band
@@ -560,10 +548,10 @@ def test_max_spectral_radius_recomputes_in_slices(monkeypatch):
     sizes = []
     unrecorded = PatternSymbol.spectral_radius_phases
 
-    def recorded(self, k, phi1, phi2, screen=False, floor=None, orbits=None):
+    def recorded(self, k, phi1, phi2, screen=False, floor=None):
         if not screen:
             sizes.append(np.size(phi1))
-        return unrecorded(self, k, phi1, phi2, screen, floor, orbits)
+        return unrecorded(self, k, phi1, phi2, screen, floor)
 
     monkeypatch.setattr(PatternSymbol, "spectral_radius_phases", recorded)
     sliced = max_spectral_radius("rtri", 2, k, AREA)
@@ -632,10 +620,34 @@ def test_orbit_screen_squares_one_point_per_orbit(monkeypatch, kind):
     full = max_spectral_radius(kind, 2, k, AREA)
     assert reduced.hex() == full.hex()
     assert starts[0] == starts[1]
-    # one call per screened angle, and at most one point per orbit in each
+    # one call per screened angle, and at most one point per orbit in each:
+    # the orbits c and -c mod n share a radius
     n = SweepConfig().wave_samples
     assert len(per_angle) == len(squared)
-    assert sum(per_angle) <= n * len(per_angle) < sum(squared)
+    assert max(per_angle) <= n // 2 + 1
+    assert sum(per_angle) < sum(squared)
+
+
+@pytest.mark.parametrize("kind", ["square", "rtri", "etri"])
+@pytest.mark.parametrize("p", DEGREES)
+def test_orbit_sharing_only_rounds_the_unpruned_screen(monkeypatch, kind, p):
+    # every point of an orbit takes its first point's radius; solved on its
+    # own, each agrees with it to rounding
+    t0, t1 = THETA_RANGES[kind]
+    k = timestep_family(AREA, "k2")
+    n, thetas = 12, np.linspace(t0, t1, 4)
+
+    def grid():
+        syms = [PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
+                for th in thetas]
+        return unpruned_grid(monkeypatch, syms, k, n, len(thetas))
+
+    shared = grid()
+    monkeypatch.setattr(vonneumann.pattern_operators(kind, p, AREA),
+                        "phase_direction", None)
+    own = grid()
+    assert shared.shape == own.shape == (len(thetas), n * n)
+    assert np.all(np.abs(shared - own) <= 1e-12 * own)
 
 
 # -- the dict assembly the offset-indexed stack replaced ----------------------
