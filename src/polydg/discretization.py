@@ -10,7 +10,6 @@ import numpy as np
 
 from .basis import quadrature_products
 from .blocklinalg import BlockSparseMatrix
-from .mesh import BOUNDARY
 
 
 class AssemblyError(Exception):
@@ -65,12 +64,11 @@ def assemble_advection(space, velocity):
     """
     mesh = space.mesh
     beta = _velocity_fn(velocity)
-    left, right = mesh.edge_left, mesh.edge_right
-    inner = np.flatnonzero(right != BOUNDARY)
+    left, ni = mesh.edge_left, mesh.n_inner
     # the terms in the order they are summed: the volume term of each cell,
     # then LL of each edge, then LR, RL and RR of each inner edge
     n, nl = mesh.n_cells, space.n_loc
-    blocks = np.empty((n + len(left) + 3 * len(inner), nl, nl))
+    blocks = np.empty((n + len(left) + 3 * ni, nl, nl))
 
     # volume terms: - int (beta . grad v_i) u_l
     for cells, nodes, weights, B in space.groups:
@@ -93,12 +91,12 @@ def assemble_advection(space, velocity):
     # every edge: the interior trace leaves through the outflow part; on
     # boundary edges the inflow part sees the exterior state 0
     quadrature_products(wl * w_out[..., None], wl, out=blocks[n:n + len(left)])
-    li, ri = left[inner], right[inner]
-    wl, w_out, w_in = wl[inner], w_out[inner], w_in[inner]
-    wr = space.values(ri, nodes[inner] - shifts[inner][:, None, :])
+    li, ri = left[:ni], mesh.edge_right[:ni]
+    wl, w_out, w_in = wl[:ni], w_out[:ni], w_in[:ni]
+    wr = space.values(ri, nodes[:ni] - shifts[:ni, None, :])
     # inflow seen from the left cell (normal n), then both parts seen from
     # the right cell (normal -n), where the flux contributes with -s
-    lr, rl, rr = blocks[n + len(left):].reshape(3, len(inner), nl, nl)
+    lr, rl, rr = blocks[n + len(left):].reshape(3, ni, nl, nl)
     quadrature_products(wl * w_in[..., None], wr, out=lr)
     quadrature_products(wr * w_out[..., None], wl, out=rl)
     quadrature_products(wr * w_in[..., None], wr, out=rr)

@@ -8,7 +8,6 @@ import numpy as np
 
 from .basis import quadrature_products
 from .blocklinalg import BlockSparseMatrix, sum_in_order
-from .mesh import BOUNDARY
 
 N_COMP = 4
 
@@ -145,11 +144,7 @@ def _states(B, W):
 def _weak_sums(w, f, a):
     """sum_q (w[k, q] f[k, q, r]) a[k, q, i]: (k, 4, n_loc), summed in
     quadrature-point order."""
-    wf = w[..., None] * f
-    out = np.zeros(f.shape[:1] + f.shape[2:] + a.shape[2:])
-    for q in range(w.shape[1]):
-        out += wf[:, q, :, None] * a[:, q, None, :]
-    return out
+    return np.einsum("kqr,kqi->kri", w[..., None] * f, a)
 
 
 def _block_sums(w, a, D, c, out=None):
@@ -189,12 +184,11 @@ class EulerDiscretization:
     The residual and the Jacobian are batched: volume terms per
     `space.groups` group, face terms for all edges at once. Each cell's
     terms are added in the order of a loop over cells, then edges, which
-    the layout of the term buffers gives by construction: the mesh orders
-    its edges interior, boundary, periodic, and a periodic mesh has no
-    boundary edge, so the inner edges are the first `_n_inner`. The
-    residual sums its quadrature nodes in node order, so it is bitwise that
-    loop's; the Jacobian contracts them with BLAS matmuls and agrees with
-    that loop to 1e-13 relative per block.
+    the layout of the term buffers gives by construction, as the mesh lists
+    its `n_inner` inner edges first. The residual sums its quadrature nodes
+    in node order, so it is bitwise that loop's; the Jacobian contracts
+    them with BLAS matmuls and agrees with that loop to 1e-13 relative per
+    block.
     """
 
     def __init__(self, space, params):
@@ -209,8 +203,7 @@ class EulerDiscretization:
         self._groups = [(cells, weights, B, *space.gradients(cells, nodes))
                         for cells, nodes, weights, B in space.groups]
         self._left = left = mesh.edge_left
-        nodes, shifts = space.edge_nodes, mesh.edge_shifts
-        self._n_inner = ni = np.count_nonzero(mesh.edge_right != BOUNDARY)
+        nodes, shifts, ni = space.edge_nodes, mesh.edge_shifts, mesh.n_inner
         self._right = r = mesh.edge_right[:ni]
         self._normals = mesh.edge_normals[:, None, :]
         self._wl = space.values(left, nodes)
@@ -245,15 +238,15 @@ class EulerDiscretization:
             raise EulerError(
                 f"non-finite coefficient on cell {np.flatnonzero(bad)[0]}")
         tag = self.mesh.boundary_tag
-        if self._n_inner < len(self._left) and tag != "exact_state":
+        if self.mesh.n_inner < len(self._left) and tag != "exact_state":
             raise EulerError(f"unsupported boundary tag {tag!r} on boundary "
-                             f"edge {self._n_inner} for Euler")
+                             f"edge {self.mesh.n_inner} for Euler")
         return W
 
     def spatial_residual(self, U, t_bc, frozen_alphas=None):
         """Weak-form spatial operator L(U); also returns the Lax-Friedrichs
         dissipation coefficients used, (edges, edge nodes)."""
-        gamma, n, ni = self.params.gamma, self.n_cells, self._n_inner
+        gamma, n, ni = self.params.gamma, self.n_cells, self.mesh.n_inner
         W = self._checked_coeffs(U)
         terms = np.empty((len(self._res_cells), N_COMP, self.n_loc))
         for cells, w, B, gx, gy in self._groups:
@@ -290,7 +283,7 @@ class EulerDiscretization:
         into out: LL, LR, RL and RR of each inner edge, then LL of each
         boundary edge. Its temporaries, the all-edge flux derivatives among
         them, are freed on return."""
-        gamma, ni, I4 = self.params.gamma, self._n_inner, np.eye(N_COMP)
+        gamma, ni, I4 = self.params.gamma, self.mesh.n_inner, np.eye(N_COMP)
         nx = self._normals[..., 0, None, None]
         ny = self._normals[..., 1, None, None]
         A1, A2 = flux_jacobians(_states(self._wl, W[self._left]), gamma)

@@ -40,8 +40,9 @@ class PolyMesh:
     side is a pair of consecutive vertices of a cell; side s starts at
     `cell_idx[s]`. An edge is a side and its reverse, a boundary side, or
     two boundary sides glued periodically. The edges are arrays in edge order:
-    interior edges by their first side, then boundary edges, then periodic
-    edges by pair.
+    interior edges by their first side, then periodic edges by pair, then
+    boundary edges; the first `n_inner` edges, interior and periodic, have
+    a neighbor.
     - `edge_left`, `edge_right` (E,): the cell the normal points away
       from and its neighbor, or BOUNDARY;
     - `edge_vertices` (E, 2): the vertex indices v0, v1 of the left side;
@@ -152,16 +153,17 @@ class PolyMesh:
                                             self.periods)
         boundary = unmatched[~np.isin(unmatched, pairs)]
 
-        first = np.concatenate((interior, boundary, pairs[:, 0]))
+        first = np.concatenate((interior, pairs[:, 0], boundary))
+        self.n_inner = ni = len(interior) + len(pairs)
         self.edge_left = side_cell[first]
-        self.edge_right = np.concatenate((side_cell[partner[interior]],
-                                          np.full(len(boundary), BOUNDARY),
-                                          side_cell[pairs[:, 1]]))
+        self.edge_right = np.full(len(first), BOUNDARY)
+        self.edge_right[:ni] = side_cell[np.concatenate((partner[interior],
+                                                         pairs[:, 1]))]
         self.edge_vertices = ends[first]
         self.edge_normals = normals[first]
         self.edge_lengths = lengths[first]
-        self.edge_shifts = np.concatenate(
-            (np.zeros((len(interior) + len(boundary), 2)), shifts))
+        self.edge_shifts = np.zeros((len(first), 2))
+        self.edge_shifts[len(interior):ni] = shifts
         self.periodic_map = pairs
 
     # -- queries ---------------------------------------------------------
@@ -182,7 +184,7 @@ class PolyMesh:
         up to that changes the area by up to the boundary length times it."""
         if domain_area is not None:
             total = self.cell_areas.sum()
-            boundary = self.edge_lengths[self.edge_right == BOUNDARY].sum()
+            boundary = self.edge_lengths[self.n_inner:].sum()
             if abs(total - domain_area) > (1e-12 * domain_area
                                            + boundary * moved):
                 raise MeshError(f"area sum {total} != domain area {domain_area}")

@@ -65,76 +65,80 @@ class PatternOperators:
         self.n_elems = len(self.pattern.elements)
         self.n_loc = n_local(p)
         self.dim = self.n_elems * self.n_loc
-        # the elements of a pattern have equal vertex counts
-        verts = np.concatenate(self.pattern.elements)
-        nv = len(self.pattern.elements[0])
-        self.bases = CellBases(verts, np.arange(0, len(verts) + 1, nv),
-                               np.arange(len(verts)), p).bases
         elem = np.arange(self.dim) // self.n_loc
         self.mask = elem[:, None] == elem
         self._assemble()
         self.two_cyclic, self.phase_direction = self._symmetries()
 
-    def _find_partner(self, mid, direction, scale):
-        """Element index and lattice offset of the cell across an edge; the
-        partner traverses the shared side in the opposite direction."""
-        a1, a2 = self.pattern.lattice
-        for b, el in enumerate(self.pattern.elements):
-            nb = len(el)
-            for j in range(nb):
-                d = el[(j + 1) % nb] - el[j]
-                if np.linalg.norm(d + direction) > 1e-9 * scale:
-                    continue
-                smid = 0.5 * (el[j] + el[(j + 1) % nb])
-                for m1 in (-1, 0, 1):
-                    for m2 in (-1, 0, 1):
-                        if np.linalg.norm(smid + m1 * a1 + m2 * a2 - mid) < 1e-9 * scale:
-                            return b, (m1, m2)
-        raise SymbolError(f"no neighbor found across edge at {mid} ({self.kind})")
-
     def _assemble(self):
-        nl = self.n_loc
-        th = _representative_theta(self.kind)
-        ra, rb = np.cos(th), np.sin(th)
-        a1, a2 = self.pattern.lattice
-        scale = np.linalg.norm(a1)
-        parts = {}   # offset -> (alpha part, beta part), in first-seen order
+        """Fill `mass`, `offsets` and `parts` from all element sides at once.
 
-        def add(m, a, b, blk_a, blk_b):
-            P = parts.setdefault(m, np.zeros((2, self.dim, self.dim)))
-            P[:, a * nl:(a + 1) * nl, b * nl:(b + 1) * nl] += (blk_a, blk_b)
-
+        Side s = a nv + j runs from vertex j of element a to vertex j + 1.
+        The representative cone direction makes it an outflow side, which
+        couples element a to itself, or an inflow side, which couples a to
+        its partner: the first side (b, i), then lattice offset (m1, m2) in
+        {-1, 0, 1}^2, that traverses it in the opposite direction. Each
+        block sums its terms in one order: the volume term, then the sides
+        in side order.
+        """
+        ne, nl = self.n_elems, self.n_loc
+        # the elements of a pattern have equal vertex counts
+        el = np.array(self.pattern.elements)
+        nv = el.shape[1]
+        p0 = el.reshape(-1, 2)
+        bases = CellBases(p0, np.arange(0, ne * nv + 1, nv),
+                          np.arange(ne * nv), self.p)
+        # one group: all elements, in order
+        (_, nodes, weights, B), = bases.groups
         self.mass = np.zeros((self.dim, self.dim))
-        for a, basis in enumerate(self.bases):
-            q = basis.quadrature
-            B = basis.eval(q.nodes)
-            G = basis.eval_grad(q.nodes)
-            self.mass[a * nl:(a + 1) * nl, a * nl:(a + 1) * nl] = \
-                np.einsum("q,qi,qj->ij", q.weights, B, B)
-            add((0, 0), a, a,
-                -np.einsum("q,qi,ql->il", q.weights, G[:, :, 0], B),
-                -np.einsum("q,qi,ql->il", q.weights, G[:, :, 1], B))
-        for a, el in enumerate(self.pattern.elements):
-            nv = len(el)
-            for j in range(nv):
-                p0, p1 = el[j], el[(j + 1) % nv]
-                d = p1 - p0
-                length = np.hypot(d[0], d[1])
-                normal = np.array([d[1], -d[0]]) / length
-                q = edge_quadrature(p0, p1, edge_degree(self.p))
-                wa = self.bases[a].eval(q.nodes)
-                # in/outflow decided by the representative cone direction
-                if ra * normal[0] + rb * normal[1] >= 0.0:
-                    E = np.einsum("q,qi,ql->il", q.weights, wa, wa)
-                    add((0, 0), a, a, normal[0] * E, normal[1] * E)
-                else:
-                    b, (m1, m2) = self._find_partner(0.5 * (p0 + p1), d, scale)
-                    off = m1 * a1 + m2 * a2
-                    wb = self.bases[b].eval(q.nodes - off)
-                    E = np.einsum("q,qi,ql->il", q.weights, wa, wb)
-                    add((m1, m2), a, b, normal[0] * E, normal[1] * E)
-        self.offsets = np.array(list(parts))
-        self.parts = np.stack(list(parts.values()))
+        self.mass[self.mask] = np.einsum("kq,kqi,kqj->kij",
+                                         weights, B, B).ravel()
+        volume = [-np.einsum("kq,kqi,kql->kil", weights, g, B)
+                  for g in bases.gradients(np.arange(ne), nodes)]
+
+        p1 = np.roll(el, -1, axis=1).reshape(-1, 2)
+        d = p1 - p0
+        normal = (np.stack([d[:, 1], -d[:, 0]], axis=1)
+                  / np.hypot(d[:, 0], d[:, 1])[:, None])
+        th = _representative_theta(self.kind)
+        inflow = np.flatnonzero(
+            np.cos(th) * normal[:, 0] + np.sin(th) * normal[:, 1] < 0.0)
+        # match[s, t, o]: side t moved by moves[o] is inflow side s reversed
+        A = self.pattern.lattice
+        tol = 1e-9 * np.linalg.norm(A[0])
+        moves = np.array([(m1, m2) for m1 in (-1, 0, 1) for m2 in (-1, 0, 1)])
+        mid = 0.5 * (p0 + p1)
+        match = ((np.linalg.norm(d[inflow, None] + d, axis=-1) <= tol)[..., None]
+                 & (np.linalg.norm(mid[:, None] + moves @ A
+                                   - mid[inflow, None, None], axis=-1) < tol))
+        match = match.reshape(len(inflow), -1)
+        lost = inflow[~match.any(axis=1)]
+        if len(lost):
+            raise SymbolError(f"no neighbor found across edge at "
+                              f"{mid[lost[0]]} ({self.kind})")
+        # each side's partner element and offset; an outflow side's are its
+        # own element and (0, 0)
+        side_elem = np.repeat(np.arange(ne), nv)
+        partner, m = side_elem.copy(), np.zeros((ne * nv, 2), dtype=int)
+        first = match.argmax(axis=1)
+        partner[inflow], m[inflow] = first // (9 * nv), moves[first % 9]
+        q = edge_quadrature(p0, p1, edge_degree(self.p))
+        E = np.einsum("kq,kqi,kql->kil", q.weights,
+                      bases.values(side_elem, q.nodes),
+                      bases.values(partner, q.nodes - (m @ A)[:, None]))
+
+        # the volume terms, then the side terms, each to its offset's slot
+        # (offsets in first-seen order), rows' element and columns' element
+        slots = {}
+        slot = [slots.setdefault(o, len(slots))
+                for o in [(0, 0)] * ne + list(map(tuple, m.tolist()))]
+        self.offsets = np.array(list(slots))
+        parts = np.zeros((len(slots), 2, ne, nl, ne, nl))
+        np.add.at(parts, (slot, slice(None), np.r_[np.arange(ne), side_elem],
+                          slice(None), np.r_[np.arange(ne), partner]),
+                  np.concatenate([np.stack(volume, axis=1),
+                                  normal[:, :, None, None] * E[:, None]]))
+        self.parts = parts.reshape(len(slots), 2, self.dim, self.dim)
 
     def _symmetries(self):
         """(two_cyclic, phase_direction) of the pattern, read off which
@@ -411,19 +415,6 @@ def timestep_family(element_area, label):
     return TIMESTEP_FACTORS[label] * (3.0 * h_E)
 
 
-def _is_lattice_translate(a, b, lattice, scale):
-    """Whether polygon b has the vertices of polygon a (in any order) moved
-    by an integer combination of the lattice vectors."""
-    if len(a) != len(b):
-        return False
-    shift = b.mean(axis=0) - a.mean(axis=0)
-    m = np.linalg.solve(lattice.T, shift)
-    if np.max(np.abs(m - np.rint(m))) > 1e-9:
-        return False
-    d = np.linalg.norm((a + shift)[:, None, :] - b[None, :, :], axis=-1)
-    return bool(np.all(d.min(axis=1) < 1e-9 * scale))
-
-
 def velocity_mirror(pattern, t0, t1):
     """Phase map T of the pattern's mirror about the cone bisector, or None.
 
@@ -442,13 +433,19 @@ def velocity_mirror(pattern, t0, t1):
     det = Ti[0, 0] * Ti[1, 1] - Ti[0, 1] * Ti[1, 0]
     if np.max(np.abs(T - Ti)) > 1e-9 or abs(det) != 1:
         return None
-    scale = np.linalg.norm(A[0])
-    for el in pattern.elements:
-        image = el @ S
-        if not any(_is_lattice_translate(image, other, A, scale)
-                   for other in pattern.elements):
-            return None
-    return Ti
+    # the elements of a pattern have equal vertex counts
+    els = np.array(pattern.elements)
+    images = els @ S
+    # per (image, element): the centroid shift, its lattice coordinates and
+    # the distance from each shifted image vertex to the nearest vertex
+    shift = els.mean(axis=1) - images.mean(axis=1)[:, None]
+    m = np.linalg.solve(A.T, shift.reshape(-1, 2).T).T
+    lattice = np.max(np.abs(m - np.rint(m)), axis=1) <= 1e-9
+    gap = np.linalg.norm(images[:, None, :, None] + shift[:, :, None, None]
+                         - els[None, :, None], axis=-1).min(axis=-1)
+    onto = lattice.reshape(shift.shape[:2]) & np.all(
+        gap < 1e-9 * np.linalg.norm(A[0]), axis=-1)
+    return Ti if onto.any(axis=1).all() else None
 
 
 def screened_grid(syms, k, n, n_theta, mirror=None):

@@ -742,11 +742,12 @@ def test_regular_mesh_equals_instance_loop_reference(kind, case):
 def assert_csr_invariants(mesh):
     """cell_ptr starts at 0 and steps by at least 3, cell_idx is in range,
     every stored cell turns counter-clockwise, and cell_vertices(c) reads
-    cell c's slice of cell_idx. Every boundary edge comes after all inner
-    edges, and a periodic mesh has none: the layout of the Euler terms
-    rests on this."""
+    cell c's slice of cell_idx. The first `n_inner` edges are the inner
+    ones, which the layout of the advection and Euler terms rests on, and
+    a periodic mesh has no boundary edge."""
     on_boundary = mesh.edge_right == BOUNDARY
-    assert not on_boundary[:np.count_nonzero(~on_boundary)].any()
+    assert mesh.n_inner == np.count_nonzero(~on_boundary)
+    assert not on_boundary[:mesh.n_inner].any()
     assert mesh.periods is None or not on_boundary.any()
     ptr, idx = mesh.cell_ptr, mesh.cell_idx
     assert ptr.dtype == idx.dtype == np.int64

@@ -1,4 +1,5 @@
-"""The scripts under tools/: the known-failure check and the ulp ensemble."""
+"""The scripts under tools/: the known-failure check, the ulp ensemble
+and the package size count."""
 
 import importlib.util
 import os
@@ -140,3 +141,59 @@ def test_against_flags_any_changed_analyze_bit(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"changed: {label} lambda_max {np.nextafter(lam, 1.0).hex()} -> "
         f"{lam.hex()}\n")
+
+
+MODULE = '''\
+from dataclasses import dataclass, field
+import dataclasses
+
+
+def f(a, b=1, *args, c, d=2, **kwargs):
+    g = lambda x, y: x + y
+    def inner(e):
+        return e
+    return g, inner
+
+
+class C:
+    def method(self, x, /, y):
+        pass
+
+    @classmethod
+    def make(cls, z):
+        pass
+
+
+@dataclass
+class D:
+    u: int
+    v: float = 0.0
+    w = 3
+
+
+@dataclasses.dataclass(frozen=True)
+class E:
+    t: list = field(default_factory=list)
+
+
+class F:
+    s: int = 0
+'''
+
+
+def test_src_size_counts_lines_and_settable_values(tmp_path, capsys):
+    size = load_tool("src_size")
+    # f: a, b, args, c, d, kwargs; inner: e; method: x, y; make: z; the
+    # fields u, v, t; not self, cls, the lambda's x and y, D.w or F.s
+    assert size.settable_values(MODULE) == 13
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text(MODULE)
+    (package / "sub" / "b.py").write_text("def h(q):\n    pass\n")
+    (package / "notes.txt").write_text("def i(r):\n")
+    lines = len(MODULE.splitlines()) + 2
+    assert size.src_size(str(package)) == (lines, 14)
+    assert size.main(["src_size", str(package)]) == 0
+    assert capsys.readouterr().out == f"lines {lines}\nsettable values 14\n"
+    with pytest.raises(SystemExit):
+        size.main(["src_size", str(tmp_path / "missing")])

@@ -1,5 +1,7 @@
 """Generating-pattern symbol analysis of the block Jacobi iteration."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -311,11 +313,25 @@ def test_velocity_mirror_rejects_an_asymmetric_motif():
                                                                 [1, 0]]
 
 
+def test_unmatched_inflow_side_is_refused(monkeypatch):
+    # a unit square on the lattice 2 Z^2 leaves gaps: its bottom side, the
+    # first inflow side, has no partner
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    monkeypatch.setattr(GeneratingPattern, "make", classmethod(
+        lambda cls, kind, area: cls(kind, [square], 2.0 * np.eye(2))))
+    with pytest.raises(SymbolError, match=re.escape(
+            f"no neighbor found across edge at {np.array([0.5, 0.0])} "
+            f"(square)")):
+        vonneumann.PatternOperators("square", 1, AREA)
+
+
 def unpruned_grid(monkeypatch, syms, k, n, n_theta, mirror=None):
     """`screened_grid` without pruning: a floor of -inf eigen-solves the
-    first point of every orbit."""
+    first point of every orbit. No bound falls below -inf, so the point's
+    squarings are skipped; the values are the same bit for bit."""
     with monkeypatch.context() as m:
         m.setattr(vonneumann, "ROUNDING_MARGIN", np.inf)
+        m.setattr(vonneumann, "BOUND_SQUARINGS", 0)
         return screened_grid(syms, k, n, n_theta, mirror)
 
 
