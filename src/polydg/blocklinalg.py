@@ -191,16 +191,28 @@ class BlockJacobiFactorization:
         return np.einsum("nij,nj->ni", self.dinv, xb).reshape(x.shape)
 
 
-def _levels(starts, stops, cols, lower):
-    """Level of each row i of a strictly lower (or upper) triangular sweep
-    in which row i reads rows cols[starts[i]:stops[i]]: one more than the
-    highest level it reads, 0 if it reads none."""
-    starts, stops, cols = starts.tolist(), stops.tolist(), cols.tolist()
-    level = [0] * len(starts)
-    for i in range(len(starts)) if lower else range(len(starts) - 1, -1, -1):
-        level[i] = max((level[j] + 1 for j in cols[starts[i]:stops[i]]),
-                       default=0)
-    return np.array(level, dtype=np.int64)
+def _levels(n, rows, cols):
+    """Level of each of the n rows of a triangular sweep in which row
+    rows[e] reads row cols[e]: one more than the highest level it reads, 0
+    if it reads none. One pass over the frontier per level (a topological
+    sort by layers, Kahn, CACM 5(11), 1962): the frontier is the rows whose
+    reads all have levels, and it gets the next one."""
+    per = np.bincount(cols, minlength=n)
+    order = np.argsort(cols, kind="stable")
+    # readers[j]: the rows that read row j, padded with the sink row n
+    readers = np.full((n + 1, max(per.max(initial=0), 1)), n)
+    readers[cols[order], np.arange(len(cols))
+            - np.repeat(np.cumsum(per) - per, per)] = rows[order]
+    # reads of each row still without a level, -1 once it has one
+    waiting = np.append(np.bincount(rows, minlength=n), -1)
+    level = np.empty(n, dtype=np.int64)
+    front, lev = np.flatnonzero(waiting == 0), 0
+    while len(front):
+        level[front] = lev
+        waiting[front] = -1
+        waiting -= np.bincount(readers[front].ravel(), minlength=n + 1)
+        front, lev = np.flatnonzero(waiting == 0), lev + 1
+    return level
 
 
 class _Panels:
@@ -308,11 +320,11 @@ class BlockILU0Factorization:
         self._blocks = A.blocks   # read-only, so stored() can factor again
         indptr, cols = self._indptr, self._indices
         rows = np.repeat(np.arange(n), np.diff(indptr))
-        diag = np.flatnonzero(cols == rows)
-        self._fwd = _Panels(_levels(indptr[:-1], diag, cols, lower=True),
-                            rows, cols, cols < rows, b)
-        self._bwd = _Panels(_levels(diag + 1, indptr[1:], cols, lower=False),
-                            rows, cols, cols > rows, b)
+        lower, upper = cols < rows, cols > rows
+        self._fwd = _Panels(_levels(n, rows[lower], cols[lower]),
+                            rows, cols, lower, b)
+        self._bwd = _Panels(_levels(n, rows[upper], cols[upper]),
+                            rows, cols, upper, b)
         lbuf, _, ubuf, self.uinv = self._factorize()
         # U_ii^{-1} U_ij in place: matmul copies an input that overlaps its
         # output, so a chunk of rows bounds that copy

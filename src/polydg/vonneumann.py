@@ -215,6 +215,22 @@ def _squared_bounds(Re, Im, norm, log_norm, floor, root):
     return bound
 
 
+def _radii(M):
+    """max |eig| of each matrix of the stack M (..., d, d), eigen-solving
+    each distinct matrix once. Equal bytes give LAPACK equal eigenvalues,
+    so each radius is bit for bit that of its own solve."""
+    flat = M.reshape((-1,) + M.shape[-2:])
+    inverse = slice(None)
+    if len(flat) > 1:
+        keys = flat.reshape(len(flat), -1).view(
+            np.dtype((np.void, flat[0].nbytes)))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        flat = flat[first]
+    r = np.max(np.abs(np.linalg.eigvals(flat)), axis=-1)
+    return r[inverse].reshape(M.shape[:-2])
+
+
 class PatternSymbol:
     """Generating-pattern symbol blocks for one (pattern, p, velocity)."""
 
@@ -237,13 +253,11 @@ class PatternSymbol:
     def l_hat_phases(self, phi1, phi2):
         """Fourier-space operator for lattice phases (phi1, phi2); broadcasts
         over arrays of phases."""
-        phi1 = np.asarray(phi1, float)
-        phi2 = np.asarray(phi2, float)
-        shape = np.broadcast(phi1, phi2).shape
-        out = np.zeros(shape + (self.dim, self.dim), dtype=complex)
-        for (m1, m2), B in zip(self.offsets, self.blocks):
-            phase = np.exp(1j * (m1 * phi1 + m2 * phi2))
-            out += phase[..., None, None] * B
+        phase = np.exp(1j * (np.multiply.outer(phi1, self.offsets[:, 0])
+                             + np.multiply.outer(phi2, self.offsets[:, 1])))
+        out = np.zeros(phase.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        for i, B in enumerate(self.blocks):
+            out += phase[..., i, None, None] * B
         return out
 
     def wave_phases(self, nx, ny):
@@ -280,7 +294,11 @@ class PatternSymbol:
         The reference path builds R_hat with `jacobi_symbol`. `screen=True`
         sums it from `_symbol_parts` and returns rho(M)^(1/root): M = R_hat,
         root = 1, or on a two-cyclic pattern the half-size M = X Y, root = 2.
-        The two paths agree to rounding but not bitwise.
+        The two paths agree to rounding but not bitwise. Both eigen-solve
+        each distinct matrix once (`_radii`), and a matrix's radius is bit
+        for bit its own solve's. The reference path's radii thus do not
+        depend on the other points of the call; the screen's do, within
+        rounding, since its batched sums round with the batch.
 
         With a `floor`, points are proven low instead of solved. By
         Gelfand's formula (Horn and Johnson, Matrix Analysis, 2nd ed.,
@@ -295,8 +313,7 @@ class PatternSymbol:
         without a floor.
         """
         if not screen:
-            R = self.jacobi_symbol(k, phi1, phi2)
-            return np.max(np.abs(np.linalg.eigvals(R)), axis=-1)
+            return _radii(self.jacobi_symbol(k, phi1, phi2))
         phi1, phi2 = np.broadcast_arrays(np.asarray(phi1, float),
                                          np.asarray(phi2, float))
         offsets, parts = self._symbol_parts(k)
@@ -311,7 +328,7 @@ class PatternSymbol:
              else symbol(parts))
 
         def radius(M):
-            r = np.max(np.abs(np.linalg.eigvals(M)), axis=-1)
+            r = _radii(M)
             return np.sqrt(r) if self.two_cyclic else r
 
         if floor is None:
@@ -383,10 +400,10 @@ ROUNDING_MARGIN = 1e-9
 # squarings plus eigen-solves cost 4 % more with 12 than with 16, as much
 # with 20 or 24 (within 1 %), and 40 % more with 8.
 BOUND_SQUARINGS = 16
-# Points recomputed on the reference path per call: a whole near-peak row
-# (rtri p=2 k2 puts all 2304 phases of theta = 0 there) in one call holds
-# ~28 MB of complex symbols; eigenvalues are solved per matrix, so slices
-# give the same values bitwise.
+# Points recomputed on the reference path per call, which bounds memory: a
+# whole near-peak row (rtri p=2 k2 puts all 2304 phases of theta = 0 there)
+# in one call holds ~28 MB of complex symbols. Values do not depend on the
+# slicing, since each matrix's radius is its own solve's.
 RECOMPUTE_SLICE = 256
 
 
@@ -580,9 +597,12 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     values within SCREEN_TOL of the peak as they are. Every such point,
     mirrored rows included, is then recomputed on the reference path, so
     the peak, its first location in C order and thus the refine's start
-    are bit for bit those of a full reference grid. The refine evaluates
-    the points scipy's Nelder-Mead would, so the result is also bit for
-    bit the one `scipy.optimize.minimize` gave.
+    are bit for bit those of a full reference grid. The recompute
+    eigen-solves each distinct symbol once: at theta = 0, rtri's symbol
+    does not depend on phi2, and its 2304 near-peak points at p = 2, k2
+    hold 54 distinct matrices. The refine evaluates the points scipy's
+    Nelder-Mead would, so the result is also bit for bit the one
+    `scipy.optimize.minimize` gave.
     """
     config = config or SweepConfig()
     if config.theta_samples < 1 or config.wave_samples < 1:

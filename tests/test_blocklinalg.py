@@ -580,19 +580,40 @@ def test_bilu0_holds_one_set_of_panels_padded_by_level(kind):
     fac = factor_bilu0(A, ordering)
     F = fac.stored()[0]
     rows = np.repeat(np.arange(F.n), np.diff(F.indptr))
-    diag = np.flatnonzero(F.indices == rows)
     slots = 0
-    for level, mask in (
-            (blocklinalg._levels(F.indptr[:-1], diag, F.indices, lower=True),
-             F.indices < rows),
-            (blocklinalg._levels(diag + 1, F.indptr[1:], F.indices,
-                                 lower=False), F.indices > rows)):
+    for mask in (F.indices < rows, F.indices > rows):
+        level = blocklinalg._levels(F.n, rows[mask], F.indices[mask])
         widest = np.zeros(level.max() + 1, dtype=np.int64)
         np.maximum.at(widest, level, np.bincount(rows[mask], minlength=F.n))
         slots += np.bincount(level) @ widest
     held = held_arrays(fac, A, {}).values()
     assert sum(a.nbytes for a in held) <= (
         (slots + 2 * F.n) * F.blocks[0].nbytes)
+
+
+def levels_reference(n, rows, cols, lower):
+    """The levels of a strictly lower (or upper) sweep, row by row in
+    sweep order: one more than the highest level a row reads, else 0."""
+    reads = [[] for _ in range(n)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        reads[i].append(j)
+    level = [0] * n
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        level[i] = max((level[j] + 1 for j in reads[i]), default=0)
+    return np.array(level, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), lower=st.booleans(), data=st.data())
+def test_levels_equal_the_row_by_row_sweep(n, lower, data):
+    # a random strictly lower or upper CSR pattern, rows in order
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if (j < i if lower else j > i)]
+    picked = sorted(data.draw(st.sets(st.sampled_from(pairs))
+                              if pairs else st.just(set())))
+    rows, cols = np.array(picked, dtype=np.int64).reshape(-1, 2).T
+    assert np.array_equal(blocklinalg._levels(n, rows, cols),
+                          levels_reference(n, rows, cols, lower))
 
 
 def test_bilu0_of_one_block_row():

@@ -73,6 +73,37 @@ def test_symbol_conjugate_symmetry(kind, vel):
     assert r1 == pytest.approx(r2, rel=1e-10)
 
 
+def l_hat_reference(sym, phi1, phi2):
+    """L_hat summed offset by offset, one exp per offset."""
+    phi1, phi2 = np.asarray(phi1, float), np.asarray(phi2, float)
+    shape = np.broadcast(phi1, phi2).shape
+    out = np.zeros(shape + (sym.dim, sym.dim), dtype=complex)
+    for (m1, m2), B in zip(sym.offsets, sym.blocks):
+        out += np.exp(1j * (m1 * phi1 + m2 * phi2))[..., None, None] * B
+    return out
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+@pytest.mark.parametrize("p", DEGREES)
+def test_l_hat_equals_the_sum_offset_by_offset(kind, p):
+    # 100 phases at an angle inside the cone and one outside it (blocks
+    # set from the parts), batched and one point at a time, bit for bit
+    rng = np.random.default_rng(20 * p + PATTERN_KINDS.index(kind))
+    t0, t1 = THETA_RANGES[kind]
+    k = timestep_family(AREA, "k2")
+    parts = vonneumann.pattern_operators(kind, p, AREA).parts
+    sym = PatternSymbol(kind, p, AREA, (1.0, 0.0))
+    for th in (rng.uniform(t0, t1), rng.uniform(t1, t0 + 2.0 * np.pi)):
+        sym.blocks = np.cos(th) * parts[:, 0] + np.sin(th) * parts[:, 1]
+        phi1, phi2 = rng.uniform(-np.pi, np.pi, (2, 100))
+        L = l_hat_reference(sym, phi1, phi2)
+        assert sym.l_hat_phases(phi1, phi2).tobytes() == L.tobytes()
+        assert sym.l_hat_phases(phi1[0], phi2[0]).tobytes() == L[0].tobytes()
+        R = np.eye(sym.dim) - np.linalg.inv(sym.mass + k * sym.diag) @ (
+            sym.mass + k * L)
+        assert sym.jacobi_symbol(k, phi1, phi2).tobytes() == R.tobytes()
+
+
 def test_zero_wavenumber_jacobi_symbol_matches_periodic_limit():
     sym = PatternSymbol("square", 0, AREA, (1.0, 0.5))
     R = sym.jacobi_symbol(2.0, *sym.wave_phases(0.0, 0.0))
@@ -577,6 +608,87 @@ def test_max_spectral_radius_recomputes_in_slices(monkeypatch):
     sizes.clear()
     assert max_spectral_radius("rtri", 2, k, AREA).hex() == sliced.hex()
     assert max(sizes) == n * n
+
+
+def assert_radii_per_point(monkeypatch, sym, k, phi1, phi2):
+    """The reference path's radii at the phases equal one call per point,
+    and the screen's equal one eigen-solve per symbol it builds, bit for
+    bit."""
+    batch = sym.spectral_radius_phases(k, phi1, phi2)
+    each = [sym.spectral_radius_phases(k, a, b) for a, b in zip(phi1, phi2)]
+    assert batch.tobytes() == np.array(each).tobytes()
+    stacks = []
+    radii = vonneumann._radii
+
+    def recorded(M):
+        stacks.append((M, radii(M)))
+        return stacks[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(vonneumann, "_radii", recorded)
+        sym.spectral_radius_phases(k, phi1, phi2, screen=True)
+    (M, r), = stacks
+    assert len(M) == len(phi1)
+    each = [np.max(np.abs(np.linalg.eigvals(m))) for m in M]
+    assert r.tobytes() == np.array(each).tobytes()
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+@pytest.mark.parametrize("p", DEGREES)
+def test_radii_of_repeated_phases_equal_one_solve_per_point(monkeypatch,
+                                                            kind, p):
+    # equal symbols are eigen-solved once and their radius shared: repeated
+    # and shuffled phases, at the cone's first angle (where rtri's symbol
+    # does not depend on phi2) and inside it
+    rng = np.random.default_rng(10 * p + PATTERN_KINDS.index(kind))
+    k = timestep_family(AREA, "k2")
+    t0, t1 = THETA_RANGES[kind]
+    phi1, phi2 = rng.uniform(-np.pi, np.pi, (2, 12))[:, rng.integers(0, 12,
+                                                                      40)]
+    for th in (t0, rng.uniform(t0, t1)):
+        sym = PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
+        assert_radii_per_point(monkeypatch, sym, k, phi1, phi2)
+
+
+def test_radii_of_the_rtri_row_equal_one_solve_per_point(monkeypatch):
+    sym = PatternSymbol("rtri", 2, AREA, (1.0, 0.0))
+    n = SweepConfig().wave_samples
+    phis = 2.0 * np.pi * np.arange(n) / n
+    g = np.arange(n * n)
+    assert_radii_per_point(monkeypatch, sym, timestep_family(AREA, "k2"),
+                           phis[g // n], phis[g % n])
+
+
+def test_recompute_solves_each_distinct_symbol_once(monkeypatch):
+    # rtri p=2 k2 recomputes its whole theta = 0 row, 2304 points, whose
+    # symbols hold few distinct matrices since rtri's does not depend on
+    # phi2 there
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        solved[-1] += len(a.reshape((-1,) + a.shape[-2:]))
+        return eigvals(a)
+
+    calls = []
+    unrecorded = PatternSymbol.spectral_radius_phases
+
+    def recorded(self, k, phi1, phi2, screen=False, floor=None):
+        solved.append(0)
+        r = unrecorded(self, k, phi1, phi2, screen, floor)
+        if not screen:
+            R = self.jacobi_symbol(k, phi1, phi2).reshape(-1, self.dim,
+                                                          self.dim)
+            calls.append((len(R), len({m.tobytes() for m in R}), solved[-1]))
+        return r
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(PatternSymbol, "spectral_radius_phases", recorded)
+    max_spectral_radius("rtri", 2, timestep_family(AREA, "k2"), AREA)
+    assert all(s == d for _, d, s in calls)
+    recomputes = [(n, s) for n, _, s in calls if n > 1]
+    assert sum(n for n, _ in recomputes) == SweepConfig().wave_samples ** 2
+    assert sum(s for _, s in recomputes) <= 60
 
 
 # a vector parallel to each pattern's phase direction; hexagon has none
