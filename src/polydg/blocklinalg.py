@@ -82,9 +82,9 @@ class BlockSparseMatrix:
     @classmethod
     def from_coo(cls, n, b, rows, cols, blocks):
         """Build from block coordinates rows, cols (k,) and blocks (k, b, b).
-        Blocks with equal coordinates are summed in the order given; missing
-        diagonal blocks are inserted as zeros. A coordinate outside [0, n)
-        is an error."""
+        Blocks with equal coordinates are summed in the order given. A
+        coordinate outside [0, n) or a row without its diagonal block is an
+        error."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         blocks = np.asarray(blocks).reshape(-1, b, b)
@@ -93,12 +93,6 @@ class BlockSparseMatrix:
             k = np.flatnonzero(outside)[0]
             raise LinalgError(f"block key ({rows[k]}, {cols[k]}) "
                               f"outside [0, {n})^2")
-        missing = np.setdiff1d(np.arange(n), rows[rows == cols])
-        if len(missing):
-            rows = np.concatenate((rows, missing))
-            cols = np.concatenate((cols, missing))
-            blocks = np.concatenate(
-                (blocks, np.zeros((len(missing), b, b), dtype=blocks.dtype)))
         keys, summed = sum_in_order(rows * n + cols, blocks)
         return cls(n, b, *_csr(n, keys), summed)
 
@@ -310,8 +304,6 @@ class BlockILU0Factorization:
     the factor in the stored ordering by factoring A's blocks again.
     """
 
-    FOLD_ROWS = 64   # rows of U's panels multiplied by uinv at once
-
     def __init__(self, A, ordering):
         n, b = self.n, self.b = A.n, A.b
         self.ordering = ordering
@@ -327,11 +319,9 @@ class BlockILU0Factorization:
                             rows, cols, upper, b)
         lbuf, _, ubuf, self.uinv = self._factorize()
         # U_ii^{-1} U_ij in place: matmul copies an input that overlaps its
-        # output, so a chunk of rows bounds that copy
+        # output, so the only temporary is one level's panels
         for s, e, _, U in self._bwd.panels(ubuf):
-            for c in range(0, e - s, self.FOLD_ROWS):
-                u = U[c:c + self.FOLD_ROWS]
-                np.matmul(self.uinv[s + c:s + c + len(u)], u, out=u)
+            np.matmul(self.uinv[s:e], U, out=U)
         # each sweep's solution in the sweep's order, and what a level reads
         # and its product, which every apply reuses (so one caller at a time)
         self._z = np.empty((2, n, b), dtype=self.uinv.dtype)

@@ -14,7 +14,7 @@ import dataclasses
 import math
 import sys
 
-from . import experiments
+from . import blocklinalg, discretization, euler, experiments, timestepping
 from .experiments import (BOUNDARY_CONDITIONS, DEFAULT_PAIR, SOLVER_CONFIGS,
                           run_advect, run_analyze, run_euler_vortex,
                           run_random_advect, solver_config_name)
@@ -210,8 +210,9 @@ def main(argv=None):
     run, out = given.pop("run"), given.pop("out", None)
     try:
         report = run(**given)
-    except (MeshError, BasisError, SymbolError,
-            experiments.ExperimentError) as exc:
+    except (MeshError, BasisError, SymbolError, blocklinalg.LinalgError,
+            discretization.AssemblyError, euler.EulerError,
+            timestepping.TimesteppingError, experiments.ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report is None else emit(report, out)

@@ -4,7 +4,7 @@ Delaunay/Voronoi pairs, element ordering, and mesh file I/O."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .basis import polygon_area_centroid, ragged_polygons
 
@@ -289,12 +289,11 @@ class GeneratingPattern:
             lower = np.array([[0.0, 0.0], [h, 0.0], [h, h]])
             lat = np.array([[h, 0.0], [0.0, h]])
             return cls(kind, [upper, lower], lat)
-        if kind == "etri":
-            up = np.array([[0.0, 0.0], [h, 0.0], [0.5 * h, SQRT3 / 2.0 * h]])
-            down = np.array([[h, 0.0], [1.5 * h, SQRT3 / 2.0 * h], [0.5 * h, SQRT3 / 2.0 * h]])
-            lat = np.array([[h, 0.0], [0.5 * h, SQRT3 / 2.0 * h]])
-            return cls(kind, [up, down], lat)
-        raise MeshError(f"unknown pattern kind {kind!r}")
+        # etri: pattern_side_length has refused any other kind
+        up = np.array([[0.0, 0.0], [h, 0.0], [0.5 * h, SQRT3 / 2.0 * h]])
+        down = np.array([[h, 0.0], [1.5 * h, SQRT3 / 2.0 * h], [0.5 * h, SQRT3 / 2.0 * h]])
+        lat = np.array([[h, 0.0], [0.5 * h, SQRT3 / 2.0 * h]])
+        return cls(kind, [up, down], lat)
 
     def rect_period(self):
         """Smallest (width, height, translate offsets) of a rectangle-periodic
@@ -532,8 +531,6 @@ def build_random_mesh_pair(h, delta=None, domain=UNIT_SQUARE, seed=0):
                         f"got delta={delta}")
     nx = int(round((x1 - x0) / h)) + 1
     ny = int(round((y1 - y0) / h)) + 1
-    if nx * ny < 3:
-        raise MeshError("fewer than 3 generating points")
     gx, gy = np.meshgrid(x0 + h * np.arange(nx), y0 + h * np.arange(ny))
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     rng = np.random.default_rng(seed)
@@ -541,7 +538,13 @@ def build_random_mesh_pair(h, delta=None, domain=UNIT_SQUARE, seed=0):
     inside = ((pts[:, 0] >= x0) & (pts[:, 0] <= x1) &
               (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
     pts = pts[inside]
-    tri = Delaunay(pts)
+    if len(pts) < 3:
+        raise MeshError("fewer than 3 generating points inside the domain")
+    try:
+        tri = Delaunay(pts)
+    except QhullError as exc:
+        raise MeshError(f"cannot triangulate the generating points: "
+                        f"{str(exc).splitlines()[0]}") from exc
 
     # Delaunay mesh: the triangles as-is. Nearly collinear generating points
     # (a tiny delta, e.g. three points on one side of the rectangle) leave
@@ -630,8 +633,12 @@ def read_mesh(path):
     y2` gives the torus's two translations, which glue every boundary side
     to its translate; the optional line after it sets the mesh's row
     height. Any other non-blank line is refused."""
-    with open(path) as f:
-        raw = f.read().splitlines()
+    try:
+        with open(path) as f:
+            raw = f.read().splitlines()
+    except OSError as exc:
+        raise MeshError(f"cannot read mesh file {path}: "
+                        f"{exc.strerror}") from exc
 
     def fail(lineno, msg):
         raise MeshError(f"{path}:{lineno + 1}: {msg}")

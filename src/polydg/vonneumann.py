@@ -248,7 +248,6 @@ class PatternSymbol:
         self.blocks = alpha * ops.parts[:, 0] + beta * ops.parts[:, 1]
         # per-element diagonal blocks only (intra-pattern couplings excluded)
         self.diag = np.where(ops.mask, self.blocks[0], 0.0)
-        self._parts_by_k = {}
 
     def l_hat_phases(self, phi1, phi2):
         """Fourier-space operator for lattice phases (phi1, phi2); broadcasts
@@ -276,17 +275,13 @@ class PatternSymbol:
         element-diagonal blocks taken out of B_00, so that
         R_hat(phi) = sum_m exp(i m.phi) C_m. For a two-cyclic pattern the
         parts are the pair (X_m, Y_m) of off-diagonal element blocks."""
-        parts = self._parts_by_k.get(k)
-        if parts is None:
-            Dinv = np.linalg.inv(self.mass + k * self.diag)
-            C = -k * (Dinv @ np.concatenate([[self.blocks[0] - self.diag],
-                                             self.blocks[1:]]))
-            if self.two_cyclic:
-                nl = self.n_loc
-                C = (C[:, :nl, nl:], C[:, nl:, :nl])
-            parts = (self.offsets, C)
-            self._parts_by_k[k] = parts
-        return parts
+        Dinv = np.linalg.inv(self.mass + k * self.diag)
+        C = -k * (Dinv @ np.concatenate([[self.blocks[0] - self.diag],
+                                         self.blocks[1:]]))
+        if self.two_cyclic:
+            nl = self.n_loc
+            C = (C[:, :nl, nl:], C[:, nl:, :nl])
+        return self.offsets, C
 
     def spectral_radius_phases(self, k, phi1, phi2, screen=False, floor=None):
         """max |eig(R_hat)| at lattice phases (phi1, phi2); broadcasts.

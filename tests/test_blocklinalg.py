@@ -294,17 +294,18 @@ def test_from_block_dict_rejects_keys_outside_range():
                 2, 1, {(0, 0): np.eye(1), key: np.eye(1)})
 
 
-def test_from_coo_sums_duplicates_in_order_and_inserts_diagonals():
+def test_from_coo_sums_duplicates_in_order_and_refuses_missing_diagonals():
     rng = np.random.default_rng(21)
-    blk = rng.standard_normal((5, 2, 2))
-    A = BlockSparseMatrix.from_coo(3, 2, [0, 2, 0, 2, 0], [1, 0, 1, 0, 1],
-                                   blk)
+    blk = rng.standard_normal((8, 2, 2))
+    rows, cols = [0, 2, 0, 2, 0, 2, 0, 1], [1, 0, 1, 0, 1, 2, 0, 1]
+    A = BlockSparseMatrix.from_coo(3, 2, rows, cols, blk)
     assert A.indptr.tolist() == [0, 2, 3, 5]
     assert A.indices.tolist() == [0, 1, 1, 0, 2]
     assert np.array_equal(A.blocks[1], (blk[0] + blk[2]) + blk[4])
     assert np.array_equal(A.blocks[3], blk[1] + blk[3])
-    for i in (0, 2, 4):
-        assert np.array_equal(A.blocks[i], np.zeros((2, 2)))
+    assert np.array_equal(A.blocks[[0, 2, 4]], blk[[6, 7, 5]])
+    with pytest.raises(LinalgError, match="missing diagonal block in row 1$"):
+        BlockSparseMatrix.from_coo(3, 2, rows[:7], cols[:7], blk[:7])
 
 
 def test_from_coo_rejects_keys_outside_range():
@@ -339,15 +340,14 @@ def test_constructor_checks_structure():
 @st.composite
 def block_systems(draw, full_diagonal=False):
     """(n, b, {(row, col): block}, ordering): a random block pattern whose
-    rows may have no off-diagonal blocks and, unless full_diagonal, may miss
-    their diagonal block. With full_diagonal the diagonal blocks dominate, so
-    every ILU(0) pivot is nonsingular."""
+    rows all have their diagonal block and may have no off-diagonal blocks.
+    With full_diagonal the diagonal blocks dominate, so every ILU(0) pivot
+    is nonsingular."""
     n = draw(st.integers(1, 9))
     b = draw(st.integers(1, 3))
     keys = draw(st.sets(st.tuples(st.integers(0, n - 1),
                                   st.integers(0, n - 1)), max_size=n * n))
-    if full_diagonal:
-        keys |= {(i, i) for i in range(n)}
+    keys |= {(i, i) for i in range(n)}
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     blocks = {key: rng.standard_normal((b, b)) for key in sorted(keys)}
     if full_diagonal:
@@ -427,11 +427,14 @@ def ilu0_apply_reference(fac, x):
 def test_from_block_dict_and_permuted_match_dense(system):
     n, b, blocks, ordering = system
     A = BlockSparseMatrix.from_block_dict(n, b, blocks)
-    expected_keys = sorted(set(blocks) | {(i, i) for i in range(n)})
-    assert A.indices.tolist() == [j for _, j in expected_keys]
+    assert A.indices.tolist() == [j for _, j in sorted(blocks)]
     assert np.array_equal(np.diff(A.indptr),
-                          np.bincount([i for i, _ in expected_keys],
-                                      minlength=n))
+                          np.bincount([i for i, _ in blocks], minlength=n))
+    row = ordering[0]
+    with pytest.raises(LinalgError,
+                       match=f"missing diagonal block in row {row}$"):
+        BlockSparseMatrix.from_block_dict(
+            n, b, {key: blk for key, blk in blocks.items() if key != (row, row)})
     dense = dense_reference(n, b, blocks)
     assert np.array_equal(A.to_dense(), dense)
     idx = (b * ordering[:, None] + np.arange(b)).ravel()

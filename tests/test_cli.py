@@ -7,12 +7,16 @@ import types
 import numpy as np
 import pytest
 
-from polydg import vonneumann
+from polydg import cli, vonneumann
+from polydg.blocklinalg import LinalgError
 from polydg.cli import build_parser, emit, main
+from polydg.discretization import AssemblyError
+from polydg.euler import EulerError
 from polydg.experiments import (ADVECTION_H, CSV_HEADER, DEFAULT_SOLVER,
                                 SOLVER_CONFIGS, ExperimentReport,
                                 run_euler_vortex)
 from polydg.mesh import read_mesh
+from polydg.timestepping import TimesteppingError
 
 
 def read_csv(path):
@@ -228,6 +232,28 @@ def test_advect_refuses_a_non_finite_mesh_file_vertex(bad, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("path, reason", [
+    ("missing.mesh", "No such file or directory"), (".", "Is a directory")])
+def test_advect_refuses_an_unreadable_mesh_file(path, reason, tmp_path,
+                                                 capsys):
+    path = tmp_path / path
+    rc = main(["advect", "--mesh-file", str(path), "--p", "0", "--k", "k1",
+               "--steps", "1"])
+    assert rc == 2
+    assert (f"error: cannot read mesh file {path}: {reason}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("error", [EulerError, LinalgError, AssemblyError,
+                                   TimesteppingError])
+def test_library_errors_exit_2(error, monkeypatch, capsys):
+    def fail(**given):
+        raise error("boom")
+    monkeypatch.setattr(cli, "run_advect", fail)
+    assert main(["advect"]) == 2
+    assert capsys.readouterr().err == "error: boom\n"
+
+
 def test_mesh_gen_voronoi(tmp_path):
     out = tmp_path / "v.mesh"
     rc = main(["mesh", "gen", "--pattern", "voronoi", "--h", "0.25",
@@ -294,7 +320,14 @@ def test_mesh_gen_regular_takes_one_of_area_and_h(flags, message, tmp_path,
       "--domain", "1", "0", "0", "1"], "degenerate domain"),
     (["mesh", "gen", "--pattern", "voronoi", "--h", "0.1",
       "--domain", "0", str(-10 ** 308), "1", "1e308"],
-     "domain height = inf is not finite")])
+     "domain height = inf is not finite"),
+    # the jitter pushes every point of the 2 x 2 grid out of the square
+    (["random-advect", "--p", "0", "--k", "k1", "--h", "0.9"],
+     "fewer than 3 generating points inside the domain"),
+    # three collinear points
+    (["mesh", "gen", "--pattern", "voronoi", "--h", "0.5", "--delta", "0",
+      "--domain", "0", "0", "1", "0.01"],
+     "cannot triangulate the generating points: ")])
 def test_bad_random_mesh_input_is_an_error(argv, message, tmp_path, capsys):
     out = tmp_path / "m.mesh"
     flags = ["--out", str(out)] if argv[0] == "mesh" else []

@@ -11,8 +11,8 @@ from scipy.spatial import cKDTree
 from polydg import experiments
 from polydg import mesh as mesh_module
 from polydg.basis import polygon_area_centroid
-from polydg.mesh import (BOUNDARY, GeneratingPattern, MeshError, PolyMesh,
-                         build_pattern_tiling, build_random_mesh_pair,
+from polydg.mesh import (BOUNDARY, UNIT_SQUARE, GeneratingPattern, MeshError,
+                         PolyMesh, build_pattern_tiling, build_random_mesh_pair,
                          build_regular_mesh, h_E_from_area, natural_ordering,
                          pattern_side_length, read_mesh, write_mesh)
 
@@ -160,6 +160,19 @@ def test_random_pair_refuses_a_bad_domain(domain, message):
     # the check and the messages of build_regular_mesh
     with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
         build_random_mesh_pair(0.1, domain=domain)
+
+
+@pytest.mark.parametrize("h, delta, domain, message", [
+    # the jitter pushes every point of the 2 x 2 grid out of the square
+    (0.9, None, UNIT_SQUARE,
+     "fewer than 3 generating points inside the domain"),
+    # three collinear points
+    (0.5, 0.0, (0, 0, 1, 0.01),
+     "cannot triangulate the generating points: ")])
+def test_random_pair_refuses_points_qhull_cannot_triangulate(h, delta, domain,
+                                                             message):
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}"):
+        build_random_mesh_pair(h, delta, domain)
 
 
 @pytest.mark.parametrize("domain, message", [

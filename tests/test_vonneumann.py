@@ -527,10 +527,12 @@ def test_norm_power_bound_of_tiny_and_zero_symbols():
     # symbols with an all-zero part: every bound and radius reads 0
     hexagon = PatternSymbol("hexagon", 2, AREA, (1.0, 0.5))
     offsets, C = hexagon._symbol_parts(k)
-    hexagon._parts_by_k[k] = (offsets, np.zeros_like(C))
+    zero_c = (offsets, np.zeros_like(C))
+    hexagon._symbol_parts = lambda k: zero_c
     rtri = PatternSymbol("rtri", 1, AREA, (1.0, 0.5))
     offsets, (X, Y) = rtri._symbol_parts(k)
-    rtri._parts_by_k[k] = (offsets, (np.zeros_like(X), Y))
+    zero_x = (offsets, (np.zeros_like(X), Y))
+    rtri._symbol_parts = lambda k: zero_x
     for sym in (hexagon, rtri):
         for floor in (None, np.inf, 1.0, 0.0, -np.inf):
             with np.errstate(**RAISE):
