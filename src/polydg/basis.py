@@ -91,14 +91,19 @@ def polygon_quadrature(vertices, degree):
     return Quadrature(nodes[0], weights[0])
 
 
+def norms(d):
+    """Lengths of vectors d (..., 2), each by the dot product that
+    np.linalg.norm takes for a single vector."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
 def edge_quadrature(p0, p1, degree):
     """Gauss-Legendre rule on the segment [p0, p1], exact for degree-q
     polynomials along the edge; weights sum to the edge length. Endpoints
     (..., 2) give a batch of rules: nodes (..., n, 2), weights (..., n)."""
     p0 = np.asarray(p0, float)
     d = np.asarray(p1, float) - p0
-    # the dot product np.linalg.norm takes for a single vector
-    length = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+    length = norms(d)
     if np.any(length == 0.0):
         raise BasisError("zero-length edge")
     xg, wg = _gauss_legendre(max(1, (degree + 2) // 2))
@@ -179,57 +184,57 @@ def edge_degree(p):
 
 
 def _monomial_values(exps, s):
-    """Monomials at centered-scaled points s (..., 2): (..., len(exps))."""
-    out = np.empty(s.shape[:-1] + (len(exps),))
+    """Monomials at centered-scaled points s (..., 2): (..., len(exps)),
+    a view of one contiguous slab per monomial."""
+    out = np.empty((len(exps),) + s.shape[:-1])
     for k, (i, j) in enumerate(exps):
-        out[..., k] = s[..., 0] ** i * s[..., 1] ** j
-    return out
+        out[k] = s[..., 0] ** i * s[..., 1] ** j
+    return np.moveaxis(out, 0, -1)
 
 
 def _monomial_grads(exps, s, scale):
     """x- and y-derivatives of the monomials in physical coordinates, for
-    s = (point - centroid) / scale: two (..., len(exps)) arrays."""
-    gx = np.zeros(s.shape[:-1] + (len(exps),))
+    s = (point - centroid) / scale: two such (..., len(exps)) views."""
+    gx = np.zeros((len(exps),) + s.shape[:-1])
     gy = np.zeros_like(gx)
     for k, (i, j) in enumerate(exps):
         if i > 0:
-            gx[..., k] = i * s[..., 0] ** (i - 1) * s[..., 1] ** j / scale
+            gx[k] = i * s[..., 0] ** (i - 1) * s[..., 1] ** j / scale
         if j > 0:
-            gy[..., k] = j * s[..., 0] ** i * s[..., 1] ** (j - 1) / scale
-    return gx, gy
+            gy[k] = j * s[..., 0] ** i * s[..., 1] ** (j - 1) / scale
+    return np.moveaxis(gx, 0, -1), np.moveaxis(gy, 0, -1)
 
 
 def _orthonormalize(V, w, cells, centroids):
     """Modified Gram-Schmidt, twice for stability, of the monomial columns
     of V (k, nq, n) under the quadrature weights w (k, nq) of k cells.
     Returns coefficients (k, n, n): row i is basis function i in monomials.
-    """
+    The sweeps hold values B and coefficients C function-major, so that B[i]
+    and C[i], function i on all k cells, are contiguous."""
     k, _, n = V.shape
-    C = np.broadcast_to(np.eye(n), (k, n, n)).copy()
+    C = np.broadcast_to(np.eye(n)[:, None], (n, k, n)).copy()
     w = w[:, None, :]
 
     def inner(a):  # <w, a> per cell, one dot product each
         return (w @ a[:, :, None])[:, 0]
 
     for _ in range(2):
-        # basis values at the quad nodes, one contiguous row per function
-        B = V @ C.transpose(0, 2, 1)
-        B = np.ascontiguousarray(B.transpose(0, 2, 1))
+        B = np.ascontiguousarray((V @ C.transpose(1, 2, 0)).transpose(2, 0, 1))
         for i in range(n):
             for j in range(i):
-                proj = inner(B[:, i] * B[:, j])
-                B[:, i] -= proj * B[:, j]
-                C[:, i] -= proj * C[:, j]
-            nrm2 = inner(B[:, i] ** 2)[:, 0]
+                proj = inner(B[i] * B[j])
+                B[i] -= proj * B[j]
+                C[i] -= proj * C[j]
+            nrm2 = inner(B[i] ** 2)[:, 0]
             bad = ~(np.isfinite(nrm2) & (nrm2 > 0.0))
             if bad.any():
                 raise BasisError(
                     f"numerically dependent monomials on cell "
                     f"{cells[bad][0]} at {centroids[bad][0]}")
             nrm = np.sqrt(nrm2)[:, None]
-            B[:, i] /= nrm
-            C[:, i] /= nrm
-    return C
+            B[i] /= nrm
+            C[i] /= nrm
+    return C.transpose(1, 0, 2)
 
 
 class CellBases:

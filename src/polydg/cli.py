@@ -12,6 +12,7 @@ Exit code is 0 only if every requested solve converged.
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 from . import blocklinalg, discretization, euler, experiments, timestepping
@@ -208,14 +209,21 @@ def main(argv=None):
     given = vars(parser.parse_args(argv))
     limit_threads(parser, given.pop("threads", None))
     run, out = given.pop("run"), given.pop("out", None)
+    path = out or given.get("path")  # the output: --out, or mesh gen's
     try:
+        # refused before the run, which may take minutes, not after it
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(None, "no such directory")
         report = run(**given)
+        return 0 if report is None else emit(report, out)
+    except OSError as exc:  # the library reports its reads as MeshErrors
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return 2
     except (MeshError, BasisError, SymbolError, blocklinalg.LinalgError,
             discretization.AssemblyError, euler.EulerError,
             timestepping.TimesteppingError, experiments.ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if report is None else emit(report, out)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .basis import polygon_area_centroid, ragged_polygons
+from .basis import norms, polygon_area_centroid, ragged_polygons
 
 BOUNDARY = -1
 
@@ -382,15 +382,39 @@ def _clip_polygon_halfplane(poly, point, normal):
     return np.array(out) if out else np.zeros((0, 2))
 
 
-def clip_polygon_rect(poly, x0, y0, x1, y1):
-    poly = np.asarray(poly, float)
-    for point, normal in (((x0, 0), (-1, 0)), ((x1, 0), (1, 0)),
-                          ((0, y0), (0, -1)), ((0, y1), (0, 1))):
-        poly = _clip_polygon_halfplane(poly, np.array(point, float),
-                                       np.array(normal, float))
-        if len(poly) < 3:
-            return np.zeros((0, 2))
-    return poly
+def _clip_rect(polys, bounds, snap):
+    """Sutherland-Hodgman clip of polys (m, nv, 2) to the rectangle bounds
+    by x >= x0, x <= x1, y >= y0, y <= y1 in turn, all at once: the pieces
+    (m, w, 2), padded, their sizes (m,), 0 below 3, and which of their
+    points `_dedupe_loop` keeps (m, w)."""
+    x0, y0, x1, y1 = bounds
+    size = np.full(len(polys), polys.shape[1])
+    for axis, bound, sign in ((0, x0, -1.0), (0, x1, 1.0), (1, y0, -1.0),
+                              (1, y1, 1.0)):
+        m, w = polys.shape[:2]
+        live = np.arange(w) < size[:, None]
+        j = np.arange(1, w + 1) % np.maximum(size, 1)[:, None]
+        d = sign * (polys[..., axis] - bound)
+        dj = np.take_along_axis(d, j, 1)
+        cross = live & (((d < 0) & (0 < dj)) | ((dj < 0) & (0 < d)))
+        t = np.divide(d, d - dj, out=np.zeros_like(d), where=cross)[..., None]
+        pj = np.take_along_axis(polys, j[..., None], 1)
+        # each point, if inside, then its side's crossing, if any
+        emitted = np.stack([live & (d <= 0), cross], 2).reshape(m, 2 * w)
+        size = emitted.sum(1)
+        order = np.argsort(~emitted, axis=1, kind="stable")
+        order = order[:, :size.max(initial=1), None]
+        both = np.stack([polys, polys + t * (pj - polys)], 2)
+        polys = np.take_along_axis(both.reshape(m, 2 * w, 2), order, 1)
+        size[size < 3] = 0
+    kept = np.zeros(polys.shape[:2], dtype=bool)
+    kept[:, 0], last = size > 0, polys[:, 0]
+    for s in range(1, polys.shape[1]):
+        kept[:, s] = (s < size) & (norms(polys[:, s] - last) > snap)
+        last = np.where(kept[:, s, None], polys[:, s], last)
+    close = (kept.sum(1) > 1) & (norms(polys[:, 0] - last) <= snap)
+    kept[close, polys.shape[1] - 1 - np.argmax(kept[close, ::-1], 1)] = False
+    return polys, size, kept
 
 
 def _dedupe_loop(poly, snap):
@@ -466,28 +490,27 @@ def build_regular_mesh(kind, element_area, domain=UNIT_SQUARE, periodic=False,
         options = {"boundary_tag": boundary_tag}
     # clipping returns the instances inside unchanged and those outside empty
     snap = 1e-9 * np.sqrt(element_area)
-    whole = np.flatnonzero(inside)
-    clipped, narrow, moved = {}, 0.0, 0.0
-    for i in np.flatnonzero(meets & ~inside):
-        piece = clip_polygon_rect(polys[i], x0, y0, x1, y1)
-        if len(c := _dedupe_loop(piece, snap)) >= 3:
-            clipped[i] = c
-            if len(c) < len(piece):
-                # a point the loop dropped moved onto its nearest kept one
-                moved = max(moved, np.linalg.norm(
-                    piece[:, None] - c, axis=2).min(axis=1).max())
-        elif len(piece):
+    whole, cut = np.flatnonzero(inside), np.flatnonzero(meets & ~inside)
+    pieces, count, kept = _clip_rect(polys[cut], (x0, y0, x1, y1), snap)
+    size, narrow, moved = kept.sum(1), 0.0, 0.0
+    for r in np.flatnonzero(size < count):
+        piece = pieces[r, :count[r]]
+        if size[r] >= 3:
+            # a point the loop dropped moved onto its nearest kept one
+            moved = max(moved, np.linalg.norm(
+                piece[:, None] - pieces[r, kept[r]], axis=2).min(axis=1).max())
+        else:
             # a piece narrower than the snap, which the vertex pool would
             # close up, is left out, and its area with it
             with np.errstate(divide="ignore", invalid="ignore"):
                 narrow += polygon_area_centroid(piece)[0]
+    ok = size >= 3
     verts, cell_ptr, cell_idx, pooled, lost_area, lost_centroid = (
         _row_major_cells(
             np.concatenate([polys[whole].reshape(-1, 2),
-                            *clipped.values()]),
-            np.cumsum([0] + [polys.shape[1]] * len(whole)
-                      + [len(c) for c in clipped.values()]),
-            np.array([*whole, *clipped]), 1e-10 * element_area, snap))
+                            pieces[ok][kept[ok]]]),
+            np.cumsum(np.r_[0, np.full(len(whole), polys.shape[1]), size[ok]]),
+            np.r_[whole, cut[ok]], 1e-10 * element_area, snap))
     mesh = PolyMesh(verts, cell_ptr, cell_idx, **options)
     mesh.row_height = abs(pat.lattice[1, 1])
     try:
@@ -634,11 +657,13 @@ def read_mesh(path):
     to its translate; the optional line after it sets the mesh's row
     height. Any other non-blank line is refused."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = f.read().splitlines()
     except OSError as exc:
         raise MeshError(f"cannot read mesh file {path}: "
                         f"{exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"cannot read mesh file {path}: not UTF-8") from exc
 
     def fail(lineno, msg):
         raise MeshError(f"{path}:{lineno + 1}: {msg}")

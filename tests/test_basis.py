@@ -278,3 +278,91 @@ def test_non_finite_vertex_is_named(bad):
     with np.errstate(invalid="ignore"), \
             pytest.raises(BasisError, match="degenerate cell 3 at"):
         CellBases(verts, cell_ptr, cell_idx, 2)
+
+
+# -- the function-major build against the cell-major one it replaced --------
+# The three functions below are the monomial builders and Gram-Schmidt that
+# CellBases ran when each cell's values were one row of a cell-major
+# (k, n, nq) array, kept as the oracle: the function-major build must give
+# the same bytes.
+
+def cell_major_monomial_values(exps, s):
+    out = np.empty(s.shape[:-1] + (len(exps),))
+    for k, (i, j) in enumerate(exps):
+        out[..., k] = s[..., 0] ** i * s[..., 1] ** j
+    return out
+
+
+def cell_major_monomial_grads(exps, s, scale):
+    gx = np.zeros(s.shape[:-1] + (len(exps),))
+    gy = np.zeros_like(gx)
+    for k, (i, j) in enumerate(exps):
+        if i > 0:
+            gx[..., k] = i * s[..., 0] ** (i - 1) * s[..., 1] ** j / scale
+        if j > 0:
+            gy[..., k] = j * s[..., 0] ** i * s[..., 1] ** (j - 1) / scale
+    return gx, gy
+
+
+def cell_major_orthonormalize(V, w):
+    k, _, n = V.shape
+    C = np.broadcast_to(np.eye(n), (k, n, n)).copy()
+    w = w[:, None, :]
+
+    def inner(a):
+        return (w @ a[:, :, None])[:, 0]
+
+    for _ in range(2):
+        B = V @ C.transpose(0, 2, 1)
+        B = np.ascontiguousarray(B.transpose(0, 2, 1))
+        for i in range(n):
+            for j in range(i):
+                proj = inner(B[:, i] * B[:, j])
+                B[:, i] -= proj * B[:, j]
+                C[:, i] -= proj * C[:, j]
+            nrm = np.sqrt(inner(B[:, i] ** 2)[:, 0])[:, None]
+            B[:, i] /= nrm
+            C[:, i] /= nrm
+    return C
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(
+        b).tobytes()
+
+
+def assert_matches_cell_major_build(bases):
+    for cells, nodes, weights, values in bases.groups:
+        s = bases._scaled(cells, nodes)
+        V = cell_major_monomial_values(bases.exps, s)
+        C = cell_major_orthonormalize(V, weights)
+        assert_same_bytes(bases.coeffs[cells], C)
+        assert_same_bytes(values, V @ C.transpose(0, 2, 1))
+        assert_same_bytes(bases.values(cells, nodes), values)
+        ct = C.transpose(0, 2, 1)
+        gx, gy = cell_major_monomial_grads(bases.exps, s,
+                                           bases.diameters[cells][:, None])
+        for got, ref in zip(bases.gradients(cells, nodes), (gx, gy)):
+            assert_same_bytes(got, ref @ ct)
+
+
+@pytest.mark.parametrize("p", DEGREES)
+@pytest.mark.parametrize("kind", ["hexagon", "square", "rtri", "etri"])
+def test_function_major_build_matches_cell_major_bytes(kind, p):
+    assert_matches_cell_major_build(
+        DgSpace(build_regular_mesh(kind, 0.01, (0, 0, 1, 1)), p))
+
+
+@pytest.mark.parametrize("p", DEGREES)
+def test_function_major_build_matches_cell_major_bytes_random_pair(p):
+    for mesh in build_random_mesh_pair(0.1):
+        assert_matches_cell_major_build(DgSpace(mesh, p))
+
+
+@pytest.mark.parametrize("p", DEGREES)
+def test_function_major_build_of_one_cell_matches_cell_major_bytes(p):
+    # a one-cell batch starts from an identity it must be able to write
+    bases = CellBases(regular_polygon(5, 0.8) + 2.0, [0, 5], np.arange(5), p)
+    assert len(bases.groups) == 1 and len(bases.groups[0][0]) == 1
+    assert_matches_cell_major_build(bases)

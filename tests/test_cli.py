@@ -244,6 +244,45 @@ def test_advect_refuses_an_unreadable_mesh_file(path, reason, tmp_path,
             in capsys.readouterr().err)
 
 
+def test_advect_refuses_a_mesh_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bin.mesh"
+    path.write_bytes(b"polymesh 1\n\x80\x81\n")
+    rc = main(["advect", "--mesh-file", str(path), "--p", "0", "--k", "k1",
+               "--steps", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read mesh file {path}: not UTF-8")
+    assert "Traceback" not in err
+
+
+def refuse_to_run(**given):
+    raise AssertionError("ran although the output cannot be written")
+
+
+@pytest.mark.parametrize("argv, driver", [
+    (["analyze", "--p", "0", "--k", "k1", "--out"], "run_analyze"),
+    (["mesh", "gen", "--pattern", "hex", "--area", "0.05", "--out"],
+     "build_regular_mesh")])
+def test_out_into_a_missing_directory_fails_before_the_run(
+        argv, driver, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, driver, refuse_to_run)
+    out = tmp_path / "missing_dir" / "a.out"
+    assert main(argv + [str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {out}: "
+                                       f"no such directory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--p", "0", "--k", "k1", "--theta-samples", "3",
+     "--wave-samples", "6", "--out"],
+    ["mesh", "gen", "--pattern", "hex", "--area", "0.05", "--out"]])
+def test_out_that_cannot_be_written_is_an_error(argv, tmp_path, capsys):
+    # a directory passes the check before the run; the write then fails
+    assert main(argv + [str(tmp_path)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: cannot write {tmp_path}: Is a directory\n")
+
+
 @pytest.mark.parametrize("error", [EulerError, LinalgError, AssemblyError,
                                    TimesteppingError])
 def test_library_errors_exit_2(error, monkeypatch, capsys):

@@ -4,10 +4,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import clip_oracle
 from polydg import experiments
 from polydg import mesh as mesh_module
 from polydg.basis import polygon_area_centroid
@@ -355,6 +356,14 @@ def test_read_mesh_periodic_section(tmp_path):
     assert np.array_equal(mesh.edge_shifts, [[0.0, -1.0], [1.0, 0.0]])
 
 
+def test_read_mesh_refuses_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "bad.mesh"
+    bad.write_bytes(b"polymesh 1\nvertices 1\n\xff\xfe 0.0\n")
+    with pytest.raises(MeshError, match=f"^cannot read mesh file "
+                                        f"{re.escape(str(bad))}: not UTF-8"):
+        read_mesh(bad)
+
+
 def test_read_mesh_errors(tmp_path):
     bad = tmp_path / "bad.mesh"
     bad.write_text("polymesh 1\nvertices 1\n0.0 0.0\ncells 1\n0 1 2\n")
@@ -684,7 +693,7 @@ def instance_loop_reference(kind, element_area, domain=None, periodic=False,
                         and hi[1] <= y1):
                     clipped = poly
                 else:
-                    clipped = mesh_module.clip_polygon_rect(poly, x0, y0, x1,
+                    clipped = clip_oracle.clip_polygon_rect(poly, x0, y0, x1,
                                                             y1)
                 if len(clipped) >= 3:
                     clipped = mesh_module._dedupe_loop(clipped, snap)
@@ -835,7 +844,7 @@ def clip_everything_reference(kind, element_area, domain):
         for m1 in m1_range:
             off = m1 * a1 + m2 * a2
             for el in pat.elements:
-                clipped = mesh_module.clip_polygon_rect(el + off, x0, y0, x1,
+                clipped = clip_oracle.clip_polygon_rect(el + off, x0, y0, x1,
                                                         y1)
                 if len(clipped) >= 3:
                     clipped = mesh_module._dedupe_loop(clipped, snap)
@@ -860,6 +869,92 @@ def test_regular_mesh_equals_clip_everything_reference(kind, h, domain):
     assert np.array_equal(mesh.vertices, vertices)
     assert np.array_equal(mesh.cell_ptr, cell_ptr)
     assert np.array_equal(mesh.cell_idx, cell_idx)
+
+
+def lattice_polys(kind, element_area, bounds, shift=(0.0, 0.0)):
+    """The padded lattice instances build_regular_mesh places over the
+    rectangle bounds, moved by shift: (m, nv, 2)."""
+    x0, y0, x1, y1 = bounds
+    pat = GeneratingPattern.make(kind, element_area, "pointy")
+    a1, a2 = pat.lattice
+    inv = np.linalg.inv(np.stack([a1, a2], axis=1))
+    mm = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]]) @ inv.T
+    lo = np.floor(mm.min(axis=0)).astype(int) - 2
+    hi = np.ceil(mm.max(axis=0)).astype(int) + 2
+    return mesh_module._lattice_instances(
+        pat.elements, a1, a2, range(lo[0], hi[0]), range(lo[1], hi[1])) + shift
+
+
+def assert_clip_matches_oracle(polys, bounds, snap):
+    """The batched clip and dedupe of polys give, byte for byte, the pieces
+    of the per-polygon clip_polygon_rect and _dedupe_loop, and drop the same
+    ones; returns the clip's and the dedupe's point counts (m,)."""
+    pieces, count, kept = mesh_module._clip_rect(polys, bounds, snap)
+    for r, poly in enumerate(polys):
+        piece = clip_oracle.clip_polygon_rect(poly, *bounds)
+        assert count[r] == len(piece)
+        assert pieces[r, :count[r]].tobytes() == piece.tobytes()
+        ours = pieces[r][kept[r]]
+        ref = mesh_module._dedupe_loop(piece, snap) if len(piece) else piece
+        assert len(ours) == len(ref) and ours.tobytes() == ref.tobytes()
+    return count, kept.sum(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(PATTERNS), h=st.floats(0.1, 0.4),
+       shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       corner=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+       size=st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)),
+       nudges=st.lists(st.sampled_from([None, 0.0, 0.25, -0.25, 4.0]),
+                       min_size=4, max_size=4))
+@example(kind="square", h=0.25, shift=(0.0, 0.0), corner=(0.0, 0.0),
+         size=(1.0, 1.0), nudges=[None] * 4)
+def test_batched_clip_equals_per_polygon_oracle(kind, h, shift, corner, size,
+                                                nudges):
+    """Random rectangles over shifted lattices; a side with a nudge moves
+    onto the nearest vertex coordinate, then by nudge snaps: onto vertices
+    and edges, just inside or outside them, or a few snaps away."""
+    snap = 1e-9 * h
+    bounds = [*corner, corner[0] + size[0], corner[1] + size[1]]
+    polys = lattice_polys(kind, h * h, bounds, h * np.array(shift))
+    for s, nudge in enumerate(nudges):
+        if nudge is not None:
+            coord = polys[..., s % 2].ravel()
+            bounds[s] = (coord[np.abs(coord - bounds[s]).argmin()]
+                         + nudge * snap)
+    assume(bounds[0] < bounds[2] and bounds[1] < bounds[3])
+    assert_clip_matches_oracle(polys, bounds, snap)
+
+
+def test_batched_clip_special_cases():
+    # square lattice on its own lines: vertices on every side, edges along
+    # them, and instances touching each corner from outside
+    polys = lattice_polys("square", 0.0625, UNIT)
+    on_x0 = polys[..., 0] == 0.0
+    assert np.any(on_x0 & np.roll(on_x0, -1, axis=1))
+    count, size = assert_clip_matches_oracle(polys, UNIT, 2.5e-10)
+    assert np.all(size == count) and np.count_nonzero(count) == 16
+    # a hexagon vertex on the corner (x0, y0)
+    polys = lattice_polys("hexagon", 0.04, UNIT)
+    x0, y0 = polys[len(polys) // 2, 0]
+    assert np.sum(np.all(polys == (x0, y0), axis=2)) >= 2
+    assert_clip_matches_oracle(polys, (x0, y0, x0 + 0.9, y0 + 0.8), 2e-10)
+    # pieces narrower than the snap, left out
+    polys = lattice_polys("square", 0.0625, UNIT)
+    count, size = assert_clip_matches_oracle(
+        polys, (-1e-11, 0.0, 1.0, 1.0), 2.5e-10)
+    assert np.any((count >= 3) & (size < 3))
+    # a corner cut off by less than the snap: a dropped point
+    polys = lattice_polys("rtri", 0.0625, UNIT)
+    count, size = assert_clip_matches_oracle(
+        polys, (1e-11, 0.0, 1.0, 1.0), 2.5e-10)
+    assert np.any((size >= 3) & (size < count))
+    # points exactly the snap from the last kept one, and a closing point
+    # exactly the snap from the first: both dropped
+    square = np.array([[[0, 0], [0.5, 0], [2, 0], [2, 2], [0, 2], [0, 0.5]]],
+                      float)
+    count, size = assert_clip_matches_oracle(square, (-1, -1, 3, 3), 0.5)
+    assert count[0] == 6 and size[0] == 4
 
 
 # -- non-finite input ---------------------------------------------------------

@@ -197,3 +197,25 @@ def test_src_size_counts_lines_and_settable_values(tmp_path, capsys):
     assert capsys.readouterr().out == f"lines {lines}\nsettable values 14\n"
     with pytest.raises(SystemExit):
         size.main(["src_size", str(tmp_path / "missing")])
+
+
+def test_setup_digest_against_flags_each_changed_digest(tmp_path, capsys):
+    digest = load_tool("setup_digest")
+    parent = tmp_path / "parent.txt"
+    assert digest.main(["--smoke", "--out", str(parent)]) == 0
+    lines = parent.read_text().splitlines()
+    # the hexagon meshes' arrays, then basis and operators at p = 0 and 1
+    assert [line.split()[:3] for line in lines[:3]] == [
+        ["mesh", "advect-hexagon", "-"], ["basis", "advect-hexagon", "0"],
+        ["advection", "advect-hexagon", "0"]]
+    assert len(lines) == 10 and len({line.split()[3] for line in lines}) == 10
+    # one changed digest and one missing line of the parent's
+    layer, name, p, sha = lines[1].split()
+    changed = f"{layer} {name} {p} {'0' * 64}"
+    parent.write_text("\n".join([lines[0], changed] + lines[2:-1]) + "\n")
+    capsys.readouterr()
+    assert digest.main(["--smoke", "--against", str(parent)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"differs: {lines[1]} (against {'0' * 64})",
+        f"differs: {lines[-1]} (against no line)"]
+    assert digest.main(["--against", str(tmp_path / "missing.txt")]) == 2
