@@ -11,6 +11,7 @@ Exit code is 0 only if every requested solve converged.
 
 import argparse
 import dataclasses
+import errno
 import math
 import os
 import sys
@@ -212,6 +213,8 @@ def main(argv=None):
     path = out or given.get("path")  # the output: --out, or mesh gen's
     try:
         # refused before the run, which may take minutes, not after it
+        if path and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(None, "no such directory")
         report = run(**given)

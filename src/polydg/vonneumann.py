@@ -216,19 +216,10 @@ def _squared_bounds(Re, Im, norm, log_norm, floor, root):
 
 
 def _radii(M):
-    """max |eig| of each matrix of the stack M (..., d, d), eigen-solving
-    each distinct matrix once. Equal bytes give LAPACK equal eigenvalues,
-    so each radius is bit for bit that of its own solve."""
-    flat = M.reshape((-1,) + M.shape[-2:])
-    inverse = slice(None)
-    if len(flat) > 1:
-        keys = flat.reshape(len(flat), -1).view(
-            np.dtype((np.void, flat[0].nbytes)))[:, 0]
-        _, first, inverse = np.unique(keys, return_index=True,
-                                      return_inverse=True)
-        flat = flat[first]
-    r = np.max(np.abs(np.linalg.eigvals(flat)), axis=-1)
-    return r[inverse].reshape(M.shape[:-2])
+    """max |eig| of each matrix of the stack M (..., d, d), in one batched
+    eigen-solve. LAPACK solves each matrix on its own, so each radius is bit
+    for bit that of a one-matrix solve."""
+    return np.max(np.abs(np.linalg.eigvals(M)), axis=-1)
 
 
 class PatternSymbol:
@@ -249,15 +240,22 @@ class PatternSymbol:
         # per-element diagonal blocks only (intra-pattern couplings excluded)
         self.diag = np.where(ops.mask, self.blocks[0], 0.0)
 
-    def l_hat_phases(self, phi1, phi2):
-        """Fourier-space operator for lattice phases (phi1, phi2); broadcasts
-        over arrays of phases."""
-        phase = np.exp(1j * (np.multiply.outer(phi1, self.offsets[:, 0])
-                             + np.multiply.outer(phi2, self.offsets[:, 1])))
+    def _phase_factors(self, phi1, phi2):
+        """exp(i m.phi) for each offset m, shape phi.shape + (n_offsets,)."""
+        return np.exp(1j * (np.multiply.outer(phi1, self.offsets[:, 0])
+                            + np.multiply.outer(phi2, self.offsets[:, 1])))
+
+    def _l_hat(self, phase):
+        """sum_m phase_m B_m, summed from +0 in offset order."""
         out = np.zeros(phase.shape[:-1] + (self.dim, self.dim), dtype=complex)
         for i, B in enumerate(self.blocks):
             out += phase[..., i, None, None] * B
         return out
+
+    def l_hat_phases(self, phi1, phi2):
+        """Fourier-space operator for lattice phases (phi1, phi2); broadcasts
+        over arrays of phases."""
+        return self._l_hat(self._phase_factors(phi1, phi2))
 
     def wave_phases(self, nx, ny):
         """Lattice phases of the planar wave with geometric wavenumber (nx, ny)."""
@@ -266,8 +264,12 @@ class PatternSymbol:
 
     def jacobi_symbol(self, k, phi1, phi2):
         """R_hat = I - D^{-1} (M + k L_hat) at lattice phases (phi1, phi2)."""
+        return self._jacobi(k, self._phase_factors(phi1, phi2))
+
+    def _jacobi(self, k, phase):
+        """`jacobi_symbol` from the phase factors of `_phase_factors`."""
         Dinv = np.linalg.inv(self.mass + k * self.diag)
-        A = self.mass + k * self.l_hat_phases(phi1, phi2)
+        A = self.mass + k * self._l_hat(phase)
         return np.eye(self.dim) - Dinv @ A
 
     def _symbol_parts(self, k):
@@ -289,11 +291,15 @@ class PatternSymbol:
         The reference path builds R_hat with `jacobi_symbol`. `screen=True`
         sums it from `_symbol_parts` and returns rho(M)^(1/root): M = R_hat,
         root = 1, or on a two-cyclic pattern the half-size M = X Y, root = 2.
-        The two paths agree to rounding but not bitwise. Both eigen-solve
-        each distinct matrix once (`_radii`), and a matrix's radius is bit
-        for bit its own solve's. The reference path's radii thus do not
-        depend on the other points of the call; the screen's do, within
-        rounding, since its batched sums round with the batch.
+        The two paths agree to rounding but not bitwise. The reference path
+        builds and solves each distinct symbol of a call once: points whose
+        phase factors agree in bytes at the live offsets, those whose block
+        is not all zero, share the first one's radius. R_hat's bytes depend
+        on those factors alone, since L_hat sums from +0 and a zero block
+        adds only +-0, and a matrix's radius is bit for bit its own solve's
+        (`_radii`). So the reference path's radii do not depend on the other
+        points of the call; the screen's do, within rounding, since its
+        batched sums round with the batch.
 
         With a `floor`, points are proven low instead of solved. By
         Gelfand's formula (Horn and Johnson, Matrix Analysis, 2nd ed.,
@@ -308,12 +314,21 @@ class PatternSymbol:
         without a floor.
         """
         if not screen:
-            return _radii(self.jacobi_symbol(k, phi1, phi2))
+            phase = self._phase_factors(phi1, phi2)
+            if phase.ndim == 1:   # one point (the refine): nothing to share
+                return _radii(self._jacobi(k, phase))
+            flat = phase.reshape(-1, phase.shape[-1])
+            live = np.ascontiguousarray(flat[:, self.blocks.any(axis=(1, 2))])
+            keys = live.view(np.dtype((np.void, live.itemsize
+                                       * live.shape[1])))[:, 0]
+            _, first, inverse = np.unique(keys, return_index=True,
+                                          return_inverse=True)
+            return _radii(self._jacobi(k, flat[first]))[inverse].reshape(
+                phase.shape[:-1])
         phi1, phi2 = np.broadcast_arrays(np.asarray(phi1, float),
                                          np.asarray(phi2, float))
-        offsets, parts = self._symbol_parts(k)
-        phase = np.exp(1j * (np.multiply.outer(phi1, offsets[:, 0])
-                             + np.multiply.outer(phi2, offsets[:, 1])))
+        _, parts = self._symbol_parts(k)
+        phase = self._phase_factors(phi1, phi2)
 
         def symbol(C):
             return (phase @ C.reshape(len(C), -1)).reshape(
@@ -396,9 +411,9 @@ ROUNDING_MARGIN = 1e-9
 # with 20 or 24 (within 1 %), and 40 % more with 8.
 BOUND_SQUARINGS = 16
 # Points recomputed on the reference path per call, which bounds memory: a
-# whole near-peak row (rtri p=2 k2 puts all 2304 phases of theta = 0 there)
-# in one call holds ~28 MB of complex symbols. Values do not depend on the
-# slicing, since each matrix's radius is its own solve's.
+# whole near-peak row of 2304 distinct p = 2 symbols in one call would hold
+# ~28 MB. Values do not depend on the slicing, since a symbol's bytes depend
+# on its own phases and each matrix's radius is its own solve's.
 RECOMPUTE_SLICE = 256
 
 
@@ -592,10 +607,11 @@ def max_spectral_radius(kind, p, k, element_area, config=None):
     values within SCREEN_TOL of the peak as they are. Every such point,
     mirrored rows included, is then recomputed on the reference path, so
     the peak, its first location in C order and thus the refine's start
-    are bit for bit those of a full reference grid. The recompute
-    eigen-solves each distinct symbol once: at theta = 0, rtri's symbol
+    are bit for bit those of a full reference grid. The recompute builds
+    and eigen-solves each distinct symbol of a slice once
+    (`PatternSymbol.spectral_radius_phases`): at theta = 0, rtri's symbol
     does not depend on phi2, and its 2304 near-peak points at p = 2, k2
-    hold 54 distinct matrices. The refine evaluates the points scipy's
+    take 54 symbols over the slices. The refine evaluates the points scipy's
     Nelder-Mead would, so the result is also bit for bit the one
     `scipy.optimize.minimize` gave.
     """

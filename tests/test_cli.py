@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, CSV output, and error handling."""
 
 import csv
+import errno
+import os
+import subprocess
 import sys
 import types
 
 import numpy as np
 import pytest
 
+import polydg
 from polydg import cli, vonneumann
 from polydg.blocklinalg import LinalgError
 from polydg.cli import build_parser, emit, main
@@ -276,11 +280,38 @@ def test_out_into_a_missing_directory_fails_before_the_run(
     ["analyze", "--p", "0", "--k", "k1", "--theta-samples", "3",
      "--wave-samples", "6", "--out"],
     ["mesh", "gen", "--pattern", "hex", "--area", "0.05", "--out"]])
-def test_out_that_cannot_be_written_is_an_error(argv, tmp_path, capsys):
-    # a directory passes the check before the run; the write then fails
+def test_out_that_cannot_be_written_is_an_error(argv, tmp_path, monkeypatch,
+                                                capsys):
+    # a directory is refused before the run, as a missing one is
+    for driver in ("run_analyze", "build_regular_mesh"):
+        monkeypatch.setattr(cli, driver, refuse_to_run)
     assert main(argv + [str(tmp_path)]) == 2
-    assert capsys.readouterr().err.endswith(
-        f"error: cannot write {tmp_path}: Is a directory\n")
+    assert capsys.readouterr().err == (f"error: cannot write {tmp_path}: "
+                                       f"Is a directory\n")
+
+
+def test_a_write_that_fails_is_an_error(tmp_path, monkeypatch, capsys):
+    # an output that passes the check before the run can still fail
+    def fail(mesh, path):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(cli, "write_mesh", fail)
+    out = tmp_path / "a.mesh"
+    assert main(["mesh", "gen", "--pattern", "hex", "--area", "0.05",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {out}: "
+                                       f"Permission denied\n")
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # only the periodic matcher and the random pair need scipy.spatial,
+    # which costs a cold run about 7 MB
+    src = os.path.dirname(os.path.dirname(polydg.__file__))
+    code = "import sys, polydg.cli\nprint('scipy.spatial' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("error", [EulerError, LinalgError, AssemblyError,

@@ -639,15 +639,15 @@ def assert_radii_per_point(monkeypatch, sym, k, phi1, phi2):
 @pytest.mark.parametrize("p", DEGREES)
 def test_radii_of_repeated_phases_equal_one_solve_per_point(monkeypatch,
                                                             kind, p):
-    # equal symbols are eigen-solved once and their radius shared: repeated
-    # and shuffled phases, at the cone's first angle (where rtri's symbol
-    # does not depend on phi2) and inside it
+    # equal symbols are built and eigen-solved once and their radius
+    # shared: repeated and shuffled phases, at the cone's first angle (where
+    # rtri's symbol does not depend on phi2), inside it and at its last
     rng = np.random.default_rng(10 * p + PATTERN_KINDS.index(kind))
     k = timestep_family(AREA, "k2")
     t0, t1 = THETA_RANGES[kind]
     phi1, phi2 = rng.uniform(-np.pi, np.pi, (2, 12))[:, rng.integers(0, 12,
                                                                       40)]
-    for th in (t0, rng.uniform(t0, t1)):
+    for th in (t0, rng.uniform(t0, t1), t1):
         sym = PatternSymbol(kind, p, AREA, (np.cos(th), np.sin(th)))
         assert_radii_per_point(monkeypatch, sym, k, phi1, phi2)
 
@@ -664,33 +664,41 @@ def test_radii_of_the_rtri_row_equal_one_solve_per_point(monkeypatch):
 def test_recompute_solves_each_distinct_symbol_once(monkeypatch):
     # rtri p=2 k2 recomputes its whole theta = 0 row, 2304 points, whose
     # symbols hold few distinct matrices since rtri's does not depend on
-    # phi2 there
-    solved = []
-    eigvals = np.linalg.eigvals
+    # phi2 there: each is built and eigen-solved once
+    solved, built = [], []
+    eigvals, unbuilt = np.linalg.eigvals, PatternSymbol._jacobi
 
     def counted(a):
         solved[-1] += len(a.reshape((-1,) + a.shape[-2:]))
         return eigvals(a)
+
+    def build_counted(self, k, phase):
+        built[-1] += len(phase.reshape(-1, phase.shape[-1]))
+        return unbuilt(self, k, phase)
 
     calls = []
     unrecorded = PatternSymbol.spectral_radius_phases
 
     def recorded(self, k, phi1, phi2, screen=False, floor=None):
         solved.append(0)
+        built.append(0)
         r = unrecorded(self, k, phi1, phi2, screen, floor)
         if not screen:
+            counts = built[-1], solved[-1]
             R = self.jacobi_symbol(k, phi1, phi2).reshape(-1, self.dim,
                                                           self.dim)
-            calls.append((len(R), len({m.tobytes() for m in R}), solved[-1]))
+            calls.append((len(R), len({m.tobytes() for m in R})) + counts)
         return r
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(PatternSymbol, "_jacobi", build_counted)
     monkeypatch.setattr(PatternSymbol, "spectral_radius_phases", recorded)
     max_spectral_radius("rtri", 2, timestep_family(AREA, "k2"), AREA)
-    assert all(s == d for _, d, s in calls)
-    recomputes = [(n, s) for n, _, s in calls if n > 1]
+    assert all(d == b == s for _, d, b, s in calls)
+    recomputes = [(n, b) for n, _, b, _ in calls if n > 1]
     assert sum(n for n, _ in recomputes) == SweepConfig().wave_samples ** 2
-    assert sum(s for _, s in recomputes) <= 60
+    # 54 distinct symbols in the 256-point slices of the 2304 points
+    assert sum(b for _, b in recomputes) <= 54
 
 
 # a vector parallel to each pattern's phase direction; hexagon has none
