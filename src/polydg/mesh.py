@@ -18,12 +18,12 @@ class MeshError(Exception):
     pass
 
 
-class _VertexError(MeshError):
-    """An invalid vertex, number `item`."""
+class _ItemError(MeshError):
+    """An invalid item, "vertex" or "cell" by `kind`, number `item`."""
 
-    def __init__(self, item, msg):
+    def __init__(self, kind, item, msg):
         super().__init__(msg)
-        self.item = item
+        self.kind, self.item = kind, item
 
 
 class _UnpairedSide(MeshError):
@@ -69,8 +69,8 @@ class PolyMesh:
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=-1))
         if len(bad):
             x, y = self.vertices[bad[0]].tolist()
-            raise _VertexError(bad[0],
-                               f"vertex {bad[0]} = ({x}, {y}) is not finite")
+            raise _ItemError("vertex", bad[0],
+                             f"vertex {bad[0]} = ({x}, {y}) is not finite")
         self.periods = None if periods is None else np.array(periods, float)
         if self.periods is not None and self.periods.shape != (2, 2):
             raise MeshError(f"periods must be two 2-vectors, not an array "
@@ -95,13 +95,13 @@ class PolyMesh:
                             f"not from 0 to len(cell_idx) = {len(idx)}")
         short = np.flatnonzero(counts < 3)
         if len(short):
-            raise MeshError(f"cell {short[0]} has {counts[short[0]]} "
-                            f"vertices, fewer than 3")
+            raise _ItemError("cell", short[0], f"cell {short[0]} has "
+                             f"{counts[short[0]]} vertices, fewer than 3")
         missing = np.flatnonzero((idx < 0) | (idx >= len(self.vertices)))
         if len(missing):
             c = np.searchsorted(ptr, missing[0], side="right") - 1
-            raise MeshError(f"cell {c} references missing vertex "
-                            f"{idx[missing[0]]}")
+            raise _ItemError("cell", c, f"cell {c} references missing "
+                             f"vertex {idx[missing[0]]}")
         area, centroid, _ = ragged_polygons(self.vertices[idx], ptr)
         flip = np.repeat(area < 0, counts)
         if flip.any():
@@ -369,34 +369,22 @@ def build_pattern_tiling(kind, element_area, n1, n2):
                     index, periods=(n1 * a1, n2 * a2))
 
 
-def _clip_polygon_halfplane(poly, point, normal):
-    """Sutherland-Hodgman clip of polygon to {x : (x - point) . normal <= 0}."""
-    out = []
-    n = len(poly)
-    d = [np.dot(p - point, normal) for p in poly]
-    for i in range(n):
-        j = (i + 1) % n
-        if d[i] <= 0:
-            out.append(poly[i])
-        if (d[i] < 0 < d[j]) or (d[j] < 0 < d[i]):
-            t = d[i] / (d[i] - d[j])
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.array(out) if out else np.zeros((0, 2))
-
-
-def _clip_rect(polys, bounds, snap):
-    """Sutherland-Hodgman clip of polys (m, nv, 2) to the rectangle bounds
-    by x >= x0, x <= x1, y >= y0, y <= y1 in turn, all at once: the pieces
-    (m, w, 2), padded, their sizes (m,), 0 below 3, and which of their
-    points `_dedupe_loop` keeps (m, w)."""
-    x0, y0, x1, y1 = bounds
+def _clip_halfplanes(polys, points, normals, snap):
+    """Sutherland-Hodgman clip of polys (m, nv, 2), all at once, by the
+    half-planes (x - point) . normal <= 0 in turn: points and normals
+    (m, k, 2), or (k, 2) for all; distances as np.dot takes them; a zero
+    normal is no step. A dedupe then drops a point within the snap of the
+    last one kept, then a closing point within the snap of the first.
+    Returns the pieces (m, w, 2), padded, their sizes (m,), 0 below 3, and
+    which of their points the dedupe keeps (m, w)."""
     size = np.full(len(polys), polys.shape[1])
-    for axis, bound, sign in ((0, x0, -1.0), (0, x1, 1.0), (1, y0, -1.0),
-                              (1, y1, 1.0)):
+    for point, normal in zip(np.moveaxis(points, -2, 0),
+                             np.moveaxis(normals, -2, 0)):
         m, w = polys.shape[:2]
         live = np.arange(w) < size[:, None]
         j = np.arange(1, w + 1) % np.maximum(size, 1)[:, None]
-        d = sign * (polys[..., axis] - bound)
+        d = ((polys - point[..., None, :])[..., None, :]
+             @ normal[..., None, :, None])[..., 0, 0]
         dj = np.take_along_axis(d, j, 1)
         cross = live & (((d < 0) & (0 < dj)) | ((dj < 0) & (0 < d)))
         t = np.divide(d, d - dj, out=np.zeros_like(d), where=cross)[..., None]
@@ -417,16 +405,6 @@ def _clip_rect(polys, bounds, snap):
     close = (kept.sum(1) > 1) & (norms(polys[:, 0] - last) <= snap)
     kept[close, polys.shape[1] - 1 - np.argmax(kept[close, ::-1], 1)] = False
     return polys, size, kept
-
-
-def _dedupe_loop(poly, snap):
-    out = []
-    for p in poly:
-        if not out or np.linalg.norm(p - out[-1]) > snap:
-            out.append(p)
-    if len(out) > 1 and np.linalg.norm(out[0] - out[-1]) <= snap:
-        out.pop()
-    return np.array(out)
 
 
 def _checked_domain(domain):
@@ -493,7 +471,9 @@ def build_regular_mesh(kind, element_area, domain=UNIT_SQUARE, periodic=False,
     # clipping returns the instances inside unchanged and those outside empty
     snap = 1e-9 * np.sqrt(element_area)
     whole, cut = np.flatnonzero(inside), np.flatnonzero(meets & ~inside)
-    pieces, count, kept = _clip_rect(polys[cut], (x0, y0, x1, y1), snap)
+    pieces, count, kept = _clip_halfplanes(
+        polys[cut], np.array([(x0, y0), (x1, y1), (x0, y0), (x1, y1)]),
+        np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)]), snap)
     size, narrow, moved = kept.sum(1), 0.0, 0.0
     for r in np.flatnonzero(size < count):
         piece = pieces[r, :count[r]]
@@ -542,9 +522,11 @@ def build_random_mesh_pair(h, delta=None, domain=UNIT_SQUARE, seed=0):
     Generating points sit on the h-grid of the rectangle, each coordinate
     independently perturbed by Uniform[-delta, delta] (numpy default_rng /
     PCG64, from the given seed; delta defaults to RANDOM_JITTER h). Points
-    leaving the rectangle are discarded; the Voronoi cells are clipped to
-    the rectangle by half-plane intersection with the bisectors of the
-    Delaunay neighbors.
+    leaving the rectangle are discarded. One batched clip cuts every
+    Voronoi cell out of the rectangle by the bisectors of the Delaunay
+    neighbors, with a snap of 1e-7 h (`_clip_halfplanes`); the first cell,
+    by point index, left with under 3 points or 1e-10 h^2 of area is
+    refused. Cells are ordered by point, by y, then x.
     """
     if not (np.isfinite(h) and h > 0):
         raise MeshError(f"h must be finite and positive, got {h}")
@@ -584,28 +566,31 @@ def build_random_mesh_pair(h, delta=None, domain=UNIT_SQUARE, seed=0):
         raise MeshError(f"near-degenerate Delaunay triangle {t} "
                         f"(area {dmesh.cell_areas[t]:.3g})")
 
-    # Voronoi mesh: rectangle clipped by neighbor bisectors
+    # Voronoi mesh: the rectangle clipped by the bisectors of each point's
+    # Delaunay neighbors, in `vertex_neighbor_vertices` order, padded with
+    # zero normals to the largest vertex degree
     indptr, nbrs = tri.vertex_neighbor_vertices
+    degree = np.diff(indptr)
+    steps = np.arange(degree.max()) < degree[:, None]
+    owner = np.repeat(np.arange(len(pts)), degree)
+    mids, normals = np.zeros((2, *steps.shape, 2))
+    mids[steps] = 0.5 * (pts[owner] + pts[nbrs])
+    normals[steps] = pts[nbrs] - pts[owner]
     rect = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
     snap = 1e-7 * h
-    cells = []
-    for i in range(len(pts)):
-        poly = rect
-        for j in nbrs[indptr[i]:indptr[i + 1]]:
-            mid = 0.5 * (pts[i] + pts[j])
-            nrm = pts[j] - pts[i]
-            poly = _clip_polygon_halfplane(poly, mid, nrm)
-            if len(poly) < 3:
-                break
-        poly = _dedupe_loop(poly, snap)
-        if len(poly) < 3 or polygon_area_centroid(poly)[0] < 1e-10 * h * h:
-            raise MeshError(f"near-degenerate Voronoi cell for point {i}")
-        cells.append(poly)
+    pieces, _, kept = _clip_halfplanes(np.broadcast_to(rect, (len(pts), 4, 2)),
+                                       mids, normals, snap)
     order = np.lexsort(pts.T)   # by y, then x
-    verts, index, moved = _vertex_pool(
-        np.concatenate([cells[ix] for ix in order]), snap)
-    vmesh = PolyMesh(verts, np.cumsum([0] + [len(cells[ix]) for ix in order]),
-                     index)
+    size = kept.sum(1)[order]
+    cell_ptr = np.cumsum(np.r_[0, size])
+    points = pieces[order][kept[order]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area = ragged_polygons(points, cell_ptr)[0]
+    bad = order[(size < 3) | (area < 1e-10 * h * h)]
+    if len(bad):
+        raise MeshError(f"near-degenerate Voronoi cell for point {bad.min()}")
+    verts, index, moved = _vertex_pool(points, snap)
+    vmesh = PolyMesh(verts, cell_ptr, index)
     vmesh.validate(domain_area=(x1 - x0) * (y1 - y0), moved=moved)
     return dmesh, vmesh
 
@@ -713,8 +698,8 @@ def read_mesh(path):
     try:
         mesh = PolyMesh(verts, np.cumsum([0] + [len(c) for c in cells]),
                         [v for c in cells for v in c], periods=periods)
-    except _VertexError as exc:
-        fail(2 + exc.item, str(exc))
+    except _ItemError as exc:
+        fail({"vertex": 2, "cell": 3 + nv}[exc.kind] + exc.item, str(exc))
     except _UnpairedSide as exc:
         fail(periodic_line, str(exc))
     mesh.row_height = row_height

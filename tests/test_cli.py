@@ -236,6 +236,20 @@ def test_advect_refuses_a_non_finite_mesh_file_vertex(bad, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("cell, message", [
+    ("0 1 7", "cell 0 references missing vertex 7"),
+    ("0 1", "cell 0 has 2 vertices, fewer than 3")])
+def test_advect_names_the_bad_mesh_file_cell_line(cell, message, tmp_path,
+                                                  capsys):
+    out = tmp_path / "m.mesh"
+    out.write_text(f"polymesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n"
+                   f"{cell}\n")
+    rc = main(["advect", "--mesh-file", str(out), "--p", "0", "--k", "k1",
+               "--steps", "1"])
+    assert rc == 2
+    assert f"error: {out}:7: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path, reason", [
     ("missing.mesh", "No such file or directory"), (".", "Is a directory")])
 def test_advect_refuses_an_unreadable_mesh_file(path, reason, tmp_path,

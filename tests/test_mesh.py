@@ -402,6 +402,18 @@ def test_read_mesh_errors(tmp_path):
     assert len(read_mesh(bad).periodic_map) == 3
 
 
+@pytest.mark.parametrize("cells, line, message", [
+    (["0 1 2", "0 1 7"], 8, "cell 1 references missing vertex 7"),
+    (["0 1"], 7, "cell 0 has 2 vertices, fewer than 3")])
+def test_read_mesh_names_the_bad_cell_line(cells, line, message, tmp_path):
+    path = tmp_path / "m.mesh"
+    path.write_text("polymesh 1\nvertices 3\n0 0\n1 0\n0 1\n"
+                    f"cells {len(cells)}\n" + "\n".join(cells) + "\n")
+    with pytest.raises(MeshError, match=f"^{re.escape(str(path))}:{line}: "
+                                        f"{message}$"):
+        read_mesh(path)
+
+
 def test_read_mesh_row_height_line(tmp_path):
     path = tmp_path / "m.mesh"
     for tail in ("row_height 0.5\n", "row_height 0.5\n\n",
@@ -696,7 +708,7 @@ def instance_loop_reference(kind, element_area, domain=None, periodic=False,
                     clipped = clip_oracle.clip_polygon_rect(poly, x0, y0, x1,
                                                             y1)
                 if len(clipped) >= 3:
-                    clipped = mesh_module._dedupe_loop(clipped, snap)
+                    clipped = clip_oracle._dedupe_loop(clipped, snap)
                     if (len(clipped) >= 3 and polygon_area_centroid(clipped)[0]
                             > 1e-10 * element_area):
                         polys.append(clipped)
@@ -847,7 +859,7 @@ def clip_everything_reference(kind, element_area, domain):
                 clipped = clip_oracle.clip_polygon_rect(el + off, x0, y0, x1,
                                                         y1)
                 if len(clipped) >= 3:
-                    clipped = mesh_module._dedupe_loop(clipped, snap)
+                    clipped = clip_oracle._dedupe_loop(clipped, snap)
                     if (len(clipped) >= 3 and polygon_area_centroid(clipped)[0]
                             > 1e-10 * element_area):
                         polys.append(clipped)
@@ -885,17 +897,29 @@ def lattice_polys(kind, element_area, bounds, shift=(0.0, 0.0)):
         pat.elements, a1, a2, range(lo[0], hi[0]), range(lo[1], hi[1])) + shift
 
 
-def assert_clip_matches_oracle(polys, bounds, snap):
-    """The batched clip and dedupe of polys give, byte for byte, the pieces
-    of the per-polygon clip_polygon_rect and _dedupe_loop, and drop the same
-    ones; returns the clip's and the dedupe's point counts (m,)."""
-    pieces, count, kept = mesh_module._clip_rect(polys, bounds, snap)
+def rect_halfplanes(bounds):
+    """The points and normals (4, 2) of the rectangle bounds' half-planes
+    x >= x0, x <= x1, y >= y0, y <= y1, as build_regular_mesh clips."""
+    x0, y0, x1, y1 = bounds
+    return (np.array([(x0, y0), (x1, y1), (x0, y0), (x1, y1)], float),
+            np.array([(-1, 0), (1, 0), (0, -1), (0, 1)], float))
+
+
+def assert_clip_matches_oracle(polys, points, normals, snap):
+    """The batched clip and dedupe of polys (m, nv, 2) by the half-planes
+    points and normals ((m, k, 2) or (k, 2)) give, byte for byte, the
+    pieces of the per-polygon clip_polygon and _dedupe_loop, and drop the
+    same ones; returns the clip's and the dedupe's point counts (m,)."""
+    pieces, count, kept = mesh_module._clip_halfplanes(polys, points, normals,
+                                                       snap)
+    shape = (len(polys), *np.shape(points)[-2:])
+    points, normals = (np.broadcast_to(a, shape) for a in (points, normals))
     for r, poly in enumerate(polys):
-        piece = clip_oracle.clip_polygon_rect(poly, *bounds)
+        piece = clip_oracle.clip_polygon(poly, points[r], normals[r])
         assert count[r] == len(piece)
         assert pieces[r, :count[r]].tobytes() == piece.tobytes()
         ours = pieces[r][kept[r]]
-        ref = mesh_module._dedupe_loop(piece, snap) if len(piece) else piece
+        ref = clip_oracle._dedupe_loop(piece, snap) if len(piece) else piece
         assert len(ours) == len(ref) and ours.tobytes() == ref.tobytes()
     return count, kept.sum(1)
 
@@ -906,14 +930,19 @@ def assert_clip_matches_oracle(polys, bounds, snap):
        corner=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
        size=st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)),
        nudges=st.lists(st.sampled_from([None, 0.0, 0.25, -0.25, 4.0]),
-                       min_size=4, max_size=4))
+                       min_size=4, max_size=4),
+       bisectors=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
 @example(kind="square", h=0.25, shift=(0.0, 0.0), corner=(0.0, 0.0),
-         size=(1.0, 1.0), nudges=[None] * 4)
+         size=(1.0, 1.0), nudges=[None] * 4, bisectors=0, seed=0)
 def test_batched_clip_equals_per_polygon_oracle(kind, h, shift, corner, size,
-                                                nudges):
+                                                nudges, bisectors, seed):
     """Random rectangles over shifted lattices; a side with a nudge moves
     onto the nearest vertex coordinate, then by nudge snaps: onto vertices
-    and edges, just inside or outside them, or a few snaps away."""
+    and edges, just inside or outside them, or a few snaps away. Then up to
+    3 bisector-style half-planes per polygon, as a Voronoi cell takes: of a
+    point near the polygon and a neighbor about h away, some through one of
+    the polygon's vertices, some with a zero normal, the padding of a cell
+    with fewer neighbors."""
     snap = 1e-9 * h
     bounds = [*corner, corner[0] + size[0], corner[1] + size[1]]
     polys = lattice_polys(kind, h * h, bounds, h * np.array(shift))
@@ -923,7 +952,21 @@ def test_batched_clip_equals_per_polygon_oracle(kind, h, shift, corner, size,
             bounds[s] = (coord[np.abs(coord - bounds[s]).argmin()]
                          + nudge * snap)
     assume(bounds[0] < bounds[2] and bounds[1] < bounds[3])
-    assert_clip_matches_oracle(polys, bounds, snap)
+    rng = np.random.default_rng(seed)
+    m, nv = polys.shape[:2]
+    own = polys.mean(1)[:, None] + h * rng.uniform(-0.5, 0.5,
+                                                   (m, bisectors, 2))
+    other = own + h * rng.uniform(-1.5, 1.5, (m, bisectors, 2))
+    mids, normals = 0.5 * (own + other), other - own
+    through = rng.random((m, bisectors)) < 0.25
+    mids[through] = polys[np.nonzero(through)[0],
+                          rng.integers(0, nv, np.count_nonzero(through))]
+    normals[rng.random((m, bisectors)) < 0.25] = 0.0
+    rect_points, rect_normals = (np.broadcast_to(a, (m, 4, 2))
+                                 for a in rect_halfplanes(bounds))
+    assert_clip_matches_oracle(polys, np.concatenate([rect_points, mids], 1),
+                               np.concatenate([rect_normals, normals], 1),
+                               snap)
 
 
 def test_batched_clip_special_cases():
@@ -932,29 +975,80 @@ def test_batched_clip_special_cases():
     polys = lattice_polys("square", 0.0625, UNIT)
     on_x0 = polys[..., 0] == 0.0
     assert np.any(on_x0 & np.roll(on_x0, -1, axis=1))
-    count, size = assert_clip_matches_oracle(polys, UNIT, 2.5e-10)
+    count, size = assert_clip_matches_oracle(polys, *rect_halfplanes(UNIT),
+                                             2.5e-10)
     assert np.all(size == count) and np.count_nonzero(count) == 16
     # a hexagon vertex on the corner (x0, y0)
     polys = lattice_polys("hexagon", 0.04, UNIT)
     x0, y0 = polys[len(polys) // 2, 0]
     assert np.sum(np.all(polys == (x0, y0), axis=2)) >= 2
-    assert_clip_matches_oracle(polys, (x0, y0, x0 + 0.9, y0 + 0.8), 2e-10)
+    assert_clip_matches_oracle(
+        polys, *rect_halfplanes((x0, y0, x0 + 0.9, y0 + 0.8)), 2e-10)
     # pieces narrower than the snap, left out
     polys = lattice_polys("square", 0.0625, UNIT)
     count, size = assert_clip_matches_oracle(
-        polys, (-1e-11, 0.0, 1.0, 1.0), 2.5e-10)
+        polys, *rect_halfplanes((-1e-11, 0.0, 1.0, 1.0)), 2.5e-10)
     assert np.any((count >= 3) & (size < 3))
     # a corner cut off by less than the snap: a dropped point
     polys = lattice_polys("rtri", 0.0625, UNIT)
     count, size = assert_clip_matches_oracle(
-        polys, (1e-11, 0.0, 1.0, 1.0), 2.5e-10)
+        polys, *rect_halfplanes((1e-11, 0.0, 1.0, 1.0)), 2.5e-10)
     assert np.any((size >= 3) & (size < count))
     # points exactly the snap from the last kept one, and a closing point
     # exactly the snap from the first: both dropped
     square = np.array([[[0, 0], [0.5, 0], [2, 0], [2, 2], [0, 2], [0, 0.5]]],
                       float)
-    count, size = assert_clip_matches_oracle(square, (-1, -1, 3, 3), 0.5)
+    count, size = assert_clip_matches_oracle(
+        square, *rect_halfplanes((-1, -1, 3, 3)), 0.5)
     assert count[0] == 6 and size[0] == 4
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("jitter", [0.0, 1e-9, 1e-5, 0.25, 0.45])
+@pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
+def test_voronoi_mesh_equals_per_cell_oracle(h, jitter, seed):
+    """The Voronoi mesh's vertices and cells are, byte for byte, those the
+    per-cell loop gives. With no jitter four points share a circle, and
+    Qhull's neighbor order decides the clip order; 1e-5 h is nearly that.
+    A jitter of 1e-9 h leaves boundary points so nearly collinear that the
+    build refuses a Delaunay sliver before it makes any Voronoi cell."""
+    from scipy.spatial import Delaunay
+    try:
+        delaunay, voronoi = build_random_mesh_pair(h, jitter * h, seed=seed)
+    except MeshError as exc:
+        assert jitter == 1e-9
+        assert str(exc).startswith("near-degenerate Delaunay triangle")
+        return
+    pts, snap = delaunay.vertices, 1e-7 * h
+    rect = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cells = clip_oracle.voronoi_cells(pts, Delaunay(pts), rect, snap)
+    order = np.lexsort(pts.T)
+    verts, index, _ = mesh_module._vertex_pool(
+        np.concatenate([cells[i] for i in order]), snap)
+    ref = PolyMesh(verts, np.cumsum([0] + [len(cells[i]) for i in order]),
+                   index)
+    for name in ("vertices", "cell_ptr", "cell_idx"):
+        a, b = getattr(voronoi, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_voronoi_refusal_names_the_first_point_by_index(monkeypatch):
+    # the cells are pooled in the order of their points by y, then x,
+    # where point 12 comes before 10 and 11: refused cells 11 and 12 name
+    # point 11, not 12 or its position 10, and before PolyMesh sees them
+    delaunay, _ = build_random_mesh_pair(0.25, seed=0)
+    assert list(np.lexsort(delaunay.vertices.T)[10:13]) == [12, 10, 11]
+    clip = mesh_module._clip_halfplanes
+
+    def drop_two(*args):
+        pieces, size, kept = clip(*args)
+        kept[[11, 12]] = False
+        return pieces, size, kept
+
+    monkeypatch.setattr(mesh_module, "_clip_halfplanes", drop_two)
+    with pytest.raises(MeshError,
+                       match="^near-degenerate Voronoi cell for point 11$"):
+        build_random_mesh_pair(0.25, seed=0)
 
 
 # -- non-finite input ---------------------------------------------------------

@@ -204,11 +204,15 @@ def test_setup_digest_against_flags_each_changed_digest(tmp_path, capsys):
     parent = tmp_path / "parent.txt"
     assert digest.main(["--smoke", "--out", str(parent)]) == 0
     lines = parent.read_text().splitlines()
-    # the hexagon meshes' arrays, then basis and operators at p = 0 and 1
+    # the hexagon meshes' arrays, then basis and operators at p = 0 and 1,
+    # then those of the h = 0.2 random pair
     assert [line.split()[:3] for line in lines[:3]] == [
         ["mesh", "advect-hexagon", "-"], ["basis", "advect-hexagon", "0"],
         ["advection", "advect-hexagon", "0"]]
-    assert len(lines) == 10 and len({line.split()[3] for line in lines}) == 10
+    assert [line.split()[:3] for line in lines[10::5]] == [
+        ["mesh", "random-delaunay-h0.2", "-"],
+        ["mesh", "random-voronoi-h0.2", "-"]]
+    assert len(lines) == 20 and len({line.split()[3] for line in lines}) == 20
     # one changed digest and one missing line of the parent's
     layer, name, p, sha = lines[1].split()
     changed = f"{layer} {name} {p} {'0' * 64}"

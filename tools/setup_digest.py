@@ -13,8 +13,9 @@ arrays:
   the Euler meshes only).
 The set is the four regular patterns on the `advect` meshes (h = 0.05) and
 on the Euler vortex meshes, the periodic hexagon `advect` mesh and the
-seed-0 random Delaunay/Voronoi pair at h = 0.1. `--smoke` runs the hexagon
-meshes at p = 0 and 1 only, in about a second.
+seed-0 random Delaunay/Voronoi pairs at h = 0.1, 0.05 (the mesh of
+`run_random_advect`) and 0.2. `--smoke` runs the hexagon meshes and the
+h = 0.2 pair at p = 0 and 1 only, in about a second.
 
 Each output line is `layer mesh p sha256` (p is `-` for the mesh layer).
 `--against FILE` compares the digests with those of a file written by an
@@ -46,6 +47,9 @@ MESH_ARRAYS = ("vertices", "cell_ptr", "cell_idx", "cell_areas",
                "edge_normals", "edge_lengths", "edge_shifts", "periodic_map",
                "periods")
 SMOKE_KIND, SMOKE_DEGREES = "hexagon", (0, 1)
+# (name suffix, h) of the seed-0 random pairs; the last is the smoke one
+RANDOM_PAIRS = (("", 0.1), ("-h0.05", experiments.ADVECTION_H),
+                ("-h0.2", 0.2))
 
 
 def digest(arrays):
@@ -76,9 +80,10 @@ def meshes(smoke):
     if not smoke:
         yield ("advect-hexagon-periodic",
                experiments.advection_mesh("hexagon", periodic=True), False)
-        delaunay, voronoi = build_random_mesh_pair(0.1, seed=0)
-        yield "random-delaunay", delaunay, False
-        yield "random-voronoi", voronoi, False
+    for suffix, h in RANDOM_PAIRS[-1:] if smoke else RANDOM_PAIRS:
+        delaunay, voronoi = build_random_mesh_pair(h, seed=0)
+        yield f"random-delaunay{suffix}", delaunay, False
+        yield f"random-voronoi{suffix}", voronoi, False
 
 
 def digests(smoke):
